@@ -4,8 +4,11 @@ Two formulations of the same dynamics, each an oracle for the other:
 
 * direct: the horizontal velocity V(x, z, t) in the lab frame, with the
   Coriolis term Omega V^perp explicit and pressure eliminated by projection;
-* rotating: the triple (Vbar, V+, V-) where V+- = e^{-+ i Omega t} P+- V,
-  so Omega appears only in bounded oscillatory prefactors.
+* rotating: the pair (Vbar, V+) where V+ = e^{-i Omega t} P+ V, so Omega
+  appears only in bounded oscillatory prefactors.  V- = e^{i Omega t} P- V is
+  the conjugate partner of V+ for a real V, V-(n) = conj V+(-n), so it is
+  never evolved: its physical values are the conjugates of those of V+.
+  States of a non-real V are rejected.
 
 The stiff vertical diffusion nu dzz is integrated exactly by an
 integrating-factor RK4 (scheme "rk4_if"); "rk4_plain" treats everything
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
-from .norms import NormSpec, fit_radius, norm_rst
-from .spectral import COS, SIN, SpectralField, values_from_coeffs, coeffs_from_values
+from .norms import InsufficientDecayData, NormSpec, fit_radius, norm_rst
+from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse
+from .spectral import coeffs_from_values, values_from_coeffs
 
 
 class CflError(RuntimeError):
@@ -35,19 +39,38 @@ class TendencyNanError(FloatingPointError):
         self.term = term
 
 
+def _require_partner(a: np.ndarray, b: np.ndarray, what: str):
+    """Raise ValueError unless a equals b to 1e-10 relative to b (NaN passes)."""
+    resid = np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+    if resid > 1e-10:
+        raise ValueError(f"{what} (relative mismatch {resid:.3e}): the velocity is not real")
+
+
 @dataclass
 class RotatingState:
-    """(Vbar, V+, V-) in spectral space at time t.
+    """(Vbar, V+) in spectral space at time t; V- is the conjugate partner of V+.
 
     vbar is stored compactly as (2, nh, nh): the m = 0 coefficients of a
-    divergence-free barotropic 2-vector.  vplus/vminus are complex baroclinic
-    2-vectors (2, nh, nh, nz) with the m = 0 slice structurally zero.
+    divergence-free barotropic 2-vector.  vplus is a complex baroclinic
+    2-vector (2, nh, nh, nz) with the m = 0 slice structurally zero.
+
+    For a real velocity V- = conjugate_reverse(V+).  vminus is stored, filled
+    with that partner when omitted; one passed in must match it to 1e-10
+    relative, or ValueError is raised: a non-real state is rejected, not
+    silently replaced.
     """
 
     t: float
     vbar: np.ndarray
     vplus: np.ndarray
-    vminus: np.ndarray
+    vminus: np.ndarray | None = None
+
+    def __post_init__(self):
+        partner = conjugate_reverse(self.vplus)
+        if self.vminus is None:
+            self.vminus = partner
+        else:
+            _require_partner(self.vminus, partner, "vminus is not the conjugate partner of vplus")
 
     def copy(self) -> "RotatingState":
         return RotatingState(self.t, self.vbar.copy(), self.vplus.copy(), self.vminus.copy())
@@ -93,19 +116,16 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 def rotating_from_direct(v: np.ndarray, t: float, omega: float) -> RotatingState:
-    """V+- = e^{-+ i Omega t} (1/2)(Vt +- i Vt^perp)."""
+    """V+ = e^{-i Omega t} (1/2)(Vt + i Vt^perp); V- is its conjugate partner.
+
+    Raises ValueError when v is not conjugate symmetric, i.e. not real.
+    """
+    _require_partner(v, conjugate_reverse(v), "v is not conjugate symmetric")
     vbar = v[..., 0].copy()
     vt = v.copy()
     vt[..., 0] = 0.0
     vperp = np.concatenate([-vt[1:2], vt[0:1]], axis=0)
-    pplus = 0.5 * (vt + 1j * vperp)
-    pminus = 0.5 * (vt - 1j * vperp)
-    return RotatingState(
-        t,
-        vbar,
-        np.exp(-1j * omega * t) * pplus,
-        np.exp(1j * omega * t) * pminus,
-    )
+    return RotatingState(t, vbar, np.exp(-1j * omega * t) * 0.5 * (vt + 1j * vperp))
 
 
 def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
@@ -152,34 +172,20 @@ class _Bundle:
     __slots__ = ("p", "px", "py", "dzp", "intp", "divp")
 
 
-def _make_bundles(vp: np.ndarray, vm: np.ndarray, grid: GridSpec) -> tuple["_Bundle", "_Bundle"]:
-    """Evaluate both baroclinic fields with one stacked transform per basis."""
+def _make_bundle(vc: np.ndarray, grid: GridSpec) -> _Bundle:
+    """Evaluate one baroclinic field with one stacked transform per basis."""
     ikx = 1j * kx(grid)
     iky = 1j * ky(grid)
     w = mpi(grid)
-    out = []
-    sin_parts = []
-    cos_stack = []
-    for vc in (vp, vm):
-        divc = ikx * vc[0:1] + iky * vc[1:2]
-        cos_stack.extend([vc, ikx * vc, iky * vc, divc])
-        intc = np.zeros_like(divc)
-        intc[..., 1:] = divc[..., 1:] / w[..., 1:]
-        sin_parts.extend([-w * vc, intc])
-    cvals = values_from_coeffs(np.concatenate(cos_stack, axis=0), grid, COS)
-    svals = values_from_coeffs(np.concatenate(sin_parts, axis=0), grid, SIN)
-    for i in range(2):
-        b = _Bundle()
-        c0, s0 = 7 * i, 3 * i
-        b.p, b.px, b.py, b.divp = (
-            cvals[c0 : c0 + 2],
-            cvals[c0 + 2 : c0 + 4],
-            cvals[c0 + 4 : c0 + 6],
-            cvals[c0 + 6 : c0 + 7],
-        )
-        b.dzp, b.intp = svals[s0 : s0 + 2], svals[s0 + 2 : s0 + 3]
-        out.append(b)
-    return out[0], out[1]
+    divc = ikx * vc[0:1] + iky * vc[1:2]
+    intc = np.zeros_like(divc)
+    intc[..., 1:] = divc[..., 1:] / w[..., 1:]
+    cvals = values_from_coeffs(np.concatenate([vc, ikx * vc, iky * vc, divc], axis=0), grid, COS)
+    svals = values_from_coeffs(np.concatenate([-w * vc, intc], axis=0), grid, SIN)
+    b = _Bundle()
+    b.p, b.px, b.py, b.divp = cvals[0:2], cvals[2:4], cvals[4:6], cvals[6:7]
+    b.dzp, b.intp = svals[0:2], svals[2:3]
+    return b
 
 
 def _adv(a: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -206,17 +212,13 @@ def _guard(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _name_bad_term(bp, bm, vb3, bplus_x, bplus_y, bminus_x, bminus_y, g):
+def _name_bad_term(bp, pm, intm, vb3, bplus_x, bplus_y):
     """Slow path: identify which tendency group went non-finite."""
     groups = {
         "plus_self": _adv(bp.p, bp.px, bp.py) - bp.intp * bp.dzp,
         "plus_barotropic": _adv(vb3, bp.px, bp.py) + 0.5 * _adv(bp.p, bplus_x, bplus_y),
-        "plus_cross": _adv(bm.p, bp.px, bp.py) - bm.intp * bp.dzp,
-        "plus_conjugate_coupling": 0.5 * _adv(bm.p, bplus_x, bplus_y),
-        "minus_self": _adv(bm.p, bm.px, bm.py) - bm.intp * bm.dzp,
-        "minus_barotropic": _adv(vb3, bm.px, bm.py) + 0.5 * _adv(bm.p, bminus_x, bminus_y),
-        "minus_cross": _adv(bp.p, bm.px, bm.py) - bp.intp * bm.dzp,
-        "minus_conjugate_coupling": 0.5 * _adv(bp.p, bminus_x, bminus_y),
+        "plus_cross": _adv(pm, bp.px, bp.py) - intm * bp.dzp,
+        "plus_conjugate_coupling": 0.5 * _adv(pm, bplus_x, bplus_y),
     }
     for name, arr in groups.items():
         _guard(name, arr)
@@ -228,75 +230,73 @@ def _name_bad_term(bp, bm, vb3, bplus_x, bplus_y, bminus_x, bminus_y, g):
 # ---------------------------------------------------------------------------
 
 def rhs_rotating(
-    state: RotatingState,
-    t: float,
-    cfg: SolverConfig,
-    include_viscous: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tendencies (dVbar, dV+, dV-) of the rotating-frame equations.
+    state: RotatingState | tuple, t: float, cfg: SolverConfig, include_viscous: bool = True
+) -> tuple:
+    """Tendencies of the rotating-frame equations.
+
+    For a RotatingState the result is (dVbar, dV+, dV-), with dV- the
+    conjugate partner conjugate_reverse(dV+).  The time steppers pass the bare
+    (vbar, vplus) arrays instead and get (dVbar, dV+) alone.
 
     Every quadratic term is evaluated pseudo-spectrally and dealiased; the
     oscillatory prefactors e^{+-i Omega t}, e^{+-2i Omega t} are evaluated at
     the exact time t.  Pressure never appears: the barotropic tendency is
     Leray-projected.
     """
+    if isinstance(state, RotatingState):
+        dvb, dvp = _rhs_plus(state.vbar, state.vplus, t, cfg, include_viscous)
+        return dvb, dvp, conjugate_reverse(dvp)
+    vbar, vplus = state
+    return _rhs_plus(vbar, vplus, t, cfg, include_viscous)
+
+
+def _rhs_plus(vbar, vplus, t: float, cfg: SolverConfig, include_viscous: bool):
+    """(dVbar, dV+) from the V+ bundle alone; V- enters as the conjugate of V+."""
     g = cfg.grid
     om = cfg.omega
-    bp, bm = _make_bundles(state.vplus, state.vminus, g)
+    bp = _make_bundle(vplus, g)
+    # physical V- = conj(physical V+) for a real velocity
+    pm, intm = np.conj(bp.p), np.conj(bp.intp)
 
     # barotropic phys fields (2D): velocity and gradients
-    vb = np.fft.ifft2(state.vbar, axes=(-2, -1)) * g.nh**2
-    gx = np.fft.ifft2(1j * kx(g)[..., 0] * state.vbar, axes=(-2, -1)) * g.nh**2
-    gy = np.fft.ifft2(1j * ky(g)[..., 0] * state.vbar, axes=(-2, -1)) * g.nh**2
+    vb = np.fft.ifft2(vbar, axes=(-2, -1)) * g.nh**2
+    gx = np.fft.ifft2(1j * kx(g)[..., 0] * vbar, axes=(-2, -1)) * g.nh**2
+    gy = np.fft.ifft2(1j * ky(g)[..., 0] * vbar, axes=(-2, -1)) * g.nh**2
     vb3 = vb[..., None]
     # (Vbar + i Vbar^perp) gradients: component combos of gx, gy
     bplus_x = np.stack([gx[0] - 1j * gx[1], gx[1] + 1j * gx[0]])[..., None]
     bplus_y = np.stack([gy[0] - 1j * gy[1], gy[1] + 1j * gy[0]])[..., None]
-    bminus_x = np.stack([gx[0] + 1j * gx[1], gx[1] - 1j * gx[0]])[..., None]
-    bminus_y = np.stack([gy[0] + 1j * gy[1], gy[1] - 1j * gy[0]])[..., None]
 
-    selfadv_p = _adv(bp.p, bp.px, bp.py)
-    selfadv_m = _adv(bm.p, bm.px, bm.py)
+    selfadv = _adv(bp.p, bp.px, bp.py)
     ep = np.exp(1j * om * t)
     em = np.exp(-1j * om * t)
 
     # the oscillatory prefactors are scalars at fixed t, so the four tendency
-    # groups of each equation combine in physical space: one forward transform
-    plus_phys = (
-        ep * (selfadv_p - bp.intp * bp.dzp)
+    # groups combine in physical space: one forward transform
+    phys = (
+        ep * (selfadv - bp.intp * bp.dzp)
         + _adv(vb3, bp.px, bp.py)
         + 0.5 * _adv(bp.p, bplus_x, bplus_y)
-        + em * (_adv(bm.p, bp.px, bp.py) - bm.intp * bp.dzp)
-        + (em * em * 0.5) * _adv(bm.p, bplus_x, bplus_y)
+        + em * (_adv(pm, bp.px, bp.py) - intm * bp.dzp)
+        + (em * em * 0.5) * _adv(pm, bplus_x, bplus_y)
     )
-    minus_phys = (
-        em * (selfadv_m - bm.intp * bm.dzp)
-        + _adv(vb3, bm.px, bm.py)
-        + 0.5 * _adv(bm.p, bminus_x, bminus_y)
-        + ep * (_adv(bp.p, bm.px, bm.py) - bp.intp * bm.dzp)
-        + (ep * ep * 0.5) * _adv(bp.p, bminus_x, bminus_y)
-    )
-    dhat = _fwd_baroclinic(np.concatenate([plus_phys, minus_phys], axis=0), g)
+    dhat = _fwd_baroclinic(phys, g)
     if not np.isfinite(dhat).all():
-        _name_bad_term(bp, bm, vb3, bplus_x, bplus_y, bminus_x, bminus_y, g)
-    dvp = -dhat[0:2]
-    dvm = -dhat[2:4]
-
+        _name_bad_term(bp, pm, intm, vb3, bplus_x, bplus_y)
+    dvp = -dhat
     if include_viscous:
-        damp = cfg.nu * mpi(g) ** 2
-        dvp = dvp - damp * state.vplus
-        dvm = dvm - damp * state.vminus
+        dvp -= cfg.nu * mpi(g) ** 2 * vplus
 
     # --- Vbar equation: self terms of V+ and V-, averaged over z, Leray-projected ---
+    # the V- source is the conjugate of the V+ source s, so together they are s + conj(s)
+    s = (ep * ep) * (selfadv + bp.divp * bp.p).mean(axis=-1)
     mask2 = dealias_mask(g)[:, :, 0]
-    b0 = np.fft.fft2(_adv(vb, gx, gy), axes=(-2, -1)) / g.nh**2
-    srcp = np.fft.fft2((selfadv_p + bp.divp * bp.p).mean(axis=-1), axes=(-2, -1)) / g.nh**2
-    srcm = np.fft.fft2((selfadv_m + bm.divp * bm.p).mean(axis=-1), axes=(-2, -1)) / g.nh**2
-    dvb = -_leray2d(b0 + ep * ep * srcp + em * em * srcm, g)
+    b0 = np.fft.fft2(_adv(vb, gx, gy) + s + np.conj(s), axes=(-2, -1)) / g.nh**2
+    dvb = -_leray2d(b0, g)
     dvb *= mask2[None, ...]
     _guard("barotropic", dvb)
 
-    return dvb, dvp, dvm
+    return dvb, dvp
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +409,18 @@ def step(state, cfg: SolverConfig):
 def _step_nocfl(state, cfg: SolverConfig):
     g = cfg.grid
     if isinstance(state, RotatingState):
-        arrs = (state.vbar, state.vplus, state.vminus)
+        arrs = (state.vbar, state.vplus)
 
         if cfg.scheme == "rk4_if":
             def nl(a, t):
-                return rhs_rotating(RotatingState(t, *a), t, cfg, include_viscous=False)
+                return rhs_rotating(a, t, cfg, include_viscous=False)
 
             eh = _decay_factors(g, cfg.nu, 0.5 * cfg.dt)
             ef = _decay_factors(g, cfg.nu, cfg.dt)
-            new = _if_rk4(arrs, state.t, cfg.dt, nl, (1.0, eh, eh), (1.0, ef, ef))
+            new = _if_rk4(arrs, state.t, cfg.dt, nl, (1.0, eh), (1.0, ef))
         else:
             def rhs(a, t):
-                return rhs_rotating(RotatingState(t, *a), t, cfg, include_viscous=True)
+                return rhs_rotating(a, t, cfg, include_viscous=True)
 
             new = _plain_rk4(arrs, state.t, cfg.dt, rhs)
         return RotatingState(state.t + cfg.dt, *new)
@@ -469,16 +469,16 @@ def _row_from_state(state, cfg: SolverConfig, report: NormSpec, tau_tracked: flo
     spec_tau = NormSpec(r=report.r, s=0, tau=max(tau_tracked, 0.0) if np.isfinite(tau_tracked) else report.tau)
     try:
         nrt = norm_rst(f, spec_tau)
-    except Exception:
+    except (InsufficientDecayData, SpectralRangeError):
         nrt = float("nan")
     sob = norm_rst(f, NormSpec(r=report.r, s=report.s, tau=0.0))
     try:
         tfh = fit_radius(f, "horizontal", floor=fit_floor)
-    except Exception:
+    except (InsufficientDecayData, SpectralRangeError):
         tfh = float("nan")
     try:
         efv = fit_radius(f, "vertical", floor=fit_floor)
-    except Exception:
+    except (InsufficientDecayData, SpectralRangeError):
         efv = float("nan")
     energy = 0.5 * float(np.sum(np.abs(v) ** 2))
     omega_bar = 1j * kx(g)[..., 0] * vbar[1] - 1j * ky(g)[..., 0] * vbar[0]
@@ -566,11 +566,7 @@ def integrate(
             observer(row)
         if state_observer:
             state_observer(state)
-        arrs = (
-            (state.vbar, state.vplus, state.vminus)
-            if isinstance(state, RotatingState)
-            else (state.v,)
-        )
+        arrs = (state.vbar, state.vplus) if isinstance(state, RotatingState) else (state.v,)
         if any(not np.isfinite(a).all() for a in arrs):
             termination = "nan"
             break

@@ -178,7 +178,6 @@ def formulation_equivalence(cfg: RunConfig, out, threads: int = 1) -> dict:
     for t in (0.0, 0.31):
         scfg = SolverConfig(nu=nu, omega=omega, grid=grid, dt=dt, t_end=t_end)
         rs = rotating_from_direct(v0, t, omega)
-        rs = RotatingState(t, rs.vbar, rs.vplus, rs.vminus)
         dvb, dvp, dvm = rhs_rotating(rs, t, scfg)
         ep, em = np.exp(1j * omega * t), np.exp(-1j * omega * t)
         dv = ep * (dvp + 1j * omega * rs.vplus) + em * (dvm - 1j * omega * rs.vminus)
@@ -349,11 +348,10 @@ def limit_convergence(cfg: RunConfig, out, threads: int = 1) -> dict:
     lfin, _, _ = integrate_limit(lst, grid, p["nu"], p["dt"], p["t_end"])
     perp = np.concatenate([-vt.coeffs[1:2], vt.coeffs[0:1]], axis=0)
     vp0 = 0.5 * (vt.coeffs + 1j * perp)
-    vm0 = 0.5 * (vt.coeffs - 1j * perp)
     fvals = {}
     for om in omegas:
         scfg = SolverConfig(nu=p["nu"], omega=om, grid=grid, dt=p["dt"], t_end=p["t_end"])
-        st = RotatingState(0.0, vbar.copy(), vp0.copy(), vm0.copy())
+        st = RotatingState(0.0, vbar.copy(), vp0.copy())
         res = integrate(st, scfg, report=NormSpec(r=p["r"], s=0, tau=p["tau_f"]), check_cfl=True)
         series = perturbation_diagnostics([res.state], [lfin], grid, om, r=p["r"], taus=p["tau_f"])
         fvals[om] = float(series.f[0])
@@ -577,7 +575,6 @@ def continuous_dependence(cfg: RunConfig, out, threads: int = 1) -> dict:
 
     base = final_state(v0)
     diffs = {}
-    rdiff = p["t_end"]  # final-time radius for the difference norm
     spec = NormSpec(r=1.5, s=0, tau=0.1)
     for eps in p["epsilons"]:
         pert = final_state(v0 + eps * dv)

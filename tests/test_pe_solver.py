@@ -47,7 +47,6 @@ class TestRhsRotating:
             0.0,
             np.zeros((2, GRID.nh, GRID.nh), dtype=np.complex128),
             np.zeros((2, *GRID.shape), dtype=np.complex128),
-            np.zeros((2, *GRID.shape), dtype=np.complex128),
         )
         dvb, dvp, dvm = rhs_rotating(st, 0.0, cfg)
         assert np.abs(dvb).max() == 0.0
@@ -59,12 +58,7 @@ class TestRhsRotating:
 
         cfg = cfg_for()
         vbar, _ = random_state(GRID, rng, amplitude=1.0, baroclinic_fraction=0.0)
-        st = RotatingState(
-            0.0,
-            vbar,
-            np.zeros((2, *GRID.shape), dtype=np.complex128),
-            np.zeros((2, *GRID.shape), dtype=np.complex128),
-        )
+        st = RotatingState(0.0, vbar, np.zeros((2, *GRID.shape), dtype=np.complex128))
         dvb, dvp, dvm = rhs_rotating(st, 0.3, cfg)
         assert np.abs(dvp).max() == 0.0
         assert np.abs(dvm).max() == 0.0
@@ -104,6 +98,30 @@ class TestRhsRotating:
 
         assert np.abs(_div2d(dvb, GRID)).max() < 1e-12  # Leray-projected
 
+    def test_minus_tendency_is_conjugate_partner(self, rng):
+        from rotape.spectral import conjugate_reverse
+
+        cfg = cfg_for()
+        rs = rotating_from_direct(make_state(rng).v, 0.2, cfg.omega)
+        _, dvp, dvm = rhs_rotating(rs, 0.2, cfg)
+        assert np.array_equal(dvm, conjugate_reverse(dvp))
+
+
+class TestRealityChecks:
+    def test_vminus_not_partner_rejected(self, rng):
+        rs = rotating_from_direct(make_state(rng).v, 0.0, 5.0)
+        RotatingState(0.0, rs.vbar, rs.vplus, rs.vminus.copy())  # the partner is accepted
+        bad = rs.vminus.copy()
+        bad[0, 1, 0, 1] += 1e-6 * np.abs(bad).max()
+        with pytest.raises(ValueError, match="conjugate partner"):
+            RotatingState(0.0, rs.vbar, rs.vplus, bad)
+
+    def test_non_real_velocity_rejected(self, rng):
+        v = make_state(rng).v
+        v[0, 1, 0, 1] += 0.1j * np.abs(v).max()
+        with pytest.raises(ValueError, match="conjugate symmetric"):
+            rotating_from_direct(v, 0.0, 5.0)
+
 
 class TestRhsDirect:
     def test_zero(self):
@@ -126,22 +144,17 @@ class TestRhsDirect:
 class TestStepping:
     def test_pure_diffusion_exact_for_if(self, rng):
         cfg = cfg_for(nu=0.3, omega=0.0, dt=0.02, t_end=0.2)
-        st = RotatingState(
-            0.0,
-            np.zeros((2, GRID.nh, GRID.nh), dtype=np.complex128),
-            np.zeros((2, *GRID.shape), dtype=np.complex128),
-            np.zeros((2, *GRID.shape), dtype=np.complex128),
-        )
-        st.vplus[0, 1, 0, 1] = 1.0
-        out = st
+        vplus = np.zeros((2, *GRID.shape), dtype=np.complex128)
+        vplus[0, 1, 0, 1] = 1.0
+        # with its conjugate partner this is the real V = u(x, z) e_x, u one
+        # cos(2 pi x) cos(pi z) mode, whose advection and w-transport cancel
+        # against the P0 subtraction: only diffusion acts on V's coefficient
+        out = RotatingState(0.0, np.zeros((2, GRID.nh, GRID.nh), dtype=np.complex128), vplus)
         for _ in range(10):
             out = _step_nocfl(out, cfg)
         expect = np.exp(-cfg.nu * np.pi**2 * 0.2)
-        got = out.vplus[0, 1, 0, 1]
+        got = direct_from_rotating(out, cfg.omega)[0, 1, 0, 1]
         assert abs(got - expect) < 1e-13
-        # note: the single-mode nonlinear self-interaction vanishes only for
-        # k x k = 0 pairings; here the nonlinearity is active but the mode is
-        # an exact eigenfunction check via small amplitude
         assert abs(got.imag) < 1e-13
 
     def test_zero_state_step(self):
@@ -149,7 +162,6 @@ class TestStepping:
         st = RotatingState(
             0.0,
             np.zeros((2, GRID.nh, GRID.nh), dtype=np.complex128),
-            np.zeros((2, *GRID.shape), dtype=np.complex128),
             np.zeros((2, *GRID.shape), dtype=np.complex128),
         )
         out = step(st, cfg)
@@ -195,8 +207,9 @@ class TestStepping:
         cfg = cfg_for()
         st = rotating_from_direct(make_state(rng).v, 0.0, cfg.omega)
         st.vplus[0, 1, 0, 1] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(TendencyNanError):
+        with np.errstate(invalid="ignore"), pytest.raises(TendencyNanError) as exc:
             rhs_rotating(st, 0.0, cfg)
+        assert exc.value.term.startswith("plus_") or exc.value.term == "barotropic"
 
     def test_direct_state_public_step(self, rng):
         cfg = cfg_for(formulation="direct")
@@ -253,6 +266,31 @@ class TestIntegrate:
         vm_expect = conjugate_reverse(res.state.vplus)
         scale = max(np.abs(res.state.vminus).max(), 1e-300)
         assert np.abs(res.state.vminus - vm_expect).max() < 1e-10 * scale
+
+    def test_diagnostic_bug_propagates(self, rng, monkeypatch):
+        import rotape.pe_solver as pe
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the radius fit")
+
+        monkeypatch.setattr(pe, "fit_radius", broken)
+        cfg = cfg_for(t_end=2e-3, dt=1e-3)
+        with pytest.raises(RuntimeError, match="bug in the radius fit"):
+            integrate(rotating_from_direct(make_state(rng).v, 0.0, cfg.omega), cfg)
+
+    def test_insufficient_decay_data_gives_nan_fit(self, rng, monkeypatch):
+        import rotape.pe_solver as pe
+        from rotape.norms import InsufficientDecayData
+
+        def flat(*args, **kwargs):
+            raise InsufficientDecayData("spectrum too flat")
+
+        monkeypatch.setattr(pe, "fit_radius", flat)
+        cfg = cfg_for(t_end=2e-3, dt=1e-3)
+        res = integrate(rotating_from_direct(make_state(rng).v, 0.0, cfg.omega), cfg)
+        assert res.termination == "completed"
+        assert all(np.isnan(r.tau_fit_h) and np.isnan(r.eta_fit_v) for r in res.rows)
+        assert all(np.isfinite(r.norm_r0tau) for r in res.rows)
 
     def test_blowup_sentinel_and_amplitude_ordering(self):
         grid = GridSpec(nh=16, nz=8)

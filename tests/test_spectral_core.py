@@ -313,3 +313,15 @@ def test_grid_validation():
         GridSpec(nh=2, nz=8)
     with pytest.raises(ValueError):
         GridSpec(nh=16, nz=1)
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 6, 3), (1, 4, 8, 2), (3, 2, 4, 4, 5)])
+def test_conjugate_reverse_matches_index_definition(rng, shape):
+    from rotape.spectral import conjugate_reverse
+
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    n1, n2 = shape[-3], shape[-2]
+    neg1, neg2 = -np.arange(n1) % n1, -np.arange(n2) % n2
+    expect = np.conj(a.take(neg1, axis=-3).take(neg2, axis=-2))
+    assert np.array_equal(conjugate_reverse(a), expect)
+    assert np.array_equal(conjugate_reverse(conjugate_reverse(a)), a)
