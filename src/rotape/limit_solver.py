@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, ksq, mpi
 from .spectral import COS, values_from_coeffs, coeffs_from_values
-from .pe_solver import _if_rk4, _plain_rk4, _guard
+from .pe_solver import _coeffs2d_real, _grad_stack, _guard, _if_rk4, _plain_rk4, _values2d_real
 
 
 @dataclass
@@ -47,12 +47,9 @@ def euler2d_rhs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
     if abs(omega[0, 0]) > 1e-12 * max(np.abs(omega).max(), 1e-300):
         raise ValueError("euler2d_rhs expects zero-mean vorticity")
     vbar = velocity_from_vorticity(omega, grid)
-    nh = grid.nh
-    vb = np.fft.ifft2(vbar, axes=(-2, -1)) * nh**2
-    wx = np.fft.ifft2(1j * kx(grid)[..., 0] * omega, axes=(-2, -1)) * nh**2
-    wy = np.fft.ifft2(1j * ky(grid)[..., 0] * omega, axes=(-2, -1)) * nh**2
-    adv = vb[0] * wx + vb[1] * wy
-    out = -np.fft.fft2(adv, axes=(-2, -1)) / nh**2
+    ikx, iky = 1j * kx(grid)[..., 0], 1j * ky(grid)[..., 0]
+    u1, u2, wx, wy = _values2d_real(np.stack([vbar[0], vbar[1], ikx * omega, iky * omega]), grid)
+    out = -_coeffs2d_real(u1 * wx + u2 * wy, grid)
     out *= dealias_mask(grid)[:, :, 0]
     out[0, 0] = 0.0
     _guard("euler2d_advection", out)
@@ -70,16 +67,14 @@ def transport_rhs(
 
     perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.
     """
-    nh = grid.nh
     vbar = velocity_from_vorticity(omega, grid)
-    vb = np.fft.ifft2(vbar, axes=(-2, -1)) * nh**2
-    wphys = np.fft.ifft2(omega, axes=(-2, -1)) * nh**2
-    px = values_from_coeffs(1j * kx(grid) * vtilde, grid, COS)
-    py = values_from_coeffs(1j * ky(grid) * vtilde, grid, COS)
-    p = values_from_coeffs(vtilde, grid, COS)
+    bar = _values2d_real(np.concatenate([vbar, omega[None]]), grid)[..., None]
+    vb, wphys = bar[0:2], bar[2:3]
+    vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True)
+    p, px, py = vals[0:2], vals[2:4], vals[4:6]
     perp = np.concatenate([-p[1:2], p[0:1]], axis=0)
-    n = -(vb[0][None, :, :, None] * px + vb[1][None, :, :, None] * py)
-    n -= 0.5 * perp * wphys[None, :, :, None]
+    n = -(vb[0:1] * px + vb[1:2] * py)
+    n -= 0.5 * perp * wphys
     out = coeffs_from_values(n, grid, COS)
     out *= dealias_mask(grid)[None, ...]
     out[..., 0] = 0.0

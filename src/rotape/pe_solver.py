@@ -24,7 +24,7 @@ import numpy as np
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
 from .norms import InsufficientDecayData, NormSpec, fit_radius, norm_rst
 from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse
-from .spectral import coeffs_from_values, values_from_coeffs
+from .spectral import coeffs_from_values, full_from_half, values_from_coeffs
 
 
 class CflError(RuntimeError):
@@ -78,8 +78,13 @@ class RotatingState:
 
 @dataclass
 class DirectState:
+    """Lab-frame velocity V at time t; a non-real (not conjugate-symmetric) V is rejected."""
+
     t: float
     v: np.ndarray  # (2, nh, nh, nz)
+
+    def __post_init__(self):
+        _require_partner(self.v, conjugate_reverse(self.v), "v is not conjugate symmetric")
 
     def copy(self) -> "DirectState":
         return DirectState(self.t, self.v.copy())
@@ -169,23 +174,45 @@ def _div2d(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 class _Bundle:
     """Physical-space evaluations of one baroclinic spectral 2-vector."""
 
-    __slots__ = ("p", "px", "py", "dzp", "intp", "divp")
+    __slots__ = ("p", "px", "py", "dzp", "intp")
 
 
 def _make_bundle(vc: np.ndarray, grid: GridSpec) -> _Bundle:
-    """Evaluate one baroclinic field with one stacked transform per basis."""
+    """Evaluate one (complex) baroclinic field with one stacked transform per basis."""
     ikx = 1j * kx(grid)
     iky = 1j * ky(grid)
     w = mpi(grid)
     divc = ikx * vc[0:1] + iky * vc[1:2]
     intc = np.zeros_like(divc)
     intc[..., 1:] = divc[..., 1:] / w[..., 1:]
-    cvals = values_from_coeffs(np.concatenate([vc, ikx * vc, iky * vc, divc], axis=0), grid, COS)
+    cvals = values_from_coeffs(_grad_stack(vc, grid), grid, COS)
     svals = values_from_coeffs(np.concatenate([-w * vc, intc], axis=0), grid, SIN)
     b = _Bundle()
-    b.p, b.px, b.py, b.divp = cvals[0:2], cvals[2:4], cvals[4:6], cvals[6:7]
+    b.p, b.px, b.py = cvals[0:2], cvals[2:4], cvals[4:6]
     b.dzp, b.intp = svals[0:2], svals[2:3]
     return b
+
+
+def _grad_stack(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(c, dx c, dy c) stacked on the component axis, c in the 3D layout."""
+    k = len(c)
+    out = np.empty((3 * k, *c.shape[1:]), dtype=np.complex128)
+    out[:k] = c
+    np.multiply(1j * kx(grid), c, out=out[k : 2 * k])
+    np.multiply(1j * ky(grid), c, out=out[2 * k :])
+    return out
+
+
+def _values2d_real(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real values of compact (.., nh, nh) coefficients of real fields."""
+    nh = grid.nh
+    return np.fft.irfft2(c[..., : nh // 2 + 1], s=(nh, nh), axes=(-2, -1), norm="forward")
+
+
+def _coeffs2d_real(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full compact (.., nh, nh) coefficients of real (.., nh, nh) values."""
+    xh = np.fft.rfft2(vals, axes=(-2, -1), norm="forward")
+    return full_from_half(xh[..., None], grid.nh)[..., 0]
 
 
 def _adv(a: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -258,10 +285,9 @@ def _rhs_plus(vbar, vplus, t: float, cfg: SolverConfig, include_viscous: bool):
     # physical V- = conj(physical V+) for a real velocity
     pm, intm = np.conj(bp.p), np.conj(bp.intp)
 
-    # barotropic phys fields (2D): velocity and gradients
-    vb = np.fft.ifft2(vbar, axes=(-2, -1)) * g.nh**2
-    gx = np.fft.ifft2(1j * kx(g)[..., 0] * vbar, axes=(-2, -1)) * g.nh**2
-    gy = np.fft.ifft2(1j * ky(g)[..., 0] * vbar, axes=(-2, -1)) * g.nh**2
+    # barotropic phys fields (2D, real): velocity and gradients
+    bar = _values2d_real(_grad_stack(vbar[..., None], g)[..., 0], g)
+    vb, gx, gy = bar[0:2], bar[2:4], bar[4:6]
     vb3 = vb[..., None]
     # (Vbar + i Vbar^perp) gradients: component combos of gx, gy
     bplus_x = np.stack([gx[0] - 1j * gx[1], gx[1] + 1j * gx[0]])[..., None]
@@ -288,10 +314,11 @@ def _rhs_plus(vbar, vplus, t: float, cfg: SolverConfig, include_viscous: bool):
         dvp -= cfg.nu * mpi(g) ** 2 * vplus
 
     # --- Vbar equation: self terms of V+ and V-, averaged over z, Leray-projected ---
-    # the V- source is the conjugate of the V+ source s, so together they are s + conj(s)
-    s = (ep * ep) * (selfadv + bp.divp * bp.p).mean(axis=-1)
+    # the V- source is the conjugate of the V+ source s, so together they are 2 Re s
+    divp = bp.px[0:1] + bp.py[1:2]
+    s = (ep * ep) * (selfadv + divp * bp.p).mean(axis=-1)
     mask2 = dealias_mask(g)[:, :, 0]
-    b0 = np.fft.fft2(_adv(vb, gx, gy) + s + np.conj(s), axes=(-2, -1)) / g.nh**2
+    b0 = _coeffs2d_real(_adv(vb, gx, gy) + 2.0 * s.real, g)
     dvb = -_leray2d(b0, g)
     dvb *= mask2[None, ...]
     _guard("barotropic", dvb)
@@ -315,17 +342,11 @@ def rhs_direct(
     g = cfg.grid
     out = np.zeros_like(v)
     if include_nonlinear:
-        ikx = 1j * kx(g)
-        iky = 1j * ky(g)
         w = mpi(g)
-        p = values_from_coeffs(v, g, COS)
-        px = values_from_coeffs(ikx * v, g, COS)
-        py = values_from_coeffs(iky * v, g, COS)
-        dzp = values_from_coeffs(-w * v, g, SIN)
-        divc = ikx * v[0:1] + iky * v[1:2]
-        wc = np.zeros_like(divc)
-        wc[..., 1:] = -divc[..., 1:] / w[..., 1:]
-        wphys = values_from_coeffs(wc, g, SIN)
+        cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True)
+        svals = values_from_coeffs(np.concatenate([-w * v, _w_coeffs(v, g)], axis=0), g, SIN, real=True)
+        p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
+        dzp, wphys = svals[0:2], svals[2:3]
         n = -_adv(p, px, py) - wphys * dzp
         nhat = coeffs_from_values(n, g, COS)
         nhat *= dealias_mask(g)[None, ...]
@@ -379,19 +400,29 @@ def _decay_factors(grid: GridSpec, nu: float, h: float) -> np.ndarray:
     return np.exp(-nu * mpi(grid) ** 2 * h)
 
 
-def cfl_limit(state, cfg: SolverConfig) -> float:
-    """Largest advectively stable dt for the current state."""
-    g = cfg.grid
-    if isinstance(state, RotatingState):
-        v = direct_from_rotating(state, cfg.omega)
-    else:
-        v = state.v
-    p = values_from_coeffs(v, g, COS).real
-    umax = np.abs(p).max()
-    divc = 1j * kx(g) * v[0:1] + 1j * ky(g) * v[1:2]
+def _w_coeffs(v: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Sine coefficients of w = -int_0^z div_h V for a lab-frame velocity."""
+    divc = 1j * kx(grid) * v[0:1] + 1j * ky(grid) * v[1:2]
     wc = np.zeros_like(divc)
-    wc[..., 1:] = -divc[..., 1:] / mpi(g)[..., 1:]
-    wmax = np.abs(values_from_coeffs(wc, g, SIN).real).max()
+    wc[..., 1:] = -divc[..., 1:] / mpi(grid)[..., 1:]
+    return wc
+
+
+def _lab_velocity(state, cfg: SolverConfig) -> np.ndarray:
+    """Lab-frame coefficients V of a rotating or direct state."""
+    return direct_from_rotating(state, cfg.omega) if isinstance(state, RotatingState) else state.v
+
+
+def cfl_limit(state, cfg: SolverConfig) -> float:
+    """Largest advectively stable dt for the current state.
+
+    state is a RotatingState, a DirectState, or the lab-frame coefficient
+    array V itself (what `integrate` passes, having converted once per step).
+    """
+    g = cfg.grid
+    v = state if isinstance(state, np.ndarray) else _lab_velocity(state, cfg)
+    umax = np.abs(values_from_coeffs(v, g, COS, real=True)).max()
+    wmax = np.abs(values_from_coeffs(_w_coeffs(v, g), g, SIN, real=True)).max()
     dx = 1.0 / g.nh
     dz = 1.0 / g.nz
     lim = cfg.cfl_safety / max(umax / dx + wmax / dz, 1e-12)
@@ -455,16 +486,14 @@ class IntegrationResult:
     radius_collapse_t: float | None = None
 
 
-def _row_from_state(state, cfg: SolverConfig, report: NormSpec, tau_tracked: float, fit_floor: float):
+def _row_from_state(
+    state, v: np.ndarray, cfg: SolverConfig, report: NormSpec, tau_tracked: float, fit_floor: float
+):
+    """Diagnostics row of a state whose lab-frame coefficients are v."""
     from .io import DiagnosticsRow
 
     g = cfg.grid
-    if isinstance(state, RotatingState):
-        v = direct_from_rotating(state, cfg.omega)
-        vbar = state.vbar
-    else:
-        v = state.v
-        vbar = v[..., 0]
+    vbar = state.vbar if isinstance(state, RotatingState) else v[..., 0]
     f = SpectralField(g, v, COS)
     spec_tau = NormSpec(r=report.r, s=0, tau=max(tau_tracked, 0.0) if np.isfinite(tau_tracked) else report.tau)
     try:
@@ -503,10 +532,9 @@ def _row_from_state(state, cfg: SolverConfig, report: NormSpec, tau_tracked: flo
     )
 
 
-def _norms_for_tracker(state, cfg: SolverConfig, r: float):
-    """norms_at(tau) callback: (||V||_{r,0,tau}, ||dz V||_{r,0,tau})."""
+def _norms_for_tracker(v: np.ndarray, cfg: SolverConfig, r: float):
+    """norms_at(tau) callback on lab-frame coefficients v: (||V||_{r,0,tau}, ||dz V||_{r,0,tau})."""
     g = cfg.grid
-    v = direct_from_rotating(state, cfg.omega) if isinstance(state, RotatingState) else state.v
     f = SpectralField(g, v, COS)
     dzf = SpectralField(g, v * (-mpi(g)), SIN)
 
@@ -536,12 +564,15 @@ def integrate(
     The sentinel fires when norm_rst at the report spec exceeds
     blowup_factor x initial, or on NaN.  The fitted-radius collapse
     (tau_fit_h < 0.05 x initial fit) is logged separately, never fatal.
+    The lab-frame velocity is formed once per step and shared by the CFL
+    check, the tau tracker and the diagnostics row.
     """
     report = report or NormSpec(r=2.0, s=0, tau=0.0)
     state = state0.copy()
     n_steps = int(round(cfg.t_end / cfg.dt))
     tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
-    rows = [_row_from_state(state, cfg, report, tau_now, fit_floor)]
+    v = _lab_velocity(state, cfg)
+    rows = [_row_from_state(state, v, cfg, report, tau_now, fit_floor)]
     if observer:
         observer(rows[-1])
     if state_observer:
@@ -553,14 +584,15 @@ def integrate(
 
     for _ in range(n_steps):
         if check_cfl:
-            lim = cfl_limit(state, cfg)
+            lim = cfl_limit(v, cfg)
             if cfg.dt > lim:
                 raise CflError(cfg.dt, lim)
         state = _step_nocfl(state, cfg)
+        v = _lab_velocity(state, cfg)
         if tau_tracker is not None:
-            tau_tracker.step(cfg.dt, _norms_for_tracker(state, cfg, report.r))
+            tau_tracker.step(cfg.dt, _norms_for_tracker(v, cfg, report.r))
             tau_now = tau_tracker.tau
-        row = _row_from_state(state, cfg, report, tau_now, fit_floor)
+        row = _row_from_state(state, v, cfg, report, tau_now, fit_floor)
         rows.append(row)
         if observer:
             observer(row)

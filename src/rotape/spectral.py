@@ -6,6 +6,16 @@ k = 2*pi*(n1, n2).  Vertical basis is the orthonormal family
 {1, sqrt(2) cos(m pi z)}; fields produced by a single z-derivative carry the
 companion sine basis {sqrt(2) sin(m pi z)} and are tagged "sin".
 
+The transform kernels have a real-field path (rfft2/irfft2 and real
+DCT/DST, which skip the redundant half of a conjugate-symmetric spectrum)
+behind the same names and the same full coefficient layout:
+`coeffs_from_values` takes it for real values, `values_from_coeffs` when the
+caller passes real=True.  It serves every real field: the lab-frame velocity
+in `rhs_direct` and `cfl_limit`, the limit system, the barotropic mode, and
+products of two real factors.  The rotating-frame V+ = e^{-i Omega t} P+ V
+is intrinsically complex (its coefficients are not conjugate symmetric), so
+its bundle and tendency keep the complex kernels.
+
 All operations are pure: inputs are never mutated and outputs are fresh.
 """
 
@@ -110,14 +120,24 @@ def grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# array-level transform kernels (complex-safe; last axis is z)
+# array-level transform kernels (last axis is z)
 # ---------------------------------------------------------------------------
 
 _WORKERS = 2
 
+# FFT-order index -n, as (destination, source) slices of one axis: 0 <- 0, n <- nh - n
+_NEG_INDEX = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+
 
 def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
-    """Forward transform: collocation values -> basis coefficients."""
+    """Forward transform: collocation values -> basis coefficients.
+
+    Real values take the real path (real DCT/DST, then rfft2 with the half
+    plane expanded by conjugation); complex values the complex one.  Both
+    return the full FFT-order layout.
+    """
+    if not np.iscomplexobj(vals):
+        return _coeffs_from_real(vals, grid, basis)
     xh = sfft.fft2(vals, axes=(-3, -2), workers=_WORKERS)
     xh *= 1.0 / grid.nh**2
     if basis == COS:
@@ -131,8 +151,17 @@ def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np
     return out
 
 
-def values_from_coeffs(coeffs: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
-    """Inverse transform: basis coefficients -> collocation values (complex)."""
+def values_from_coeffs(
+    coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False
+) -> np.ndarray:
+    """Inverse transform: basis coefficients -> collocation values.
+
+    real=True asserts that the field is real (conjugate symmetric): only the
+    half plane n2 <= nh/2 is read and the values come back real.  Otherwise
+    the values are complex.
+    """
+    if real:
+        return _values_real(coeffs, grid, basis)
     if basis == COS:
         u = coeffs * _cos_in_scale(grid.nz)
         w = sfft.dct(u, type=3, axis=-1, overwrite_x=True, workers=_WORKERS)
@@ -145,15 +174,61 @@ def values_from_coeffs(coeffs: np.ndarray, grid: GridSpec, basis: str = COS) -> 
     return out
 
 
+def _values_real(coeffs: np.ndarray, grid: GridSpec, basis: str) -> np.ndarray:
+    nh, nz = grid.nh, grid.nz
+    half = coeffs[..., : nh // 2 + 1, :]
+    if basis == COS:
+        x = sfft.irfft2(half, s=(nh, nh), axes=(-3, -2), norm="forward", workers=_WORKERS)
+        x *= _cos_in_scale(nz)
+        return sfft.dct(x, type=3, axis=-1, overwrite_x=True, workers=_WORKERS)
+    # sine mode m goes to DST slot m - 1; n=nz zero-pads the last slot
+    x = sfft.irfft2(half[..., 1:], s=(nh, nh), axes=(-3, -2), norm="forward", workers=_WORKERS)
+    x *= 1.0 / SQRT2
+    return sfft.dst(x, type=3, n=nz, axis=-1, overwrite_x=True, workers=_WORKERS)
+
+
+def _coeffs_from_real(vals: np.ndarray, grid: GridSpec, basis: str) -> np.ndarray:
+    nh, nz = grid.nh, grid.nz
+    if basis == COS:
+        d = sfft.dct(vals, type=2, axis=-1, workers=_WORKERS)
+        d *= _cos_out_scale(nh, nz)
+        return full_from_half(sfft.rfft2(d, axes=(-3, -2), overwrite_x=True, workers=_WORKERS), nh)
+    e = sfft.dst(vals, type=2, axis=-1, workers=_WORKERS)
+    # sine mode m comes from DST slot m - 1
+    x = np.zeros_like(e)
+    x[..., 1:] = e[..., : nz - 1] * (1.0 / (SQRT2 * nz * nh**2))
+    return full_from_half(sfft.rfft2(x, axes=(-3, -2), overwrite_x=True, workers=_WORKERS), nh)
+
+
+def full_from_half(xh: np.ndarray, nh: int) -> np.ndarray:
+    """Full FFT-order plane from the rfft half plane of a real field.
+
+    Axes -3, -2 of xh are (n1, n2) with 0 <= n2 <= nh/2; the missing
+    n2 > nh/2 are conj xh(-n1, nh - n2), filled by two block copies.
+    """
+    h = nh // 2
+    out = np.empty(xh.shape[:-2] + (nh, xh.shape[-1]), dtype=np.complex128)
+    out[..., : h + 1, :] = xh
+    for d1, s1 in _NEG_INDEX:
+        np.conjugate(xh[..., s1, h - 1 : 0 : -1, :], out=out[..., d1, h + 1 :, :])
+    return out
+
+
 def _cos_in_scale(nz: int) -> np.ndarray:
     s = np.full(nz, 1.0 / SQRT2)
     s[0] = 1.0
     return s
 
 
+def _cos_out_scale(nh: int, nz: int) -> np.ndarray:
+    s = np.full(nz, 1.0 / (SQRT2 * nz * nh**2))
+    s[0] = 1.0 / (2 * nz * nh**2)
+    return s
+
+
 def forward(phys: PhysField) -> SpectralField:
     """Project values onto {e^{ik.x}} x {1, sqrt(2) cos(m pi z)}."""
-    return SpectralField(phys.grid, coeffs_from_values(phys.values.astype(np.complex128), phys.grid), COS)
+    return SpectralField(phys.grid, coeffs_from_values(phys.values, phys.grid), COS)
 
 
 def inverse(f: SpectralField) -> PhysField:
@@ -239,13 +314,15 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product via transform round trip, dealiased.
 
     Component rule: scalar*scalar, scalar*vector (broadcast), or
-    componentwise vector*vector.
+    componentwise vector*vector.  Two real (conjugate-symmetric) factors
+    take the real transform path; any other pair the complex one.
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
     tag = _CLOSURE[(f.basis, g.basis)]
-    pf = values_from_coeffs(f.coeffs, f.grid, f.basis)
-    pg = values_from_coeffs(g.coeffs, g.grid, g.basis)
+    real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
+    pf = values_from_coeffs(f.coeffs, f.grid, f.basis, real=real)
+    pg = values_from_coeffs(g.coeffs, g.grid, g.basis, real=real)
     if f.components == g.components:
         pv = pf * pg
     elif f.components == 1:
@@ -302,9 +379,6 @@ def inner(f: SpectralField, g: SpectralField) -> complex:
 def l2_norm_sq(f: SpectralField) -> float:
     return float(np.vdot(f.coeffs, f.coeffs).real)
 
-
-# FFT-order index -n, as (destination, source) slices of one axis: 0 <- 0, n <- nh - n
-_NEG_INDEX = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
 
 
 def conjugate_reverse(coeffs: np.ndarray) -> np.ndarray:

@@ -272,11 +272,15 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
     pe_states: RotatingState sequence; limit_states: (t, vbar2d, vtilde_coeffs)
     triples or LimitState objects at the same times; taus: radius used in the
     analytic weights (scalar or per-time array).
+
+    For a real state and a real limit field the V- perturbation and limit
+    field are the conjugate partners of the V+ ones, with equal norms, so
+    each V+ term is counted twice.  A limit Vt that is not real is rejected.
     """
     from .limit_solver import LimitState, velocity_from_vorticity
     from .norms import NormSpec, norm_rst, seminorm_a_sq, dz_l2_sq
-    from .spectral import SpectralField
-    from .pe_solver import barotropic_field
+    from .spectral import SpectralField, conjugate_reverse
+    from .pe_solver import _require_partner, barotropic_field
 
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(pe_states),))
     ts, fs, gs, hs, ks = [], [], [], [], []
@@ -290,32 +294,20 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
             tl, lim_vbar, lim_vt = ls
         if abs(tl - ps.t) > 1e-9:
             raise ValueError(f"misaligned trajectories: t={ps.t} vs {tl}")
+        _require_partner(lim_vt, conjugate_reverse(lim_vt), "limit vtilde is not conjugate symmetric")
         vperp = np.concatenate([-lim_vt[1:2], lim_vt[0:1]], axis=0)
         lim_vp = 0.5 * (lim_vt + 1j * vperp)
-        lim_vm = 0.5 * (lim_vt - 1j * vperp)
         phib = barotropic_field(ps.vbar - lim_vbar, grid)
         phip = SpectralField(grid, ps.vplus - lim_vp)
-        phim = SpectralField(grid, ps.vminus - lim_vm)
-        f_val = (
-            seminorm_a_sq(phib, r, tau)
-            + norm_rst(phip, NormSpec(r=r, s=0, tau=tau)) ** 2
-            + norm_rst(phim, NormSpec(r=r, s=0, tau=tau)) ** 2
-        )
-        g_val = (
-            seminorm_a_sq(phib, r + 0.5, tau)
-            + seminorm_a_sq(phip, r + 0.5, tau)
-            + seminorm_a_sq(phim, r + 0.5, tau)
-        )
-        h_val = 0.0
-        for phi in (phip, phim):
-            h_val += seminorm_a_sq(phi, r, tau, s_order=1) + dz_l2_sq(phi, s_order=1)
-        vbf = barotropic_field(lim_vbar, grid)
+        f_val = seminorm_a_sq(phib, r, tau) + 2.0 * norm_rst(phip, NormSpec(r=r, s=0, tau=tau)) ** 2
+        g_val = seminorm_a_sq(phib, r + 0.5, tau) + 2.0 * seminorm_a_sq(phip, r + 0.5, tau)
+        h_val = 2.0 * (seminorm_a_sq(phip, r, tau, s_order=1) + dz_l2_sq(phip, s_order=1))
         vpf = SpectralField(grid, lim_vp)
-        vmf = SpectralField(grid, lim_vm)
-        k_val = norm_rst(vbf, NormSpec(r=r + 2, s=0, tau=tau)) ** 2
-        for vf in (vpf, vmf):
-            k_val += norm_rst(vf, NormSpec(r=r + 2, s=0, tau=tau)) ** 2
-            k_val += norm_rst(vf, NormSpec(r=r + 1, s=1, tau=tau)) ** 2
+        k_val = (
+            norm_rst(barotropic_field(lim_vbar, grid), NormSpec(r=r + 2, s=0, tau=tau)) ** 2
+            + 2.0 * norm_rst(vpf, NormSpec(r=r + 2, s=0, tau=tau)) ** 2
+            + 2.0 * norm_rst(vpf, NormSpec(r=r + 1, s=1, tau=tau)) ** 2
+        )
         ts.append(ps.t)
         fs.append(f_val)
         gs.append(g_val)

@@ -122,6 +122,37 @@ class TestRealityChecks:
         with pytest.raises(ValueError, match="conjugate symmetric"):
             rotating_from_direct(v, 0.0, 5.0)
 
+    def test_non_real_direct_state_rejected(self, rng):
+        v = make_state(rng).v
+        v[0, 1, 0, 1] += 0.1j * np.abs(v).max()
+        with pytest.raises(ValueError, match="v is not conjugate symmetric"):
+            DirectState(0.0, v)
+
+
+@pytest.mark.parametrize("formulation", ["direct", "rotating"])
+def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
+    """One RHS evaluation costs two stacked inverse transforms and one forward."""
+    import rotape.pe_solver as pe
+
+    calls = {"inverse": 0, "forward": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pe, "values_from_coeffs", counted("inverse", pe.values_from_coeffs))
+    monkeypatch.setattr(pe, "coeffs_from_values", counted("forward", pe.coeffs_from_values))
+    cfg = cfg_for()
+    v = make_state(rng).v
+    if formulation == "direct":
+        rhs_direct(v, 0.3, cfg)
+    else:
+        rhs_rotating(rotating_from_direct(v, 0.3, cfg.omega), 0.3, cfg)
+    assert calls == {"inverse": 2, "forward": 1}
+
 
 class TestRhsDirect:
     def test_zero(self):

@@ -228,3 +228,57 @@ class TestPerturbationDiagnostics:
         assert series.g[0] == pytest.approx(0.0, abs=1e-20)
         assert series.h[0] == pytest.approx(0.0, abs=1e-20)
         assert series.k[0] > 0.0
+
+    @staticmethod
+    def _two_sided(ps, lim_vbar, lim_vt, grid, r, tau):
+        """F, G, H, K with the V- perturbation and limit field evaluated on their own."""
+        from rotape.norms import NormSpec, dz_l2_sq, norm_rst, seminorm_a_sq
+        from rotape.pe_solver import barotropic_field
+        from rotape.spectral import SpectralField
+
+        vperp = np.concatenate([-lim_vt[1:2], lim_vt[0:1]], axis=0)
+        lim_vp, lim_vm = 0.5 * (lim_vt + 1j * vperp), 0.5 * (lim_vt - 1j * vperp)
+        phib = barotropic_field(ps.vbar - lim_vbar, grid)
+        phis = (SpectralField(grid, ps.vplus - lim_vp), SpectralField(grid, ps.vminus - lim_vm))
+        lims = (SpectralField(grid, lim_vp), SpectralField(grid, lim_vm))
+        f = seminorm_a_sq(phib, r, tau) + sum(norm_rst(p, NormSpec(r=r, s=0, tau=tau)) ** 2 for p in phis)
+        g = seminorm_a_sq(phib, r + 0.5, tau) + sum(seminorm_a_sq(p, r + 0.5, tau) for p in phis)
+        h = sum(seminorm_a_sq(p, r, tau, s_order=1) + dz_l2_sq(p, s_order=1) for p in phis)
+        k = norm_rst(barotropic_field(lim_vbar, grid), NormSpec(r=r + 2, s=0, tau=tau)) ** 2
+        for lf in lims:
+            k += norm_rst(lf, NormSpec(r=r + 2, s=0, tau=tau)) ** 2
+            k += norm_rst(lf, NormSpec(r=r + 1, s=1, tau=tau)) ** 2
+        return f, g, h, k
+
+    def test_plus_terms_twice_match_two_sided(self, rng):
+        from rotape.grid import GridSpec
+        from rotape.initial_data import random_state, well_prepared_state
+        from rotape.pe_solver import rotating_from_direct
+        from rotape.theory import perturbation_diagnostics
+
+        grid = GridSpec(nh=16, nz=8)
+        vbar, vt = well_prepared_state(grid, rng, tau0=0.6, eta0=0.3, barotropic_amplitude=0.5)
+        dbar, dvt = random_state(grid, rng, amplitude=0.05)
+        v = vt.coeffs + dvt.coeffs
+        v[..., 0] += vbar + dbar
+        ps = rotating_from_direct(v, 0.2, 10.0)
+        series = perturbation_diagnostics([ps], [(0.2, vbar, vt.coeffs)], grid, omega=10.0, r=2.0, taus=0.1)
+        expect = self._two_sided(ps, vbar, vt.coeffs, grid, 2.0, 0.1)
+        got = (series.f[0], series.g[0], series.h[0], series.k[0])
+        for a, b in zip(got, expect):
+            assert b > 0.0
+            assert abs(a - b) <= 1e-13 * b
+
+    def test_non_real_limit_field_rejected(self, rng):
+        from rotape.grid import GridSpec
+        from rotape.initial_data import random_state
+        from rotape.pe_solver import RotatingState
+        from rotape.theory import perturbation_diagnostics
+
+        grid = GridSpec(nh=16, nz=8)
+        vbar, vt = random_state(grid, rng)
+        bad = vt.coeffs.copy()
+        bad[0, 1, 0, 1] += 0.1j * np.abs(bad).max()
+        pe = [RotatingState(0.0, vbar, np.zeros_like(bad))]
+        with pytest.raises(ValueError, match="limit vtilde is not conjugate symmetric"):
+            perturbation_diagnostics(pe, [(0.0, vbar, bad)], grid, omega=10.0, r=2.0, taus=0.1)
