@@ -15,6 +15,7 @@ import numpy as np
 from .grid import GridSpec, dealias_mask, kx, ky, ksq, mpi
 from .spectral import COS, values_from_coeffs, coeffs_from_values
 from .pe_solver import _coeffs2d_real, _grad_stack, _guard, _if_rk4, _plain_rk4, _values2d_real
+from .pe_solver import plus_projection
 
 
 @dataclass
@@ -85,9 +86,11 @@ def transport_rhs(
 
 
 def limit_to_vpm(vtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V+- = (1/2)(Vt +- i Vt^perp); V+ + V- recovers Vt."""
-    perp = np.concatenate([-vtilde[1:2], vtilde[0:1]], axis=0)
-    return 0.5 * (vtilde + 1j * perp), 0.5 * (vtilde - 1j * perp)
+    """V+- = (1/2)(Vt +- i Vt^perp); V+ + V- recovers Vt.
+
+    P- Vt = conj P+ conj Vt, the conjugates taken coefficientwise.
+    """
+    return plus_projection(vtilde), np.conj(plus_projection(np.conj(vtilde)))
 
 
 def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float, scheme: str = "rk4_if") -> LimitState:

@@ -5,10 +5,13 @@ Two formulations of the same dynamics, each an oracle for the other:
 * direct: the horizontal velocity V(x, z, t) in the lab frame, with the
   Coriolis term Omega V^perp explicit and pressure eliminated by projection;
 * rotating: the pair (Vbar, V+) where V+ = e^{-i Omega t} P+ V, so Omega
-  appears only in bounded oscillatory prefactors.  V- = e^{i Omega t} P- V is
-  the conjugate partner of V+ for a real V, V-(n) = conj V+(-n), so it is
-  never evolved: its physical values are the conjugates of those of V+.
-  States of a non-real V are rejected.
+  appears only in bounded oscillatory prefactors.  P+ = (1/2)(I + i perp)
+  maps every velocity to a polarized vector V+ = phi (1, i), so the scalar
+  phi = V+_x is the evolved baroclinic unknown: the right-hand side
+  transforms phi and its derivatives alone.  V- = e^{i Omega t} P- V is the
+  conjugate partner of V+ for a real V, V-(n) = conj V+(-n), so it is never
+  evolved: its physical values are the conjugates of those of V+.  States of
+  a non-real V, or whose V+ is not polarized, are rejected.
 
 The stiff vertical diffusion nu dzz is integrated exactly by an
 integrating-factor RK4 (scheme "rk4_if"); "rk4_plain" treats everything
@@ -39,11 +42,23 @@ class TendencyNanError(FloatingPointError):
         self.term = term
 
 
-def _require_partner(a: np.ndarray, b: np.ndarray, what: str):
+def _require_partner(
+    a: np.ndarray, b: np.ndarray, what: str, cause: str = "the velocity is not real"
+):
     """Raise ValueError unless a equals b to 1e-10 relative to b (NaN passes)."""
     resid = np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
     if resid > 1e-10:
-        raise ValueError(f"{what} (relative mismatch {resid:.3e}): the velocity is not real")
+        raise ValueError(f"{what} (relative mismatch {resid:.3e}): {cause}")
+
+
+def _polarized(phi: np.ndarray) -> np.ndarray:
+    """The 2-vector phi (1, i) of a (1, nh, nh, nz) scalar phi."""
+    return np.concatenate([phi, 1j * phi], axis=0)
+
+
+def plus_projection(vt: np.ndarray) -> np.ndarray:
+    """P+ Vt = (1/2)(Vt + i Vt^perp) = phi (1, i) with phi = (1/2)(Vt_x - i Vt_y)."""
+    return _polarized(0.5 * (vt[0:1] - 1j * vt[1:2]))
 
 
 @dataclass
@@ -52,7 +67,10 @@ class RotatingState:
 
     vbar is stored compactly as (2, nh, nh): the m = 0 coefficients of a
     divergence-free barotropic 2-vector.  vplus is a complex baroclinic
-    2-vector (2, nh, nh, nz) with the m = 0 slice structurally zero.
+    2-vector (2, nh, nh, nz) with the m = 0 slice structurally zero.  It is
+    P+ of a velocity, so it is polarized: V+ = phi (1, i) with phi = vplus[0],
+    and vplus[1] must equal i vplus[0] to 1e-10 relative, or ValueError is
+    raised.
 
     For a real velocity V- = conjugate_reverse(V+).  vminus is stored, filled
     with that partner when omitted; one passed in must match it to 1e-10
@@ -66,6 +84,8 @@ class RotatingState:
     vminus: np.ndarray | None = None
 
     def __post_init__(self):
+        _require_partner(self.vplus[1], 1j * self.vplus[0], "vplus[1] is not i vplus[0]",
+                         cause="V+ is not P+ of a velocity")
         partner = conjugate_reverse(self.vplus)
         if self.vminus is None:
             self.vminus = partner
@@ -129,8 +149,7 @@ def rotating_from_direct(v: np.ndarray, t: float, omega: float) -> RotatingState
     vbar = v[..., 0].copy()
     vt = v.copy()
     vt[..., 0] = 0.0
-    vperp = np.concatenate([-vt[1:2], vt[0:1]], axis=0)
-    return RotatingState(t, vbar, np.exp(-1j * omega * t) * 0.5 * (vt + 1j * vperp))
+    return RotatingState(t, vbar, np.exp(-1j * omega * t) * plus_projection(vt))
 
 
 def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
@@ -171,26 +190,18 @@ def _div2d(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return 1j * kx(grid)[..., 0] * a[0] + 1j * ky(grid)[..., 0] * a[1]
 
 
-class _Bundle:
-    """Physical-space evaluations of one baroclinic spectral 2-vector."""
+def _plus_values(phi: np.ndarray, grid: GridSpec) -> tuple:
+    """Physical phi, dx phi, dy phi (cos) and dz phi, int_0^z div V+ (sin) of V+ = phi (1, i).
 
-    __slots__ = ("p", "px", "py", "dzp", "intp")
-
-
-def _make_bundle(vc: np.ndarray, grid: GridSpec) -> _Bundle:
-    """Evaluate one (complex) baroclinic field with one stacked transform per basis."""
-    ikx = 1j * kx(grid)
-    iky = 1j * ky(grid)
+    Two stacked transforms of one complex scalar: div V+ = dx phi + i dy phi.
+    """
     w = mpi(grid)
-    divc = ikx * vc[0:1] + iky * vc[1:2]
-    intc = np.zeros_like(divc)
-    intc[..., 1:] = divc[..., 1:] / w[..., 1:]
-    cvals = values_from_coeffs(_grad_stack(vc, grid), grid, COS)
-    svals = values_from_coeffs(np.concatenate([-w * vc, intc], axis=0), grid, SIN)
-    b = _Bundle()
-    b.p, b.px, b.py = cvals[0:2], cvals[2:4], cvals[4:6]
-    b.dzp, b.intp = svals[0:2], svals[2:3]
-    return b
+    grad = _grad_stack(phi, grid)
+    intc = np.zeros_like(phi)
+    intc[..., 1:] = (grad[1:2, ..., 1:] + 1j * grad[2:3, ..., 1:]) / w[..., 1:]
+    p, px, py = values_from_coeffs(grad, grid, COS)
+    dz, intp = values_from_coeffs(np.concatenate([-w * phi, intc], axis=0), grid, SIN)
+    return p, px, py, dz, intp
 
 
 def _grad_stack(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -239,13 +250,14 @@ def _guard(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _name_bad_term(bp, pm, intm, vb3, bplus_x, bplus_y):
-    """Slow path: identify which tendency group went non-finite."""
+def _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus):
+    """Slow path: identify which tendency group (its x-component) went non-finite."""
+    pm, intm = np.conj(p), np.conj(intp)
     groups = {
-        "plus_self": _adv(bp.p, bp.px, bp.py) - bp.intp * bp.dzp,
-        "plus_barotropic": _adv(vb3, bp.px, bp.py) + 0.5 * _adv(bp.p, bplus_x, bplus_y),
-        "plus_cross": _adv(pm, bp.px, bp.py) - intm * bp.dzp,
-        "plus_conjugate_coupling": 0.5 * _adv(pm, bplus_x, bplus_y),
+        "plus_self": p * (px + 1j * py) - intp * dz,
+        "plus_barotropic": vb3[0] * px + vb3[1] * py + 0.5 * p * cplus,
+        "plus_cross": pm * (px - 1j * py) - intm * dz,
+        "plus_conjugate_coupling": 0.5 * pm * cminus,
     }
     for name, arr in groups.items():
         _guard(name, arr)
@@ -261,9 +273,10 @@ def rhs_rotating(
 ) -> tuple:
     """Tendencies of the rotating-frame equations.
 
-    For a RotatingState the result is (dVbar, dV+, dV-), with dV- the
-    conjugate partner conjugate_reverse(dV+).  The time steppers pass the bare
-    (vbar, vplus) arrays instead and get (dVbar, dV+) alone.
+    For a RotatingState the result is (dVbar, dV+, dV-), with dV+ = dphi (1, i)
+    polarized like V+ and dV- its conjugate partner conjugate_reverse(dV+).
+    The time steppers pass the bare (vbar, phi) arrays instead, phi = vplus[0:1],
+    and get (dVbar, dphi) alone.
 
     Every quadratic term is evaluated pseudo-spectrally and dealiased; the
     oscillatory prefactors e^{+-i Omega t}, e^{+-2i Omega t} are evaluated at
@@ -271,59 +284,64 @@ def rhs_rotating(
     Leray-projected.
     """
     if isinstance(state, RotatingState):
-        dvb, dvp = _rhs_plus(state.vbar, state.vplus, t, cfg, include_viscous)
+        dvb, dphi = _rhs_plus(state.vbar, state.vplus[0:1], t, cfg, include_viscous)
+        dvp = _polarized(dphi)
         return dvb, dvp, conjugate_reverse(dvp)
-    vbar, vplus = state
-    return _rhs_plus(vbar, vplus, t, cfg, include_viscous)
+    vbar, phi = state
+    return _rhs_plus(vbar, phi, t, cfg, include_viscous)
 
 
-def _rhs_plus(vbar, vplus, t: float, cfg: SolverConfig, include_viscous: bool):
-    """(dVbar, dV+) from the V+ bundle alone; V- enters as the conjugate of V+."""
+def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool):
+    """(dVbar, dphi) of V+ = phi (1, i); V- enters as the conjugate of V+.
+
+    Every tendency group of V+ is polarized like V+, so only x-components are
+    assembled.  In physical space V- = conj(phi) (1, -i), so
+    (V+ . grad) = phi (dx + i dy) and (V- . grad) = conj(phi) (dx - i dy).
+    """
     g = cfg.grid
     om = cfg.omega
-    bp = _make_bundle(vplus, g)
-    # physical V- = conj(physical V+) for a real velocity
-    pm, intm = np.conj(bp.p), np.conj(bp.intp)
+    p, px, py, dz, intp = _plus_values(phi, g)
+    pm, intm = np.conj(p), np.conj(intp)
 
     # barotropic phys fields (2D, real): velocity and gradients
     bar = _values2d_real(_grad_stack(vbar[..., None], g)[..., 0], g)
     vb, gx, gy = bar[0:2], bar[2:4], bar[4:6]
     vb3 = vb[..., None]
-    # (Vbar + i Vbar^perp) gradients: component combos of gx, gy
-    bplus_x = np.stack([gx[0] - 1j * gx[1], gx[1] + 1j * gx[0]])[..., None]
-    bplus_y = np.stack([gy[0] - 1j * gy[1], gy[1] + 1j * gy[0]])[..., None]
+    # x-components of (1, i).grad and (1, -i).grad of Vbar + i Vbar^perp
+    cplus = ((gx[0] + gy[1]) + 1j * (gy[0] - gx[1]))[..., None]
+    cminus = ((gx[0] - gy[1]) - 1j * (gx[1] + gy[0]))[..., None]
 
-    selfadv = _adv(bp.p, bp.px, bp.py)
+    selfadv = p * (px + 1j * py)  # (V+ . grad) V+ = phi div V+ (1, i)
     ep = np.exp(1j * om * t)
     em = np.exp(-1j * om * t)
 
     # the oscillatory prefactors are scalars at fixed t, so the four tendency
-    # groups combine in physical space: one forward transform
+    # groups combine in physical space: one forward transform of one component
     phys = (
-        ep * (selfadv - bp.intp * bp.dzp)
-        + _adv(vb3, bp.px, bp.py)
-        + 0.5 * _adv(bp.p, bplus_x, bplus_y)
-        + em * (_adv(pm, bp.px, bp.py) - intm * bp.dzp)
-        + (em * em * 0.5) * _adv(pm, bplus_x, bplus_y)
+        ep * (selfadv - intp * dz)
+        + (vb3[0] * px + vb3[1] * py + 0.5 * p * cplus)
+        + em * (pm * (px - 1j * py) - intm * dz)
+        + (em * em * 0.5) * (pm * cminus)
     )
-    dhat = _fwd_baroclinic(phys, g)
+    dhat = _fwd_baroclinic(phys[None], g)
     if not np.isfinite(dhat).all():
-        _name_bad_term(bp, pm, intm, vb3, bplus_x, bplus_y)
-    dvp = -dhat
+        _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus)
+    dphi = -dhat
     if include_viscous:
-        dvp -= cfg.nu * mpi(g) ** 2 * vplus
+        dphi -= cfg.nu * mpi(g) ** 2 * phi
 
     # --- Vbar equation: self terms of V+ and V-, averaged over z, Leray-projected ---
-    # the V- source is the conjugate of the V+ source s, so together they are 2 Re s
-    divp = bp.px[0:1] + bp.py[1:2]
-    s = (ep * ep) * (selfadv + divp * bp.p).mean(axis=-1)
+    # the V+ source (V+ . grad) V+ + (div V+) V+ is s (1, i) with s the z-mean
+    # of 2 phi div V+ e^{2 i Omega t}; the V- source is its conjugate, so
+    # together they are (2 Re s, -2 Im s)
+    s = (ep * ep) * (2.0 * selfadv.mean(axis=-1))
     mask2 = dealias_mask(g)[:, :, 0]
-    b0 = _coeffs2d_real(_adv(vb, gx, gy) + 2.0 * s.real, g)
+    b0 = _coeffs2d_real(_adv(vb, gx, gy) + 2.0 * np.stack([s.real, -s.imag]), g)
     dvb = -_leray2d(b0, g)
     dvb *= mask2[None, ...]
     _guard("barotropic", dvb)
 
-    return dvb, dvp
+    return dvb, dphi
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +458,7 @@ def step(state, cfg: SolverConfig):
 def _step_nocfl(state, cfg: SolverConfig):
     g = cfg.grid
     if isinstance(state, RotatingState):
-        arrs = (state.vbar, state.vplus)
+        arrs = (state.vbar, state.vplus[0:1])
 
         if cfg.scheme == "rk4_if":
             def nl(a, t):
@@ -454,7 +472,8 @@ def _step_nocfl(state, cfg: SolverConfig):
                 return rhs_rotating(a, t, cfg, include_viscous=True)
 
             new = _plain_rk4(arrs, state.t, cfg.dt, rhs)
-        return RotatingState(state.t + cfg.dt, *new)
+        vbar, phi = new
+        return RotatingState(state.t + cfg.dt, vbar, _polarized(phi))
 
     if isinstance(state, DirectState):
         if cfg.scheme == "rk4_if":

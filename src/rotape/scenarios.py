@@ -35,6 +35,7 @@ from .pe_solver import (
     direct_from_rotating,
     integrate,
     norm_rst_2d,
+    plus_projection,
     rhs_direct,
     rhs_rotating,
     rotating_from_direct,
@@ -207,6 +208,7 @@ def formulation_equivalence(cfg: RunConfig, out, threads: int = 1) -> dict:
         "trajectory_rel_l2_diff": traj_err,
         "rhs_rel_diff": rhs_err,
         "tolerances": {"trajectory": 1e-6, "rhs": 1e-10},
+        "radius_collapse_t": rres.radius_collapse_t,
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -312,6 +314,7 @@ def vertical_gain(cfg: RunConfig, out, threads: int = 1) -> dict:
         "failed_times": failures,
         "runtime_s": runtime,
         "termination": res.termination,
+        "radius_collapse_t": res.radius_collapse_t,
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -346,8 +349,7 @@ def limit_convergence(cfg: RunConfig, out, threads: int = 1) -> dict:
     omegas = cfg.scenario.sweep or [10.0, 20.0, 40.0, 80.0]
     lst = LimitState(0.0, vorticity_from_velocity(vbar, grid), vt.coeffs.copy())
     lfin, _, _ = integrate_limit(lst, grid, p["nu"], p["dt"], p["t_end"])
-    perp = np.concatenate([-vt.coeffs[1:2], vt.coeffs[0:1]], axis=0)
-    vp0 = 0.5 * (vt.coeffs + 1j * perp)
+    vp0 = plus_projection(vt.coeffs)
     fvals = {}
     for om in omegas:
         scfg = SolverConfig(nu=p["nu"], omega=om, grid=grid, dt=p["dt"], t_end=p["t_end"])
@@ -402,6 +404,7 @@ def lifespan_vs_omega(cfg: RunConfig, out, threads: int = 1) -> dict:
     omegas = cfg.scenario.sweep or [0.0, 20.0, 80.0]
     tstars = {}
     censored = {}
+    collapse = {}
     for om in omegas:
         scfg = SolverConfig(nu=p["nu"], omega=om, grid=grid, dt=p["dt"], t_end=p["t_end"])
         res = integrate(rotating_from_direct(v0, 0.0, om), scfg,
@@ -410,6 +413,7 @@ def lifespan_vs_omega(cfg: RunConfig, out, threads: int = 1) -> dict:
         fired = res.termination in ("blowup_sentinel", "nan")
         tstars[om] = res.state.t if fired else p["t_end"]
         censored[om] = not fired
+        collapse[om] = res.radius_collapse_t
     oms = sorted(tstars)
     vals = [tstars[o] for o in oms]
     strict = all(b > a for a, b in zip(vals, vals[1:]))
@@ -418,6 +422,7 @@ def lifespan_vs_omega(cfg: RunConfig, out, threads: int = 1) -> dict:
         "pass": bool(strict),
         "sentinel_times": {str(k): v for k, v in tstars.items()},
         "censored_at_t_end": {str(k): v for k, v in censored.items()},
+        "radius_collapse_t": {str(k): v for k, v in collapse.items()},
     }
     _write_json(out / "summary.json", summary)
     return summary

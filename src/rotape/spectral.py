@@ -14,7 +14,7 @@ caller passes real=True.  It serves every real field: the lab-frame velocity
 in `rhs_direct` and `cfl_limit`, the limit system, the barotropic mode, and
 products of two real factors.  The rotating-frame V+ = e^{-i Omega t} P+ V
 is intrinsically complex (its coefficients are not conjugate symmetric), so
-its bundle and tendency keep the complex kernels.
+the scalar phi = V+_x that carries it keeps the complex kernels.
 
 All operations are pure: inputs are never mutated and outputs are fresh.
 """

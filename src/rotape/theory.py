@@ -280,7 +280,7 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
     from .limit_solver import LimitState, velocity_from_vorticity
     from .norms import NormSpec, norm_rst, seminorm_a_sq, dz_l2_sq
     from .spectral import SpectralField, conjugate_reverse
-    from .pe_solver import _require_partner, barotropic_field
+    from .pe_solver import _require_partner, barotropic_field, plus_projection
 
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(pe_states),))
     ts, fs, gs, hs, ks = [], [], [], [], []
@@ -295,8 +295,7 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
         if abs(tl - ps.t) > 1e-9:
             raise ValueError(f"misaligned trajectories: t={ps.t} vs {tl}")
         _require_partner(lim_vt, conjugate_reverse(lim_vt), "limit vtilde is not conjugate symmetric")
-        vperp = np.concatenate([-lim_vt[1:2], lim_vt[0:1]], axis=0)
-        lim_vp = 0.5 * (lim_vt + 1j * vperp)
+        lim_vp = plus_projection(lim_vt)
         phib = barotropic_field(ps.vbar - lim_vbar, grid)
         phip = SpectralField(grid, ps.vplus - lim_vp)
         f_val = seminorm_a_sq(phib, r, tau) + 2.0 * norm_rst(phip, NormSpec(r=r, s=0, tau=tau)) ** 2

@@ -105,6 +105,7 @@ class TestRhsRotating:
         rs = rotating_from_direct(make_state(rng).v, 0.2, cfg.omega)
         _, dvp, dvm = rhs_rotating(rs, 0.2, cfg)
         assert np.array_equal(dvm, conjugate_reverse(dvp))
+        assert np.array_equal(dvp[1], 1j * dvp[0])
 
 
 class TestRealityChecks:
@@ -115,6 +116,14 @@ class TestRealityChecks:
         bad[0, 1, 0, 1] += 1e-6 * np.abs(bad).max()
         with pytest.raises(ValueError, match="conjugate partner"):
             RotatingState(0.0, rs.vbar, rs.vplus, bad)
+
+    def test_unpolarized_vplus_rejected(self, rng):
+        rs = rotating_from_direct(make_state(rng).v, 0.3, 5.0)
+        RotatingState(0.3, rs.vbar, rs.vplus)  # P+ of a velocity is accepted
+        bad = rs.vplus.copy()
+        bad[1, 1, 0, 1] += 1e-6 * np.abs(bad).max()
+        with pytest.raises(ValueError, match="V\\+ is not P\\+ of a velocity"):
+            RotatingState(0.3, rs.vbar, bad)
 
     def test_non_real_velocity_rejected(self, rng):
         v = make_state(rng).v
@@ -131,14 +140,21 @@ class TestRealityChecks:
 
 @pytest.mark.parametrize("formulation", ["direct", "rotating"])
 def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
-    """One RHS evaluation costs two stacked inverse transforms and one forward."""
+    """One RHS evaluation costs two stacked inverse transforms and one forward.
+
+    The rotating RHS transforms the scalar phi of V+ = phi (1, i): three cos
+    and two sin components in, one out; the direct RHS the real 2-vector V.
+    """
     import rotape.pe_solver as pe
 
     calls = {"inverse": 0, "forward": 0}
+    stacks = {"inverse": [], "forward": []}
 
     def counted(kind, fn):
         def wrapper(*args, **kwargs):
             calls[kind] += 1
+            basis = args[2] if len(args) > 2 else kwargs.get("basis", "cos")
+            stacks[kind].append((basis, args[0].shape[0]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -152,6 +168,11 @@ def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
     else:
         rhs_rotating(rotating_from_direct(v, 0.3, cfg.omega), 0.3, cfg)
     assert calls == {"inverse": 2, "forward": 1}
+    expect = {
+        "direct": {"inverse": [("cos", 6), ("sin", 3)], "forward": [("cos", 2)]},
+        "rotating": {"inverse": [("cos", 3), ("sin", 2)], "forward": [("cos", 1)]},
+    }
+    assert stacks == expect[formulation]
 
 
 class TestRhsDirect:
@@ -175,12 +196,12 @@ class TestRhsDirect:
 class TestStepping:
     def test_pure_diffusion_exact_for_if(self, rng):
         cfg = cfg_for(nu=0.3, omega=0.0, dt=0.02, t_end=0.2)
-        vplus = np.zeros((2, *GRID.shape), dtype=np.complex128)
-        vplus[0, 1, 0, 1] = 1.0
-        # with its conjugate partner this is the real V = u(x, z) e_x, u one
-        # cos(2 pi x) cos(pi z) mode, whose advection and w-transport cancel
-        # against the P0 subtraction: only diffusion acts on V's coefficient
-        out = RotatingState(0.0, np.zeros((2, GRID.nh, GRID.nh), dtype=np.complex128), vplus)
+        v = np.zeros((2, *GRID.shape), dtype=np.complex128)
+        v[0, 1, 0, 1] = v[0, -1, 0, 1] = 1.0
+        # the real V = u(x, z) e_x, u one cos(2 pi x) cos(pi z) mode, whose
+        # advection and w-transport cancel against the P0 subtraction: only
+        # diffusion acts on V's coefficient
+        out = rotating_from_direct(v, 0.0, cfg.omega)
         for _ in range(10):
             out = _step_nocfl(out, cfg)
         expect = np.exp(-cfg.nu * np.pi**2 * 0.2)
@@ -294,6 +315,7 @@ class TestIntegrate:
         cfg = cfg_for(nu=0.1, omega=8.0, dt=2e-3, t_end=0.1)
         st = rotating_from_direct(make_state(rng, amplitude=0.8).v, 0.0, cfg.omega)
         res = integrate(st, cfg)
+        assert np.array_equal(res.state.vplus[1], 1j * res.state.vplus[0])
         vm_expect = conjugate_reverse(res.state.vplus)
         scale = max(np.abs(res.state.vminus).max(), 1e-300)
         assert np.abs(res.state.vminus - vm_expect).max() < 1e-10 * scale

@@ -108,3 +108,20 @@ def test_sweep_verb(tmp_path):
     assert combined["pass"] is True
     assert len(combined["members"]) == 2
     assert (tmp_path / "sw" / "member_00" / "summary.json").exists()
+
+
+def test_summaries_record_radius_collapse_time(tmp_path, monkeypatch):
+    import rotape.scenarios as sc
+
+    cfg = tiny_config()
+    cfg.scenario.sweep = [0.0, 20.0]
+    short = {"nh": 16, "nz": 8, "t_end": 0.004}
+    monkeypatch.setattr(sc, "VERTICAL_GAIN", {**sc.VERTICAL_GAIN, **short})
+    monkeypatch.setattr(sc, "LIFESPAN", {**sc.LIFESPAN, **short})
+    docs = {}
+    for fn in (formulation_equivalence, sc.vertical_gain, sc.lifespan_vs_omega):
+        fn(cfg, tmp_path / fn.__name__)
+        docs[fn.__name__] = json.loads((tmp_path / fn.__name__ / "summary.json").read_text())
+    assert docs["formulation_equivalence"]["radius_collapse_t"] is None
+    assert docs["vertical_gain"]["radius_collapse_t"] is None
+    assert docs["lifespan_vs_omega"]["radius_collapse_t"] == {"0.0": None, "20.0": None}
