@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Verbs:
-  run    --config PATH [--out DIR] [--seed N] [--threads N]   one scenario
-  sweep  --config PATH ...     scenario once per scenario.sweep value
-  verify [--config PATH] ...   projection/norm identity table
-  lemmas [--config PATH] ...   lemma-ratio ensemble
-  list                         print available scenario names
+  run    --config PATH [--out DIR] [--seed N]   one scenario
+  sweep  --config PATH ... [--threads N]        scenario once per scenario.sweep value,
+                                                in a pool of N processes
+  verify [--config PATH] ...                    projection/norm identity table
+  lemmas [--config PATH] ...                    lemma-ratio ensemble
+  list                                          print available scenario names
 
 Exit codes: 0 pass, 2 scenario assertion failure, 1 error.
 """
@@ -26,7 +27,6 @@ def _base_parser(sub, name, help_, needs_config):
     p.add_argument("--config", type=Path, required=needs_config, help="JSON run configuration")
     p.add_argument("--out", type=Path, default=None, help="output directory (default: config output.dir)")
     p.add_argument("--seed", type=int, default=None, help="override init.seed")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size for sweeps")
     return p
 
 
@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--list", action="store_true", help="print scenario names and exit")
     sub = ap.add_subparsers(dest="verb")
     _base_parser(sub, "run", "run one scenario from a config", True)
-    _base_parser(sub, "sweep", "run the scenario once per sweep value", True)
+    sweep = _base_parser(sub, "sweep", "run the scenario once per sweep value", True)
+    sweep.add_argument("--threads", type=int, default=1, help="worker pool size for sweeps")
     _base_parser(sub, "verify", "run the projection/norm verification table", False)
     _base_parser(sub, "lemmas", "run the lemma-ratio ensemble", False)
     sub.add_parser("list", help="print scenario names")
@@ -73,15 +74,15 @@ def main(argv=None) -> int:
         if args.verb == "run":
             cfg = _load(args)
             out = args.out or Path(cfg.output.dir)
-            return _finish(run_scenario(cfg, out, threads=args.threads))
+            return _finish(run_scenario(cfg, out))
         if args.verb == "verify":
             cfg = _load(args, default_scenario="verify_projections")
             out = args.out or Path(cfg.output.dir)
-            return _finish(run_scenario(cfg, out, threads=args.threads))
+            return _finish(run_scenario(cfg, out))
         if args.verb == "lemmas":
             cfg = _load(args, default_scenario="lemma_ratios")
             out = args.out or Path(cfg.output.dir)
-            return _finish(run_scenario(cfg, out, threads=args.threads))
+            return _finish(run_scenario(cfg, out))
         if args.verb == "sweep":
             cfg = _load(args)
             out = args.out or Path(cfg.output.dir)
@@ -96,13 +97,13 @@ def main(argv=None) -> int:
 
 
 def _run_member(payload) -> dict:
-    cfg_doc, out_dir, value, threads = payload
+    cfg_doc, out_dir, value = payload
     from .config import parse_config
 
     cfg = parse_config(cfg_doc)
     cfg.omega = value
     cfg.scenario.sweep = [value]
-    return run_scenario(cfg, out_dir, threads=threads)
+    return run_scenario(cfg, out_dir)
 
 
 def _sweep(cfg: RunConfig, out: Path, threads: int = 1) -> int:
@@ -117,7 +118,7 @@ def _sweep(cfg: RunConfig, out: Path, threads: int = 1) -> int:
         return 1
     out.mkdir(parents=True, exist_ok=True)
     payloads = [
-        (cfg.echo(), str(out / f"member_{i:02d}"), v, 1) for i, v in enumerate(values)
+        (cfg.echo(), str(out / f"member_{i:02d}"), v) for i, v in enumerate(values)
     ]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

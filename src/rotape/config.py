@@ -60,7 +60,6 @@ class RunConfig:
     omega: float = 0.0
     dt: float = 2e-3
     t_end: float = 0.5
-    scheme: str = "rk4_if"
     init: InitSpec = field(default_factory=InitSpec)
     norms: NormsSpec = field(default_factory=NormsSpec)
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
@@ -75,7 +74,7 @@ class RunConfig:
                 "dealias": float(self.grid.dealias_fraction),
             },
             "physics": {"nu": self.nu, "omega": self.omega},
-            "time": {"dt": self.dt, "t_end": self.t_end, "scheme": self.scheme},
+            "time": {"dt": self.dt, "t_end": self.t_end},
             "init": {
                 "kind": self.init.kind,
                 "tau0": self.init.tau0,
@@ -146,12 +145,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("physics.nu must be positive")
 
     tm = doc.get("time", {})
-    _expect_keys(tm, {"dt", "t_end", "scheme"}, "time")
+    _expect_keys(tm, {"dt", "t_end"}, "time")
     dt = _number(tm, "dt", "time", 2e-3)
     t_end = _number(tm, "t_end", "time", 0.5, lo=0.0)
-    scheme = tm.get("scheme", "rk4_if")
-    if scheme not in ("rk4_if", "rk4_plain"):
-        raise ConfigError(f"time.scheme must be rk4_if or rk4_plain, got {scheme!r}")
     if dt is None or dt <= 0:
         raise ConfigError("time.dt must be positive")
 
@@ -206,7 +202,7 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
     return RunConfig(
-        grid=grid, nu=nu, omega=omega, dt=dt, t_end=t_end, scheme=scheme,
+        grid=grid, nu=nu, omega=omega, dt=dt, t_end=t_end,
         init=init, norms=norms, scenario=scenario, output=output,
     )
 

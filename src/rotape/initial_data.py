@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, dealias_mask, kabs, kx, ky, mpi
+from .grid import GridSpec, dealias_mask, kabs, kx, ky, mode_numbers, mpi
 from .norms import NormSpec, norm_rst
 from .spectral import COS, SpectralField, symmetrize
 
@@ -141,7 +141,7 @@ def random_scalar_2d(
     zcut: int | None = None,
 ) -> np.ndarray:
     """Random analytic baroclinic scalar on the (n1, m) grid of the 2D reduced system."""
-    n1 = np.rint(np.fft.fftfreq(nh) * nh).astype(int)
+    n1 = mode_numbers(GridSpec(nh, nz))[0]
     k = 2.0 * np.pi * np.abs(n1)[:, None]
     m = np.arange(nz)[None, :]
     a = rng.standard_normal((nh, nz)) + 1j * rng.standard_normal((nh, nz))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft as sfft
 
-from .grid import GridSpec
+from .grid import GridSpec, mode_numbers
 from .initial_data import random_scalar, random_vector
 from .norms import _weight_a_exp, seminorm_a_sq
 from .spectral import (
@@ -31,6 +30,7 @@ from .spectral import (
     dz,
     integral_z_of_div,
     product,
+    vertical_values,
 )
 
 
@@ -65,32 +65,20 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# per-z horizontal L2 profiles (refined midpoint grid, FFT-free in x)
+# per-z horizontal L2 profiles: the vertical series on a refined midpoint grid,
+# horizontal norms by Parseval on the coefficients (no x transform)
 # ---------------------------------------------------------------------------
-
-def _vertical_values(coeffs: np.ndarray, basis: str, nzf: int) -> np.ndarray:
-    """Evaluate the vertical series on a refined midpoint grid of nzf points."""
-    nz = coeffs.shape[-1]
-    pad = np.zeros(coeffs.shape[:-1] + (nzf,), dtype=coeffs.dtype)
-    pad[..., :nz] = coeffs
-    if basis == COS:
-        pad[..., 1:] /= np.sqrt(2.0)
-        return sfft.dct(pad, type=3, axis=-1)
-    shifted = np.zeros_like(pad)
-    shifted[..., : nzf - 1] = pad[..., 1:] / np.sqrt(2.0)
-    return sfft.dst(shifted, type=3, axis=-1)
-
 
 def _profile(f: SpectralField, r: float, tau: float, nzf: int) -> np.ndarray:
     """z -> ||A^r e^{tau A} f(z)||_{L2(T^2)} on the refined midpoint grid."""
     w = _weight_a_exp(f.grid, r, tau)[..., 0]
-    vals = _vertical_values(f.coeffs, f.basis, nzf)
+    vals = vertical_values(f.coeffs, f.basis, nzf)
     return np.sqrt(np.einsum("cxyz,xy->z", np.abs(vals) ** 2, w).real)
 
 
 def _zero_mode_profile(f: SpectralField, nzf: int) -> np.ndarray:
     """z -> |fhat_0(z)| (vector magnitude of the k=0 column)."""
-    vals = _vertical_values(f.coeffs[:, 0:1, 0:1, :], f.basis, nzf)
+    vals = vertical_values(f.coeffs[:, 0:1, 0:1, :], f.basis, nzf)
     return np.sqrt((np.abs(vals) ** 2).sum(axis=(0, 1, 2)))
 
 
@@ -123,16 +111,11 @@ def _adv_field(f: SpectralField, g: SpectralField) -> SpectralField:
 def _modes_of(f: SpectralField) -> list:
     """[(comp, n1, n2, m, tag, value)] over nonzero coefficients."""
     out = []
-    n1s, n2s, _ = _mode_index_arrays(f.grid)
+    n1s, n2s, _ = mode_numbers(f.grid)
     idx = np.argwhere(f.coeffs != 0)
     for c, i, j, m in idx:
         out.append((int(c), int(n1s[i]), int(n2s[j]), int(m), f.basis, f.coeffs[c, i, j, m]))
     return out
-
-
-def _mode_index_arrays(grid: GridSpec):
-    n = np.rint(np.fft.fftfreq(grid.nh) * grid.nh).astype(int)
-    return n, n, np.arange(grid.nz)
 
 
 def _vertical_product_terms(ma: int, ta: str, mb: int, tb: str):

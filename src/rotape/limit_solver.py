@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, ksq, mpi
-from .spectral import COS, values_from_coeffs, coeffs_from_values
-from .pe_solver import _coeffs2d_real, _grad_stack, _guard, _if_rk4, _plain_rk4, _values2d_real
-from .pe_solver import plus_projection
+from .spectral import COS, barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
+from .pe_solver import _grad_stack, _guard, _if_rk4, plus_projection
 
 
 @dataclass
@@ -49,8 +48,8 @@ def euler2d_rhs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError("euler2d_rhs expects zero-mean vorticity")
     vbar = velocity_from_vorticity(omega, grid)
     ikx, iky = 1j * kx(grid)[..., 0], 1j * ky(grid)[..., 0]
-    u1, u2, wx, wy = _values2d_real(np.stack([vbar[0], vbar[1], ikx * omega, iky * omega]), grid)
-    out = -_coeffs2d_real(u1 * wx + u2 * wy, grid)
+    u1, u2, wx, wy = barotropic_values(np.stack([vbar[0], vbar[1], ikx * omega, iky * omega]), grid)
+    out = -barotropic_coeffs(u1 * wx + u2 * wy, grid)
     out *= dealias_mask(grid)[:, :, 0]
     out[0, 0] = 0.0
     _guard("euler2d_advection", out)
@@ -69,7 +68,7 @@ def transport_rhs(
     perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.
     """
     vbar = velocity_from_vorticity(omega, grid)
-    bar = _values2d_real(np.concatenate([vbar, omega[None]]), grid)[..., None]
+    bar = barotropic_values(np.concatenate([vbar, omega[None]]), grid)[..., None]
     vb, wphys = bar[0:2], bar[2:3]
     vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True)
     p, px, py = vals[0:2], vals[2:4], vals[4:6]
@@ -93,25 +92,16 @@ def limit_to_vpm(vtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plus_projection(vtilde), np.conj(plus_projection(np.conj(vtilde)))
 
 
-def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float, scheme: str = "rk4_if") -> LimitState:
-    if scheme == "rk4_if":
-        def nl(a, t):
-            return (
-                euler2d_rhs(a[0], grid),
-                transport_rhs(a[1], a[0], grid, nu, include_viscous=False),
-            )
+def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> LimitState:
+    def nl(a, t):
+        return (
+            euler2d_rhs(a[0], grid),
+            transport_rhs(a[1], a[0], grid, nu, include_viscous=False),
+        )
 
-        eh = np.exp(-nu * mpi(grid) ** 2 * 0.5 * dt)
-        ef = np.exp(-nu * mpi(grid) ** 2 * dt)
-        new = _if_rk4((state.omega_bar, state.vtilde), state.t, dt, nl, (1.0, eh), (1.0, ef))
-    else:
-        def rhs(a, t):
-            return (
-                euler2d_rhs(a[0], grid),
-                transport_rhs(a[1], a[0], grid, nu, include_viscous=True),
-            )
-
-        new = _plain_rk4((state.omega_bar, state.vtilde), state.t, dt, rhs)
+    eh = np.exp(-nu * mpi(grid) ** 2 * 0.5 * dt)
+    ef = np.exp(-nu * mpi(grid) ** 2 * dt)
+    new = _if_rk4((state.omega_bar, state.vtilde), state.t, dt, nl, (1.0, eh), (1.0, ef))
     return LimitState(state.t + dt, *new)
 
 
@@ -134,7 +124,6 @@ def integrate_limit(
     nu: float,
     dt: float,
     t_end: float,
-    scheme: str = "rk4_if",
     observer=None,
     store_every: int = 0,
     r: float = 2.0,
@@ -148,7 +137,7 @@ def integrate_limit(
     if observer:
         observer(diags[-1])
     for i in range(n_steps):
-        state = step_limit(state, grid, nu, dt, scheme)
+        state = step_limit(state, grid, nu, dt)
         diags.append(_limit_diag(state, grid, r, s))
         if observer:
             observer(diags[-1])
@@ -160,7 +149,7 @@ def integrate_limit(
 def _limit_diag(state: LimitState, grid: GridSpec, r: float, s: int) -> LimitDiagnostics:
     from .norms import NormSpec, norm_rst
     from .pe_solver import barotropic_field
-    from .spectral import COS, SpectralField
+    from .spectral import SpectralField
 
     vbar = velocity_from_vorticity(state.omega_bar, grid)
     return LimitDiagnostics(

@@ -27,7 +27,7 @@ import numpy as np
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
 from .norms import InsufficientDecayData, NormSpec, fit_radius, norm_rst
 from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse
-from .spectral import coeffs_from_values, full_from_half, values_from_coeffs
+from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
 
 
 class CflError(RuntimeError):
@@ -159,10 +159,6 @@ def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
     return v
 
 
-def state_field(state: RotatingState, grid: GridSpec, omega: float) -> SpectralField:
-    return SpectralField(grid, direct_from_rotating(state, omega), COS)
-
-
 def barotropic_field(vbar: np.ndarray, grid: GridSpec) -> SpectralField:
     out = np.zeros((2, *grid.shape), dtype=np.complex128)
     out[..., 0] = vbar
@@ -212,18 +208,6 @@ def _grad_stack(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     np.multiply(1j * kx(grid), c, out=out[k : 2 * k])
     np.multiply(1j * ky(grid), c, out=out[2 * k :])
     return out
-
-
-def _values2d_real(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real values of compact (.., nh, nh) coefficients of real fields."""
-    nh = grid.nh
-    return np.fft.irfft2(c[..., : nh // 2 + 1], s=(nh, nh), axes=(-2, -1), norm="forward")
-
-
-def _coeffs2d_real(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Full compact (.., nh, nh) coefficients of real (.., nh, nh) values."""
-    xh = np.fft.rfft2(vals, axes=(-2, -1), norm="forward")
-    return full_from_half(xh[..., None], grid.nh)[..., 0]
 
 
 def _adv(a: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -304,7 +288,7 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool):
     pm, intm = np.conj(p), np.conj(intp)
 
     # barotropic phys fields (2D, real): velocity and gradients
-    bar = _values2d_real(_grad_stack(vbar[..., None], g)[..., 0], g)
+    bar = barotropic_values(_grad_stack(vbar[..., None], g)[..., 0], g)
     vb, gx, gy = bar[0:2], bar[2:4], bar[4:6]
     vb3 = vb[..., None]
     # x-components of (1, i).grad and (1, -i).grad of Vbar + i Vbar^perp
@@ -336,7 +320,7 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool):
     # together they are (2 Re s, -2 Im s)
     s = (ep * ep) * (2.0 * selfadv.mean(axis=-1))
     mask2 = dealias_mask(g)[:, :, 0]
-    b0 = _coeffs2d_real(_adv(vb, gx, gy) + 2.0 * np.stack([s.real, -s.imag]), g)
+    b0 = barotropic_coeffs(_adv(vb, gx, gy) + 2.0 * np.stack([s.real, -s.imag]), g)
     dvb = -_leray2d(b0, g)
     dvb *= mask2[None, ...]
     _guard("barotropic", dvb)
@@ -650,87 +634,38 @@ class State2D:
         return State2D(self.t, self.u.copy())
 
 
-def _kx1d(grid: GridSpec) -> np.ndarray:
-    n = np.rint(np.fft.fftfreq(grid.nh) * grid.nh).astype(int)
-    return (2.0 * np.pi * n)[:, None]
-
-
-def _mask2d(grid: GridSpec) -> np.ndarray:
-    n = np.rint(np.fft.fftfreq(grid.nh) * grid.nh).astype(int)
-    m = np.arange(grid.nz)
-    return (np.abs(n)[:, None] <= grid.hcut) & (m[None, :] <= grid.zcut)
-
-
-def _vals2d(coeffs: np.ndarray, grid: GridSpec, basis: str) -> np.ndarray:
-    import scipy.fft as sfft
-
-    if basis == COS:
-        u = coeffs.copy()
-        u[..., 1:] /= np.sqrt(2.0)
-        w = sfft.dct(u, type=3, axis=-1)
-    else:
-        u = np.zeros_like(coeffs)
-        u[..., : grid.nz - 1] = coeffs[..., 1:] / np.sqrt(2.0)
-        w = sfft.dst(u, type=3, axis=-1)
-    return np.fft.ifft(w, axis=0) * grid.nh
-
-
-def _coeffs2d(vals: np.ndarray, grid: GridSpec, basis: str) -> np.ndarray:
-    import scipy.fft as sfft
-
-    xh = np.fft.fft(vals, axis=0) / grid.nh
-    if basis == COS:
-        d = sfft.dct(xh, type=2, axis=-1)
-        out = np.empty_like(d)
-        out[..., 0] = d[..., 0] / (2 * grid.nz)
-        out[..., 1:] = d[..., 1:] / (np.sqrt(2.0) * grid.nz)
-        return out
-    e = sfft.dst(xh, type=2, axis=-1)
-    out = np.zeros_like(e)
-    out[..., 1:] = e[..., : grid.nz - 1] / (np.sqrt(2.0) * grid.nz)
-    return out
-
-
 def rhs_2d(u: np.ndarray, grid: GridSpec, nu: float, include_viscous: bool = True) -> np.ndarray:
     """du = -u dx u + (int_0^z dx u) dz u + nu dzz u, barotropic part structurally zero.
 
-    The dx P0(u^2) term of the reduced equation lives entirely in the m = 0
-    slots, which the exact P0 subtraction removes; only the m >= 1 content of
-    the two products survives.
+    u is real, so its (nh, nz) coefficients take the real transforms as the
+    n2 = 0 column (nh, 1, nz) of the 3-D layout.  The dx P0(u^2) term of the
+    reduced equation lives entirely in the m = 0 slots, which the exact P0
+    subtraction removes; only the m >= 1 content of the two products survives.
     """
-    ikx = 1j * _kx1d(grid)
-    w = np.pi * np.arange(grid.nz)[None, :]
-    p = _vals2d(u, grid, COS)
-    px = _vals2d(ikx * u, grid, COS)
-    dzp = _vals2d(-w * u, grid, SIN)
-    divc = ikx * u
-    intc = np.zeros_like(divc)
-    intc[..., 1:] = divc[..., 1:] / w[..., 1:]
-    intp = _vals2d(intc, grid, SIN)
-    n = -p * px + intp * dzp
-    out = _coeffs2d(n, grid, COS)
-    out *= _mask2d(grid)
+    col = u[:, None, :]
+    w = mpi(grid)
+    dxu = 1j * kx(grid) * col
+    intc = np.zeros_like(dxu)
+    intc[..., 1:] = dxu[..., 1:] / w[..., 1:]
+    p, px = values_from_coeffs(np.stack([col, dxu]), grid, COS, real=True)
+    dzp, intp = values_from_coeffs(np.stack([-w * col, intc]), grid, SIN, real=True)
+    out = coeffs_from_values(intp * dzp - p * px, grid, COS)
+    out *= dealias_mask(grid)[:, 0:1, :]
     out[..., 0] = 0.0
     _guard("advection_2d", out)
+    out = out[:, 0, :]
     if include_viscous:
-        out = out - nu * w**2 * u
+        out = out - nu * mpi(grid)[0] ** 2 * u
     return out
 
 
-def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float, scheme: str = "rk4_if") -> State2D:
-    w = np.pi * np.arange(grid.nz)[None, :]
-    if scheme == "rk4_if":
-        def nl(a, t):
-            return (rhs_2d(a[0], grid, nu, include_viscous=False),)
+def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
+    def nl(a, t):
+        return (rhs_2d(a[0], grid, nu, include_viscous=False),)
 
-        eh = np.exp(-nu * w**2 * 0.5 * dt)
-        ef = np.exp(-nu * w**2 * dt)
-        (new,) = _if_rk4((state.u,), state.t, dt, nl, (eh,), (ef,))
-    else:
-        def rhs(a, t):
-            return (rhs_2d(a[0], grid, nu, include_viscous=True),)
-
-        (new,) = _plain_rk4((state.u,), state.t, dt, rhs)
+    eh = _decay_factors(grid, nu, 0.5 * dt)[0]
+    ef = _decay_factors(grid, nu, dt)[0]
+    (new,) = _if_rk4((state.u,), state.t, dt, nl, (eh,), (ef,))
     return State2D(state.t + dt, new)
 
 

@@ -116,7 +116,7 @@ def _snapshot_writer(cfg: RunConfig, out: Path, grid: GridSpec, omega: float):
 # verify_projections: projection algebra + norm identities on random fields
 # ---------------------------------------------------------------------------
 
-def verify_projections(cfg: RunConfig, out, threads: int = 1) -> dict:
+def verify_projections(cfg: RunConfig, out) -> dict:
     out = _setup(cfg, out)
     grid = GridSpec(nh=16, nz=8, dealias_fraction=cfg.grid.dealias_fraction)
     rng = np.random.default_rng(cfg.init.seed)
@@ -166,7 +166,7 @@ def verify_projections(cfg: RunConfig, out, threads: int = 1) -> dict:
 # formulation_equivalence: rotating vs direct trajectories + RHS-level oracle
 # ---------------------------------------------------------------------------
 
-def formulation_equivalence(cfg: RunConfig, out, threads: int = 1) -> dict:
+def formulation_equivalence(cfg: RunConfig, out) -> dict:
     out = _setup(cfg, out)
     grid = cfg.grid
     nu, omega = cfg.nu, cfg.omega
@@ -225,7 +225,7 @@ LOCAL_CLOCK = {
 }
 
 
-def local_clock_vs_omega(cfg: RunConfig, out, threads: int = 1) -> dict:
+def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
     out = _setup(cfg, out)
     p = LOCAL_CLOCK
     grid = GridSpec(nh=p["nh"], nz=p["nz"])
@@ -277,7 +277,7 @@ VERTICAL_GAIN = {
 }
 
 
-def vertical_gain(cfg: RunConfig, out, threads: int = 1) -> dict:
+def vertical_gain(cfg: RunConfig, out) -> dict:
     out = _setup(cfg, out)
     p = VERTICAL_GAIN
     grid = GridSpec(nh=p["nh"], nz=p["nz"])
@@ -332,7 +332,7 @@ LIMIT_CONVERGENCE = {
 }
 
 
-def limit_convergence(cfg: RunConfig, out, threads: int = 1) -> dict:
+def limit_convergence(cfg: RunConfig, out) -> dict:
     """Decay of the perturbation against the limit-system trajectory with Omega.
 
     F is the squared perturbation functional; the rotation-rate scaling law
@@ -391,7 +391,7 @@ LIFESPAN = {
 }
 
 
-def lifespan_vs_omega(cfg: RunConfig, out, threads: int = 1) -> dict:
+def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
     """Sentinel time grows strictly with Omega for a fixed marginal baroclinic
     datum.  A run that never trips the sentinel is right-censored at t_end."""
     out = _setup(cfg, out)
@@ -438,7 +438,7 @@ SMALL_2D = {
 }
 
 
-def small_data_2d(cfg: RunConfig, out, threads: int = 1) -> dict:
+def small_data_2d(cfg: RunConfig, out) -> dict:
     out = _setup(cfg, out)
     p = SMALL_2D
     grid = GridSpec(nh=p["nh"], nz=p["nz"])
@@ -508,7 +508,7 @@ def small_data_2d(cfg: RunConfig, out, threads: int = 1) -> dict:
 # lemma_ratios: Appendix-style ensemble certification
 # ---------------------------------------------------------------------------
 
-def lemma_ratios(cfg: RunConfig, out, threads: int = 1, n_samples: int = 200,
+def lemma_ratios(cfg: RunConfig, out, n_samples: int = 200,
                  nhs=(16, 32, 64)) -> dict:
     import csv
 
@@ -557,7 +557,7 @@ CONTINUOUS = {
 }
 
 
-def continuous_dependence(cfg: RunConfig, out, threads: int = 1) -> dict:
+def continuous_dependence(cfg: RunConfig, out) -> dict:
     out = _setup(cfg, out)
     p = CONTINUOUS
     grid = GridSpec(nh=p["nh"], nz=p["nz"])
@@ -613,9 +613,9 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg: RunConfig, out=None, threads: int = 1) -> dict:
+def run_scenario(cfg: RunConfig, out=None) -> dict:
     name = cfg.scenario.name
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
     out = Path(out) if out is not None else Path(cfg.output.dir)
-    return SCENARIOS[name](cfg, out, threads=threads)
+    return SCENARIOS[name](cfg, out)

@@ -1,4 +1,4 @@
-"""Spectral fields on T^2 x (0,1) and the primitive transform kernels.
+"""Spectral fields on T^2 x (0,1) and the transform kernels.
 
 Coefficient layout: complex array of shape (components, nh, nh, nz) indexed
 by (component, n1, n2, m), n1/n2 in FFT order, physical wavenumber
@@ -6,15 +6,28 @@ k = 2*pi*(n1, n2).  Vertical basis is the orthonormal family
 {1, sqrt(2) cos(m pi z)}; fields produced by a single z-derivative carry the
 companion sine basis {sqrt(2) sin(m pi z)} and are tagged "sin".
 
-The transform kernels have a real-field path (rfft2/irfft2 and real
-DCT/DST, which skip the redundant half of a conjugate-symmetric spectrum)
-behind the same names and the same full coefficient layout:
-`coeffs_from_values` takes it for real values, `values_from_coeffs` when the
-caller passes real=True.  It serves every real field: the lab-frame velocity
-in `rhs_direct` and `cfl_limit`, the limit system, the barotropic mode, and
-products of two real factors.  The rotating-frame V+ = e^{-i Omega t} P+ V
-is intrinsically complex (its coefficients are not conjugate symmetric), so
-the scalar phi = V+_x that carries it keeps the complex kernels.
+This is the only module that calls a transform, so the basis scaling, the
+sine-slot shift and the FFT normalisation live here alone.  Every transform
+is a horizontal FFT composed with one vertical pair, the DCT/DST-III
+evaluation on midpoints (`_z_inverse`) and its DCT/DST-II inverse
+(`_z_forward`).  The layouts served:
+
+* 3-D (.., nh, nh, nz): `values_from_coeffs`, `coeffs_from_values`;
+* x-z (.., nh, 1, nz), the n2 = 0 column of the 3-D layout that carries
+  the y-independent 2-D reduced system: the same two kernels;
+* compact barotropic (.., nh, nh), z-independent: `barotropic_values`,
+  `barotropic_coeffs`;
+* the vertical series alone, on a refined midpoint grid: `vertical_values`.
+
+The 3-D kernels have a real-field path (rfft2/irfft2 and real DCT/DST,
+which skip the redundant half of a conjugate-symmetric spectrum) behind the
+same names and the same full coefficient layout: `coeffs_from_values` takes
+it for real values, `values_from_coeffs` when the caller passes real=True.
+It serves every real field: the lab-frame velocity in `rhs_direct` and
+`cfl_limit`, the limit system, the 2-D reduced system, and products of two
+real factors.  The rotating-frame V+ = e^{-i Omega t} P+ V is intrinsically
+complex (its coefficients are not conjugate symmetric), so the scalar
+phi = V+_x that carries it keeps the complex kernels.
 
 All operations are pure: inputs are never mutated and outputs are fresh.
 """
@@ -120,7 +133,7 @@ def grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# array-level transform kernels (last axis is z)
+# transform kernels: one horizontal transform composed with one vertical pair
 # ---------------------------------------------------------------------------
 
 _WORKERS = 2
@@ -129,26 +142,63 @@ _WORKERS = 2
 _NEG_INDEX = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
 
 
-def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
-    """Forward transform: collocation values -> basis coefficients.
+def _slots(coeffs: np.ndarray, basis: str) -> np.ndarray:
+    """DCT/DST slots of vertical coefficients: cos mode m is slot m, sine mode m slot m - 1."""
+    return coeffs if basis == COS else coeffs[..., 1:]
 
-    Real values take the real path (real DCT/DST, then rfft2 with the half
-    plane expanded by conjugation); complex values the complex one.  Both
-    return the full FFT-order layout.
+
+def _z_inverse(slots: np.ndarray, basis: str, n: int, own: bool = False) -> np.ndarray:
+    """DCT/DST-III: the vertical series of `slots` at n midpoints z_j = (j + 1/2)/n.
+
+    n beyond the slot count zero-pads through the transform's own n argument;
+    own=True lets the kernel scale `slots` in place.
     """
-    if not np.iscomplexobj(vals):
-        return _coeffs_from_real(vals, grid, basis)
-    xh = sfft.fft2(vals, axes=(-3, -2), workers=_WORKERS)
-    xh *= 1.0 / grid.nh**2
+    scale = _cos_in_scale(slots.shape[-1]) if basis == COS else 1.0 / SQRT2
+    x = np.multiply(slots, scale, out=slots if own else None)
+    kernel = sfft.dct if basis == COS else sfft.dst
+    return kernel(x, type=3, n=n, axis=-1, overwrite_x=True, workers=_WORKERS)
+
+
+def _z_forward(vals: np.ndarray, basis: str, hsize: int) -> np.ndarray:
+    """DCT/DST-II: vertical coefficients of midpoint values, divided by hsize.
+
+    hsize is the point count of the unnormalised horizontal forward transform
+    that follows, so its normalisation costs no pass of its own.
+    """
+    nz = vals.shape[-1]
     if basis == COS:
-        d = sfft.dct(xh, type=2, axis=-1, overwrite_x=True, workers=_WORKERS)
-        d[..., 0] *= 1.0 / (2 * grid.nz)
-        d[..., 1:] *= 1.0 / (SQRT2 * grid.nz)
+        d = sfft.dct(vals, type=2, axis=-1, workers=_WORKERS)
+        d *= _cos_out_scale(hsize, nz)
         return d
-    e = sfft.dst(xh, type=2, axis=-1, overwrite_x=True, workers=_WORKERS)
-    out = np.zeros_like(e)
-    out[..., 1:] = e[..., : grid.nz - 1] * (1.0 / (SQRT2 * grid.nz))
+    e = sfft.dst(vals, type=2, axis=-1, workers=_WORKERS)
+    out = np.empty_like(e)
+    out[..., 0] = 0.0
+    np.multiply(e[..., : nz - 1], 1.0 / (SQRT2 * nz * hsize), out=out[..., 1:])
     return out
+
+
+def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
+    """Vertical series of coefficients (last axis m) at n midpoints, n >= nz.
+
+    The horizontal modes are left untouched: a refined z grid for per-z
+    horizontal norms, which Parseval evaluates without an x transform.
+    """
+    return _z_inverse(_slots(coeffs, basis), basis, n)
+
+
+def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
+    """Forward transform: collocation values (.., n1, n2, z) -> basis coefficients.
+
+    The vertical DCT/DST runs first, with the horizontal normalisation folded
+    into its scale; real values then take rfft2 with the half plane expanded
+    by conjugation, complex values fft2.  Both return the full FFT-order
+    layout.  A single n2 = 0 column (.., nh, 1, nz) is the x-z layout.
+    """
+    x = _z_forward(vals, basis, vals.shape[-3] * vals.shape[-2])
+    if np.iscomplexobj(x):
+        return sfft.fft2(x, axes=(-3, -2), overwrite_x=True, workers=_WORKERS)
+    xh = sfft.rfft2(x, axes=(-3, -2), workers=_WORKERS)
+    return full_from_half(xh, vals.shape[-2])
 
 
 def values_from_coeffs(
@@ -156,55 +206,43 @@ def values_from_coeffs(
 ) -> np.ndarray:
     """Inverse transform: basis coefficients -> collocation values.
 
+    The horizontal inverse runs first, on the DCT/DST slots only (the empty
+    sine slot m = 0 is never transformed), then the vertical one in place.
     real=True asserts that the field is real (conjugate symmetric): only the
     half plane n2 <= nh/2 is read and the values come back real.  Otherwise
     the values are complex.
     """
+    slots = _slots(coeffs, basis)
     if real:
-        return _values_real(coeffs, grid, basis)
-    if basis == COS:
-        u = coeffs * _cos_in_scale(grid.nz)
-        w = sfft.dct(u, type=3, axis=-1, overwrite_x=True, workers=_WORKERS)
+        n1, n2 = coeffs.shape[-3:-1]
+        x = sfft.irfft2(slots[..., : n2 // 2 + 1, :], s=(n1, n2), axes=(-3, -2),
+                        norm="forward", workers=_WORKERS)
     else:
-        u = np.zeros_like(coeffs)
-        u[..., : grid.nz - 1] = coeffs[..., 1:] * (1.0 / SQRT2)
-        w = sfft.dst(u, type=3, axis=-1, overwrite_x=True, workers=_WORKERS)
-    out = sfft.ifft2(w, axes=(-3, -2), overwrite_x=True, workers=_WORKERS)
-    out *= grid.nh**2
-    return out
+        x = sfft.ifft2(slots, axes=(-3, -2), norm="forward", workers=_WORKERS)
+    return _z_inverse(x, basis, grid.nz, own=True)
 
 
-def _values_real(coeffs: np.ndarray, grid: GridSpec, basis: str) -> np.ndarray:
-    nh, nz = grid.nh, grid.nz
-    half = coeffs[..., : nh // 2 + 1, :]
-    if basis == COS:
-        x = sfft.irfft2(half, s=(nh, nh), axes=(-3, -2), norm="forward", workers=_WORKERS)
-        x *= _cos_in_scale(nz)
-        return sfft.dct(x, type=3, axis=-1, overwrite_x=True, workers=_WORKERS)
-    # sine mode m goes to DST slot m - 1; n=nz zero-pads the last slot
-    x = sfft.irfft2(half[..., 1:], s=(nh, nh), axes=(-3, -2), norm="forward", workers=_WORKERS)
-    x *= 1.0 / SQRT2
-    return sfft.dst(x, type=3, n=nz, axis=-1, overwrite_x=True, workers=_WORKERS)
+# The compact barotropic transforms are small (a few (nh, nh) planes), where a
+# second FFT worker costs more CPU and wall time than it saves, so they use one.
+
+def barotropic_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real values of compact (.., nh, nh) coefficients of real z-independent fields."""
+    nh = grid.nh
+    return sfft.irfft2(coeffs[..., : nh // 2 + 1], s=(nh, nh), axes=(-2, -1), norm="forward")
 
 
-def _coeffs_from_real(vals: np.ndarray, grid: GridSpec, basis: str) -> np.ndarray:
-    nh, nz = grid.nh, grid.nz
-    if basis == COS:
-        d = sfft.dct(vals, type=2, axis=-1, workers=_WORKERS)
-        d *= _cos_out_scale(nh, nz)
-        return full_from_half(sfft.rfft2(d, axes=(-3, -2), overwrite_x=True, workers=_WORKERS), nh)
-    e = sfft.dst(vals, type=2, axis=-1, workers=_WORKERS)
-    # sine mode m comes from DST slot m - 1
-    x = np.zeros_like(e)
-    x[..., 1:] = e[..., : nz - 1] * (1.0 / (SQRT2 * nz * nh**2))
-    return full_from_half(sfft.rfft2(x, axes=(-3, -2), overwrite_x=True, workers=_WORKERS), nh)
+def barotropic_coeffs(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full compact (.., nh, nh) coefficients of real (.., nh, nh) values."""
+    xh = sfft.rfft2(vals, axes=(-2, -1), norm="forward")
+    return full_from_half(xh[..., None], grid.nh)[..., 0]
 
 
 def full_from_half(xh: np.ndarray, nh: int) -> np.ndarray:
     """Full FFT-order plane from the rfft half plane of a real field.
 
-    Axes -3, -2 of xh are (n1, n2) with 0 <= n2 <= nh/2; the missing
-    n2 > nh/2 are conj xh(-n1, nh - n2), filled by two block copies.
+    Axes -3, -2 of xh are (n1, n2) with 0 <= n2 <= nh/2, nh the length of
+    the n2 axis; the missing n2 > nh/2 are conj xh(-n1, nh - n2), filled by
+    two block copies.
     """
     h = nh // 2
     out = np.empty(xh.shape[:-2] + (nh, xh.shape[-1]), dtype=np.complex128)
@@ -220,9 +258,9 @@ def _cos_in_scale(nz: int) -> np.ndarray:
     return s
 
 
-def _cos_out_scale(nh: int, nz: int) -> np.ndarray:
-    s = np.full(nz, 1.0 / (SQRT2 * nz * nh**2))
-    s[0] = 1.0 / (2 * nz * nh**2)
+def _cos_out_scale(hsize: int, nz: int) -> np.ndarray:
+    s = np.full(nz, 1.0 / (SQRT2 * nz * hsize))
+    s[0] = 1.0 / (2 * nz * hsize)
     return s
 
 

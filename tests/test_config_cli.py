@@ -14,7 +14,7 @@ def minimal_doc(**overrides):
         "schema": SCHEMA,
         "grid": {"nh": 16, "nz": 8},
         "physics": {"nu": 0.2, "omega": 5.0},
-        "time": {"dt": 1e-3, "t_end": 0.1, "scheme": "rk4_if"},
+        "time": {"dt": 1e-3, "t_end": 0.1},
         "init": {"kind": "random_analytic", "tau0": 0.5, "seed": 1},
         "norms": {"r": 2.0, "s": 0, "tau_report": 0.1},
         "scenario": {"name": "verify_projections", "sweep": []},
@@ -40,10 +40,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(minimal_doc(extra={"x": 1}))
 
-    def test_unknown_section_key_rejected(self):
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("physics", "viscosity", 1.0), ("time", "scheme", "rk4_if")],
+        ids=["physics.viscosity", "time.scheme"],
+    )
+    def test_unknown_section_key_rejected(self, section, key, value):
         doc = minimal_doc()
-        doc["physics"]["viscosity"] = 1.0
-        with pytest.raises(ConfigError, match="viscosity"):
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=key):
             parse_config(doc)
 
     def test_bad_schema_rejected(self):

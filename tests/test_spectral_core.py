@@ -1,5 +1,8 @@
 """Transform, derivative, product, and w-reconstruction kernels."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from rotape.spectral import (
     inverse,
     product,
     values_from_coeffs,
+    vertical_values,
     w_from_baroclinic,
 )
 
@@ -103,6 +107,24 @@ class TestForwardInverse:
     def test_dimension_mismatch_rejected(self, grid16):
         with pytest.raises(ValueError):
             PhysField(grid16, np.ones((1, 4, 4, 4)))
+
+
+    @pytest.mark.parametrize("basis", [COS, SIN])
+    @pytest.mark.parametrize("refine", [1, 4])
+    def test_vertical_values_on_refined_grid(self, rng, basis, refine):
+        # direct summation of sum_m c_m sqrt(2) cos(m pi z) (1 for m = 0), or of
+        # the sine series, at the n midpoints; the sine coefficient at m = 0
+        # multiplies sin(0) and must be ignored
+        nz, n = 8, refine * 8
+        c = rng.standard_normal((2, 3, 4, nz)) + 1j * rng.standard_normal((2, 3, 4, nz))
+        z = (np.arange(n) + 0.5) / n
+        phase = np.pi * np.arange(nz)[None, :] * z[:, None]
+        if basis == COS:
+            table = np.where(np.arange(nz) == 0, 1.0, np.sqrt(2.0) * np.cos(phase))
+        else:
+            table = np.sqrt(2.0) * np.sin(phase)
+        expect = np.einsum("...m,zm->...z", c, table)
+        assert np.abs(vertical_values(c, basis, n) - expect).max() < 1e-13
 
 
 class TestApplyAExp:
@@ -333,3 +355,22 @@ def test_conjugate_reverse_matches_index_definition(rng, shape):
     expect = np.conj(a.take(neg1, axis=-3).take(neg2, axis=-2))
     assert np.array_equal(conjugate_reverse(a), expect)
     assert np.array_equal(conjugate_reverse(conjugate_reverse(a)), a)
+
+
+def test_only_spectral_calls_transforms():
+    """Layering: the basis scaling, sine-slot shift and FFT normalisation live
+    in spectral.py alone, so no other module may call a transform
+    (np.fft.fftfreq, mode numbering only, is allowed)."""
+    import rotape
+
+    offenders = []
+    for path in sorted(Path(rotape.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        text = path.read_text()
+        if re.search(r"scipy\.fft|from scipy import fft|from numpy(\.fft import| import fft)", text):
+            offenders.append(f"{path.name}: imports an FFT module")
+        for name in re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", text):
+            if name != "fftfreq":
+                offenders.append(f"{path.name}: np.fft.{name}")
+    assert offenders == []
