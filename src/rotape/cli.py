@@ -2,11 +2,15 @@
 
 Verbs:
   run    --config PATH [--out DIR] [--seed N]   one scenario
-  sweep  --config PATH ... [--threads N]        scenario once per scenario.sweep value,
-                                                in a pool of N processes
+  sweep  --config PATH ... [--threads N]        scenario once per scenario.sweep value as
+                                                physics.omega, in a pool of N processes
   verify [--config PATH] ...                    projection/norm identity table
   lemmas [--config PATH] ...                    lemma-ratio ensemble
   list                                          print available scenario names
+
+A config sets only keys its scenario reads (see the README); verify and
+lemmas reject a config that names another scenario, and sweep requires a
+scenario that reads physics.omega.
 
 Exit codes: 0 pass, 2 scenario assertion failure, 1 error.
 """
@@ -18,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, parse_config, read_document
 from .scenarios import SCENARIOS, run_scenario
 
 
@@ -44,16 +48,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args, default_scenario=None) -> RunConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    if default_scenario is not None:
-        cfg.scenario.name = default_scenario
+_VERB_SCENARIO = {"verify": "verify_projections", "lemmas": "lemma_ratios"}
+
+
+def _document(args) -> dict:
+    """The --config document (empty without one), with the verb's scenario and --seed applied."""
+    doc = read_document(args.config) if args.config is not None else {}
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    scenario = _VERB_SCENARIO.get(args.verb)
+    if scenario is not None:
+        section = dict(doc.get("scenario", {}))
+        named = section.setdefault("name", scenario)
+        if named != scenario:
+            raise ConfigError(f"'{args.verb}' runs scenario {scenario!r}, but the config names {named!r}")
+        doc = {**doc, "scenario": section}
     if args.seed is not None:
-        cfg.init.seed = args.seed
-    return cfg
+        doc = {**doc, "init": {**doc.get("init", {}), "seed": args.seed}}
+    return doc
 
 
 def _finish(summary: dict) -> int:
@@ -71,22 +83,9 @@ def main(argv=None) -> int:
         build_parser().print_help()
         return 1
     try:
-        if args.verb == "run":
-            cfg = _load(args)
-            out = args.out or Path(cfg.output.dir)
-            return _finish(run_scenario(cfg, out))
-        if args.verb == "verify":
-            cfg = _load(args, default_scenario="verify_projections")
-            out = args.out or Path(cfg.output.dir)
-            return _finish(run_scenario(cfg, out))
-        if args.verb == "lemmas":
-            cfg = _load(args, default_scenario="lemma_ratios")
-            out = args.out or Path(cfg.output.dir)
-            return _finish(run_scenario(cfg, out))
         if args.verb == "sweep":
-            cfg = _load(args)
-            out = args.out or Path(cfg.output.dir)
-            return _sweep(cfg, out, threads=args.threads)
+            return _sweep(_document(args), args.out, threads=args.threads)
+        return _finish(run_scenario(parse_config(_document(args)), args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -97,29 +96,30 @@ def main(argv=None) -> int:
 
 
 def _run_member(payload) -> dict:
-    cfg_doc, out_dir, value = payload
-    from .config import parse_config
-
-    cfg = parse_config(cfg_doc)
-    cfg.omega = value
-    cfg.scenario.sweep = [value]
-    return run_scenario(cfg, out_dir)
+    doc, out_dir = payload
+    return run_scenario(parse_config(doc), out_dir)
 
 
-def _sweep(cfg: RunConfig, out: Path, threads: int = 1) -> int:
-    """Run the configured scenario once per sweep value (parallel over members).
+def _sweep(doc: dict, out: Path | None, threads: int = 1) -> int:
+    """Run the configured scenario once per scenario.sweep value (parallel over members).
 
-    Each member overrides physics.omega with the sweep value and gets its own
-    member_<i> output directory.
+    Each value overrides physics.omega, so the scenario must read that key;
+    each member gets its own member_<i> output directory.
     """
-    values = cfg.scenario.sweep
-    if not values:
-        print("sweep requires a nonempty scenario.sweep list", file=sys.stderr)
-        return 1
+    section = dict(doc.get("scenario", {}))
+    values = section.pop("sweep", None)
+    base = {**doc, "scenario": section}
+    cfg = parse_config(base)
+    if cfg.omega is None:
+        raise ConfigError(
+            f"sweep overrides physics.omega, which scenario {cfg.scenario.name!r} does not read"
+        )
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sweep requires a nonempty scenario.sweep list")
+    members = [parse_config({**base, "physics": {**base.get("physics", {}), "omega": v}}) for v in values]
+    out = Path(out or cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        (cfg.echo(), str(out / f"member_{i:02d}"), v) for i, v in enumerate(values)
-    ]
+    payloads = [(m.echo(), str(out / f"member_{i:02d}")) for i, m in enumerate(members)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 

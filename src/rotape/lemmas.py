@@ -457,6 +457,18 @@ _KIND_R = {
 }
 
 
+def ensemble_parameters(kind: LemmaKind) -> tuple[float, float, float, float]:
+    """A kind's ensemble parameters (r, tau, tau_gen, eta_gen): r and tau of
+    the checked inequality, tau_gen and eta_gen of the sampled fields."""
+    overrides = _KIND_TAU.get(kind, {})
+    return (
+        _KIND_R[kind],
+        overrides.get("tau", ENSEMBLE_DEFAULTS["tau"]),
+        overrides.get("tau_gen", ENSEMBLE_DEFAULTS["tau_gen"]),
+        ENSEMBLE_DEFAULTS["eta_gen"],
+    )
+
+
 def ensemble_fields(kind: LemmaKind, grid: GridSpec, rng, tau_gen: float, eta_gen: float):
     needs_baroclinic_f = kind in (LemmaKind.type2, LemmaKind.diff_type4)
     if kind is LemmaKind.banach_algebra:
@@ -482,11 +494,11 @@ def run_ensemble(
     eta_gen: float | None = None,
 ) -> list[CheckResult]:
     kind = LemmaKind(kind)
-    overrides = _KIND_TAU.get(kind, {})
-    r = _KIND_R[kind] if r is None else r
-    tau = overrides.get("tau", ENSEMBLE_DEFAULTS["tau"]) if tau is None else tau
-    tau_gen = overrides.get("tau_gen", ENSEMBLE_DEFAULTS["tau_gen"]) if tau_gen is None else tau_gen
-    eta_gen = ENSEMBLE_DEFAULTS["eta_gen"] if eta_gen is None else eta_gen
+    r0, tau0, tau_gen0, eta_gen0 = ensemble_parameters(kind)
+    r = r0 if r is None else r
+    tau = tau0 if tau is None else tau
+    tau_gen = tau_gen0 if tau_gen is None else tau_gen
+    eta_gen = eta_gen0 if eta_gen is None else eta_gen
     if tau_gen <= tau:
         raise ValueError("ensemble envelope tau_gen must exceed the check tau")
     rng = np.random.default_rng(seed)

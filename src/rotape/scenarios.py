@@ -1,9 +1,16 @@
 """Scenario orchestration: one runnable experiment per checkable claim.
 
-Each scenario takes a RunConfig and an output directory, writes a config
-echo, optional diagnostics.csv / PESP1 snapshots, and a summary.json whose
-"pass" field drives the CLI exit code.  Scenario-internal tolerances are
-pinned here, never loosened at run time.
+Each scenario takes a RunConfig and an output directory.  It first resolves
+the config against its own default document (`config.SCENARIO_DEFAULTS`),
+which rejects any key the scenario does not read, and then reads every grid,
+physics, time, init and norms value, and the Omega list (scenario.sweep),
+from the resolved config only.  It writes the resolved config as
+config.json (a document that reloads to the same run), optional
+diagnostics.csv / PESP1 snapshots, and a summary.json whose "pass" field
+drives the CLI exit code.  What defines an experiment and has no config key
+is pinned here as a module constant: tolerances, fit windows, tracker
+constants, baroclinic fractions, the epsilon pair and the seed offsets.
+None of these is loosened at run time.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, parse_config, resolve
 from .decomposition import baroclinic, p0, p_minus, p_plus, rotation_r
 from .grid import GridSpec
 from .initial_data import (
@@ -25,6 +32,7 @@ from .initial_data import (
     well_prepared_state,
 )
 from .io import write_diagnostics_csv, write_snapshot
+from .lemmas import LemmaKind, ensemble_parameters, run_ensemble
 from .limit_solver import LimitState, integrate_limit, vorticity_from_velocity
 from .norms import NormSpec, norm_rst
 from .pe_solver import (
@@ -49,45 +57,55 @@ def _write_json(path: Path, doc: dict):
     path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
-def _setup(cfg: RunConfig, out) -> Path:
+def _setup(cfg: RunConfig, out, scenario: str) -> tuple[RunConfig, Path]:
+    """Resolve cfg for `scenario`, create `out` and echo the resolved config there."""
+    cfg = resolve(cfg, scenario)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg.echo())
-    return out
+    return cfg, out
 
 
-def _initial_state(cfg: RunConfig, grid: GridSpec | None = None):
+def _report_spec(cfg: RunConfig) -> NormSpec:
+    return NormSpec(r=cfg.norms.r, s=cfg.norms.s, tau=cfg.norms.tau_report)
+
+
+def _solver_config(cfg: RunConfig, omega: float, formulation: str = "rotating") -> SolverConfig:
+    return SolverConfig(nu=cfg.nu, omega=omega, grid=cfg.grid, dt=cfg.dt, t_end=cfg.t_end,
+                        formulation=formulation)
+
+
+SHEAR_BAROCLINIC_SHARE = 0.3   # baroclinic L2 norm / amplitude of shear_plus_baroclinic
+
+
+def _initial_state(cfg: RunConfig):
     """Build (vbar, vtilde) per the init section."""
-    grid = grid or cfg.grid
-    rng = np.random.default_rng(cfg.init.seed)
-    if cfg.init.kind == "random_analytic":
-        return random_state(grid, rng, tau0=cfg.init.tau0, eta0=cfg.init.eta0,
-                            amplitude=cfg.init.amplitude)
-    if cfg.init.kind == "well_prepared":
-        target = cfg.init.baroclinic_sobolev_target
-        if target is None:
-            target = 0.25
-        return well_prepared_state(grid, rng, tau0=cfg.init.tau0, eta0=cfg.init.eta0,
-                                   barotropic_amplitude=cfg.init.amplitude,
-                                   baroclinic_sobolev_target=target)
-    if cfg.init.kind == "shear_plus_baroclinic":
-        vbar = shear_barotropic(grid, amplitude=cfg.init.amplitude)
-        vt = random_vector(grid, rng, cfg.init.tau0, cfg.init.eta0, baroclinic=True)
-        cur = np.sqrt(np.sum(np.abs(vt.coeffs) ** 2))
-        if cur > 0:
-            vt = vt * (0.3 * cfg.init.amplitude / cur)
-        return vbar, vt
-    if cfg.init.kind == "file":
+    grid, init = cfg.grid, cfg.init
+    if init.kind == "file":
         from .io import read_snapshot
 
-        coeffs, g2, _ = read_snapshot(cfg.init.path)
+        coeffs, g2, _ = read_snapshot(init.path)
         if (g2.nh, g2.nz) != (grid.nh, grid.nz):
             raise ValueError("snapshot grid does not match the configured grid")
         vbar = coeffs[..., 0].copy()
         vt = coeffs.copy()
         vt[..., 0] = 0.0
         return vbar, SpectralField(grid, vt, COS)
-    raise ValueError(f"unknown init kind {cfg.init.kind!r}")
+    rng = np.random.default_rng(init.seed)
+    if init.kind == "random_analytic":
+        return random_state(grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude)
+    if init.kind == "well_prepared":
+        return well_prepared_state(grid, rng, tau0=init.tau0, eta0=init.eta0,
+                                   barotropic_amplitude=init.amplitude,
+                                   baroclinic_sobolev_target=init.baroclinic_sobolev_target)
+    if init.kind == "shear_plus_baroclinic":
+        vbar = shear_barotropic(grid, amplitude=init.amplitude)
+        vt = random_vector(grid, rng, init.tau0, init.eta0, baroclinic=True)
+        cur = np.sqrt(np.sum(np.abs(vt.coeffs) ** 2))
+        if cur > 0:
+            vt = vt * (SHEAR_BAROCLINIC_SHARE * init.amplitude / cur)
+        return vbar, vt
+    raise ValueError(f"unknown init kind {init.kind!r}")
 
 
 def _direct_array(vbar, vt) -> np.ndarray:
@@ -116,21 +134,24 @@ def _snapshot_writer(cfg: RunConfig, out: Path, grid: GridSpec, omega: float):
 # verify_projections: projection algebra + norm identities on random fields
 # ---------------------------------------------------------------------------
 
+VERIFY_SAMPLES = 100
+VERIFY_TOL = 1e-12
+
+
 def verify_projections(cfg: RunConfig, out) -> dict:
-    out = _setup(cfg, out)
-    grid = GridSpec(nh=16, nz=8, dealias_fraction=cfg.grid.dealias_fraction)
+    cfg, out = _setup(cfg, out, "verify_projections")
+    grid = cfg.grid
     rng = np.random.default_rng(cfg.init.seed)
-    tol = 1e-12
     worst: dict[str, float] = {}
 
     def upd(name, val):
         worst[name] = max(worst.get(name, 0.0), float(val))
 
     t0 = time.time()
-    spec = NormSpec(r=1.5, s=0, tau=0.2)
-    for _ in range(100):
-        v = random_vector(grid, rng, tau=0.4, eta=0.3)
-        g2 = random_vector(grid, rng, tau=0.4, eta=0.3)
+    spec = _report_spec(cfg)
+    for _ in range(VERIFY_SAMPLES):
+        v = random_vector(grid, rng, tau=cfg.init.tau0, eta=cfg.init.eta0)
+        g2 = random_vector(grid, rng, tau=cfg.init.tau0, eta=cfg.init.eta0)
         scale = max(np.abs(v.coeffs).max(), 1e-300)
         pp, pm, pz = p_plus(v), p_minus(v), p0(v)
         upd("identity_p0_pplus_pminus", np.abs((pz + pp + pm).coeffs - v.coeffs).max() / scale)
@@ -152,7 +173,8 @@ def verify_projections(cfg: RunConfig, out) -> dict:
         upd("norm_pminus_half", abs(2 * norm_rst(pm, spec) ** 2 - vt_n) / max(vt_n, 1e-300))
     runtime = time.time() - t0
     table = [
-        {"check": k, "max_violation": v, "tol": tol, "pass": v < tol} for k, v in sorted(worst.items())
+        {"check": k, "max_violation": v, "tol": VERIFY_TOL, "pass": v < VERIFY_TOL}
+        for k, v in sorted(worst.items())
     ]
     ok = all(row["pass"] for row in table) and runtime < 5.0
     summary = {"scenario": "verify_projections", "pass": bool(ok), "runtime_s": runtime, "table": table}
@@ -166,18 +188,19 @@ def verify_projections(cfg: RunConfig, out) -> dict:
 # formulation_equivalence: rotating vs direct trajectories + RHS-level oracle
 # ---------------------------------------------------------------------------
 
+EQUIVALENCE_RHS_TIMES = (0.0, 0.31)
+
+
 def formulation_equivalence(cfg: RunConfig, out) -> dict:
-    out = _setup(cfg, out)
-    grid = cfg.grid
-    nu, omega = cfg.nu, cfg.omega
-    dt, t_end = cfg.dt, cfg.t_end
+    cfg, out = _setup(cfg, out, "formulation_equivalence")
+    grid, omega = cfg.grid, cfg.omega
     vbar, vt = _initial_state(cfg)
     v0 = _direct_array(vbar, vt)
 
     # RHS-level agreement at two times
     rhs_err = 0.0
-    for t in (0.0, 0.31):
-        scfg = SolverConfig(nu=nu, omega=omega, grid=grid, dt=dt, t_end=t_end)
+    scfg = _solver_config(cfg, omega)
+    for t in EQUIVALENCE_RHS_TIMES:
         rs = rotating_from_direct(v0, t, omega)
         dvb, dvp, dvm = rhs_rotating(rs, t, scfg)
         ep, em = np.exp(1j * omega * t), np.exp(-1j * omega * t)
@@ -187,15 +210,12 @@ def formulation_equivalence(cfg: RunConfig, out) -> dict:
         rhs_err = max(rhs_err, float(np.abs(dv - direct).max() / max(np.abs(direct).max(), 1e-300)))
 
     # trajectory-level agreement
-    rcfg = SolverConfig(nu=nu, omega=omega, grid=grid, dt=dt, t_end=t_end, formulation="rotating")
-    dcfg = SolverConfig(nu=nu, omega=omega, grid=grid, dt=dt, t_end=t_end, formulation="direct")
     rows = []
-    rres = integrate(rotating_from_direct(v0, 0.0, omega), rcfg,
-                     report=NormSpec(r=cfg.norms.r, s=cfg.norms.s, tau=cfg.norms.tau_report),
-                     observer=rows.append,
+    rres = integrate(rotating_from_direct(v0, 0.0, omega), scfg,
+                     report=_report_spec(cfg), observer=rows.append,
                      state_observer=_snapshot_writer(cfg, out, grid, omega))
-    dres = integrate(DirectState(0.0, v0.copy()), dcfg,
-                     report=NormSpec(r=cfg.norms.r, s=cfg.norms.s, tau=cfg.norms.tau_report))
+    dres = integrate(DirectState(0.0, v0.copy()), _solver_config(cfg, omega, "direct"),
+                     report=_report_spec(cfg))
     va = direct_from_rotating(rres.state, omega)
     vb = dres.state.v
     traj_err = float(np.sqrt(np.sum(np.abs(va - vb) ** 2) / max(np.sum(np.abs(vb) ** 2), 1e-300)))
@@ -218,30 +238,26 @@ def formulation_equivalence(cfg: RunConfig, out) -> dict:
 # local_clock_vs_omega: doubling time of the tracked-radius norm vs Omega
 # ---------------------------------------------------------------------------
 
-LOCAL_CLOCK = {
-    "nh": 24, "nz": 12, "tau0_data": 0.8, "eta0": 0.4, "amplitude": 1.2,
-    "baroclinic_fraction": 0.05, "nu": 0.1, "dt": 2e-3, "t_end": 0.4,
-    "tau_hat0": 0.35, "c_r": 1e-4, "r": 2.0, "spread_tol": 0.2,
-}
+CLOCK_BAROCLINIC_FRACTION = 0.05
+CLOCK_C_R = 1e-4        # local-clock rate constant of the tau tracker
+CLOCK_SPREAD_TOL = 0.2
 
 
 def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
-    out = _setup(cfg, out)
-    p = LOCAL_CLOCK
-    grid = GridSpec(nh=p["nh"], nz=p["nz"])
-    rng = np.random.default_rng(cfg.init.seed + 42)
-    vbar, vt = random_state(grid, rng, tau0=p["tau0_data"], eta0=p["eta0"],
-                            amplitude=p["amplitude"], baroclinic_fraction=p["baroclinic_fraction"])
+    """Doubling time of the report norm, its radius tracked from norms.tau_report."""
+    cfg, out = _setup(cfg, out, "local_clock_vs_omega")
+    init = cfg.init
+    rng = np.random.default_rng(init.seed + 42)
+    vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
+                            baroclinic_fraction=CLOCK_BAROCLINIC_FRACTION)
     v0 = _direct_array(vbar, vt)
-    omegas = cfg.scenario.sweep or [0.0, 10.0, 100.0]
+    omegas = cfg.scenario.sweep
     doubling = {}
     for om in omegas:
-        scfg = SolverConfig(nu=p["nu"], omega=om, grid=grid, dt=p["dt"], t_end=p["t_end"])
-        tracker = TauTracker(p["tau_hat0"], local_rate(p["c_r"]))
+        tracker = TauTracker(cfg.norms.tau_report, local_rate(CLOCK_C_R))
         rows = []
-        integrate(rotating_from_direct(v0, 0.0, om), scfg,
-                  report=NormSpec(r=p["r"], s=0, tau=p["tau_hat0"]),
-                  tau_tracker=tracker, observer=rows.append)
+        integrate(rotating_from_direct(v0, 0.0, om), _solver_config(cfg, om),
+                  report=_report_spec(cfg), tau_tracker=tracker, observer=rows.append)
         n0 = rows[0].norm_r0tau
         td = None
         for prev, cur in zip(rows[:-1], rows[1:]):
@@ -254,13 +270,13 @@ def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
         doubling[om] = td
     vals = [v for v in doubling.values() if v is not None]
     spread = (max(vals) - min(vals)) / min(vals) if len(vals) == len(omegas) and vals else float("inf")
-    ok = len(vals) == len(omegas) and spread < p["spread_tol"]
+    ok = len(vals) == len(omegas) and spread < CLOCK_SPREAD_TOL
     summary = {
         "scenario": "local_clock_vs_omega",
         "pass": bool(ok),
         "doubling_times": {str(k): v for k, v in doubling.items()},
         "relative_spread": spread,
-        "tolerance": p["spread_tol"],
+        "tolerance": CLOCK_SPREAD_TOL,
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -270,34 +286,30 @@ def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
 # vertical_gain: fitted vertical radius vs the nu t / 2 law
 # ---------------------------------------------------------------------------
 
-VERTICAL_GAIN = {
-    "nh": 32, "nz": 32, "nu": 0.5, "tau0": 0.6, "amplitude": 1.0,
-    "baroclinic_fraction": 0.8, "dt": 2e-3, "t_end": 1.0, "slope_factor": 0.35,
-    "window": (0.2, 1.0), "fit_floor": 1e-14,
-}
+GAIN_BAROCLINIC_FRACTION = 0.8
+GAIN_SLOPE_FACTOR = 0.35
+GAIN_WINDOW = (0.2, 1.0)
+GAIN_FIT_FLOOR = 1e-14
 
 
 def vertical_gain(cfg: RunConfig, out) -> dict:
-    out = _setup(cfg, out)
-    p = VERTICAL_GAIN
-    grid = GridSpec(nh=p["nh"], nz=p["nz"])
-    rng = np.random.default_rng(cfg.init.seed + 7)
-    vbar, vt = random_state(grid, rng, tau0=p["tau0"], eta0=0.0,
-                            amplitude=p["amplitude"], baroclinic_fraction=p["baroclinic_fraction"])
+    cfg, out = _setup(cfg, out, "vertical_gain")
+    init = cfg.init
+    rng = np.random.default_rng(init.seed + 7)
+    vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
+                            baroclinic_fraction=GAIN_BAROCLINIC_FRACTION)
     v0 = _direct_array(vbar, vt)
-    scfg = SolverConfig(nu=p["nu"], omega=cfg.omega, grid=grid, dt=p["dt"], t_end=p["t_end"])
     rows = []
     t0 = time.time()
-    res = integrate(rotating_from_direct(v0, 0.0, cfg.omega), scfg,
-                    report=NormSpec(r=cfg.norms.r, s=0, tau=cfg.norms.tau_report),
-                    observer=rows.append, fit_floor=p["fit_floor"])
+    res = integrate(rotating_from_direct(v0, 0.0, cfg.omega), _solver_config(cfg, cfg.omega),
+                    report=_report_spec(cfg), observer=rows.append, fit_floor=GAIN_FIT_FLOOR)
     runtime = time.time() - t0
-    lo, hi = p["window"]
+    lo, hi = GAIN_WINDOW
     margin = float("inf")
     failures = []
     for row in rows:
         if lo <= row.t <= hi:
-            target = p["slope_factor"] * p["nu"] * row.t
+            target = GAIN_SLOPE_FACTOR * cfg.nu * row.t
             if not np.isfinite(row.eta_fit_v):
                 failures.append(row.t)
                 continue
@@ -324,38 +336,32 @@ def vertical_gain(cfg: RunConfig, out) -> dict:
 # limit_convergence: F(T) against the limit trajectory, exponent vs 1/Omega
 # ---------------------------------------------------------------------------
 
-LIMIT_CONVERGENCE = {
-    "nh": 24, "nz": 12, "nu": 0.3, "tau0": 0.6, "eta0": 0.3,
-    "barotropic_amplitude": 0.5, "baroclinic_sobolev_target": 0.12,
-    "dt": 2e-3, "t_end": 0.5, "r": 2.0, "tau_f": 0.1,
-    "exponent_window": (0.7, 1.3),
-}
+LIMIT_EXPONENT_WINDOW = (0.7, 1.3)
 
 
 def limit_convergence(cfg: RunConfig, out) -> dict:
     """Decay of the perturbation against the limit-system trajectory with Omega.
 
-    F is the squared perturbation functional; the rotation-rate scaling law
-    holds for the perturbation norm sqrt(F) (expected exponent ~1 in 1/Omega),
-    so the window is checked on the sqrt(F) fit.  Both exponents are reported.
+    F is the squared perturbation functional at radius norms.tau_report; the
+    rotation-rate scaling law holds for the perturbation norm sqrt(F)
+    (expected exponent ~1 in 1/Omega), so the window is checked on the
+    sqrt(F) fit.  Both exponents are reported.
     """
-    out = _setup(cfg, out)
-    p = LIMIT_CONVERGENCE
-    grid = GridSpec(nh=p["nh"], nz=p["nz"])
-    rng = np.random.default_rng(cfg.init.seed + 11)
-    vbar, vt = well_prepared_state(grid, rng, tau0=p["tau0"], eta0=p["eta0"],
-                                   barotropic_amplitude=p["barotropic_amplitude"],
-                                   baroclinic_sobolev_target=p["baroclinic_sobolev_target"])
-    omegas = cfg.scenario.sweep or [10.0, 20.0, 40.0, 80.0]
+    cfg, out = _setup(cfg, out, "limit_convergence")
+    grid, init = cfg.grid, cfg.init
+    rng = np.random.default_rng(init.seed + 11)
+    vbar, vt = well_prepared_state(grid, rng, tau0=init.tau0, eta0=init.eta0,
+                                   barotropic_amplitude=init.amplitude,
+                                   baroclinic_sobolev_target=init.baroclinic_sobolev_target)
     lst = LimitState(0.0, vorticity_from_velocity(vbar, grid), vt.coeffs.copy())
-    lfin, _, _ = integrate_limit(lst, grid, p["nu"], p["dt"], p["t_end"])
+    lfin, _, _ = integrate_limit(lst, grid, cfg.nu, cfg.dt, cfg.t_end)
     vp0 = plus_projection(vt.coeffs)
     fvals = {}
-    for om in omegas:
-        scfg = SolverConfig(nu=p["nu"], omega=om, grid=grid, dt=p["dt"], t_end=p["t_end"])
+    for om in cfg.scenario.sweep:
         st = RotatingState(0.0, vbar.copy(), vp0.copy())
-        res = integrate(st, scfg, report=NormSpec(r=p["r"], s=0, tau=p["tau_f"]), check_cfl=True)
-        series = perturbation_diagnostics([res.state], [lfin], grid, om, r=p["r"], taus=p["tau_f"])
+        res = integrate(st, _solver_config(cfg, om), report=_report_spec(cfg), check_cfl=True)
+        series = perturbation_diagnostics([res.state], [lfin], grid, om, r=cfg.norms.r,
+                                          taus=cfg.norms.tau_report)
         fvals[om] = float(series.f[0])
     oms = np.array(sorted(fvals))
     fs = np.array([fvals[o] for o in oms])
@@ -364,7 +370,7 @@ def limit_convergence(cfg: RunConfig, out) -> dict:
     alpha_norm = alpha_f / 2.0
     # per-doubling halving of the perturbation norm sqrt(F)
     halving = [float(np.sqrt(fs[i] / fs[i + 1])) for i in range(len(fs) - 1)]
-    lo, hi = p["exponent_window"]
+    lo, hi = LIMIT_EXPONENT_WINDOW
     ok = decreasing and lo <= alpha_norm <= hi
     summary = {
         "scenario": "limit_convergence",
@@ -384,34 +390,28 @@ def limit_convergence(cfg: RunConfig, out) -> dict:
 # lifespan_vs_omega: blow-up sentinel time grows with Omega
 # ---------------------------------------------------------------------------
 
-LIFESPAN = {
-    "nh": 24, "nz": 12, "nu": 0.03, "tau0": 0.5, "eta0": 0.4,
-    "amplitude": 1.0, "baroclinic_fraction": 1.0, "dt": 2e-3,
-    "t_end": 1.5, "blowup_factor": 100.0, "tau_ref": 0.3, "r": 2.0,
-}
+LIFESPAN_BAROCLINIC_FRACTION = 1.0
+LIFESPAN_BLOWUP_FACTOR = 100.0
 
 
 def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
     """Sentinel time grows strictly with Omega for a fixed marginal baroclinic
     datum.  A run that never trips the sentinel is right-censored at t_end."""
-    out = _setup(cfg, out)
-    p = LIFESPAN
-    grid = GridSpec(nh=p["nh"], nz=p["nz"])
-    rng = np.random.default_rng(cfg.init.seed + 3)
-    vbar, vt = random_state(grid, rng, tau0=p["tau0"], eta0=p["eta0"],
-                            amplitude=p["amplitude"], baroclinic_fraction=p["baroclinic_fraction"])
+    cfg, out = _setup(cfg, out, "lifespan_vs_omega")
+    init = cfg.init
+    rng = np.random.default_rng(init.seed + 3)
+    vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
+                            baroclinic_fraction=LIFESPAN_BAROCLINIC_FRACTION)
     v0 = _direct_array(vbar, vt)
-    omegas = cfg.scenario.sweep or [0.0, 20.0, 80.0]
     tstars = {}
     censored = {}
     collapse = {}
-    for om in omegas:
-        scfg = SolverConfig(nu=p["nu"], omega=om, grid=grid, dt=p["dt"], t_end=p["t_end"])
-        res = integrate(rotating_from_direct(v0, 0.0, om), scfg,
-                        report=NormSpec(r=p["r"], s=0, tau=p["tau_ref"]),
-                        blowup_factor=p["blowup_factor"], check_cfl=False)
+    for om in cfg.scenario.sweep:
+        res = integrate(rotating_from_direct(v0, 0.0, om), _solver_config(cfg, om),
+                        report=_report_spec(cfg),
+                        blowup_factor=LIFESPAN_BLOWUP_FACTOR, check_cfl=False)
         fired = res.termination in ("blowup_sentinel", "nan")
-        tstars[om] = res.state.t if fired else p["t_end"]
+        tstars[om] = res.state.t if fired else cfg.t_end
         censored[om] = not fired
         collapse[om] = res.radius_collapse_t
     oms = sorted(tstars)
@@ -432,39 +432,38 @@ def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
 # small_data_2d: global decay below the smallness threshold
 # ---------------------------------------------------------------------------
 
-SMALL_2D = {
-    "nh": 32, "nz": 16, "nu": 1.0, "tau0": 1.0, "c_r": 1.0, "fraction": 0.2,
-    "dt": 2.5e-3, "t_end": 5.0, "r": 2.0, "slack": 1.10,
-}
+SMALL_2D_C_R = 1.0      # rate constant of the 2-D decay clock and threshold
+SMALL_2D_SLACK = 1.10
 
 
 def small_data_2d(cfg: RunConfig, out) -> dict:
-    out = _setup(cfg, out)
-    p = SMALL_2D
-    grid = GridSpec(nh=p["nh"], nz=p["nz"])
-    rng = np.random.default_rng(cfg.init.seed + 19)
-    thresh = threshold_2d(p["nu"], p["tau0"], p["c_r"])
-    u0 = random_scalar_2d(grid.nh, grid.nz, rng, tau=p["tau0"], eta=0.2,
+    """Decay from a datum of analytic radius init.tau0 whose norm is
+    init.amplitude times the smallness threshold."""
+    cfg, out = _setup(cfg, out, "small_data_2d")
+    grid, init, nu, r, s = cfg.grid, cfg.init, cfg.nu, cfg.norms.r, cfg.norms.s
+    rng = np.random.default_rng(init.seed + 19)
+    thresh = threshold_2d(nu, init.tau0, SMALL_2D_C_R)
+    u0 = random_scalar_2d(grid.nh, grid.nz, rng, tau=init.tau0, eta=init.eta0,
                           hcut=grid.hcut, zcut=grid.zcut)
-    spec0 = NormSpec(r=p["r"], s=0, tau=p["tau0"])
-    u0 *= (p["fraction"] * thresh) / norm_rst_2d(u0, grid, spec0)
+    spec0 = NormSpec(r=r, s=s, tau=init.tau0)
+    u0 *= (init.amplitude * thresh) / norm_rst_2d(u0, grid, spec0)
     n0 = norm_rst_2d(u0, grid, spec0)
 
     from .io import DiagnosticsRow
 
-    tracker = TauTracker(p["tau0"], decay_2d_rate(p["c_r"]))
+    tracker = TauTracker(init.tau0, decay_2d_rate(SMALL_2D_C_R))
     st = State2D(0.0, u0.copy())
     rows = []
     worst = 0.0
 
     def record(state):
         tau = tracker.tau
-        n = norm_rst_2d(state.u, grid, NormSpec(r=p["r"], s=0, tau=tau))
-        envelope = n0 * np.exp(-p["nu"] * state.t / 2.0)
-        ratio = n / (p["slack"] * envelope)
+        n = norm_rst_2d(state.u, grid, NormSpec(r=r, s=s, tau=tau))
+        envelope = n0 * np.exp(-nu * state.t / 2.0)
+        ratio = n / (SMALL_2D_SLACK * envelope)
         rows.append(
             DiagnosticsRow(
-                t=state.t, norm_r0tau=n, sobolev_norm=norm_rst_2d(state.u, grid, NormSpec(r=p["r"])),
+                t=state.t, norm_r0tau=n, sobolev_norm=norm_rst_2d(state.u, grid, NormSpec(r=r, s=s)),
                 tau_tracked=tau, tau_fit_h=float("nan"), eta_fit_v=float("nan"),
                 energy=0.5 * float(np.sum(np.abs(state.u) ** 2)), enstrophy_bar=0.0,
                 baroclinic_l2=float(np.sqrt(np.sum(np.abs(state.u) ** 2))),
@@ -474,20 +473,21 @@ def small_data_2d(cfg: RunConfig, out) -> dict:
         return ratio
 
     def norms_for_tracker(state):
+        # the tracker's pair (||u||, ||dz u||) at vertical order 0
         def norms_at(tau):
             w = np.pi * np.arange(grid.nz)[None, :]
             return (
-                norm_rst_2d(state.u, grid, NormSpec(r=p["r"], s=0, tau=tau)),
-                norm_rst_2d(-w * state.u, grid, NormSpec(r=p["r"], s=0, tau=tau)),
+                norm_rst_2d(state.u, grid, NormSpec(r=r, tau=tau)),
+                norm_rst_2d(-w * state.u, grid, NormSpec(r=r, tau=tau)),
             )
 
         return norms_at
 
     worst = max(worst, record(st))
-    n_steps = int(round(p["t_end"] / p["dt"]))
+    n_steps = int(round(cfg.t_end / cfg.dt))
     for _ in range(n_steps):
-        st = step_2d(st, grid, p["nu"], p["dt"])
-        tracker.step(p["dt"], norms_for_tracker(st))
+        st = step_2d(st, grid, nu, cfg.dt)
+        tracker.step(cfg.dt, norms_for_tracker(st))
         worst = max(worst, record(st))
     if cfg.output.csv:
         write_diagnostics_csv(out / "diagnostics.csv", rows)
@@ -508,28 +508,30 @@ def small_data_2d(cfg: RunConfig, out) -> dict:
 # lemma_ratios: Appendix-style ensemble certification
 # ---------------------------------------------------------------------------
 
-def lemma_ratios(cfg: RunConfig, out, n_samples: int = 200,
-                 nhs=(16, 32, 64)) -> dict:
+LEMMA_STABILITY_FACTOR = 1.5
+
+
+def lemma_ratios(cfg: RunConfig, out, n_samples: int = 200) -> dict:
+    """Ensembles on the grids nh/4, nh/2 and nh (grid.nh the finest); the
+    finest maximum must stay within LEMMA_STABILITY_FACTOR of the middle one."""
     import csv
 
-    from .lemmas import ENSEMBLE_DEFAULTS, LemmaKind, _KIND_R, _KIND_TAU, run_ensemble
-
-    out = _setup(cfg, out)
-    nz = 8
+    cfg, out = _setup(cfg, out, "lemma_ratios")
+    nh, nz = cfg.grid.nh, cfg.grid.nz
+    nhs = (nh // 4, nh // 2, nh)
+    seed = cfg.init.seed + 1
     rows = []
     maxima: dict[str, dict[int, float]] = {}
     for kind in LemmaKind:
         maxima[kind.value] = {}
-        tau = _KIND_TAU.get(kind, ENSEMBLE_DEFAULTS)["tau"]
-        for nh in nhs:
-            grid = GridSpec(nh=nh, nz=nz)
-            results = run_ensemble(kind, grid, n_samples=n_samples, seed=cfg.init.seed + 1)
-            ratios = [r.ratio for r in results]
-            maxima[kind.value][nh] = max(ratios)
+        r, tau, _, _ = ensemble_parameters(kind)
+        for n in nhs:
+            grid = GridSpec(nh=n, nz=nz, dealias_fraction=cfg.grid.dealias_fraction)
+            results = run_ensemble(kind, grid, n_samples=n_samples, seed=seed)
+            maxima[kind.value][n] = max(res.ratio for res in results)
             for res in results:
                 rows.append(
-                    [kind.value, _KIND_R[kind], tau, nh, nz,
-                     cfg.init.seed + 1, repr(res.lhs), repr(res.rhs_unit), repr(res.ratio)]
+                    [kind.value, r, tau, n, nz, seed, repr(res.lhs), repr(res.rhs_unit), repr(res.ratio)]
                 )
     with (out / "lemma_ratios.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -539,7 +541,7 @@ def lemma_ratios(cfg: RunConfig, out, n_samples: int = 200,
     table = {}
     for kind, per in maxima.items():
         finite = all(np.isfinite(v) for v in per.values())
-        stable = per[64] <= 1.5 * per[32] if 64 in per and 32 in per else True
+        stable = per[nh] <= LEMMA_STABILITY_FACTOR * per[nh // 2]
         table[kind] = {"maxima": per, "finite": finite, "resolution_stable": stable}
         ok = ok and finite and stable
     summary = {"scenario": "lemma_ratios", "pass": bool(ok), "kinds": table}
@@ -551,42 +553,37 @@ def lemma_ratios(cfg: RunConfig, out, n_samples: int = 200,
 # continuous_dependence: linear response of trajectory differences
 # ---------------------------------------------------------------------------
 
-CONTINUOUS = {
-    "nh": 24, "nz": 12, "nu": 0.2, "tau0": 0.6, "eta0": 0.3, "amplitude": 1.0,
-    "dt": 2e-3, "t_end": 0.5, "epsilons": (1e-3, 1e-4), "ratio_window": (8.0, 12.0),
-}
+CONTINUOUS_EPSILONS = (1e-3, 1e-4)
+CONTINUOUS_RATIO_WINDOW = (8.0, 12.0)
 
 
 def continuous_dependence(cfg: RunConfig, out) -> dict:
-    out = _setup(cfg, out)
-    p = CONTINUOUS
-    grid = GridSpec(nh=p["nh"], nz=p["nz"])
-    rng = np.random.default_rng(cfg.init.seed + 13)
-    vbar, vt = random_state(grid, rng, tau0=p["tau0"], eta0=p["eta0"], amplitude=p["amplitude"])
+    """Final-state differences, in the report norm, of two perturbations along
+    a fixed L2-normalized direction drawn with the same envelope."""
+    cfg, out = _setup(cfg, out, "continuous_dependence")
+    grid, init, omega = cfg.grid, cfg.init, cfg.omega
+    rng = np.random.default_rng(init.seed + 13)
+    vbar, vt = random_state(grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude)
     v0 = _direct_array(vbar, vt)
-    # a fixed analytic perturbation direction, normalized in L2
-    dbar, dvt = random_state(grid, np.random.default_rng(cfg.init.seed + 14),
-                             tau0=p["tau0"], eta0=p["eta0"], amplitude=1.0)
+    dbar, dvt = random_state(grid, np.random.default_rng(init.seed + 14), tau0=init.tau0, eta0=init.eta0)
     dv = _direct_array(dbar, dvt)
     dv /= np.sqrt(np.sum(np.abs(dv) ** 2))
 
-    omega = cfg.omega
-    scfg = SolverConfig(nu=p["nu"], omega=omega, grid=grid, dt=p["dt"], t_end=p["t_end"])
+    scfg = _solver_config(cfg, omega)
+    spec = _report_spec(cfg)
 
     def final_state(v):
-        res = integrate(rotating_from_direct(v, 0.0, omega), scfg,
-                        report=NormSpec(r=2.0, s=0, tau=0.1))
+        res = integrate(rotating_from_direct(v, 0.0, omega), scfg, report=spec)
         return direct_from_rotating(res.state, omega)
 
     base = final_state(v0)
     diffs = {}
-    spec = NormSpec(r=1.5, s=0, tau=0.1)
-    for eps in p["epsilons"]:
+    for eps in CONTINUOUS_EPSILONS:
         pert = final_state(v0 + eps * dv)
         diffs[eps] = norm_rst(SpectralField(grid, pert - base, COS), spec)
-    e1, e2 = p["epsilons"]
+    e1, e2 = CONTINUOUS_EPSILONS
     ratio = diffs[e1] / diffs[e2]
-    lo, hi = p["ratio_window"]
+    lo, hi = CONTINUOUS_RATIO_WINDOW
     ok = lo <= ratio <= hi
     summary = {
         "scenario": "continuous_dependence",
@@ -614,8 +611,7 @@ SCENARIOS = {
 
 
 def run_scenario(cfg: RunConfig, out=None) -> dict:
-    name = cfg.scenario.name
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
+    """Run the scenario cfg names (the default scenario if none), in `out` or output.dir."""
+    cfg = parse_config(cfg.echo())
     out = Path(out) if out is not None else Path(cfg.output.dir)
-    return SCENARIOS[name](cfg, out)
+    return SCENARIOS[cfg.scenario.name](cfg, out)

@@ -110,16 +110,18 @@ def test_sweep_verb(tmp_path):
     assert (tmp_path / "sw" / "member_00" / "summary.json").exists()
 
 
-def test_summaries_record_radius_collapse_time(tmp_path, monkeypatch):
-    import rotape.scenarios as sc
+def test_summaries_record_radius_collapse_time(tmp_path):
+    from rotape.config import InitSpec, ScenarioSpec
+    from rotape.scenarios import lifespan_vs_omega, vertical_gain
 
-    cfg = tiny_config()
-    cfg.scenario.sweep = [0.0, 20.0]
-    short = {"nh": 16, "nz": 8, "t_end": 0.004}
-    monkeypatch.setattr(sc, "VERTICAL_GAIN", {**sc.VERTICAL_GAIN, **short})
-    monkeypatch.setattr(sc, "LIFESPAN", {**sc.LIFESPAN, **short})
+    short = {"grid": GridSpec(nh=16, nz=8), "t_end": 0.004}
+    runs = {
+        formulation_equivalence: tiny_config(),
+        vertical_gain: tiny_config(nu=0.5, **short),
+        lifespan_vs_omega: RunConfig(**short, init=InitSpec(seed=9), scenario=ScenarioSpec(sweep=[0.0, 20.0])),
+    }
     docs = {}
-    for fn in (formulation_equivalence, sc.vertical_gain, sc.lifespan_vs_omega):
+    for fn, cfg in runs.items():
         fn(cfg, tmp_path / fn.__name__)
         docs[fn.__name__] = json.loads((tmp_path / fn.__name__ / "summary.json").read_text())
     assert docs["formulation_equivalence"]["radius_collapse_t"] is None
