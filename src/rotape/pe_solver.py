@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
-from .norms import InsufficientDecayData, NormSpec, fit_radius, norm_rst
+from .norms import InsufficientDecayData, NormSpec, _weight_a_exp, fit_radius, norm_rst
 from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse
 from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
 
@@ -669,13 +669,15 @@ def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
     return State2D(state.t + dt, new)
 
 
-def embed_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Embed the compact 2D state into a square-grid 2-vector (v = 0)."""
-    v = np.zeros((2, grid.nh, grid.nh, grid.nz), dtype=np.complex128)
-    v[0, :, 0, :] = u
-    return v
-
-
 def norm_rst_2d(u: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
-    return norm_rst(SpectralField(grid, embed_2d(u, grid), COS), spec)
-
+    """norm_rst of the 2D state as a 3-D field (u on the n2 = 0 column, v = 0),
+    summed on the compact (nh, nz) layout with that column of the 3-D weight."""
+    if spec.eta != 0.0:
+        raise ValueError("norm_rst is the eta=0 norm; use norm_rst_eta")
+    a2 = np.abs(u) ** 2
+    w = _weight_a_exp(grid, spec.r, spec.tau)[:, 0]
+    total = 0.0
+    for m in range(spec.s + 1):
+        vert = mpi(grid)[0] ** (2 * m) if m > 0 else 1.0
+        total += np.sqrt(float(np.sum(a2 * w * vert)) + float(np.sum(a2 * vert)))
+    return float(total)

@@ -5,7 +5,7 @@ import pytest
 
 from rotape.grid import GridSpec
 from rotape.initial_data import random_scalar_2d, random_state
-from rotape.norms import NormSpec
+from rotape.norms import NormSpec, norm_rst
 from rotape.pe_solver import (
     CflError,
     DirectState,
@@ -13,8 +13,8 @@ from rotape.pe_solver import (
     SolverConfig,
     State2D,
     direct_from_rotating,
-    embed_2d,
     integrate,
+    norm_rst_2d,
     rhs_2d,
     rhs_direct,
     rhs_rotating,
@@ -23,9 +23,17 @@ from rotape.pe_solver import (
     step_2d,
     _step_nocfl,
 )
+from rotape.spectral import COS, SpectralField
 
 
 GRID = GridSpec(nh=16, nz=8)
+
+
+def embed_2d(u, grid):
+    """The compact 2D state as a square-grid 2-vector: u on the n2 = 0 column, v = 0."""
+    v = np.zeros((2, grid.nh, grid.nh, grid.nz), dtype=np.complex128)
+    v[0, :, 0, :] = u
+    return v
 
 
 def make_state(rng, amplitude=1.0, baroclinic_fraction=0.6, grid=GRID):
@@ -393,6 +401,15 @@ class TestReduce2D:
         other = dv3[0].copy()
         other[:, 0, :] = 0.0
         assert np.abs(other).max() < 1e-13  # no n2 modes appear
+
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_norm_2d_matches_embedded_norm(self, rng, s, tau):
+        grid = GridSpec(nh=32, nz=16)
+        u = random_scalar_2d(32, 16, rng, tau=1.0, eta=0.2, hcut=grid.hcut, zcut=grid.zcut)
+        spec = NormSpec(r=2.0, s=s, tau=tau)
+        embedded = norm_rst(SpectralField(grid, embed_2d(u, grid), COS), spec)
+        assert abs(norm_rst_2d(u, grid, spec) - embedded) <= 1e-13 * embedded
 
     def test_2d_decay_small_data(self, rng):
         grid = GridSpec(nh=16, nz=8)
