@@ -438,35 +438,27 @@ def _rhs_unit(kind, f, g, h, r, tau, refine: int) -> float:
 # ensemble runner
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_DEFAULTS = {"tau_gen": 0.45, "eta_gen": 0.3, "tau": 0.2}
-
-# banach_algebra measures the norm of the product itself, so its ensemble
-# keeps the generation envelope shallow enough that the true spectral tail
-# stays above the transform roundoff floor at every tested resolution
-# (otherwise e^{2 tau |k|} amplifies floor noise at the largest grid).
-_KIND_TAU = {LemmaKind.banach_algebra: {"tau": 0.1, "tau_gen": 0.18}}
-
-_KIND_R = {
-    LemmaKind.banach_algebra: 1.5,
-    LemmaKind.type1: 1.5,
-    LemmaKind.type2: 2.25,
-    LemmaKind.type3: 1.5,
-    LemmaKind.diff_type1: 2.25,
-    LemmaKind.diff_type2: 2.25,
-    LemmaKind.diff_type4: 2.25,
+# (r, tau, tau_gen) per kind: r and tau of the checked inequality, tau_gen
+# of the sampled fields' envelope.  banach_algebra measures the norm of the
+# product itself, so its ensemble keeps the generation envelope shallow
+# enough that the true spectral tail stays above the transform roundoff
+# floor at every tested resolution (otherwise e^{2 tau |k|} amplifies floor
+# noise at the largest grid).
+_KIND_PARAMS = {
+    LemmaKind.banach_algebra: (1.5, 0.1, 0.18),
+    LemmaKind.type1: (1.5, 0.2, 0.45),
+    LemmaKind.type2: (2.25, 0.2, 0.45),
+    LemmaKind.type3: (1.5, 0.2, 0.45),
+    LemmaKind.diff_type1: (2.25, 0.2, 0.45),
+    LemmaKind.diff_type2: (2.25, 0.2, 0.45),
+    LemmaKind.diff_type4: (2.25, 0.2, 0.45),
 }
+_ETA_GEN = 0.3  # vertical envelope of the sampled fields, every kind
 
 
 def ensemble_parameters(kind: LemmaKind) -> tuple[float, float, float, float]:
-    """A kind's ensemble parameters (r, tau, tau_gen, eta_gen): r and tau of
-    the checked inequality, tau_gen and eta_gen of the sampled fields."""
-    overrides = _KIND_TAU.get(kind, {})
-    return (
-        _KIND_R[kind],
-        overrides.get("tau", ENSEMBLE_DEFAULTS["tau"]),
-        overrides.get("tau_gen", ENSEMBLE_DEFAULTS["tau_gen"]),
-        ENSEMBLE_DEFAULTS["eta_gen"],
-    )
+    """A kind's ensemble parameters (r, tau, tau_gen, eta_gen)."""
+    return (*_KIND_PARAMS[kind], _ETA_GEN)
 
 
 def ensemble_fields(kind: LemmaKind, grid: GridSpec, rng, tau_gen: float, eta_gen: float):
