@@ -47,9 +47,10 @@ INIT_KINDS = tuple(_INIT_KIND_KEYS)
 
 _GRID_2_3 = 2.0 / 3.0
 
-# Per-scenario defaults.  What each value means in its scenario is listed in
-# the README's config section; the Omega list of the scenarios that compare
-# rotation rates is scenario.sweep.
+# Per-scenario defaults.  Every document sets the three grid keys, init.seed
+# and output.dir, which parse_config relies on.  What each value means in its
+# scenario is listed in the README's config section; the Omega list of the
+# scenarios that compare rotation rates is scenario.sweep.
 SCENARIO_DEFAULTS = {
     "verify_projections": {
         "grid": {"nh": 16, "nz": 8, "dealias": _GRID_2_3},
@@ -277,18 +278,16 @@ def parse_config(doc: dict) -> RunConfig:
 
     gd = m["grid"]
     dealias = _number(gd, "dealias", "grid")
-    if dealias is not None and not 0.0 < dealias <= 1.0:
+    if not 0.0 < dealias <= 1.0:
         raise ConfigError(f"grid.dealias must lie in (0, 1], got {dealias!r}")
-    grid = None
-    if gd:
-        try:
-            grid = GridSpec(
-                nh=_number(gd, "nh", "grid", lo=4, integer=True),
-                nz=_number(gd, "nz", "grid", lo=2, integer=True),
-                dealias_fraction=Fraction(dealias).limit_denominator(64),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+    try:
+        grid = GridSpec(
+            nh=_number(gd, "nh", "grid", lo=4, integer=True),
+            nz=_number(gd, "nz", "grid", lo=2, integer=True),
+            dealias_fraction=Fraction(dealias).limit_denominator(64),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
 
     nu = _number(m["physics"], "nu", "physics")
     if nu is not None and nu <= 0:
@@ -333,7 +332,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(ot.get("csv", True), bool):
         raise ConfigError("output.csv must be a boolean")
     output = OutputSpec(
-        dir=None if ot.get("dir") is None else str(ot["dir"]),
+        dir=str(ot["dir"]),
         snapshot_every=_number(ot, "snapshot_every", "output", lo=0, integer=True),
         csv=ot.get("csv"),
     )

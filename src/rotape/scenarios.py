@@ -57,13 +57,12 @@ def _write_json(path: Path, doc: dict):
     path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
-def _setup(cfg: RunConfig, out, scenario: str) -> tuple[RunConfig, Path]:
-    """Resolve cfg for `scenario`, create `out` and echo the resolved config there."""
-    cfg = resolve(cfg, scenario)
+def _setup(cfg: RunConfig, out) -> Path:
+    """Create `out` and echo the resolved config there."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg.echo())
-    return cfg, out
+    return out
 
 
 def _report_spec(cfg: RunConfig) -> NormSpec:
@@ -139,7 +138,8 @@ VERIFY_TOL = 1e-12
 
 
 def verify_projections(cfg: RunConfig, out) -> dict:
-    cfg, out = _setup(cfg, out, "verify_projections")
+    cfg = resolve(cfg, "verify_projections")
+    out = _setup(cfg, out)
     grid = cfg.grid
     rng = np.random.default_rng(cfg.init.seed)
     worst: dict[str, float] = {}
@@ -192,7 +192,8 @@ EQUIVALENCE_RHS_TIMES = (0.0, 0.31)
 
 
 def formulation_equivalence(cfg: RunConfig, out) -> dict:
-    cfg, out = _setup(cfg, out, "formulation_equivalence")
+    cfg = resolve(cfg, "formulation_equivalence")
+    out = _setup(cfg, out)
     grid, omega = cfg.grid, cfg.omega
     vbar, vt = _initial_state(cfg)
     v0 = _direct_array(vbar, vt)
@@ -245,7 +246,8 @@ CLOCK_SPREAD_TOL = 0.2
 
 def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
     """Doubling time of the report norm, its radius tracked from norms.tau_report."""
-    cfg, out = _setup(cfg, out, "local_clock_vs_omega")
+    cfg = resolve(cfg, "local_clock_vs_omega")
+    out = _setup(cfg, out)
     init = cfg.init
     rng = np.random.default_rng(init.seed + 42)
     vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
@@ -293,7 +295,8 @@ GAIN_FIT_FLOOR = 1e-14
 
 
 def vertical_gain(cfg: RunConfig, out) -> dict:
-    cfg, out = _setup(cfg, out, "vertical_gain")
+    cfg = resolve(cfg, "vertical_gain")
+    out = _setup(cfg, out)
     init = cfg.init
     rng = np.random.default_rng(init.seed + 7)
     vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
@@ -347,7 +350,8 @@ def limit_convergence(cfg: RunConfig, out) -> dict:
     (expected exponent ~1 in 1/Omega), so the window is checked on the
     sqrt(F) fit.  Both exponents are reported.
     """
-    cfg, out = _setup(cfg, out, "limit_convergence")
+    cfg = resolve(cfg, "limit_convergence")
+    out = _setup(cfg, out)
     grid, init = cfg.grid, cfg.init
     rng = np.random.default_rng(init.seed + 11)
     vbar, vt = well_prepared_state(grid, rng, tau0=init.tau0, eta0=init.eta0,
@@ -397,7 +401,8 @@ LIFESPAN_BLOWUP_FACTOR = 100.0
 def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
     """Sentinel time grows strictly with Omega for a fixed marginal baroclinic
     datum.  A run that never trips the sentinel is right-censored at t_end."""
-    cfg, out = _setup(cfg, out, "lifespan_vs_omega")
+    cfg = resolve(cfg, "lifespan_vs_omega")
+    out = _setup(cfg, out)
     init = cfg.init
     rng = np.random.default_rng(init.seed + 3)
     vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
@@ -439,7 +444,8 @@ SMALL_2D_SLACK = 1.10
 def small_data_2d(cfg: RunConfig, out) -> dict:
     """Decay from a datum of analytic radius init.tau0 whose norm is
     init.amplitude times the smallness threshold."""
-    cfg, out = _setup(cfg, out, "small_data_2d")
+    cfg = resolve(cfg, "small_data_2d")
+    out = _setup(cfg, out)
     grid, init, nu, r, s = cfg.grid, cfg.init, cfg.nu, cfg.norms.r, cfg.norms.s
     rng = np.random.default_rng(init.seed + 19)
     thresh = threshold_2d(nu, init.tau0, SMALL_2D_C_R)
@@ -516,7 +522,8 @@ def lemma_ratios(cfg: RunConfig, out, n_samples: int = 200) -> dict:
     finest maximum must stay within LEMMA_STABILITY_FACTOR of the middle one."""
     import csv
 
-    cfg, out = _setup(cfg, out, "lemma_ratios")
+    cfg = resolve(cfg, "lemma_ratios")
+    out = _setup(cfg, out)
     nh, nz = cfg.grid.nh, cfg.grid.nz
     nhs = (nh // 4, nh // 2, nh)
     seed = cfg.init.seed + 1
@@ -560,7 +567,8 @@ CONTINUOUS_RATIO_WINDOW = (8.0, 12.0)
 def continuous_dependence(cfg: RunConfig, out) -> dict:
     """Final-state differences, in the report norm, of two perturbations along
     a fixed L2-normalized direction drawn with the same envelope."""
-    cfg, out = _setup(cfg, out, "continuous_dependence")
+    cfg = resolve(cfg, "continuous_dependence")
+    out = _setup(cfg, out)
     grid, init, omega = cfg.grid, cfg.init, cfg.omega
     rng = np.random.default_rng(init.seed + 13)
     vbar, vt = random_state(grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude)

@@ -67,36 +67,21 @@ class TestConfig:
             parse_config(minimal_doc(schema="rotape-config/2"))
 
     def test_bad_values_rejected(self):
-        doc = minimal_doc()
-        doc["time"]["dt"] = -1.0
-        with pytest.raises(ConfigError):
-            parse_config(doc)
-        doc = minimal_doc()
-        doc["init"]["kind"] = "bogus"
-        with pytest.raises(ConfigError):
-            parse_config(doc)
-        with pytest.raises(ConfigError, match="scenario.sweep"):
-            parse_config({"scenario": {"name": "local_clock_vs_omega", "sweep": ["a"]}})
-
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [
-            ("grid", "dealias", True),
-            ("grid", "dealias", "2/3"),
-            ("grid", "dealias", 0.0),
-            ("grid", "dealias", 1.5),
-            ("init", "seed", -1),
-            ("scenario", "sweep", [20.0]),
-            ("scenario", "sweep", [10.0, 10.0]),
-        ],
-        ids=["dealias-bool", "dealias-string", "dealias-zero", "dealias-above-one",
-             "seed-negative", "sweep-one-omega", "sweep-repeated-omega"],
-    )
-    def test_bad_value_names_its_key(self, section, key, value):
-        doc = {"scenario": {"name": "lifespan_vs_omega"}}
-        doc.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=f"{section}.{key}"):
-            parse_config(doc)
+        cases = [
+            (minimal_doc(time={"dt": -1.0}), "time.dt"),
+            (minimal_doc(init={"kind": "bogus"}), "init.kind"),
+            ({"scenario": {"name": "local_clock_vs_omega", "sweep": ["a"]}}, "scenario.sweep"),
+            ({"grid": {"dealias": True}}, "grid.dealias"),
+            ({"grid": {"dealias": "2/3"}}, "grid.dealias"),
+            ({"grid": {"dealias": 0.0}}, "grid.dealias"),
+            ({"grid": {"dealias": 1.5}}, "grid.dealias"),
+            ({"init": {"seed": -1}}, "init.seed"),
+            ({"scenario": {"name": "lifespan_vs_omega", "sweep": [20.0]}}, "scenario.sweep"),
+            ({"scenario": {"name": "lifespan_vs_omega", "sweep": [10.0, 10.0]}}, "scenario.sweep"),
+        ]
+        for doc, key in cases:
+            with pytest.raises(ConfigError, match=key):
+                parse_config(doc)
 
     def test_dealias_one_keeps_every_mode(self):
         cfg = parse_config({"grid": {"dealias": 1}})
@@ -303,8 +288,8 @@ def test_init_kind_limits_the_init_keys_read():
 def test_config_json_reloads_to_the_same_echo(tmp_path, name):
     from rotape.scenarios import _setup
 
-    # every scenario writes config.json through _setup before it runs
-    _setup(RunConfig(), tmp_path, name)
+    # every scenario resolves its config and writes it through _setup first
+    _setup(resolve(RunConfig(), name), tmp_path)
     written = json.loads((tmp_path / "config.json").read_text())
     assert load_config(tmp_path / "config.json").echo() == written
     assert written["scenario"]["name"] == name
