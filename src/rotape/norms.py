@@ -12,11 +12,13 @@ vertical weight e^{2 eta |k3|}, |k3| = m pi, on the even-extended field:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, kabs, mpi
+from .grid import GridSpec, kabs, mode_numbers, mpi
 from .spectral import SpectralField, SpectralRangeError
 
 _LOG_OVERFLOW = np.log(1e300)
@@ -96,6 +98,14 @@ class InsufficientDecayData(ValueError):
     """Fewer than 4 spectral shells above the fit floor."""
 
 
+@lru_cache(maxsize=None)
+def _mode_shells(grid: GridSpec) -> np.ndarray:
+    """Horizontal shell isqrt(n1^2 + n2^2) = floor|n| of each (n1, n2), exact in integers."""
+    n1, n2, _ = mode_numbers(grid)
+    q = n1[:, None] ** 2 + n2[None, :] ** 2
+    return np.vectorize(math.isqrt, otypes=[int])(q)
+
+
 def _shell_stats(v: SpectralField, axis: str, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-shell (wavenumber, amplitude); shells indexed by floor|n| (horizontal)
     or the vertical line m.  The zero shell carries no decay information and is
@@ -104,7 +114,7 @@ def _shell_stats(v: SpectralField, axis: str, method: str) -> tuple[np.ndarray, 
     a2 = (np.abs(v.coeffs) ** 2).sum(axis=0)  # (nh, nh, nz)
     if axis == "horizontal":
         k = kabs(g)[..., 0]
-        shell = np.floor(k / (2.0 * np.pi)).astype(int)
+        shell = _mode_shells(g)
         nshell = shell.max() + 1
         ks, amps = [], []
         for j in range(1, nshell):

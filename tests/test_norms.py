@@ -1,16 +1,20 @@
 """Analytic-Sobolev norms and radius fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotape.decomposition import baroclinic, p0, p_plus
-from rotape.grid import GridSpec, dealias_mask, kabs, mpi
+from rotape.grid import GridSpec, dealias_mask, kabs, mode_numbers, mpi
 from rotape.initial_data import random_scalar, random_vector
 from rotape.norms import (
     InsufficientDecayData,
     NormSpec,
+    _mode_shells,
+    _shell_stats,
     fit_radius,
     norm_rst,
     norm_rst_eta,
@@ -156,6 +160,36 @@ class TestFitRadius:
         assert abs(got - tau0) < 0.1 * tau0
         with pytest.raises(ValueError):
             fit_radius(f, "horizontal", method="bogus")
+
+
+class TestShells:
+    # at nh = 48 these modes have an integer |n| that floor(|k| / 2 pi) puts
+    # one shell low in floating point; (0, 15), (5, 12), (9, 12) lie inside
+    # the 2/3 band (hcut = 15)
+    INTEGER_RADIUS_MODES = [(0, 11), (11, 0), (0, 15), (15, 0), (5, 12), (9, 12), (0, 22), (10, 24)]
+
+    def test_shell_is_exact_integer_radius(self):
+        grid = GridSpec(nh=48, nz=4)
+        n, _, _ = mode_numbers(grid)
+        q = n[:, None] ** 2 + n[None, :] ** 2
+        shells = _mode_shells(grid)
+        assert np.array_equal(shells, np.vectorize(math.isqrt)(q))
+        for a, b in self.INTEGER_RADIUS_MODES:
+            assert shells[a, -b] == shells[-a, b] == math.isqrt(a * a + b * b)
+        # every q = n1^2 + n2^2 lands in exactly one shell
+        assert all(len(np.unique(shells[q == v])) == 1 for v in np.unique(q))
+
+    @pytest.mark.parametrize("method", ["shell_l2", "shell_max"])
+    @pytest.mark.parametrize("mode", INTEGER_RADIUS_MODES)
+    def test_power_at_integer_radius_reported_in_its_shell(self, method, mode):
+        grid = GridSpec(nh=48, nz=4)
+        a, b = mode
+        f = mode_field(grid, {(0, a, b, 1): 1.0, (0, -a, -b, 1): 1.0})
+        ks, amps = _shell_stats(f, "horizontal", method)
+        (hit,) = np.flatnonzero(amps > 0)
+        radius = math.isqrt(a * a + b * b)
+        assert 2 * np.pi * radius <= ks[hit] < 2 * np.pi * (radius + 1)
+        assert hit == radius - 1  # shells 1, 2, ... are all populated at nh = 48
 
 
 def test_norm_spec_validation():
