@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import GridSpec, mode_numbers
 from .initial_data import random_scalar, random_vector
-from .norms import _weight_a_exp, seminorm_a_sq
+from .norms import ShellPower, _weight_a_exp, seminorm_a_sq
 from .spectral import (
     COS,
     SIN,
@@ -419,17 +419,9 @@ def _rhs_unit(kind, f, g, h, r, tau, refine: int) -> float:
         )
         return float(np.mean(p1) + tau * np.mean(p2))
     if kind is LemmaKind.diff_type4:
-        dzg = dz(g)
-        t1 = (
-            np.sqrt(seminorm_a_sq(dzg, r, 0.0))
-            * np.sqrt(seminorm_a_sq(f, r, 0.0))
-            * np.sqrt(seminorm_a_sq(h, r, 0.0))
-        )
-        t2 = (
-            np.sqrt(seminorm_a_sq(dzg, r + 0.5, tau))
-            * np.sqrt(seminorm_a_sq(f, r + 0.5, tau))
-            * np.sqrt(seminorm_a_sq(h, r + 0.5, tau))
-        )
+        tables = [ShellPower.of(x.coeffs, x.grid) for x in (dz(g), f, h)]
+        t1 = np.prod([np.sqrt(seminorm_a_sq(p, r, 0.0)) for p in tables])
+        t2 = np.prod([np.sqrt(seminorm_a_sq(p, r + 0.5, tau)) for p in tables])
         return float(t1 + tau * t2)
     raise AssertionError(kind)
 

@@ -147,18 +147,18 @@ def integrate_limit(
 
 
 def _limit_diag(state: LimitState, grid: GridSpec, r: float, s: int) -> LimitDiagnostics:
-    from .norms import NormSpec, norm_rst
-    from .pe_solver import barotropic_field
-    from .spectral import SpectralField
+    """Diagnostics of a limit state, each field's norms read from one shell-power table."""
+    from .norms import NormSpec, ShellPower, dz_l2_sq, norm_rst
 
-    vbar = velocity_from_vorticity(state.omega_bar, grid)
+    bar = ShellPower.of(velocity_from_vorticity(state.omega_bar, grid), grid)
+    tilde = ShellPower.of(state.vtilde, grid)
     return LimitDiagnostics(
         t=state.t,
-        energy_bar=0.5 * float(np.sum(np.abs(vbar) ** 2)),
+        energy_bar=0.5 * dz_l2_sq(bar),
         enstrophy=0.5 * float(np.sum(np.abs(state.omega_bar) ** 2)),
-        vtilde_l2=float(np.sqrt(np.sum(np.abs(state.vtilde) ** 2))),
-        vbar_sobolev=norm_rst(barotropic_field(vbar, grid), NormSpec(r=r + 1, s=0, tau=0.0)),
-        vtilde_sobolev=norm_rst(SpectralField(grid, state.vtilde, COS), NormSpec(r=r, s=s, tau=0.0)),
+        vtilde_l2=float(np.sqrt(dz_l2_sq(tilde))),
+        vbar_sobolev=norm_rst(bar, NormSpec(r=r + 1, s=0, tau=0.0)),
+        vtilde_sobolev=norm_rst(tilde, NormSpec(r=r, s=s, tau=0.0)),
     )
 
 

@@ -8,6 +8,21 @@ evaluated coefficient-wise (Parseval).  The four-parameter variant adds the
 vertical weight e^{2 eta |k3|}, |k3| = m pi, on the even-extended field:
 
     ||V||^2_{r,s,tau,eta} = sum (1 + (|k|^{2r} + (m pi)^{2s}) e^{2 tau |k|} e^{2 eta m pi}) |a|^2.
+
+Every weight of the eta = 0 norms depends on (n1, n2) only through the
+integer q = n1^2 + n2^2, and the shell_l2 radius fits average over groups
+of q (the horizontal shell of q is isqrt(q) = floor|n|).  So these norms
+and fits reduce one power table
+
+    P[q, m] = sum_c sum_{n1^2 + n2^2 = q} |a_c(n1, n2, m)|^2,
+
+a `ShellPower`, built with one bincount over a flat (q, m) index cached per
+grid.  `norm_rst`, `seminorm_a_sq`, `dz_l2_sq` and `fit_radius(method=
+"shell_l2")` take a `ShellPower` or a `SpectralField`; a field is turned
+into its table first.  A caller that evaluates several norms of one field
+(the solver's per-step diagnostics and radius tracker) builds the table
+once, and each further norm costs O(#q) instead of O(nh^2 nz).  The
+shell_max fit needs per-mode maxima and keeps its per-mode path.
 """
 
 from __future__ import annotations
@@ -40,9 +55,9 @@ class NormSpec:
             raise ValueError("s <= 2 is the highest vertical order used here")
 
 
-def _weight_a_exp(grid: GridSpec, r: float, tau: float) -> np.ndarray:
-    """|k|^{2r} e^{2 tau |k|} with the A^0 = identity convention, overflow-guarded."""
-    k = kabs(grid)
+def _a_exp_weight(k: np.ndarray, r: float, tau: float) -> np.ndarray:
+    """|k|^{2r} e^{2 tau |k|} over an array of |k|, with the A^0 = identity
+    convention at k = 0; raises SpectralRangeError when a weight overflows."""
     with np.errstate(divide="ignore"):
         logw = np.where(k > 0.0, 2.0 * r * np.log(np.where(k > 0.0, k, 1.0)) + 2.0 * tau * k, 0.0)
     if (logw > 2.0 * _LOG_OVERFLOW).any():
@@ -53,26 +68,117 @@ def _weight_a_exp(grid: GridSpec, r: float, tau: float) -> np.ndarray:
     return w
 
 
-def seminorm_a_sq(v: SpectralField, r: float, tau: float, s_order: int = 0) -> float:
+def _weight_a_exp(grid: GridSpec, r: float, tau: float) -> np.ndarray:
+    """The weight |k|^{2r} e^{2 tau |k|} on every grid mode, shape (nh, nh, 1)."""
+    return _a_exp_weight(kabs(grid), r, tau)
+
+
+# ---------------------------------------------------------------------------
+# the shell-power table
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _mode_shells(grid: GridSpec) -> np.ndarray:
+    """Horizontal shell isqrt(n1^2 + n2^2) = floor|n| of each (n1, n2), exact in integers."""
+    n1, n2, _ = mode_numbers(grid)
+    q = n1[:, None] ** 2 + n2[None, :] ** 2
+    return np.vectorize(math.isqrt, otypes=[int])(q)
+
+
+@dataclass(frozen=True)
+class _Bins:
+    """The q = n1^2 + n2^2 binning of one grid's modes."""
+
+    of_mode: np.ndarray     # bin of each (n1, n2), flattened
+    flat: np.ndarray        # bin * nz + m of each (n1, n2, m), flattened
+    k: np.ndarray           # |k| of each bin, as kabs gives it for the bin's first mode
+    shell: np.ndarray       # shell isqrt(q) of each bin, as a position in shell_k
+    shell_of_mode: np.ndarray
+    shell_k: np.ndarray     # mean |k| over the modes of each shell, zero shell first
+    shell_count: np.ndarray  # modes (n1, n2) per shell
+
+
+@lru_cache(maxsize=None)
+def _bins(grid: GridSpec) -> _Bins:
+    n1, n2, _ = mode_numbers(grid)
+    q = (n1[:, None] ** 2 + n2[None, :] ** 2).ravel()
+    _, first, of_mode = np.unique(q, return_index=True, return_inverse=True)
+    flat = (of_mode[:, None] * grid.nz + np.arange(grid.nz)).ravel()
+    _, shell_of_mode = np.unique(_mode_shells(grid).ravel(), return_inverse=True)
+    count = np.bincount(shell_of_mode)
+    shell_k = np.bincount(shell_of_mode, weights=kabs(grid).ravel()) / count
+    k = kabs(grid).ravel()[first]
+    return _Bins(of_mode, flat, k, shell_of_mode[first], shell_of_mode, shell_k, count)
+
+
+@lru_cache(maxsize=None)
+def _mpi_pow(grid: GridSpec, s_order: int) -> np.ndarray:
+    """(m pi)^{2 s_order} for m = 0 .. nz-1."""
+    return mpi(grid)[0, 0] ** (2 * s_order)
+
+
+@dataclass(frozen=True)
+class ShellPower:
+    """P[q, m] = sum over components and over n1^2 + n2^2 = q of |a(n1, n2, m)|^2.
+
+    `table` has one row per q present on the grid (ascending) and one column
+    per vertical mode m.  Build it with `ShellPower.of`.
+    """
+
+    grid: GridSpec
+    table: np.ndarray
+
+    @classmethod
+    def of(cls, coeffs: np.ndarray, grid: GridSpec) -> "ShellPower":
+        """The table of (components, nh, nh, nz) coefficients, or of the compact
+        barotropic (components, nh, nh) layout, whose power sits at m = 0."""
+        bins = _bins(grid)
+        a2 = np.square(coeffs[0].real)
+        a2 += np.square(coeffs[0].imag)
+        for c in coeffs[1:]:
+            a2 += np.square(c.real)
+            a2 += np.square(c.imag)
+        nbins = len(bins.k)
+        if a2.ndim == 2:
+            table = np.zeros((nbins, grid.nz))
+            table[:, 0] = np.bincount(bins.of_mode, weights=a2.ravel(), minlength=nbins)
+        else:
+            table = np.bincount(bins.flat, weights=a2.ravel(), minlength=nbins * grid.nz)
+            table = table.reshape(nbins, grid.nz)
+        return cls(grid, table)
+
+    def dz(self) -> "ShellPower":
+        """The table of the z-derivative: (m pi)^2 P[q, m]."""
+        return ShellPower(self.grid, self.table * _mpi_pow(self.grid, 1))
+
+    def column(self, s_order: int = 0) -> np.ndarray:
+        """sum_m (m pi)^{2 s_order} P[q, m], one entry per q."""
+        return self.table.sum(axis=1) if s_order == 0 else self.table @ _mpi_pow(self.grid, s_order)
+
+
+def _power(v: ShellPower | SpectralField) -> ShellPower:
+    return v if isinstance(v, ShellPower) else ShellPower.of(v.coeffs, v.grid)
+
+
+def seminorm_a_sq(v: ShellPower | SpectralField, r: float, tau: float, s_order: int = 0) -> float:
     """||A^r e^{tau A} dz^{s_order} V||^2 via coefficient sums."""
-    w = _weight_a_exp(v.grid, r, tau)
-    vert = mpi(v.grid) ** (2 * s_order) if s_order > 0 else 1.0
-    return float(np.sum((np.abs(v.coeffs) ** 2) * w * vert))
+    p = _power(v)
+    return float(p.column(s_order) @ _a_exp_weight(_bins(p.grid).k, r, tau))
 
 
-def dz_l2_sq(v: SpectralField, s_order: int = 0) -> float:
+def dz_l2_sq(v: ShellPower | SpectralField, s_order: int = 0) -> float:
     """||dz^{s_order} V||^2."""
-    vert = mpi(v.grid) ** (2 * s_order) if s_order > 0 else 1.0
-    return float(np.sum((np.abs(v.coeffs) ** 2) * vert))
+    return float(_power(v).column(s_order).sum())
 
 
-def norm_rst(v: SpectralField, spec: NormSpec) -> float:
+def norm_rst(v: ShellPower | SpectralField, spec: NormSpec) -> float:
     """The (r, s, tau) analytic-Sobolev norm (eta must be 0)."""
     if spec.eta != 0.0:
         raise ValueError("norm_rst is the eta=0 norm; use norm_rst_eta")
+    p = _power(v)
     total = 0.0
     for m in range(spec.s + 1):
-        total += np.sqrt(seminorm_a_sq(v, spec.r, spec.tau, m) + dz_l2_sq(v, m))
+        total += np.sqrt(seminorm_a_sq(p, spec.r, spec.tau, m) + dz_l2_sq(p, m))
     return float(total)
 
 
@@ -98,48 +204,33 @@ class InsufficientDecayData(ValueError):
     """Fewer than 4 spectral shells above the fit floor."""
 
 
-@lru_cache(maxsize=None)
-def _mode_shells(grid: GridSpec) -> np.ndarray:
-    """Horizontal shell isqrt(n1^2 + n2^2) = floor|n| of each (n1, n2), exact in integers."""
-    n1, n2, _ = mode_numbers(grid)
-    q = n1[:, None] ** 2 + n2[None, :] ** 2
-    return np.vectorize(math.isqrt, otypes=[int])(q)
-
-
-def _shell_stats(v: SpectralField, axis: str, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shell (wavenumber, amplitude); shells indexed by floor|n| (horizontal)
-    or the vertical line m.  The zero shell carries no decay information and is
-    dropped."""
+def _shell_stats(v: ShellPower | SpectralField, axis: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-shell (wavenumber, amplitude); shells indexed by isqrt(q) = floor|n|
+    (horizontal) or the vertical line m.  The zero shell carries no decay
+    information and is dropped.  shell_l2 amplitudes are root-mean-square
+    over a shell's (n1, n2, m) entries, shell_max ones the largest entry."""
     g = v.grid
-    a2 = (np.abs(v.coeffs) ** 2).sum(axis=0)  # (nh, nh, nz)
-    if axis == "horizontal":
-        k = kabs(g)[..., 0]
-        shell = _mode_shells(g)
-        nshell = shell.max() + 1
-        ks, amps = [], []
-        for j in range(1, nshell):
-            sel = shell == j
-            if not sel.any():
-                continue
-            ks.append(k[sel].mean())
-            if method == "shell_max":
-                amps.append(np.sqrt(a2[sel].max()))
-            else:
-                amps.append(np.sqrt(a2[sel].mean()))
-        return np.asarray(ks), np.asarray(amps)
+    if axis not in ("horizontal", "vertical"):
+        raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    bins = _bins(g)
+    if method == "shell_max":
+        if isinstance(v, ShellPower):
+            raise TypeError("the shell_max fit needs per-mode amplitudes: pass the SpectralField")
+        a2 = (np.abs(v.coeffs) ** 2).sum(axis=0)  # (nh, nh, nz)
+        if axis == "vertical":
+            return np.pi * np.arange(1, g.nz), np.sqrt(a2[:, :, 1:].max(axis=(0, 1)))
+        peak = np.zeros(len(bins.shell_k))
+        np.maximum.at(peak, bins.shell_of_mode, a2.max(axis=-1).ravel())
+        return bins.shell_k[1:], np.sqrt(peak[1:])
+    p = _power(v)
     if axis == "vertical":
-        m_line = np.arange(1, g.nz)
-        ks = np.pi * m_line
-        if method == "shell_max":
-            amps = np.sqrt(a2[:, :, 1:].max(axis=(0, 1)))
-        else:
-            amps = np.sqrt(a2[:, :, 1:].mean(axis=(0, 1)))
-        return ks, amps
-    raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+        return np.pi * np.arange(1, g.nz), np.sqrt(p.table[:, 1:].sum(axis=0) / g.nh**2)
+    total = np.bincount(bins.shell, weights=p.column(0), minlength=len(bins.shell_k))
+    return bins.shell_k[1:], np.sqrt(total[1:] / (bins.shell_count[1:] * g.nz))
 
 
 def fit_radius(
-    v: SpectralField,
+    v: ShellPower | SpectralField,
     axis: str = "horizontal",
     floor: float = 1e-14,
     method: str = "shell_l2",
@@ -148,6 +239,7 @@ def fit_radius(
 
     Returns -slope clipped at 0: the empirical radius-of-analyticity proxy.
     Raises InsufficientDecayData when fewer than 4 shells exceed `floor`.
+    method="shell_max" needs the field itself, not its ShellPower.
     """
     if method not in ("shell_l2", "shell_max"):
         raise ValueError(f"unknown fit method {method!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
-from .norms import InsufficientDecayData, NormSpec, _weight_a_exp, fit_radius, norm_rst
+from .norms import InsufficientDecayData, NormSpec, ShellPower, _weight_a_exp, dz_l2_sq, fit_radius, norm_rst
 from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse
 from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
 
@@ -253,14 +253,21 @@ def _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus):
 # ---------------------------------------------------------------------------
 
 def rhs_rotating(
-    state: RotatingState | tuple, t: float, cfg: SolverConfig, include_viscous: bool = True
+    state: RotatingState | tuple,
+    t: float,
+    cfg: SolverConfig,
+    include_viscous: bool = True,
+    *,
+    cfl: bool = False,
 ) -> tuple:
     """Tendencies of the rotating-frame equations.
 
     For a RotatingState the result is (dVbar, dV+, dV-), with dV+ = dphi (1, i)
     polarized like V+ and dV- its conjugate partner conjugate_reverse(dV+).
     The time steppers pass the bare (vbar, phi) arrays instead, phi = vplus[0:1],
-    and get (dVbar, dphi) alone.
+    and get (dVbar, dphi) alone.  With cfl=True the advective CFL limit of the
+    state at time t (what `cfl_limit` returns) is appended to the tuple; it is
+    read off the physical values this evaluation forms anyway.
 
     Every quadratic term is evaluated pseudo-spectrally and dealiased; the
     oscillatory prefactors e^{+-i Omega t}, e^{+-2i Omega t} are evaluated at
@@ -268,19 +275,23 @@ def rhs_rotating(
     Leray-projected.
     """
     if isinstance(state, RotatingState):
-        dvb, dphi = _rhs_plus(state.vbar, state.vplus[0:1], t, cfg, include_viscous)
+        dvb, dphi, *extra = _rhs_plus(state.vbar, state.vplus[0:1], t, cfg, include_viscous, cfl)
         dvp = _polarized(dphi)
-        return dvb, dvp, conjugate_reverse(dvp)
+        return (dvb, dvp, conjugate_reverse(dvp), *extra)
     vbar, phi = state
-    return _rhs_plus(vbar, phi, t, cfg, include_viscous)
+    return _rhs_plus(vbar, phi, t, cfg, include_viscous, cfl)
 
 
-def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool):
+def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool, cfl: bool = False):
     """(dVbar, dphi) of V+ = phi (1, i); V- enters as the conjugate of V+.
 
     Every tendency group of V+ is polarized like V+, so only x-components are
     assembled.  In physical space V- = conj(phi) (1, -i), so
     (V+ . grad) = phi (dx + i dy) and (V- . grad) = conj(phi) (dx - i dy).
+    With cfl the CFL limit is appended: the lab velocity
+    V = Vbar + e^{i Omega t} V+ + e^{-i Omega t} V- has the values
+    u = Vbar_x + 2 Re(e^{i Omega t} phi), v = Vbar_y - 2 Im(e^{i Omega t} phi)
+    and w = -2 Re(e^{i Omega t} int_0^z div V+).
     """
     g = cfg.grid
     om = cfg.omega
@@ -298,6 +309,14 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool):
     selfadv = p * (px + 1j * py)  # (V+ . grad) V+ = phi div V+ (1, i)
     ep = np.exp(1j * om * t)
     em = np.exp(-1j * om * t)
+    extra = ()
+    if cfl:
+        lab = np.multiply(2.0 * ep, p)  # u - i v = Vbar_x - i Vbar_y + 2 e^{i Omega t} phi
+        lab.real += vb3[0]
+        lab.imag -= vb3[1]
+        umax = max(_abs_max(lab.real), _abs_max(lab.imag))
+        np.multiply(2.0 * ep, intp, out=lab)  # -w + i (...)
+        extra = (_cfl_from_maxima(umax, _abs_max(lab.real), cfg),)
 
     # the oscillatory prefactors are scalars at fixed t, so the four tendency
     # groups combine in physical space: one forward transform of one component
@@ -325,7 +344,7 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool):
     dvb *= mask2[None, ...]
     _guard("barotropic", dvb)
 
-    return dvb, dphi
+    return (dvb, dphi, *extra)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +358,26 @@ def rhs_direct(
     include_viscous: bool = True,
     include_coriolis: bool = True,
     include_nonlinear: bool = True,
-) -> np.ndarray:
-    """-V.grad V - w dz V + nu dzz V - Omega V^perp, pressure removed by projection."""
+    *,
+    cfl: bool = False,
+):
+    """-V.grad V - w dz V + nu dzz V - Omega V^perp, pressure removed by projection.
+
+    With cfl=True the result is (tendency, CFL limit of v), the limit read
+    off the values of V and w that the nonlinear terms transform anyway.
+    """
     g = cfg.grid
     out = np.zeros_like(v)
+    if cfl and not include_nonlinear:
+        raise ValueError("cfl=True reads the values of the nonlinear terms")
     if include_nonlinear:
         w = mpi(g)
         cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True)
         svals = values_from_coeffs(np.concatenate([-w * v, _w_coeffs(v, g)], axis=0), g, SIN, real=True)
         p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
         dzp, wphys = svals[0:2], svals[2:3]
+        if cfl:
+            lim = _cfl_from_maxima(_abs_max(p), _abs_max(wphys), cfg)
         n = -_adv(p, px, py) - wphys * dzp
         nhat = coeffs_from_values(n, g, COS)
         nhat *= dealias_mask(g)[None, ...]
@@ -362,16 +391,20 @@ def rhs_direct(
         damp = cfg.nu * mpi(g) ** 2
         out = out - damp * v
         _guard("viscous", out)
-    return out
+    return (out, lim) if cfl else out
 
 
 # ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple) -> tuple:
-    """Classical RK4 on the integrating-factor variable; exact for pure diffusion."""
-    k1 = nl(arrs, t)
+def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple, k1=None) -> tuple:
+    """Classical RK4 on the integrating-factor variable; exact for pure diffusion.
+
+    k1 is the stage-1 tendency nl(arrs, t) when the caller has evaluated it.
+    """
+    if k1 is None:
+        k1 = nl(arrs, t)
     y2 = tuple(e_half[i] * (arrs[i] + 0.5 * dt * k1[i]) for i in range(len(arrs)))
     k2 = nl(y2, t + 0.5 * dt)
     y3 = tuple(e_half[i] * arrs[i] + 0.5 * dt * k2[i] for i in range(len(arrs)))
@@ -385,8 +418,9 @@ def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple) 
     )
 
 
-def _plain_rk4(arrs: tuple, t: float, dt: float, rhs) -> tuple:
-    k1 = rhs(arrs, t)
+def _plain_rk4(arrs: tuple, t: float, dt: float, rhs, k1=None) -> tuple:
+    if k1 is None:
+        k1 = rhs(arrs, t)
     y2 = tuple(arrs[i] + 0.5 * dt * k1[i] for i in range(len(arrs)))
     k2 = rhs(y2, t + 0.5 * dt)
     y3 = tuple(arrs[i] + 0.5 * dt * k2[i] for i in range(len(arrs)))
@@ -415,66 +449,83 @@ def _lab_velocity(state, cfg: SolverConfig) -> np.ndarray:
     return direct_from_rotating(state, cfg.omega) if isinstance(state, RotatingState) else state.v
 
 
+def _abs_max(x: np.ndarray) -> float:
+    """max |x| of a real array without forming |x|."""
+    return max(x.max(), -x.min())
+
+
+def _cfl_from_maxima(umax: float, wmax: float, cfg: SolverConfig) -> float:
+    """The advective limit cfl_safety / (max|u, v| / dx + max|w| / dz)."""
+    dx = 1.0 / cfg.grid.nh
+    dz = 1.0 / cfg.grid.nz
+    return float(cfg.cfl_safety / max(umax / dx + wmax / dz, 1e-12))
+
+
 def cfl_limit(state, cfg: SolverConfig) -> float:
     """Largest advectively stable dt for the current state.
 
     state is a RotatingState, a DirectState, or the lab-frame coefficient
-    array V itself (what `integrate` passes, having converted once per step).
+    array V itself.  The steppers do not call this: stage 1 of each step
+    returns the same limit from the values it transforms anyway.
     """
     g = cfg.grid
     v = state if isinstance(state, np.ndarray) else _lab_velocity(state, cfg)
     umax = np.abs(values_from_coeffs(v, g, COS, real=True)).max()
     wmax = np.abs(values_from_coeffs(_w_coeffs(v, g), g, SIN, real=True)).max()
-    dx = 1.0 / g.nh
-    dz = 1.0 / g.nz
-    lim = cfg.cfl_safety / max(umax / dx + wmax / dz, 1e-12)
-    return float(lim)
+    return _cfl_from_maxima(umax, wmax, cfg)
 
 
 def step(state, cfg: SolverConfig):
     """Advance one dt; raises CflError when the advective limit is violated."""
-    lim = cfl_limit(state, cfg)
-    if cfg.dt > lim:
-        raise CflError(cfg.dt, lim)
-    return _step_nocfl(state, cfg)
+    return _advance(state, cfg, check_cfl=True)[0]
 
 
 def _step_nocfl(state, cfg: SolverConfig):
+    return _advance(state, cfg, check_cfl=False)[0]
+
+
+def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
+    """One dt: (new state, advective CFL limit of `state`).
+
+    Stage 1 of the RK4 step evaluates the RHS at `state`, so it holds the
+    physical velocity the limit needs and no transform is made for it.  With
+    check_cfl a dt over the limit raises CflError before stages 2-4 run.
+    """
     g = cfg.grid
+    viscous = cfg.scheme == "rk4_plain"  # rk4_if integrates nu dzz exactly instead
     if isinstance(state, RotatingState):
         arrs = (state.vbar, state.vplus[0:1])
 
-        if cfg.scheme == "rk4_if":
-            def nl(a, t):
-                return rhs_rotating(a, t, cfg, include_viscous=False)
+        def rhs(a, t):
+            return rhs_rotating(a, t, cfg, include_viscous=viscous)
 
-            eh = _decay_factors(g, cfg.nu, 0.5 * cfg.dt)
-            ef = _decay_factors(g, cfg.nu, cfg.dt)
-            new = _if_rk4(arrs, state.t, cfg.dt, nl, (1.0, eh), (1.0, ef))
-        else:
-            def rhs(a, t):
-                return rhs_rotating(a, t, cfg, include_viscous=True)
+        dvb, dphi, lim = rhs_rotating(arrs, state.t, cfg, include_viscous=viscous, cfl=True)
+        k1 = (dvb, dphi)
+    elif isinstance(state, DirectState):
+        arrs = (state.v,)
 
-            new = _plain_rk4(arrs, state.t, cfg.dt, rhs)
+        def rhs(a, t):
+            return (rhs_direct(a[0], t, cfg, include_viscous=viscous),)
+
+        dv, lim = rhs_direct(state.v, state.t, cfg, include_viscous=viscous, cfl=True)
+        k1 = (dv,)
+    else:
+        raise TypeError(f"unknown state type {type(state)!r}")
+    if check_cfl and cfg.dt > lim:
+        raise CflError(cfg.dt, lim)
+
+    if viscous:
+        new = _plain_rk4(arrs, state.t, cfg.dt, rhs, k1=k1)
+    else:
+        eh = _decay_factors(g, cfg.nu, 0.5 * cfg.dt)
+        ef = _decay_factors(g, cfg.nu, cfg.dt)
+        # the compact barotropic Vbar has no vertical mode to diffuse
+        e_half, e_full = ((1.0, eh), (1.0, ef)) if len(arrs) == 2 else ((eh,), (ef,))
+        new = _if_rk4(arrs, state.t, cfg.dt, rhs, e_half, e_full, k1=k1)
+    if isinstance(state, RotatingState):
         vbar, phi = new
-        return RotatingState(state.t + cfg.dt, vbar, _polarized(phi))
-
-    if isinstance(state, DirectState):
-        if cfg.scheme == "rk4_if":
-            def nl(a, t):
-                return (rhs_direct(a[0], t, cfg, include_viscous=False),)
-
-            eh = _decay_factors(g, cfg.nu, 0.5 * cfg.dt)
-            ef = _decay_factors(g, cfg.nu, cfg.dt)
-            (newv,) = _if_rk4((state.v,), state.t, cfg.dt, nl, (eh,), (ef,))
-        else:
-            def rhs(a, t):
-                return (rhs_direct(a[0], t, cfg, include_viscous=True),)
-
-            (newv,) = _plain_rk4((state.v,), state.t, cfg.dt, rhs)
-        return DirectState(state.t + cfg.dt, newv)
-
-    raise TypeError(f"unknown state type {type(state)!r}")
+        return RotatingState(state.t + cfg.dt, vbar, _polarized(phi)), lim
+    return DirectState(state.t + cfg.dt, new[0]), lim
 
 
 # ---------------------------------------------------------------------------
@@ -483,68 +534,73 @@ def _step_nocfl(state, cfg: SolverConfig):
 
 @dataclass
 class IntegrationResult:
+    """Final state, diagnostics rows and why the run stopped.
+
+    cfl_margin_min is the smallest (advective CFL limit) / dt over the
+    pre-step states of the accepted steps (None when no step was taken);
+    fit_failures counts the radius fits that raised InsufficientDecayData or
+    SpectralRangeError and were recorded as NaN.
+    """
+
     state: object
     rows: list
     termination: str
     radius_collapse_t: float | None = None
+    cfl_margin_min: float | None = None
+    fit_failures: int = 0
+
+
+_DIAGNOSTIC_ERRORS = (InsufficientDecayData, SpectralRangeError)
 
 
 def _row_from_state(
-    state, v: np.ndarray, cfg: SolverConfig, report: NormSpec, tau_tracked: float, fit_floor: float
+    state, v: np.ndarray, power: ShellPower, cfg: SolverConfig, report: NormSpec,
+    tau_tracked: float, fit_floor: float,
 ):
-    """Diagnostics row of a state whose lab-frame coefficients are v."""
+    """(diagnostics row, number of failed radius fits) of a state whose lab-frame
+    coefficients are v and whose shell-power table is `power`."""
     from .io import DiagnosticsRow
 
     g = cfg.grid
     vbar = state.vbar if isinstance(state, RotatingState) else v[..., 0]
-    f = SpectralField(g, v, COS)
     spec_tau = NormSpec(r=report.r, s=0, tau=max(tau_tracked, 0.0) if np.isfinite(tau_tracked) else report.tau)
     try:
-        nrt = norm_rst(f, spec_tau)
-    except (InsufficientDecayData, SpectralRangeError):
+        nrt = norm_rst(power, spec_tau)
+    except _DIAGNOSTIC_ERRORS:
         nrt = float("nan")
-    sob = norm_rst(f, NormSpec(r=report.r, s=report.s, tau=0.0))
-    try:
-        tfh = fit_radius(f, "horizontal", floor=fit_floor)
-    except (InsufficientDecayData, SpectralRangeError):
-        tfh = float("nan")
-    try:
-        efv = fit_radius(f, "vertical", floor=fit_floor)
-    except (InsufficientDecayData, SpectralRangeError):
-        efv = float("nan")
-    energy = 0.5 * float(np.sum(np.abs(v) ** 2))
+    sob = norm_rst(power, NormSpec(r=report.r, s=report.s, tau=0.0))
+    fits, failed = [], 0
+    for axis in ("horizontal", "vertical"):
+        try:
+            fits.append(fit_radius(power, axis, floor=fit_floor))
+        except _DIAGNOSTIC_ERRORS:
+            fits.append(float("nan"))
+            failed += 1
     omega_bar = 1j * kx(g)[..., 0] * vbar[1] - 1j * ky(g)[..., 0] * vbar[0]
-    enst = 0.5 * float(np.sum(np.abs(omega_bar) ** 2))
-    vt = v.copy()
-    vt[..., 0] = 0.0
-    bl2 = float(np.sqrt(np.sum(np.abs(vt) ** 2)))
-    divres = float(np.abs(_div2d(vbar, g)).max())
-    meanres = float(np.abs(v[:, 0, 0, 0]).max())
-    return DiagnosticsRow(
+    row = DiagnosticsRow(
         t=state.t,
         norm_r0tau=nrt,
         sobolev_norm=sob,
         tau_tracked=tau_tracked,
-        tau_fit_h=tfh,
-        eta_fit_v=efv,
-        energy=energy,
-        enstrophy_bar=enst,
-        baroclinic_l2=bl2,
-        div_residual=divres,
-        mean_residual=meanres,
+        tau_fit_h=fits[0],
+        eta_fit_v=fits[1],
+        energy=0.5 * dz_l2_sq(power),
+        enstrophy_bar=0.5 * float(np.sum(np.abs(omega_bar) ** 2)),
+        baroclinic_l2=float(np.sqrt(power.table[:, 1:].sum())),
+        div_residual=float(np.abs(_div2d(vbar, g)).max()),
+        mean_residual=float(np.abs(v[:, 0, 0, 0]).max()),
     )
+    return row, failed
 
 
-def _norms_for_tracker(v: np.ndarray, cfg: SolverConfig, r: float):
-    """norms_at(tau) callback on lab-frame coefficients v: (||V||_{r,0,tau}, ||dz V||_{r,0,tau})."""
-    g = cfg.grid
-    f = SpectralField(g, v, COS)
-    dzf = SpectralField(g, v * (-mpi(g)), SIN)
+def _norms_for_tracker(power: ShellPower, r: float):
+    """norms_at(tau) callback on a shell-power table: (||V||_{r,0,tau}, ||dz V||_{r,0,tau})."""
+    dz_power = power.dz()
 
     def norms_at(tau: float):
         return (
-            norm_rst(f, NormSpec(r=r, s=0, tau=tau)),
-            norm_rst(dzf, NormSpec(r=r, s=0, tau=tau)),
+            norm_rst(power, NormSpec(r=r, s=0, tau=tau)),
+            norm_rst(dz_power, NormSpec(r=r, s=0, tau=tau)),
         )
 
     return norms_at
@@ -567,35 +623,44 @@ def integrate(
     The sentinel fires when norm_rst at the report spec exceeds
     blowup_factor x initial, or on NaN.  The fitted-radius collapse
     (tau_fit_h < 0.05 x initial fit) is logged separately, never fatal.
-    The lab-frame velocity is formed once per step and shared by the CFL
-    check, the tau tracker and the diagnostics row.
+
+    The CFL limit of each pre-step state comes from stage 1 of its RK4 step,
+    which evaluates the RHS there and so holds the physical velocity: with
+    check_cfl a dt over the limit raises CflError before the step is
+    accepted, and the smallest limit / dt is recorded either way.  After
+    each step the lab-frame velocity is formed once and its shell-power
+    table built once; the tau tracker and the diagnostics row (norms, fits,
+    energy, baroclinic L2) all read that table.
     """
     report = report or NormSpec(r=2.0, s=0, tau=0.0)
+    g = cfg.grid
     state = state0.copy()
     n_steps = int(round(cfg.t_end / cfg.dt))
     tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
     v = _lab_velocity(state, cfg)
-    rows = [_row_from_state(state, v, cfg, report, tau_now, fit_floor)]
+    row, fit_failures = _row_from_state(state, v, ShellPower.of(v, g), cfg, report, tau_now, fit_floor)
+    rows = [row]
     if observer:
-        observer(rows[-1])
+        observer(row)
     if state_observer:
         state_observer(state)
     initial_norm = rows[0].norm_r0tau
     initial_fit = rows[0].tau_fit_h
     collapse_t = None
+    margin = None
     termination = "completed"
 
     for _ in range(n_steps):
-        if check_cfl:
-            lim = cfl_limit(v, cfg)
-            if cfg.dt > lim:
-                raise CflError(cfg.dt, lim)
-        state = _step_nocfl(state, cfg)
+        state, lim = _advance(state, cfg, check_cfl)
+        if margin is None or lim / cfg.dt < margin:
+            margin = lim / cfg.dt
         v = _lab_velocity(state, cfg)
+        power = ShellPower.of(v, g)
         if tau_tracker is not None:
-            tau_tracker.step(cfg.dt, _norms_for_tracker(v, cfg, report.r))
+            tau_tracker.step(cfg.dt, _norms_for_tracker(power, report.r))
             tau_now = tau_tracker.tau
-        row = _row_from_state(state, v, cfg, report, tau_now, fit_floor)
+        row, failed = _row_from_state(state, v, power, cfg, report, tau_now, fit_floor)
+        fit_failures += failed
         rows.append(row)
         if observer:
             observer(row)
@@ -616,7 +681,7 @@ def integrate(
         ):
             collapse_t = state.t
     rows[-1].termination = termination
-    return IntegrationResult(state, rows, termination, collapse_t)
+    return IntegrationResult(state, rows, termination, collapse_t, margin, fit_failures)
 
 
 # ---------------------------------------------------------------------------

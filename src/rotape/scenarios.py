@@ -230,6 +230,8 @@ def formulation_equivalence(cfg: RunConfig, out) -> dict:
         "rhs_rel_diff": rhs_err,
         "tolerances": {"trajectory": 1e-6, "rhs": 1e-10},
         "radius_collapse_t": rres.radius_collapse_t,
+        "cfl_margin_min": rres.cfl_margin_min,
+        "fit_failures": rres.fit_failures,
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -330,6 +332,8 @@ def vertical_gain(cfg: RunConfig, out) -> dict:
         "runtime_s": runtime,
         "termination": res.termination,
         "radius_collapse_t": res.radius_collapse_t,
+        "cfl_margin_min": res.cfl_margin_min,
+        "fit_failures": res.fit_failures,
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -410,7 +414,7 @@ def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
     v0 = _direct_array(vbar, vt)
     tstars = {}
     censored = {}
-    collapse = {}
+    collapse, margins, fit_failures = {}, {}, {}
     for om in cfg.scenario.sweep:
         res = integrate(rotating_from_direct(v0, 0.0, om), _solver_config(cfg, om),
                         report=_report_spec(cfg),
@@ -419,6 +423,8 @@ def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
         tstars[om] = res.state.t if fired else cfg.t_end
         censored[om] = not fired
         collapse[om] = res.radius_collapse_t
+        margins[om] = res.cfl_margin_min
+        fit_failures[om] = res.fit_failures
     oms = sorted(tstars)
     vals = [tstars[o] for o in oms]
     strict = all(b > a for a, b in zip(vals, vals[1:]))
@@ -428,6 +434,8 @@ def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
         "sentinel_times": {str(k): v for k, v in tstars.items()},
         "censored_at_t_end": {str(k): v for k, v in censored.items()},
         "radius_collapse_t": {str(k): v for k, v in collapse.items()},
+        "cfl_margin_min": {str(k): v for k, v in margins.items()},
+        "fit_failures": {str(k): v for k, v in fit_failures.items()},
     }
     _write_json(out / "summary.json", summary)
     return summary

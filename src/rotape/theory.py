@@ -276,11 +276,13 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
     For a real state and a real limit field the V- perturbation and limit
     field are the conjugate partners of the V+ ones, with equal norms, so
     each V+ term is counted twice.  A limit Vt that is not real is rejected.
+    Each field's norms are read from one shell-power table; the barotropic
+    ones from the compact (2, nh, nh) layout.
     """
     from .limit_solver import LimitState, velocity_from_vorticity
-    from .norms import NormSpec, norm_rst, seminorm_a_sq, dz_l2_sq
-    from .spectral import SpectralField, conjugate_reverse
-    from .pe_solver import _require_partner, barotropic_field, plus_projection
+    from .norms import NormSpec, ShellPower, norm_rst, seminorm_a_sq, dz_l2_sq
+    from .spectral import conjugate_reverse
+    from .pe_solver import _require_partner, plus_projection
 
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(pe_states),))
     ts, fs, gs, hs, ks = [], [], [], [], []
@@ -296,14 +298,14 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
             raise ValueError(f"misaligned trajectories: t={ps.t} vs {tl}")
         _require_partner(lim_vt, conjugate_reverse(lim_vt), "limit vtilde is not conjugate symmetric")
         lim_vp = plus_projection(lim_vt)
-        phib = barotropic_field(ps.vbar - lim_vbar, grid)
-        phip = SpectralField(grid, ps.vplus - lim_vp)
+        phib = ShellPower.of(ps.vbar - lim_vbar, grid)
+        phip = ShellPower.of(ps.vplus - lim_vp, grid)
         f_val = seminorm_a_sq(phib, r, tau) + 2.0 * norm_rst(phip, NormSpec(r=r, s=0, tau=tau)) ** 2
         g_val = seminorm_a_sq(phib, r + 0.5, tau) + 2.0 * seminorm_a_sq(phip, r + 0.5, tau)
         h_val = 2.0 * (seminorm_a_sq(phip, r, tau, s_order=1) + dz_l2_sq(phip, s_order=1))
-        vpf = SpectralField(grid, lim_vp)
+        vpf = ShellPower.of(lim_vp, grid)
         k_val = (
-            norm_rst(barotropic_field(lim_vbar, grid), NormSpec(r=r + 2, s=0, tau=tau)) ** 2
+            norm_rst(ShellPower.of(lim_vbar, grid), NormSpec(r=r + 2, s=0, tau=tau)) ** 2
             + 2.0 * norm_rst(vpf, NormSpec(r=r + 2, s=0, tau=tau)) ** 2
             + 2.0 * norm_rst(vpf, NormSpec(r=r + 1, s=1, tau=tau)) ** 2
         )

@@ -13,13 +13,17 @@ from rotape.initial_data import random_scalar, random_vector
 from rotape.norms import (
     InsufficientDecayData,
     NormSpec,
+    ShellPower,
     _mode_shells,
     _shell_stats,
+    _weight_a_exp,
+    dz_l2_sq,
+    seminorm_a_sq,
     fit_radius,
     norm_rst,
     norm_rst_eta,
 )
-from rotape.spectral import SpectralField, apply_A_exp, symmetrize
+from rotape.spectral import SIN, SpectralField, SpectralRangeError, apply_A_exp, symmetrize
 from tests.test_spectral_core import mode_field
 
 
@@ -190,6 +194,66 @@ class TestShells:
         radius = math.isqrt(a * a + b * b)
         assert 2 * np.pi * radius <= ks[hit] < 2 * np.pi * (radius + 1)
         assert hit == radius - 1  # shells 1, 2, ... are all populated at nh = 48
+
+
+def _per_mode_sq(f, r, tau, s_order, weighted=True):
+    """The per-mode coefficient sum the table replaces."""
+    w = _weight_a_exp(f.grid, r, tau) if weighted else 1.0
+    vert = mpi(f.grid) ** (2 * s_order)
+    return float(np.sum(np.abs(f.coeffs) ** 2 * w * vert))
+
+
+class TestShellPower:
+    @pytest.mark.parametrize("nh", [16, 24, 32, 64])
+    def test_table_matches_per_mode_sums(self, rng, nh):
+        grid = GridSpec(nh=nh, nz=8)
+        # one analytic field and one flat field with every mode populated
+        flat = rng.standard_normal((2, *grid.shape)) + 1j * rng.standard_normal((2, *grid.shape))
+        for f in (random_vector(grid, rng, tau=0.3, eta=0.2), SpectralField(grid, flat)):
+            table = ShellPower.of(f.coeffs, grid)
+            for tau in (0.0, 0.35, 1.0):
+                for s in (0, 1, 2):
+                    for r in (0.0, 1.5, 2.0):
+                        expect = _per_mode_sq(f, r, tau, s)
+                        assert abs(seminorm_a_sq(table, r, tau, s) - expect) <= 1e-13 * expect
+                        assert seminorm_a_sq(f, r, tau, s) == seminorm_a_sq(table, r, tau, s)
+                    plain = _per_mode_sq(f, 0.0, 0.0, s, weighted=False)
+                    assert abs(dz_l2_sq(table, s) - plain) <= 1e-13 * plain
+                    spec = NormSpec(r=2.0, s=s, tau=tau)
+                    expect = sum(
+                        np.sqrt(_per_mode_sq(f, 2.0, tau, m) + _per_mode_sq(f, 0.0, 0.0, m, weighted=False))
+                        for m in range(s + 1)
+                    )
+                    assert abs(norm_rst(table, spec) - expect) <= 1e-13 * expect
+
+    def test_overflow_raises_the_same_error(self, rng):
+        grid = GridSpec(nh=64, nz=8)
+        f = random_vector(grid, rng)
+        with pytest.raises(SpectralRangeError, match="overflows"):
+            _weight_a_exp(grid, 2.0, 6.0)
+        for v in (f, ShellPower.of(f.coeffs, grid)):
+            with pytest.raises(SpectralRangeError, match="overflows"):
+                norm_rst(v, NormSpec(r=2.0, tau=6.0))
+        assert np.isfinite(norm_rst(ShellPower.of(f.coeffs, grid), NormSpec(r=2.0, tau=1.0)))
+
+    def test_compact_barotropic_layout_and_dz(self, rng):
+        grid = GridSpec(nh=24, nz=6)
+        f = random_vector(grid, rng)
+        embedded = np.zeros_like(f.coeffs)
+        embedded[..., 0] = f.coeffs[..., 0]
+        assert np.allclose(ShellPower.of(f.coeffs[..., 0], grid).table,
+                           ShellPower.of(embedded, grid).table, rtol=1e-15, atol=0.0)
+        dzf = SpectralField(grid, f.coeffs * (-mpi(grid)), SIN)
+        assert np.allclose(ShellPower.of(f.coeffs, grid).dz().table,
+                           ShellPower.of(dzf.coeffs, grid).table, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+    def test_fit_from_table_equals_fit_from_field(self, rng, axis):
+        grid = GridSpec(nh=32, nz=16)
+        f = random_vector(grid, rng, tau=0.4, eta=0.3)
+        assert fit_radius(ShellPower.of(f.coeffs, grid), axis) == fit_radius(f, axis)
+        with pytest.raises(TypeError, match="shell_max"):
+            fit_radius(ShellPower.of(f.coeffs, grid), axis, method="shell_max")
 
 
 def test_norm_spec_validation():

@@ -18,9 +18,11 @@ from rotape.pe_solver import (
     rhs_2d,
     rhs_direct,
     rhs_rotating,
+    cfl_limit,
     rotating_from_direct,
     step,
     step_2d,
+    _advance,
     _step_nocfl,
 )
 from rotape.spectral import COS, SpectralField
@@ -292,6 +294,94 @@ class TestStepping:
             outs[scheme] = direct_from_rotating(st, cfg.omega)
         scale = np.abs(outs["rk4_if"]).max()
         assert np.abs(outs["rk4_if"] - outs["rk4_plain"]).max() < 1e-9 * scale
+
+
+def _initial(formulation, v, omega):
+    return rotating_from_direct(v, 0.0, omega) if formulation == "rotating" else DirectState(0.0, v.copy())
+
+
+class TestStageOneCfl:
+    """The CFL limit comes from stage 1 of the step, not from cfl_limit's transforms."""
+
+    @pytest.mark.parametrize("scheme", ["rk4_if", "rk4_plain"])
+    @pytest.mark.parametrize("formulation", ["rotating", "direct"])
+    def test_stage_one_limit_equals_cfl_limit(self, rng, formulation, scheme):
+        cfg = cfg_for(nu=0.1, omega=7.0, dt=2e-3, scheme=scheme, formulation=formulation)
+        st = _initial(formulation, make_state(rng, amplitude=2.0).v, cfg.omega)
+        st = _step_nocfl(st, cfg)  # t > 0: the phase e^{i Omega t} is not 1
+        for _ in range(3):
+            new, lim = _advance(st, cfg, check_cfl=False)
+            expect = cfl_limit(st, cfg)
+            assert abs(lim - expect) <= 1e-14 * expect
+            st = new
+
+    @pytest.mark.parametrize("formulation", ["rotating", "direct"])
+    def test_cfl_error_fires_at_the_first_step_over_the_limit(self, rng, formulation):
+        # cfl_safety scales the limit without touching the trajectory, so it
+        # can place dt just over the limit of one chosen pre-step state
+        base = cfg_for(nu=0.1, omega=40.0, dt=2e-3, t_end=0.02, cfl_safety=1.0, formulation=formulation)
+        st0 = _initial(formulation, make_state(rng, amplitude=2.0).v, base.omega)
+        states = []
+        integrate(st0, base, check_cfl=False, state_observer=states.append)
+        speeds = np.array([1.0 / cfl_limit(st, base) for st in states[:-1]])
+        k = int(np.argmax(speeds))
+        assert k > 0 and speeds[k] > speeds[:k].max() * (1 + 1e-6)
+        safety = base.dt * speeds[k] * (1 - 1e-9)
+        cfg = cfg_for(nu=0.1, omega=40.0, dt=2e-3, t_end=0.02, cfl_safety=safety, formulation=formulation)
+        accepted = []
+        with pytest.raises(CflError):
+            integrate(st0, cfg, state_observer=accepted.append)
+        assert len(accepted) == k + 1  # the initial state and k accepted steps
+        with pytest.raises(CflError):
+            step(accepted[-1], cfg)
+        assert step(accepted[-2], cfg).t == pytest.approx(accepted[-1].t)
+
+    def test_integrate_step_makes_only_the_rhs_transforms(self, monkeypatch, rng):
+        """Four RHS calls' transforms per step; none for the CFL check, tracker or row."""
+        import rotape.pe_solver as pe
+        from rotape.theory import TauTracker, local_rate
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("values_from_coeffs", "coeffs_from_values", "barotropic_values", "barotropic_coeffs"):
+            monkeypatch.setattr(pe, name, counted(name, getattr(pe, name)))
+        cfg = cfg_for(dt=1e-3, t_end=3e-3)
+        st = rotating_from_direct(make_state(rng).v, 0.0, cfg.omega)
+        rhs_rotating(st, 0.0, cfg)
+        per_rhs = sorted(calls)
+        calls.clear()
+        res = integrate(st, cfg, tau_tracker=TauTracker(0.3, local_rate(1e-4)))
+        assert len(res.rows) == 4
+        assert sorted(calls) == sorted(per_rhs * 4 * 3)
+
+    def test_result_records_cfl_margin_and_fit_failures(self, rng, monkeypatch):
+        import rotape.pe_solver as pe
+        from rotape.norms import InsufficientDecayData
+
+        cfg = cfg_for(dt=1e-3, t_end=4e-3)
+        st = rotating_from_direct(make_state(rng).v, 0.0, cfg.omega)
+        states = []
+        res = integrate(st, cfg, state_observer=states.append)
+        margin = min(cfl_limit(s, cfg) for s in states[:-1]) / cfg.dt
+        assert abs(res.cfl_margin_min - margin) <= 1e-14 * margin
+        assert res.fit_failures == 0
+        assert integrate(st, cfg_for(t_end=0.0)).cfl_margin_min is None
+
+        def flat(f, axis, **kwargs):
+            if axis == "vertical":
+                raise InsufficientDecayData("spectrum too flat")
+            return 0.5
+
+        monkeypatch.setattr(pe, "fit_radius", flat)
+        res = integrate(st, cfg, check_cfl=False)
+        assert res.fit_failures == len(res.rows) == 5
 
 
 class TestIntegrate:

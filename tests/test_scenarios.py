@@ -110,10 +110,13 @@ def test_sweep_verb(tmp_path):
     assert (tmp_path / "sw" / "member_00" / "summary.json").exists()
 
 
-def test_summaries_record_radius_collapse_time(tmp_path):
+@pytest.fixture(scope="module")
+def short_summaries(tmp_path_factory):
+    """summary.json of the three scenarios that record why a run stopped, on shortened runs."""
     from rotape.config import InitSpec, ScenarioSpec
     from rotape.scenarios import lifespan_vs_omega, vertical_gain
 
+    tmp_path = tmp_path_factory.mktemp("short")
     short = {"grid": GridSpec(nh=16, nz=8), "t_end": 0.004}
     runs = {
         formulation_equivalence: tiny_config(),
@@ -124,6 +127,25 @@ def test_summaries_record_radius_collapse_time(tmp_path):
     for fn, cfg in runs.items():
         fn(cfg, tmp_path / fn.__name__)
         docs[fn.__name__] = json.loads((tmp_path / fn.__name__ / "summary.json").read_text())
+    return docs
+
+
+def test_summaries_record_radius_collapse_time(short_summaries):
+    docs = short_summaries
     assert docs["formulation_equivalence"]["radius_collapse_t"] is None
     assert docs["vertical_gain"]["radius_collapse_t"] is None
     assert docs["lifespan_vs_omega"]["radius_collapse_t"] == {"0.0": None, "20.0": None}
+
+
+def test_summaries_record_cfl_margin_and_fit_failures(short_summaries):
+    docs = short_summaries
+    per_run = [docs["formulation_equivalence"], docs["vertical_gain"]]
+    margins = [d["cfl_margin_min"] for d in per_run]
+    failures = [d["fit_failures"] for d in per_run]
+    lifespan = docs["lifespan_vs_omega"]
+    assert set(lifespan["cfl_margin_min"]) == set(lifespan["fit_failures"]) == {"0.0", "20.0"}
+    margins += list(lifespan["cfl_margin_min"].values())
+    failures += list(lifespan["fit_failures"].values())
+    # every run completed its steps: each took one, and the checked ones stayed under the limit
+    assert all(isinstance(m, float) and m > 1.0 for m in margins)
+    assert all(isinstance(n, int) and n >= 0 for n in failures)
