@@ -12,13 +12,13 @@ from rotape.pe_solver import (
     RotatingState,
     SolverConfig,
     State2D,
+    cfl_limit,
     direct_from_rotating,
     integrate,
     norm_rst_2d,
     rhs_2d,
     rhs_direct,
     rhs_rotating,
-    cfl_limit,
     rotating_from_direct,
     step,
     step_2d,
