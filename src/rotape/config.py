@@ -61,7 +61,7 @@ SCENARIO_DEFAULTS = {
     "formulation_equivalence": {
         "grid": {"nh": 32, "nz": 16, "dealias": _GRID_2_3},
         "physics": {"nu": 0.1, "omega": 0.0},
-        "time": {"dt": 2e-3, "t_end": 0.5},
+        "time": {"dt": 1e-3, "t_end": 0.5},
         "init": {"kind": "random_analytic", "tau0": 0.5, "eta0": 0.3, "amplitude": 1.0,
                  "baroclinic_sobolev_target": 0.25, "seed": 0, "path": None},
         "norms": {"r": 2.0, "s": 0, "tau_report": 0.1},

@@ -16,20 +16,24 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridSpec, mode_numbers
+from .grid import GridSpec, dealias_mask, mode_numbers
 from .initial_data import random_scalar, random_vector
-from .norms import ShellPower, _weight_a_exp, seminorm_a_sq
+from .norms import ShellPower, _weight_a_exp, q_table, q_weight, seminorm_a_sq
 from .spectral import (
+    _CLOSURE,
     COS,
     SIN,
     SpectralField,
     apply_A_exp,
+    coeffs_from_values,
     div_h,
     dx,
     dy,
     dz,
     integral_z_of_div,
+    is_conjugate_symmetric,
     product,
+    values_from_coeffs,
     vertical_values,
 )
 
@@ -66,20 +70,33 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # per-z horizontal L2 profiles: the vertical series on a refined midpoint grid,
-# horizontal norms by Parseval on the coefficients (no x transform)
+# horizontal norms by Parseval on the coefficients (no x transform).  Each
+# field's power is binned once by q = n1^2 + n2^2, the binning of
+# norms.ShellPower, and every profile of that field reduces the table.
 # ---------------------------------------------------------------------------
 
-def _profile(f: SpectralField, r: float, tau: float, nzf: int) -> np.ndarray:
-    """z -> ||A^r e^{tau A} f(z)||_{L2(T^2)} on the refined midpoint grid."""
-    w = _weight_a_exp(f.grid, r, tau)[..., 0]
-    vals = vertical_values(f.coeffs, f.basis, nzf)
-    return np.sqrt(np.einsum("cxyz,xy->z", np.abs(vals) ** 2, w).real)
+def _z_power(f: SpectralField, nzf: int) -> np.ndarray:
+    """P[q, z] = sum_c sum_{n1^2 + n2^2 = q} |f_c(n1, n2, z)|^2 on nzf midpoints.
+
+    The vertical series runs only on the populated (n1, n2) columns: an
+    empty column adds exactly 0 to every entry.
+    """
+    nh = f.grid.nh
+    c = f.coeffs.reshape(f.components, nh * nh, f.grid.nz)
+    cols = np.flatnonzero((c != 0).any(axis=(0, 2)))
+    vals = vertical_values(c[:, cols], f.basis, nzf)
+    a2 = np.square(vals.real).sum(axis=0) + np.square(vals.imag).sum(axis=0)
+    return q_table(a2, f.grid, cols)
 
 
-def _zero_mode_profile(f: SpectralField, nzf: int) -> np.ndarray:
-    """z -> |fhat_0(z)| (vector magnitude of the k=0 column)."""
-    vals = vertical_values(f.coeffs[:, 0:1, 0:1, :], f.basis, nzf)
-    return np.sqrt((np.abs(vals) ** 2).sum(axis=(0, 1, 2)))
+def _profile(p: np.ndarray, grid: GridSpec, r: float, tau: float) -> np.ndarray:
+    """z -> ||A^r e^{tau A} f(z)||_{L2(T^2)} from f's table p = _z_power(f, nzf)."""
+    return np.sqrt(q_weight(grid, r, tau) @ p)
+
+
+def _zero_mode_profile(p: np.ndarray) -> np.ndarray:
+    """z -> |fhat_0(z)| (vector magnitude of the k = 0 column): the q = 0 row of p."""
+    return np.sqrt(p[0])
 
 
 def _weighted_inner(x: SpectralField, h: SpectralField, r: float, tau: float) -> complex:
@@ -93,15 +110,29 @@ def _plain_inner(x: SpectralField, h: SpectralField) -> complex:
 
 
 def _adv_field(f: SpectralField, g: SpectralField) -> SpectralField:
-    """(f . grad) g via dealiased pseudo-spectral products."""
-    parts = []
-    tag = COS
-    for c in range(g.components):
-        gc = g.component(c)
-        term = product(f.component(0), dx(gc)) + product(f.component(1), dy(gc))
-        parts.append(term.coeffs)
-        tag = term.basis
-    return SpectralField(f.grid, np.concatenate(parts, axis=0), tag)
+    """(f . grad) g, dealiased, in one transform round trip: the inverse of f,
+    the inverse of the stacked (dx g, dy g), and one forward of the stacked
+    (f_x dx g, f_y dy g).  The two halves are summed as coefficients, as
+    separate products would be: the commutator LHS takes a difference of
+    nearly equal inner products, which magnifies any change of rounding.
+    Real (conjugate-symmetric) inputs take the real path."""
+    grid, nc = f.grid, g.components
+    gx, gy = dx(g), dy(g)
+    real = all(is_conjugate_symmetric(x) for x in (f, gx, gy))
+    grad = np.concatenate([gx.coeffs, gy.coeffs])
+    # the stacks are the largest arrays of a lemma check: hold no copy that
+    # a transform no longer needs
+    del gx, gy
+    pg = values_from_coeffs(grad, grid, g.basis, real=real)
+    del grad
+    pf = values_from_coeffs(f.coeffs, grid, f.basis, real=real)
+    pg[:nc] *= pf[0:1]
+    pg[nc:] *= pf[1:2]
+    del pf
+    tag = _CLOSURE[(f.basis, g.basis)]
+    out = coeffs_from_values(pg, grid, tag)
+    out *= dealias_mask(grid)[None, ...]
+    return SpectralField(grid, out[:nc] + out[nc:], tag)
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +418,21 @@ def _mode_product_vec(scalar_modes: list, vec_modes: list, ncomp: int) -> list:
 
 def _rhs_unit(kind, f, g, h, r, tau, refine: int) -> float:
     nzf = refine * f.grid.nz
+    grid = f.grid
     if kind is LemmaKind.banach_algebra:
-        pf = _profile(f, r, tau, nzf) + _zero_mode_profile(f, nzf)
-        pg = _profile(g, r, tau, nzf) + _zero_mode_profile(g, nzf)
+        tf, tg = _z_power(f, nzf), _z_power(g, nzf)
+        pf = _profile(tf, grid, r, tau) + _zero_mode_profile(tf)
+        pg = _profile(tg, grid, r, tau) + _zero_mode_profile(tg)
         return float(np.sqrt(np.mean((pf * pg) ** 2)))
     if kind in (LemmaKind.type1, LemmaKind.type3):
         # type3 swaps the roles of f and g in the zero-mode guard
         a, b = (f, g) if kind is LemmaKind.type1 else (g, f)
-        pa_r = _profile(a, r, tau, nzf) + _zero_mode_profile(a, nzf)
-        pa_half = _profile(a, r + 0.5, tau, nzf)
-        pb_half = _profile(b, r + 0.5, tau, nzf)
-        ph_half = _profile(h, r + 0.5, tau, nzf)
-        ph_r = _profile(h, r, tau, nzf)
+        ta, tb, th = _z_power(a, nzf), _z_power(b, nzf), _z_power(h, nzf)
+        pa_r = _profile(ta, grid, r, tau) + _zero_mode_profile(ta)
+        pa_half = _profile(ta, grid, r + 0.5, tau)
+        pb_half = _profile(tb, grid, r + 0.5, tau)
+        ph_half = _profile(th, grid, r + 0.5, tau)
+        ph_r = _profile(th, grid, r, tau)
         if kind is LemmaKind.type1:
             integrand = pa_r * pb_half * ph_half + pa_half * pb_half * ph_r
         else:
@@ -411,12 +445,9 @@ def _rhs_unit(kind, f, g, h, r, tau, refine: int) -> float:
         nh_ = np.sqrt(seminorm_a_sq(h, r + 0.5, tau))
         return float(nf * ng * nh_)
     if kind in (LemmaKind.diff_type1, LemmaKind.diff_type2):
-        p1 = _profile(f, r, 0.0, nzf) * _profile(g, r, 0.0, nzf) * _profile(h, r, 0.0, nzf)
-        p2 = (
-            _profile(f, r + 0.5, tau, nzf)
-            * _profile(g, r + 0.5, tau, nzf)
-            * _profile(h, r + 0.5, tau, nzf)
-        )
+        tables = [_z_power(x, nzf) for x in (f, g, h)]
+        p1 = np.prod([_profile(t, grid, r, 0.0) for t in tables], axis=0)
+        p2 = np.prod([_profile(t, grid, r + 0.5, tau) for t in tables], axis=0)
         return float(np.mean(p1) + tau * np.mean(p2))
     if kind is LemmaKind.diff_type4:
         tables = [ShellPower.of(x.coeffs, x.grid) for x in (dz(g), f, h)]

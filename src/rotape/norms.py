@@ -22,7 +22,8 @@ grid.  `norm_rst`, `seminorm_a_sq`, `dz_l2_sq` and `fit_radius(method=
 into its table first.  A caller that evaluates several norms of one field
 (the solver's per-step diagnostics and radius tracker) builds the table
 once, and each further norm costs O(#q) instead of O(nh^2 nz).  The
-shell_max fit needs per-mode maxima and keeps its per-mode path.
+shell_max fit needs per-mode maxima and keeps its per-mode path.  The lemma
+checker bins its per-z profiles by the same q (`q_table`, `q_weight`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 from .grid import GridSpec, kabs, mode_numbers, mpi
 from .spectral import SpectralField, SpectralRangeError
 
-_LOG_OVERFLOW = np.log(1e300)
+# log of the largest float64: a weight past it is inf, not a number
+_LOG_MAX = np.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ def _a_exp_weight(k: np.ndarray, r: float, tau: float) -> np.ndarray:
     convention at k = 0; raises SpectralRangeError when a weight overflows."""
     with np.errstate(divide="ignore"):
         logw = np.where(k > 0.0, 2.0 * r * np.log(np.where(k > 0.0, k, 1.0)) + 2.0 * tau * k, 0.0)
-    if (logw > 2.0 * _LOG_OVERFLOW).any():
+    if (logw > _LOG_MAX).any():
         raise SpectralRangeError(f"norm weight overflows at r={r}, tau={tau}")
     w = np.exp(logw)
     if r > 0:
@@ -156,6 +158,25 @@ class ShellPower:
         return self.table.sum(axis=1) if s_order == 0 else self.table @ _mpi_pow(self.grid, s_order)
 
 
+def q_table(a2: np.ndarray, grid: GridSpec, modes: np.ndarray) -> np.ndarray:
+    """Rows of per-mode power summed into the q bins of a ShellPower table.
+
+    a2 holds one row per listed (n1, n2) mode, `modes` being their flat
+    indices into the (nh, nh) plane, and any number of columns; a q with no
+    listed mode gets a zero row.
+    """
+    bins = _bins(grid)
+    ncol = a2.shape[-1]
+    flat = (bins.of_mode[modes][:, None] * ncol + np.arange(ncol)).ravel()
+    table = np.bincount(flat, weights=a2.ravel(), minlength=len(bins.k) * ncol)
+    return table.reshape(len(bins.k), ncol)
+
+
+def q_weight(grid: GridSpec, r: float, tau: float) -> np.ndarray:
+    """|k|^{2r} e^{2 tau |k|} per q bin, the rows of a ShellPower table."""
+    return _a_exp_weight(_bins(grid).k, r, tau)
+
+
 def _power(v: ShellPower | SpectralField) -> ShellPower:
     return v if isinstance(v, ShellPower) else ShellPower.of(v.coeffs, v.grid)
 
@@ -163,7 +184,7 @@ def _power(v: ShellPower | SpectralField) -> ShellPower:
 def seminorm_a_sq(v: ShellPower | SpectralField, r: float, tau: float, s_order: int = 0) -> float:
     """||A^r e^{tau A} dz^{s_order} V||^2 via coefficient sums."""
     p = _power(v)
-    return float(p.column(s_order) @ _a_exp_weight(_bins(p.grid).k, r, tau))
+    return float(p.column(s_order) @ q_weight(p.grid, r, tau))
 
 
 def dz_l2_sq(v: ShellPower | SpectralField, s_order: int = 0) -> float:
@@ -194,7 +215,9 @@ def norm_rst_eta(v: SpectralField, spec: NormSpec) -> float:
         horiz = np.where(k == 0.0, 0.0, horiz)
     vert = m ** (2 * spec.s) if spec.s > 0 else np.ones_like(m)
     expo = 2.0 * spec.tau * k + 2.0 * spec.eta * m
-    if (expo > 2.0 * _LOG_OVERFLOW).any():
+    with np.errstate(divide="ignore"):
+        logw = np.log(horiz + vert) + expo
+    if (logw > _LOG_MAX).any():
         raise SpectralRangeError(f"norm weight overflows at tau={spec.tau}, eta={spec.eta}")
     weight = 1.0 + (horiz + vert) * np.exp(expo)
     return float(np.sqrt(np.sum((np.abs(v.coeffs) ** 2) * weight)))

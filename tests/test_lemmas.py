@@ -4,8 +4,29 @@ import numpy as np
 import pytest
 
 from rotape.grid import GridSpec
-from rotape.lemmas import LemmaKind, check, ensemble_fields, run_ensemble
-from rotape.spectral import COS, SpectralField, values_from_coeffs
+from rotape.lemmas import (
+    LemmaKind,
+    _adv_field,
+    _profile,
+    _z_power,
+    _zero_mode_profile,
+    check,
+    ensemble_fields,
+    ensemble_parameters,
+    run_ensemble,
+)
+from rotape.norms import _weight_a_exp
+from rotape.spectral import (
+    COS,
+    SpectralField,
+    dx,
+    dy,
+    dz,
+    is_conjugate_symmetric,
+    product,
+    values_from_coeffs,
+    vertical_values,
+)
 from tests.test_spectral_core import mode_field
 
 GRID = GridSpec(nh=16, nz=8)
@@ -79,15 +100,11 @@ class TestDualPath:
         res = check(LemmaKind.type1, f, g, h, r, tau, force_path="exact")
 
         # --- oracle lhs: quadrature of (f . grad g) against the weighted h ---
-        from rotape.lemmas import _adv_field
-
         x = _adv_field(f, g)
         lhs_oracle = abs(brute_force_inner(x.coeffs, h.coeffs, grid, r, tau))
         assert abs(res.lhs - lhs_oracle) < 1e-10 * max(lhs_oracle, 1e-300)
 
         # --- oracle rhs: z-quadrature of the displayed integrand ---
-        from rotape.lemmas import _profile
-
         def prof(field, rr, zs):
             from rotape.grid import kabs
 
@@ -154,12 +171,8 @@ class TestStructure:
     def test_tau_zero_kills_diff_type1_weighted_term(self, rng):
         f, g, h = ensemble_fields(LemmaKind.diff_type1, GRID, rng, 0.45, 0.3)
         res = check(LemmaKind.diff_type1, f, g, h, 2.25, 0.0)
-        from rotape.lemmas import _profile
-
         nzf = 4 * GRID.nz
-        sob = float(
-            np.mean(_profile(f, 2.25, 0.0, nzf) * _profile(g, 2.25, 0.0, nzf) * _profile(h, 2.25, 0.0, nzf))
-        )
+        sob = float(np.mean(np.prod([_profile(_z_power(x, nzf), GRID, 2.25, 0.0) for x in (f, g, h)], axis=0)))
         assert res.rhs_unit == pytest.approx(sob, rel=1e-12)
 
     def test_hypothesis_rejection_and_warning(self, rng):
@@ -179,3 +192,112 @@ class TestEnsemble:
             ratios = [r.ratio for r in results]
             assert all(np.isfinite(ratios))
             assert max(ratios) < 100.0
+
+
+def reference_profile(f, r, tau, nzf):
+    """The per-mode sum the q table replaces: every (n1, n2) column, weighted."""
+    w = _weight_a_exp(f.grid, r, tau)[..., 0]
+    vals = vertical_values(f.coeffs, f.basis, nzf)
+    return np.sqrt(np.einsum("cxyz,xy->z", np.abs(vals) ** 2, w).real)
+
+
+def reference_zero_mode_profile(f, nzf):
+    vals = vertical_values(f.coeffs[:, 0:1, 0:1, :], f.basis, nzf)
+    return np.sqrt((np.abs(vals) ** 2).sum(axis=(0, 1, 2)))
+
+
+def reference_adv(f, g):
+    """(f . grad) g as 2 nc separate dealiased products."""
+    parts = [
+        product(f.component(0), dx(g.component(c))) + product(f.component(1), dy(g.component(c)))
+        for c in range(g.components)
+    ]
+    return np.concatenate([p.coeffs for p in parts]), parts[0].basis
+
+
+def complex_flat_field(grid, rng):
+    """Every (n1, n2, m) populated, outside the 2/3 band too; not conjugate symmetric."""
+    shape = (2, *grid.shape)
+    return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class TestProfileTable:
+    @pytest.mark.parametrize("nh", [16, 32, 64])
+    @pytest.mark.parametrize("basis", ["cos", "sin"])
+    def test_table_profiles_match_per_mode_sums(self, rng, nh, basis):
+        grid = GridSpec(nh=nh, nz=8)
+        nzf = 4 * grid.nz
+        fields = [
+            *ensemble_fields(LemmaKind.type1, grid, rng, 0.45, 0.3),  # real, banded
+            *single_mode_triple(grid),  # sparse and complex
+            complex_flat_field(grid, rng),
+        ]
+        if basis == "sin":
+            fields = [dz(f) for f in fields]
+        for f in fields:
+            p = _z_power(f, nzf)
+            for r, tau in ((1.5, 0.0), (1.5, 0.2), (2.75, 0.2)):
+                np.testing.assert_allclose(
+                    _profile(p, grid, r, tau), reference_profile(f, r, tau, nzf), rtol=1e-13, atol=0.0
+                )
+            np.testing.assert_allclose(
+                _zero_mode_profile(p), reference_zero_mode_profile(f, nzf), rtol=1e-13, atol=0.0
+            )
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_stacked_advection_matches_per_component_products(self, rng, real):
+        grid = GridSpec(nh=32, nz=8)
+        if real:
+            pairs = [ensemble_fields(LemmaKind.type1, grid, rng, 0.45, 0.3)[:2]]
+        else:
+            pairs = [single_mode_triple(grid)[:2], (complex_flat_field(grid, rng), complex_flat_field(grid, rng))]
+        for f, g in pairs:
+            assert is_conjugate_symmetric(f) == is_conjugate_symmetric(g) == real
+            expect, basis = reference_adv(f, g)
+            got = _adv_field(f, g)
+            assert got.basis == basis
+            assert np.abs(got.coeffs - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+PROFILE_KINDS = [
+    LemmaKind.banach_algebra,
+    LemmaKind.type1,
+    LemmaKind.type3,
+    LemmaKind.diff_type1,
+    LemmaKind.diff_type2,
+]
+
+
+class TestTransformCounts:
+    """One vertical series per field for the RHS, one round trip for the advection term."""
+
+    @staticmethod
+    def _count(monkeypatch, names):
+        import rotape.lemmas as lm
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(lm, name, counted(name, getattr(lm, name)))
+        return calls
+
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    def test_rhs_profiles_transform_each_field_once(self, monkeypatch, rng, kind):
+        r, tau, tau_gen, eta_gen = ensemble_parameters(kind)
+        f, g, h = ensemble_fields(kind, GRID, rng, tau_gen, eta_gen)
+        calls = self._count(monkeypatch, ["vertical_values"])
+        check(kind, f, g, h, r, tau)
+        assert len(calls) == (2 if kind is LemmaKind.banach_algebra else 3)
+
+    def test_advection_makes_two_inverse_and_one_forward_transform(self, monkeypatch, rng):
+        f, g, _ = ensemble_fields(LemmaKind.type1, GRID, rng, 0.45, 0.3)
+        calls = self._count(monkeypatch, ["values_from_coeffs", "coeffs_from_values"])
+        _adv_field(f, g)
+        assert sorted(calls) == ["coeffs_from_values", "values_from_coeffs", "values_from_coeffs"]

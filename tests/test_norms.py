@@ -236,6 +236,39 @@ class TestShellPower:
                 norm_rst(v, NormSpec(r=2.0, tau=6.0))
         assert np.isfinite(norm_rst(ShellPower.of(f.coeffs, grid), NormSpec(r=2.0, tau=1.0)))
 
+    def test_weights_past_the_float64_range_raise_under_w_error(self, rng):
+        """A weight above the largest float64 raises; np.exp never overflows to inf."""
+        import warnings
+
+        from rotape.initial_data import random_scalar_2d
+        from rotape.lemmas import _profile, _z_power
+        from rotape.pe_solver import norm_rst_2d
+
+        grid = GridSpec(nh=64, nz=8)
+        f = random_vector(grid, rng)
+        u = random_scalar_2d(64, 8, rng, tau=0.5, eta=0.3, hcut=grid.hcut, zcut=grid.zcut)
+        table = _z_power(f, 4 * grid.nz)
+        kmax = kabs(grid).max()
+        log_max = np.log(np.finfo(np.float64).max)
+        # log w = 2 r log kmax + 2 tau kmax just inside and just past log(float64 max)
+        inside = (log_max - 4.0 * np.log(kmax)) / (2.0 * kmax) * (1.0 - 1e-9)
+        for tau, ok in ((2.0, False), (inside * (1.0 + 2e-9), False), (inside, True)):
+            evaluations = (
+                lambda: norm_rst(f, NormSpec(r=2.0, tau=tau)),
+                lambda: seminorm_a_sq(f, 2.0, tau),
+                lambda: norm_rst_eta(f, NormSpec(r=2.0, tau=tau)),
+                lambda: norm_rst_2d(u, grid, NormSpec(r=2.0, tau=tau)),
+                lambda: _profile(table, grid, 2.0, tau),
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for evaluate in evaluations:
+                    if ok:
+                        assert np.isfinite(evaluate()).all()
+                    else:
+                        with pytest.raises(SpectralRangeError, match="overflows"):
+                            evaluate()
+
     def test_compact_barotropic_layout_and_dz(self, rng):
         grid = GridSpec(nh=24, nz=6)
         f = random_vector(grid, rng)
