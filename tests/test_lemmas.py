@@ -24,6 +24,7 @@ from rotape.spectral import (
     dz,
     is_conjugate_symmetric,
     product,
+    symmetrize,
     values_from_coeffs,
     vertical_values,
 )
@@ -257,6 +258,17 @@ class TestProfileTable:
             got = _adv_field(f, g)
             assert got.basis == basis
             assert np.abs(got.coeffs - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+    def test_nyquist_content_keeps_the_complex_path(self, rng):
+        """dx g and dy g are not conjugate symmetric where a conjugate-symmetric g
+        fills the Nyquist row and column, so the stack must not take the real path."""
+        grid = GridSpec(nh=16, nz=8)
+        f, g = (SpectralField(grid, symmetrize(complex_flat_field(grid, rng).coeffs)) for _ in range(2))
+        assert is_conjugate_symmetric(g) and not is_conjugate_symmetric(dx(g))
+        expect, _ = reference_adv(f, g)
+        got = _adv_field(f, g)
+        assert np.abs(got.coeffs - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 PROFILE_KINDS = [

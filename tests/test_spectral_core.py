@@ -357,6 +357,22 @@ def test_conjugate_reverse_matches_index_definition(rng, shape):
     assert np.array_equal(conjugate_reverse(conjugate_reverse(a)), a)
 
 
+@pytest.mark.parametrize("shape", [(1, 16, 16, 4), (2, 24, 24, 3), (2, 6, 6, 3)])
+def test_is_conjugate_symmetric_matches_the_reversed_copy(rng, shape):
+    """The in-place half-plane residual decides exactly as the full reversed copy does."""
+    from rotape.spectral import conjugate_reverse, is_conjugate_symmetric, symmetrize
+
+    grid = GridSpec(nh=shape[1], nz=shape[-1])
+    a = symmetrize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for scale in (0.0, 1e-13, 1e-12, 1e-11, 1.0):
+        b = a.copy()
+        b[0, 1, 2, 1] += scale * (1 + 1j)
+        b[-1, shape[1] // 2, 0, 0] += scale * 1j
+        resid = np.abs(b - conjugate_reverse(b)).max()
+        expect = bool(resid <= 1e-12 * np.abs(b).max())
+        assert is_conjugate_symmetric(SpectralField(grid, b)) == expect
+
+
 def test_only_spectral_calls_transforms():
     """Layering: the basis scaling, sine-slot shift and FFT normalisation live
     in spectral.py alone, so no other module may call a transform
