@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, ksq, mpi
-from .spectral import COS, barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
+from .spectral import COS, barotropic_coeffs, barotropic_values, coeffs_from_values, require_band, values_from_coeffs
 from .pe_solver import _grad_stack, _guard, _if_rk4, plus_projection
 
 
@@ -70,13 +70,12 @@ def transport_rhs(
     vbar = velocity_from_vorticity(omega, grid)
     bar = barotropic_values(np.concatenate([vbar, omega[None]]), grid)[..., None]
     vb, wphys = bar[0:2], bar[2:3]
-    vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True)
+    vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True, band=True)
     p, px, py = vals[0:2], vals[2:4], vals[4:6]
     perp = np.concatenate([-p[1:2], p[0:1]], axis=0)
     n = -(vb[0:1] * px + vb[1:2] * py)
     n -= 0.5 * perp * wphys
-    out = coeffs_from_values(n, grid, COS)
-    out *= dealias_mask(grid)[None, ...]
+    out = coeffs_from_values(n, grid, COS, band=True)
     out[..., 0] = 0.0
     _guard("limit_transport", out)
     if include_viscous:
@@ -129,7 +128,12 @@ def integrate_limit(
     r: float = 2.0,
     s: int = 1,
 ) -> tuple[LimitState, list[LimitDiagnostics], list[LimitState]]:
-    """RK4 with exact vertical-diffusion factor; returns optional stored states."""
+    """RK4 with exact vertical-diffusion factor; returns optional stored states.
+
+    A state0 with modes outside the 2/3-rule band raises ValueError.
+    """
+    require_band(state0.omega_bar[..., None], grid, "omega_bar")
+    require_band(state0.vtilde, grid, "vtilde")
     state = state0.copy()
     n_steps = int(round(t_end / dt))
     stored = [state.copy()] if store_every else []

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
 from .norms import InsufficientDecayData, NormSpec, ShellPower, _weight_a_exp, dz_l2_sq, fit_radius, norm_rst
-from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse
+from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse, require_band
 from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
 
 
@@ -195,8 +195,8 @@ def _plus_values(phi: np.ndarray, grid: GridSpec) -> tuple:
     grad = _grad_stack(phi, grid)
     intc = np.zeros_like(phi)
     intc[..., 1:] = (grad[1:2, ..., 1:] + 1j * grad[2:3, ..., 1:]) / w[..., 1:]
-    p, px, py = values_from_coeffs(grad, grid, COS)
-    dz, intp = values_from_coeffs(np.concatenate([-w * phi, intc], axis=0), grid, SIN)
+    p, px, py = values_from_coeffs(grad, grid, COS, band=True)
+    dz, intp = values_from_coeffs(np.concatenate([-w * phi, intc], axis=0), grid, SIN, band=True)
     return p, px, py, dz, intp
 
 
@@ -222,8 +222,7 @@ def _fwd_baroclinic(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     equations (the divergence/w integration-by-parts identity holds
     structurally for baroclinic inputs).
     """
-    out = coeffs_from_values(vals, grid, COS)
-    out *= dealias_mask(grid)[None, ...]
+    out = coeffs_from_values(vals, grid, COS, band=True)
     out[..., 0] = 0.0
     return out
 
@@ -372,15 +371,16 @@ def rhs_direct(
         raise ValueError("cfl=True reads the values of the nonlinear terms")
     if include_nonlinear:
         w = mpi(g)
-        cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True)
-        svals = values_from_coeffs(np.concatenate([-w * v, _w_coeffs(v, g)], axis=0), g, SIN, real=True)
+        cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True, band=True)
+        svals = values_from_coeffs(
+            np.concatenate([-w * v, _w_coeffs(v, g)], axis=0), g, SIN, real=True, band=True
+        )
         p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
         dzp, wphys = svals[0:2], svals[2:3]
         if cfl:
             lim = _cfl_from_maxima(_abs_max(p), _abs_max(wphys), cfg)
         n = -_adv(p, px, py) - wphys * dzp
-        nhat = coeffs_from_values(n, g, COS)
-        nhat *= dealias_mask(g)[None, ...]
+        nhat = coeffs_from_values(n, g, COS, band=True)
         _guard("advection", nhat)
         out += nhat
     if include_coriolis:
@@ -475,8 +475,19 @@ def cfl_limit(state, cfg: SolverConfig) -> float:
     return _cfl_from_maxima(umax, wmax, cfg)
 
 
+def _require_band(state, grid: GridSpec):
+    """ValueError unless the state lies in the 2/3-rule band the RHS transforms read."""
+    if isinstance(state, RotatingState):
+        require_band(state.vbar[..., None], grid, "vbar")
+        require_band(state.vplus, grid, "vplus")
+    elif isinstance(state, DirectState):
+        require_band(state.v, grid, "v")
+
+
 def step(state, cfg: SolverConfig):
-    """Advance one dt; raises CflError when the advective limit is violated."""
+    """Advance one dt; raises CflError when the advective limit is violated,
+    and ValueError for a state with modes outside the 2/3-rule band."""
+    _require_band(state, cfg.grid)
     return _advance(state, cfg, check_cfl=True)[0]
 
 
@@ -623,6 +634,7 @@ def integrate(
     The sentinel fires when norm_rst at the report spec exceeds
     blowup_factor x initial, or on NaN.  The fitted-radius collapse
     (tau_fit_h < 0.05 x initial fit) is logged separately, never fatal.
+    A state0 with modes outside the 2/3-rule band raises ValueError.
 
     The CFL limit of each pre-step state comes from stage 1 of its RK4 step,
     which evaluates the RHS there and so holds the physical velocity: with
@@ -634,6 +646,7 @@ def integrate(
     """
     report = report or NormSpec(r=2.0, s=0, tau=0.0)
     g = cfg.grid
+    _require_band(state0, g)
     state = state0.copy()
     n_steps = int(round(cfg.t_end / cfg.dt))
     tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
@@ -712,10 +725,9 @@ def rhs_2d(u: np.ndarray, grid: GridSpec, nu: float, include_viscous: bool = Tru
     dxu = 1j * kx(grid) * col
     intc = np.zeros_like(dxu)
     intc[..., 1:] = dxu[..., 1:] / w[..., 1:]
-    p, px = values_from_coeffs(np.stack([col, dxu]), grid, COS, real=True)
-    dzp, intp = values_from_coeffs(np.stack([-w * col, intc]), grid, SIN, real=True)
-    out = coeffs_from_values(intp * dzp - p * px, grid, COS)
-    out *= dealias_mask(grid)[:, 0:1, :]
+    p, px = values_from_coeffs(np.stack([col, dxu]), grid, COS, real=True, band=True)
+    dzp, intp = values_from_coeffs(np.stack([-w * col, intc]), grid, SIN, real=True, band=True)
+    out = coeffs_from_values(intp * dzp - p * px, grid, COS, band=True)
     out[..., 0] = 0.0
     _guard("advection_2d", out)
     out = out[:, 0, :]
@@ -725,6 +737,9 @@ def rhs_2d(u: np.ndarray, grid: GridSpec, nu: float, include_viscous: bool = Tru
 
 
 def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
+    """One RK4-IF step; ValueError for a state with modes outside the 2/3-rule band."""
+    require_band(state.u[:, None, :], grid, "u")
+
     def nl(a, t):
         return (rhs_2d(a[0], grid, nu, include_viscous=False),)
 

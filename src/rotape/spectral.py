@@ -10,7 +10,7 @@ This is the only module that calls a transform, so the basis scaling, the
 sine-slot shift and the FFT normalisation live here alone.  Every transform
 is a horizontal FFT composed with one vertical pair, the DCT/DST-III
 evaluation on midpoints (`_z_inverse`) and its DCT/DST-II inverse
-(`_z_forward`).  The layouts served:
+(`_z_forward`), run as one pass per axis.  The layouts served:
 
 * 3-D (.., nh, nh, nz): `values_from_coeffs`, `coeffs_from_values`;
 * x-z (.., nh, 1, nz), the n2 = 0 column of the 3-D layout that carries
@@ -19,9 +19,9 @@ evaluation on midpoints (`_z_inverse`) and its DCT/DST-II inverse
   `barotropic_coeffs`;
 * the vertical series alone, on a refined midpoint grid: `vertical_values`.
 
-The 3-D kernels have a real-field path (rfft2/irfft2 and real DCT/DST,
-which skip the redundant half of a conjugate-symmetric spectrum) behind the
-same names and the same full coefficient layout: `coeffs_from_values` takes
+The 3-D kernels have a real-field path (an rfft/irfft n2 pass, so that
+the other passes skip the redundant half of a conjugate-symmetric spectrum)
+behind the same names and the same full coefficient layout: `coeffs_from_values` takes
 it for real values, `values_from_coeffs` when the caller passes real=True.
 It serves every real field: the lab-frame velocity in `rhs_direct` and
 `cfl_limit`, the limit system, the 2-D reduced system, and products of two
@@ -29,17 +29,32 @@ real factors.  The rotating-frame V+ = e^{-i Omega t} P+ V is intrinsically
 complex (its coefficients are not conjugate symmetric), so the scalar
 phi = V+_x that carries it keeps the complex kernels.
 
+The 3-D kernels also have a band-limited mode (band=True), after the pruned
+FFTs that go with Orszag's 2/3 rule: the inverse reads only the band
+|n1|, |n2| <= hcut, m <= zcut as if the rest were zero, and the forward
+computes only the band and returns zeros elsewhere, the dealiased transform.
+The vertical pass comes first in the inverse and last in the forward, so
+it runs on the band's (n1, n2) columns alone, and each horizontal pass runs
+only on the lines that the passes before it filled.  There is one
+implementation: the full transform is the box that covers the grid.  The
+solvers' per-stage transforms (`rhs_rotating`, `rhs_direct`, `rhs_2d`, the
+limit system's `transport_rhs`) are band-limited, and their steppers reject
+a state with an out-of-band mode (`require_band`), which the band mode
+would drop.  `product`, the lemma checker's advection term and `cfl_limit`
+accept any field, so they keep the full transforms.
+
 All operations are pure: inputs are never mutated and outputs are fresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import GridSpec, a_exp_multiplier, dealias_mask, kabs, kx, ky, mpi
+from .grid import GridSpec, a_exp_multiplier, dealias_mask, kabs, kx, ky, mode_numbers, mpi
 
 SQRT2 = np.sqrt(2.0)
 
@@ -142,39 +157,89 @@ _WORKERS = 2
 _NEG_INDEX = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
 
 
-def _slots(coeffs: np.ndarray, basis: str) -> np.ndarray:
-    """DCT/DST slots of vertical coefficients: cos mode m is slot m, sine mode m slot m - 1."""
-    return coeffs if basis == COS else coeffs[..., 1:]
+@lru_cache(maxsize=None)
+def _box(grid: GridSpec, band: bool, n1: int, n2: int, real: bool) -> tuple:
+    """(rows, cols, largest |n|, largest m) of the box a transform of an
+    (.., n1, n2, nz) layout reads or writes: the 2/3-rule band, or a box that
+    covers the whole grid.  rows and cols are the runs of its n1 and n2
+    indices (`_runs`); a real field's cols are its half-plane columns."""
+    cut, mmax = (grid.hcut, grid.zcut) if band else (grid.nh // 2, grid.nz - 1)
+    cols = ((slice(0, min(cut, n2 // 2) + 1),) * 2,) if real else _runs(n2, cut)
+    return _runs(n1, cut), cols, cut, mmax
 
 
-def _z_inverse(slots: np.ndarray, basis: str, n: int, own: bool = False) -> np.ndarray:
-    """DCT/DST-III: the vertical series of `slots` at n midpoints z_j = (j + 1/2)/n.
+def _runs(n: int, cut: int) -> tuple:
+    """(full, packed) slice pairs of the FFT-order indices |i| <= cut on an axis
+    of length n, packed in storage order; one pair when they cover the axis."""
+    if 2 * cut + 1 >= n:
+        return ((slice(0, n), slice(0, n)),)
+    return ((slice(0, cut + 1), slice(0, cut + 1)), (slice(n - cut, n), slice(cut + 1, 2 * cut + 1)))
 
-    n beyond the slot count zero-pads through the transform's own n argument;
-    own=True lets the kernel scale `slots` in place.
+
+def _width(runs: tuple) -> int:
+    return runs[-1][1].stop
+
+
+def _slots(coeffs: np.ndarray, basis: str, mmax: int) -> np.ndarray:
+    """DCT/DST slots of the modes m <= mmax: cos mode m is slot m, sine mode m slot m - 1."""
+    return coeffs[..., : mmax + 1] if basis == COS else coeffs[..., 1 : mmax + 1]
+
+
+def _z_inverse(x: np.ndarray, basis: str, nslots: int, own: bool) -> np.ndarray:
+    """DCT/DST-III: the vertical series at x.shape[-1] midpoints z_j = (j + 1/2)/n.
+
+    The first nslots entries of the last axis are the slots; the rest, zero,
+    pad them to the midpoint count.  own=True transforms x in place;
+    otherwise x must hold the slots alone (nslots == x.shape[-1]).
     """
-    scale = _cos_in_scale(slots.shape[-1]) if basis == COS else 1.0 / SQRT2
-    x = np.multiply(slots, scale, out=slots if own else None)
+    scale = _cos_in_scale(nslots) if basis == COS else 1.0 / SQRT2
+    if own:
+        x[..., :nslots] *= scale
+    else:
+        x = x * scale
+    return _r2r(basis, x, 3)
+
+
+def _r2r(basis: str, x: np.ndarray, type: int) -> np.ndarray:
+    """The DCT (cos) or DST (sin) of the given type along the last axis, in place.
+
+    A complex x takes one real transform of its interleaved (real, imag)
+    parts, the same arithmetic as one transform of each part.
+    """
     kernel = sfft.dct if basis == COS else sfft.dst
-    return kernel(x, type=3, n=n, axis=-1, overwrite_x=True, workers=_WORKERS)
+    if not np.iscomplexobj(x):
+        return kernel(x, type=type, axis=-1, overwrite_x=True, workers=_WORKERS)
+    pairs = x.view(np.float64).reshape(x.shape + (2,))
+    out = kernel(pairs, type=type, axis=-2, overwrite_x=True, workers=_WORKERS)
+    return out.view(np.complex128)[..., 0]
 
 
-def _z_forward(vals: np.ndarray, basis: str, hsize: int) -> np.ndarray:
-    """DCT/DST-II: vertical coefficients of midpoint values, divided by hsize.
+def _z_forward(x: np.ndarray, basis: str, hsize: int, mmax: int) -> np.ndarray:
+    """DCT/DST-II in place: the slots of the modes m <= mmax of midpoint values
+    x, divided by hsize, as a view of x.
 
     hsize is the point count of the unnormalised horizontal forward transform
-    that follows, so its normalisation costs no pass of its own.
+    that preceded, so its normalisation costs no pass of its own.
     """
-    nz = vals.shape[-1]
+    nz = x.shape[-1]
+    d = _r2r(basis, x, 2)
     if basis == COS:
-        d = sfft.dct(vals, type=2, axis=-1, workers=_WORKERS)
-        d *= _cos_out_scale(hsize, nz)
-        return d
-    e = sfft.dst(vals, type=2, axis=-1, workers=_WORKERS)
-    out = np.empty_like(e)
-    out[..., 0] = 0.0
-    np.multiply(e[..., : nz - 1], 1.0 / (SQRT2 * nz * hsize), out=out[..., 1:])
-    return out
+        d = d[..., : mmax + 1]
+        d *= _cos_out_scale(hsize, nz)[: mmax + 1]
+    else:
+        d = d[..., :mmax]
+        d *= 1.0 / (SQRT2 * nz * hsize)
+    return d
+
+
+def _fft_pass(x: np.ndarray, axis: int, inverse: bool) -> None:
+    """One unnormalised FFT pass along `axis`, in place in x (which may be a view)."""
+    if inverse:
+        y = sfft.ifft(x, axis=axis, norm="forward", overwrite_x=True, workers=_WORKERS)
+    else:
+        y = sfft.fft(x, axis=axis, overwrite_x=True, workers=_WORKERS)
+    if not np.may_share_memory(x, y):
+        x[...] = y
 
 
 def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
@@ -183,43 +248,144 @@ def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
     The horizontal modes are left untouched: a refined z grid for per-z
     horizontal norms, which Parseval evaluates without an x transform.
     """
-    return _z_inverse(_slots(coeffs, basis), basis, n)
+    slots = _slots(coeffs, basis, coeffs.shape[-1] - 1)
+    x = np.zeros(slots.shape[:-1] + (n,), dtype=slots.dtype)
+    x[..., : slots.shape[-1]] = slots
+    return _z_inverse(x, basis, slots.shape[-1], own=True)
 
 
-def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
+def _whole(n: int) -> tuple:
+    """The one run of an axis of length n that a pass reads or fills whole."""
+    return ((slice(0, n), slice(0, n)),)
+
+
+def _gather(a: np.ndarray, rows: tuple, cols: tuple, depth: int | None = None) -> tuple[np.ndarray, bool]:
+    """(the packed box a[.., rows, cols, :], zero-padded along the last axis to
+    `depth`; whether it is a copy).  A view of a when one row run and one
+    column run make the box and nothing is padded."""
+    depth = depth or a.shape[-1]
+    if len(rows) == len(cols) == 1 and depth == a.shape[-1]:
+        return a[..., rows[0][0], cols[0][0], :], False
+    make = np.zeros if depth > a.shape[-1] else np.empty
+    out = make(a.shape[:-3] + (_width(rows), _width(cols), depth), dtype=a.dtype)
+    for r, rp in rows:
+        for c, cp in cols:
+            out[..., rp, cp, : a.shape[-1]] = a[..., r, c, :]
+    return out, True
+
+
+def _scatter(
+    x: np.ndarray, rows: tuple, cols: tuple, shape: tuple, m0: int = 0, into: np.ndarray | None = None
+) -> np.ndarray:
+    """Zeros of `shape` with each packed block x[.., rows, cols, :] at its full
+    position, the last axis starting at m0: written into `into` when given
+    (it must not hold x), else a fresh array.  x itself when one block fills
+    `shape`."""
+    if len(rows) == len(cols) == 1 and x.shape == tuple(shape):
+        return x
+    if into is None:
+        out = np.zeros(shape, dtype=np.complex128)
+    else:
+        out = into
+        out.fill(0.0)
+    stop = m0 + x.shape[-1]
+    for r, rp in rows:
+        for c, cp in cols:
+            out[..., r, c, m0:stop] = x[..., rp, cp, :]
+    return out
+
+
+def _conj_fill(out: np.ndarray, neg: int) -> np.ndarray:
+    """Fill the columns n2 = -1 .. -neg of a real field's full layout in place,
+    out(n1, -n2) = conj out(-n1, n2), by two block copies."""
+    n2 = out.shape[-2]
+    for d1, s1 in _NEG_INDEX:
+        np.conjugate(out[..., s1, neg:0:-1, :], out=out[..., d1, n2 - neg :, :])
+    return out
+
+
+def coeffs_from_values(
+    vals: np.ndarray, grid: GridSpec, basis: str = COS, *, band: bool = False
+) -> np.ndarray:
     """Forward transform: collocation values (.., n1, n2, z) -> basis coefficients.
 
-    The vertical DCT/DST runs first, with the horizontal normalisation folded
-    into its scale; real values then take rfft2 with the half plane expanded
-    by conjugation, complex values fft2.  Both return the full FFT-order
-    layout.  A single n2 = 0 column (.., nh, 1, nz) is the x-z layout.
+    The n2 pass runs first (an rfft for real values, whose half plane is
+    expanded by conjugation at the end), then the n1 pass, then the vertical
+    DCT/DST with the horizontal normalisation folded into its scale.  The
+    result is the full FFT-order layout.  band=True computes only the 2/3-rule
+    band |n1|, |n2| <= hcut, m <= zcut, zero elsewhere: the dealiased
+    transform.  The n1 pass then runs on the band's n2 columns and the
+    vertical one on the band's (n1, n2) columns.  A single n2 = 0 column
+    (.., nh, 1, nz) is the x-z layout.
     """
-    x = _z_forward(vals, basis, vals.shape[-3] * vals.shape[-2])
-    if np.iscomplexobj(x):
-        return sfft.fft2(x, axes=(-3, -2), overwrite_x=True, workers=_WORKERS)
-    xh = sfft.rfft2(x, axes=(-3, -2), workers=_WORKERS)
-    return full_from_half(xh, vals.shape[-2])
+    n1, n2, nz = vals.shape[-3:]
+    real = not np.iscomplexobj(vals)
+    rows, cols, cut, mmax = _box(grid, band, n1, n2, real)
+    if real:
+        x = sfft.rfft(vals, axis=-2, workers=_WORKERS)
+    else:
+        x = sfft.fft(vals, axis=-2, workers=_WORKERS)
+    for c, _ in cols:
+        _fft_pass(x[..., c, :], -3, inverse=False)
+    box, copied = _gather(x, rows, cols)
+    box = _z_forward(box, basis, n1 * n2, mmax)
+    # a packed box frees the buffer of the horizontal passes to be the output
+    into = x if copied and not real else None
+    out = _scatter(box, rows, cols, vals.shape, 0 if basis == COS else 1, into)
+    return _conj_fill(out, min(cut, n2 - _width(cols))) if real else out
 
 
 def values_from_coeffs(
-    coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False
+    coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False, band: bool = False
 ) -> np.ndarray:
     """Inverse transform: basis coefficients -> collocation values.
 
-    The horizontal inverse runs first, on the DCT/DST slots only (the empty
-    sine slot m = 0 is never transformed), then the vertical one in place.
+    The vertical DCT/DST runs first, on the DCT/DST slots only (the empty
+    sine slot m = 0 is never transformed), then the n2 pass and the n1 pass.
     real=True asserts that the field is real (conjugate symmetric): only the
-    half plane n2 <= nh/2 is read and the values come back real.  Otherwise
-    the values are complex.
+    half plane n2 <= nh/2 is read, the n1 pass comes first and the n2 pass is
+    an irfft, and the values come back real.  Otherwise the values are
+    complex.  band=True reads only the 2/3-rule band |n1|, |n2| <= hcut,
+    m <= zcut, as if the rest were zero: the vertical pass runs on the band's
+    (n1, n2) columns, zero-padding m, and the first horizontal pass on the
+    band's rows (n1) or columns (n2 of a real field).
     """
-    slots = _slots(coeffs, basis)
+    n1, n2 = coeffs.shape[-3:-1]
+    rows, cols, _, mmax = _box(grid, band, n1, n2, real)
+    slots = _slots(coeffs, basis, mmax)
+    x, copied = _gather(slots, rows, cols, grid.nz)
+    x = _z_inverse(x, basis, slots.shape[-1], own=copied)
     if real:
-        n1, n2 = coeffs.shape[-3:-1]
-        x = sfft.irfft2(slots[..., : n2 // 2 + 1, :], s=(n1, n2), axes=(-3, -2),
-                        norm="forward", workers=_WORKERS)
-    else:
-        x = sfft.ifft2(slots, axes=(-3, -2), norm="forward", workers=_WORKERS)
-    return _z_inverse(x, basis, grid.nz, own=True)
+        x = _scatter(x, rows, _whole(x.shape[-2]), x.shape[:-3] + (n1,) + x.shape[-2:])
+        _fft_pass(x, -3, inverse=True)
+        return sfft.irfft(x, n=n2, axis=-2, norm="forward", workers=_WORKERS)
+    x = _scatter(x, rows, cols, x.shape[:-3] + (n1, n2, x.shape[-1]))
+    for r, _ in rows:
+        _fft_pass(x[..., r, :, :], -2, inverse=True)
+    _fft_pass(x, -3, inverse=True)
+    return x
+
+
+def require_band(coeffs: np.ndarray, grid: GridSpec, what: str) -> None:
+    """Raise ValueError when `coeffs` hold a nonzero mode outside the 2/3-rule
+    band, which the band transforms would silently drop.
+
+    The trailing axes are (n1, n2, m); an n2 axis of length 1 is the x-z
+    layout and an m axis of length 1 the barotropic mode (pass the compact
+    (.., nh, nh) layout as coeffs[..., None]).
+    """
+    keep = dealias_mask(grid)[:, : coeffs.shape[-2], : coeffs.shape[-1]]
+    bad = (coeffs != 0) & ~keep
+    count = int(np.count_nonzero(bad))
+    if count:
+        n1, n2, m = np.nonzero(bad.reshape(-1, *keep.shape).any(axis=0))
+        nums = mode_numbers(grid)[0]
+        nmax = int(np.maximum(np.abs(nums[n1]), np.abs(nums[n2])).max())
+        raise ValueError(
+            f"{what} has {count} nonzero coefficients outside the 2/3-rule band "
+            f"|n1|, |n2| <= {grid.hcut}, m <= {grid.zcut} (largest max(|n1|, |n2|) "
+            f"there {nmax}, largest m {int(m.max())}); band-limited transforms would drop them"
+        )
 
 
 # The compact barotropic transforms are small (a few (nh, nh) planes), where a
@@ -233,23 +399,11 @@ def barotropic_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def barotropic_coeffs(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Full compact (.., nh, nh) coefficients of real (.., nh, nh) values."""
+    h = grid.nh // 2
     xh = sfft.rfft2(vals, axes=(-2, -1), norm="forward")
-    return full_from_half(xh[..., None], grid.nh)[..., 0]
-
-
-def full_from_half(xh: np.ndarray, nh: int) -> np.ndarray:
-    """Full FFT-order plane from the rfft half plane of a real field.
-
-    Axes -3, -2 of xh are (n1, n2) with 0 <= n2 <= nh/2, nh the length of
-    the n2 axis; the missing n2 > nh/2 are conj xh(-n1, nh - n2), filled by
-    two block copies.
-    """
-    h = nh // 2
-    out = np.empty(xh.shape[:-2] + (nh, xh.shape[-1]), dtype=np.complex128)
-    out[..., : h + 1, :] = xh
-    for d1, s1 in _NEG_INDEX:
-        np.conjugate(xh[..., s1, h - 1 : 0 : -1, :], out=out[..., d1, h + 1 :, :])
-    return out
+    out = np.empty(xh.shape[:-1] + (grid.nh, 1), dtype=np.complex128)
+    out[..., : h + 1, 0] = xh
+    return _conj_fill(out, h - 1)[..., 0]
 
 
 def _cos_in_scale(nz: int) -> np.ndarray:

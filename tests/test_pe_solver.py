@@ -148,13 +148,16 @@ class TestRealityChecks:
             DirectState(0.0, v)
 
 
-@pytest.mark.parametrize("formulation", ["direct", "rotating"])
+@pytest.mark.parametrize("formulation", ["direct", "rotating", "limit"])
 def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
-    """One RHS evaluation costs two stacked inverse transforms and one forward.
+    """One RHS evaluation costs two stacked inverse transforms and one forward
+    (the limit transport one of each), all band-limited.
 
     The rotating RHS transforms the scalar phi of V+ = phi (1, i): three cos
-    and two sin components in, one out; the direct RHS the real 2-vector V.
+    and two sin components in, one out; the direct RHS the real 2-vector V;
+    the limit transport RHS the real 2-vector Vt and its gradient.
     """
+    import rotape.limit_solver as lim
     import rotape.pe_solver as pe
 
     calls = {"inverse": 0, "forward": 0}
@@ -164,25 +167,30 @@ def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
         def wrapper(*args, **kwargs):
             calls[kind] += 1
             basis = args[2] if len(args) > 2 else kwargs.get("basis", "cos")
-            stacks[kind].append((basis, args[0].shape[0]))
+            stacks[kind].append((basis, args[0].shape[0], kwargs.get("band", False)))
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(pe, "values_from_coeffs", counted("inverse", pe.values_from_coeffs))
-    monkeypatch.setattr(pe, "coeffs_from_values", counted("forward", pe.coeffs_from_values))
+    for mod in (pe, lim):
+        monkeypatch.setattr(mod, "values_from_coeffs", counted("inverse", mod.values_from_coeffs))
+        monkeypatch.setattr(mod, "coeffs_from_values", counted("forward", mod.coeffs_from_values))
     cfg = cfg_for()
     v = make_state(rng).v
     if formulation == "direct":
         rhs_direct(v, 0.3, cfg)
-    else:
+    elif formulation == "rotating":
         rhs_rotating(rotating_from_direct(v, 0.3, cfg.omega), 0.3, cfg)
-    assert calls == {"inverse": 2, "forward": 1}
+    else:
+        v[..., 0] = 0.0
+        lim.transport_rhs(v, lim.vorticity_from_velocity(make_state(rng).v[..., 0], GRID), GRID, cfg.nu)
     expect = {
-        "direct": {"inverse": [("cos", 6), ("sin", 3)], "forward": [("cos", 2)]},
-        "rotating": {"inverse": [("cos", 3), ("sin", 2)], "forward": [("cos", 1)]},
-    }
-    assert stacks == expect[formulation]
+        "direct": {"inverse": [("cos", 6, True), ("sin", 3, True)], "forward": [("cos", 2, True)]},
+        "rotating": {"inverse": [("cos", 3, True), ("sin", 2, True)], "forward": [("cos", 1, True)]},
+        "limit": {"inverse": [("cos", 6, True)], "forward": [("cos", 2, True)]},
+    }[formulation]
+    assert calls == {kind: len(stack) for kind, stack in expect.items()}
+    assert stacks == expect
 
 
 class TestRhsDirect:
