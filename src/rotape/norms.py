@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, kabs, mode_numbers, mpi
+from .grid import GridSpec, dealias_mask, kabs, mode_numbers, mpi
 from .spectral import SpectralField, SpectralRangeError
 
 # log of the largest float64: a weight past it is inf, not a number
@@ -96,19 +96,25 @@ class _Bins:
     k: np.ndarray           # |k| of each bin, as kabs gives it for the bin's first mode
     shell: np.ndarray       # shell isqrt(q) of each bin, as a position in shell_k
     shell_of_mode: np.ndarray
-    shell_k: np.ndarray     # mean |k| over the modes of each shell, zero shell first
-    shell_count: np.ndarray  # modes (n1, n2) per shell
+    shell_k: np.ndarray     # mean |k| over the counted modes of each shell, zero shell first
+    shell_count: np.ndarray  # counted modes (n1, n2) per shell
 
 
 @lru_cache(maxsize=None)
 def _bins(grid: GridSpec) -> _Bins:
+    """The q bins and shells of a grid.  A shell counts, and averages |k| over,
+    its modes inside the 2/3-rule band: the solver keeps every other mode at
+    zero, so counting them would make the shells that straddle the band edge
+    read low.  A shell with no mode inside the band counts all of its modes."""
     n1, n2, _ = mode_numbers(grid)
     q = (n1[:, None] ** 2 + n2[None, :] ** 2).ravel()
     _, first, of_mode = np.unique(q, return_index=True, return_inverse=True)
     flat = (of_mode[:, None] * grid.nz + np.arange(grid.nz)).ravel()
     _, shell_of_mode = np.unique(_mode_shells(grid).ravel(), return_inverse=True)
-    count = np.bincount(shell_of_mode)
-    shell_k = np.bincount(shell_of_mode, weights=kabs(grid).ravel()) / count
+    in_band = dealias_mask(grid)[:, :, 0].ravel()
+    counted = in_band | (np.bincount(shell_of_mode, weights=in_band) == 0)[shell_of_mode]
+    count = np.bincount(shell_of_mode, weights=counted)
+    shell_k = np.bincount(shell_of_mode, weights=kabs(grid).ravel() * counted) / count
     k = kabs(grid).ravel()[first]
     return _Bins(of_mode, flat, k, shell_of_mode[first], shell_of_mode, shell_k, count)
 
@@ -231,7 +237,8 @@ def _shell_stats(v: ShellPower | SpectralField, axis: str, method: str) -> tuple
     """Per-shell (wavenumber, amplitude); shells indexed by isqrt(q) = floor|n|
     (horizontal) or the vertical line m.  The zero shell carries no decay
     information and is dropped.  shell_l2 amplitudes are root-mean-square
-    over a shell's (n1, n2, m) entries, shell_max ones the largest entry."""
+    over a shell's counted (n1, n2, m) entries (its in-band modes, `_bins`),
+    shell_max ones the largest entry."""
     g = v.grid
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")

@@ -196,6 +196,20 @@ class TestShells:
         assert hit == radius - 1  # shells 1, 2, ... are all populated at nh = 48
 
 
+    @pytest.mark.parametrize("nh", [16, 32, 48])
+    def test_shells_average_over_their_in_band_modes(self, nh):
+        """Unit coefficients on every in-band mode read one shell_l2 amplitude in
+        every shell that has an in-band mode, the shells that straddle the band
+        edge (hcut < |n| <= sqrt(2) hcut) too; the shells past it read 0."""
+        grid = GridSpec(nh=nh, nz=4)
+        f = SpectralField(grid, dealias_mask(grid)[None].astype(np.complex128))
+        _, amps = _shell_stats(f, "horizontal", "shell_l2")
+        last = math.isqrt(2 * grid.hcut**2)  # shells 1 .. last hold in-band modes
+        expect = np.sqrt((grid.zcut + 1) / grid.nz)
+        assert np.allclose(amps[:last], expect, rtol=1e-14, atol=0.0)
+        assert not amps[last:].any()
+
+
 def _per_mode_sq(f, r, tau, s_order, weighted=True):
     """The per-mode coefficient sum the table replaces."""
     w = _weight_a_exp(f.grid, r, tau) if weighted else 1.0
