@@ -22,7 +22,6 @@ from rotape.pe_solver import (
 from rotape.spectral import (
     COS,
     SIN,
-    SpectralField,
     coeffs_from_values,
     require_band,
     symmetrize,
