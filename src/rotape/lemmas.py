@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import GridSpec, dealias_mask, mode_numbers
 from .initial_data import random_scalar, random_vector
-from .norms import ShellPower, _weight_a_exp, q_table, q_weight, seminorm_a_sq
+from .norms import NormSpec, ShellPower, _weight_a_exp, norm_rst, q_table, q_weight, seminorm_a_sq
 from .spectral import (
     _CLOSURE,
     COS,
@@ -449,8 +449,7 @@ def _rhs_unit(kind, f, g, h, r, tau, refine: int) -> float:
         return float(np.mean(integrand))
     if kind is LemmaKind.type2:
         nf = np.sqrt(seminorm_a_sq(f, r + 0.5, tau))
-        dzg = dz(g)
-        ng = np.sqrt(seminorm_a_sq(dzg, r, tau) + abs(_plain_inner(dzg, dzg)))
+        ng = norm_rst(dz(g), NormSpec(r=r, tau=tau))
         nh_ = np.sqrt(seminorm_a_sq(h, r + 0.5, tau))
         return float(nf * ng * nh_)
     if kind in (LemmaKind.diff_type1, LemmaKind.diff_type2):

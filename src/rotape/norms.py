@@ -9,21 +9,22 @@ vertical weight e^{2 eta |k3|}, |k3| = m pi, on the even-extended field:
 
     ||V||^2_{r,s,tau,eta} = sum (1 + (|k|^{2r} + (m pi)^{2s}) e^{2 tau |k|} e^{2 eta m pi}) |a|^2.
 
-Every weight of the eta = 0 norms depends on (n1, n2) only through the
-integer q = n1^2 + n2^2, and the shell_l2 radius fits average over groups
-of q (the horizontal shell of q is isqrt(q) = floor|n|).  So these norms
-and fits reduce one power table
+Every weight of these norms depends on (n1, n2) only through the integer
+q = n1^2 + n2^2, and the radius fits average over groups of q (the
+horizontal shell of q is isqrt(q) = floor|n|).  So every norm and fit
+reduces one power table
 
     P[q, m] = sum_c sum_{n1^2 + n2^2 = q} |a_c(n1, n2, m)|^2,
 
 a `ShellPower`, built with one bincount over a flat (q, m) index cached per
-grid.  `norm_rst`, `seminorm_a_sq`, `dz_l2_sq` and `fit_radius(method=
-"shell_l2")` take a `ShellPower` or a `SpectralField`; a field is turned
-into its table first.  A caller that evaluates several norms of one field
-(the solver's per-step diagnostics and radius tracker) builds the table
-once, and each further norm costs O(#q) instead of O(nh^2 nz).  The
-shell_max fit needs per-mode maxima and keeps its per-mode path.  The lemma
-checker bins its per-z profiles by the same q (`q_table`, `q_weight`).
+grid, from the 3-D layout, the compact barotropic one or the x-z plane of
+the 2D reduced mode.  `norm_rst`, `norm_rst_eta`, `seminorm_a_sq`,
+`dz_l2_sq` and `fit_radius` take a `ShellPower` or a `SpectralField`; a
+field is turned into its table first.  A caller that evaluates several
+norms of one field (the solvers' per-step diagnostics and radius trackers,
+3-D and 2D) builds the table once, and each further norm costs O(#q)
+instead of O(nh^2 nz).  The lemma checker bins its per-z profiles by the
+same q (`q_table`, `q_weight`).
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class _Bins:
     flat: np.ndarray        # bin * nz + m of each (n1, n2, m), flattened
     k: np.ndarray           # |k| of each bin, as kabs gives it for the bin's first mode
     shell: np.ndarray       # shell isqrt(q) of each bin, as a position in shell_k
-    shell_of_mode: np.ndarray
     shell_k: np.ndarray     # mean |k| over the counted modes of each shell, zero shell first
     shell_count: np.ndarray  # counted modes (n1, n2) per shell
 
@@ -116,7 +116,7 @@ def _bins(grid: GridSpec) -> _Bins:
     count = np.bincount(shell_of_mode, weights=counted)
     shell_k = np.bincount(shell_of_mode, weights=kabs(grid).ravel() * counted) / count
     k = kabs(grid).ravel()[first]
-    return _Bins(of_mode, flat, k, shell_of_mode[first], shell_of_mode, shell_k, count)
+    return _Bins(of_mode, flat, k, shell_of_mode[first], shell_k, count)
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +138,10 @@ class ShellPower:
 
     @classmethod
     def of(cls, coeffs: np.ndarray, grid: GridSpec) -> "ShellPower":
-        """The table of (components, nh, nh, nz) coefficients, or of the compact
-        barotropic (components, nh, nh) layout, whose power sits at m = 0."""
+        """The table of (components, nh, nh, nz) coefficients, of the compact
+        barotropic (components, nh, nh) layout, whose power sits at m = 0, or
+        of the x-z layout (components, nh, 1, nz), the n2 = 0 column of the
+        3-D one (the 2D reduced mode)."""
         bins = _bins(grid)
         a2 = np.square(coeffs[0].real)
         a2 += np.square(coeffs[0].imag)
@@ -151,7 +153,9 @@ class ShellPower:
             table = np.zeros((nbins, grid.nz))
             table[:, 0] = np.bincount(bins.of_mode, weights=a2.ravel(), minlength=nbins)
         else:
-            table = np.bincount(bins.flat, weights=a2.ravel(), minlength=nbins * grid.nz)
+            # the n2 columns present: all of them, or n2 = 0 alone in the x-z layout
+            flat = bins.flat.reshape(grid.nh, grid.nh, grid.nz)[:, : a2.shape[1]].ravel()
+            table = np.bincount(flat, weights=a2.ravel(), minlength=nbins * grid.nz)
             table = table.reshape(nbins, grid.nz)
         return cls(grid, table)
 
@@ -209,49 +213,36 @@ def norm_rst(v: ShellPower | SpectralField, spec: NormSpec) -> float:
     return float(total)
 
 
-def norm_rst_eta(v: SpectralField, spec: NormSpec) -> float:
-    """The four-parameter norm with vertical analyticity weight e^{eta A_z}."""
-    g = v.grid
-    k = kabs(g)
-    m = mpi(g)
-    with np.errstate(divide="ignore"):
-        logh = np.where(k > 0.0, 2.0 * spec.r * np.log(np.where(k > 0.0, k, 1.0)), 0.0)
-    horiz = np.exp(logh)
-    if spec.r > 0:
-        horiz = np.where(k == 0.0, 0.0, horiz)
-    vert = m ** (2 * spec.s) if spec.s > 0 else np.ones_like(m)
-    expo = 2.0 * spec.tau * k + 2.0 * spec.eta * m
-    with np.errstate(divide="ignore"):
-        logw = np.log(horiz + vert) + expo
-    if (logw > _LOG_MAX).any():
-        raise SpectralRangeError(f"norm weight overflows at tau={spec.tau}, eta={spec.eta}")
-    weight = 1.0 + (horiz + vert) * np.exp(expo)
-    return float(np.sqrt(np.sum((np.abs(v.coeffs) ** 2) * weight)))
+def norm_rst_eta(v: ShellPower | SpectralField, spec: NormSpec) -> float:
+    """The four-parameter norm with vertical analyticity weight e^{eta A_z}.
+
+    Its weight splits into factors per q and per m, each the A^r e^{tau A}
+    weight of one direction, so SpectralRangeError is raised as soon as one
+    factor overflows."""
+    p = _power(v)
+    k = _bins(p.grid).k
+    m = mpi(p.grid)[0, 0]
+    total = (
+        p.table.sum()
+        + _a_exp_weight(k, spec.r, spec.tau) @ p.table @ _a_exp_weight(m, 0.0, spec.eta)
+        + _a_exp_weight(k, 0.0, spec.tau) @ p.table @ _a_exp_weight(m, spec.s, spec.eta)
+    )
+    return float(np.sqrt(total))
 
 
 class InsufficientDecayData(ValueError):
     """Fewer than 4 spectral shells above the fit floor."""
 
 
-def _shell_stats(v: ShellPower | SpectralField, axis: str, method: str) -> tuple[np.ndarray, np.ndarray]:
+def _shell_stats(v: ShellPower | SpectralField, axis: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-shell (wavenumber, amplitude); shells indexed by isqrt(q) = floor|n|
     (horizontal) or the vertical line m.  The zero shell carries no decay
-    information and is dropped.  shell_l2 amplitudes are root-mean-square
-    over a shell's counted (n1, n2, m) entries (its in-band modes, `_bins`),
-    shell_max ones the largest entry."""
+    information and is dropped.  Amplitudes are root-mean-square over a
+    shell's counted (n1, n2, m) entries (its in-band modes, `_bins`)."""
     g = v.grid
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
     bins = _bins(g)
-    if method == "shell_max":
-        if isinstance(v, ShellPower):
-            raise TypeError("the shell_max fit needs per-mode amplitudes: pass the SpectralField")
-        a2 = (np.abs(v.coeffs) ** 2).sum(axis=0)  # (nh, nh, nz)
-        if axis == "vertical":
-            return np.pi * np.arange(1, g.nz), np.sqrt(a2[:, :, 1:].max(axis=(0, 1)))
-        peak = np.zeros(len(bins.shell_k))
-        np.maximum.at(peak, bins.shell_of_mode, a2.max(axis=-1).ravel())
-        return bins.shell_k[1:], np.sqrt(peak[1:])
     p = _power(v)
     if axis == "vertical":
         return np.pi * np.arange(1, g.nz), np.sqrt(p.table[:, 1:].sum(axis=0) / g.nh**2)
@@ -259,21 +250,13 @@ def _shell_stats(v: ShellPower | SpectralField, axis: str, method: str) -> tuple
     return bins.shell_k[1:], np.sqrt(total[1:] / (bins.shell_count[1:] * g.nz))
 
 
-def fit_radius(
-    v: ShellPower | SpectralField,
-    axis: str = "horizontal",
-    floor: float = 1e-14,
-    method: str = "shell_l2",
-) -> float:
+def fit_radius(v: ShellPower | SpectralField, axis: str = "horizontal", floor: float = 1e-14) -> float:
     """Least-squares decay rate of ln(shell amplitude) vs shell wavenumber.
 
     Returns -slope clipped at 0: the empirical radius-of-analyticity proxy.
     Raises InsufficientDecayData when fewer than 4 shells exceed `floor`.
-    method="shell_max" needs the field itself, not its ShellPower.
     """
-    if method not in ("shell_l2", "shell_max"):
-        raise ValueError(f"unknown fit method {method!r}")
-    ks, amps = _shell_stats(v, axis, method)
+    ks, amps = _shell_stats(v, axis)
     # shell amplitudes must exceed the amplitude floor AND the max over a2==0
     keep = amps > floor
     if keep.sum() < 4:

@@ -14,8 +14,10 @@ Two formulations of the same dynamics, each an oracle for the other:
   a non-real V, or whose V+ is not polarized, are rejected.
 
 The stiff vertical diffusion nu dzz is integrated exactly by an
-integrating-factor RK4 (scheme "rk4_if"); "rk4_plain" treats everything
-explicitly and is used for cross-checks at small dt.
+integrating-factor RK4 (scheme "rk4_if"); "rk4_plain" runs the same RK4 with
+unit factors and nu dzz in the right-hand side, for cross-checks at small
+dt.  The state type selects the formulation, and it must agree with
+SolverConfig.formulation, which sets the dt |Omega| guard.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
-from .norms import InsufficientDecayData, NormSpec, ShellPower, _weight_a_exp, dz_l2_sq, fit_radius, norm_rst
-from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse, require_band
+from .norms import InsufficientDecayData, NormSpec, ShellPower, dz_l2_sq, fit_radius, norm_rst
+from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse, require_band, require_real
 from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
 
 
@@ -104,7 +106,7 @@ class DirectState:
     v: np.ndarray  # (2, nh, nh, nz)
 
     def __post_init__(self):
-        _require_partner(self.v, conjugate_reverse(self.v), "v is not conjugate symmetric")
+        require_real(self.v, "v is not conjugate symmetric")
 
     def copy(self) -> "DirectState":
         return DirectState(self.t, self.v.copy())
@@ -145,7 +147,7 @@ def rotating_from_direct(v: np.ndarray, t: float, omega: float) -> RotatingState
 
     Raises ValueError when v is not conjugate symmetric, i.e. not real.
     """
-    _require_partner(v, conjugate_reverse(v), "v is not conjugate symmetric")
+    require_real(v, "v is not conjugate symmetric")
     vbar = v[..., 0].copy()
     vt = v.copy()
     vt[..., 0] = 0.0
@@ -355,8 +357,6 @@ def rhs_direct(
     t: float,
     cfg: SolverConfig,
     include_viscous: bool = True,
-    include_coriolis: bool = True,
-    include_nonlinear: bool = True,
     *,
     cfl: bool = False,
 ):
@@ -367,24 +367,20 @@ def rhs_direct(
     """
     g = cfg.grid
     out = np.zeros_like(v)
-    if cfl and not include_nonlinear:
-        raise ValueError("cfl=True reads the values of the nonlinear terms")
-    if include_nonlinear:
-        w = mpi(g)
-        cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True, band=True)
-        svals = values_from_coeffs(
-            np.concatenate([-w * v, _w_coeffs(v, g)], axis=0), g, SIN, real=True, band=True
-        )
-        p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
-        dzp, wphys = svals[0:2], svals[2:3]
-        if cfl:
-            lim = _cfl_from_maxima(_abs_max(p), _abs_max(wphys), cfg)
-        n = -_adv(p, px, py) - wphys * dzp
-        nhat = coeffs_from_values(n, g, COS, band=True)
-        _guard("advection", nhat)
-        out += nhat
-    if include_coriolis:
-        out -= cfg.omega * np.concatenate([-v[1:2], v[0:1]], axis=0)
+    w = mpi(g)
+    cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True, band=True)
+    svals = values_from_coeffs(
+        np.concatenate([-w * v, _w_coeffs(v, g)], axis=0), g, SIN, real=True, band=True
+    )
+    p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
+    dzp, wphys = svals[0:2], svals[2:3]
+    if cfl:
+        lim = _cfl_from_maxima(_abs_max(p), _abs_max(wphys), cfg)
+    n = -_adv(p, px, py) - wphys * dzp
+    nhat = coeffs_from_values(n, g, COS, band=True)
+    _guard("advection", nhat)
+    out += nhat
+    out -= cfg.omega * np.concatenate([-v[1:2], v[0:1]], axis=0)
     # pressure projection: baroclinic part untouched, barotropic part Leray-projected
     out[..., 0] = _leray2d(out[..., 0], g)
     if include_viscous:
@@ -415,20 +411,6 @@ def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple, 
         e_full[i] * arrs[i]
         + (dt / 6.0) * (e_full[i] * k1[i] + 2.0 * e_half[i] * (k2[i] + k3[i]) + k4[i])
         for i in range(len(arrs))
-    )
-
-
-def _plain_rk4(arrs: tuple, t: float, dt: float, rhs, k1=None) -> tuple:
-    if k1 is None:
-        k1 = rhs(arrs, t)
-    y2 = tuple(arrs[i] + 0.5 * dt * k1[i] for i in range(len(arrs)))
-    k2 = rhs(y2, t + 0.5 * dt)
-    y3 = tuple(arrs[i] + 0.5 * dt * k2[i] for i in range(len(arrs)))
-    k3 = rhs(y3, t + 0.5 * dt)
-    y4 = tuple(arrs[i] + dt * k3[i] for i in range(len(arrs)))
-    k4 = rhs(y4, t + dt)
-    return tuple(
-        arrs[i] + (dt / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(len(arrs))
     )
 
 
@@ -486,7 +468,8 @@ def _require_band(state, grid: GridSpec):
 
 def step(state, cfg: SolverConfig):
     """Advance one dt; raises CflError when the advective limit is violated,
-    and ValueError for a state with modes outside the 2/3-rule band."""
+    and ValueError for a state with modes outside the 2/3-rule band or of
+    the other formulation than cfg.formulation."""
     _require_band(state, cfg.grid)
     return _advance(state, cfg, check_cfl=True)[0]
 
@@ -503,8 +486,15 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
     check_cfl a dt over the limit raises CflError before stages 2-4 run.
     """
     g = cfg.grid
-    viscous = cfg.scheme == "rk4_plain"  # rk4_if integrates nu dzz exactly instead
-    if isinstance(state, RotatingState):
+    if not isinstance(state, (RotatingState, DirectState)):
+        raise TypeError(f"unknown state type {type(state)!r}")
+    kind = "rotating" if isinstance(state, RotatingState) else "direct"
+    if kind != cfg.formulation:
+        raise ValueError(f"a {type(state).__name__} steps in the {kind} formulation, "
+                         f"but the config sets formulation={cfg.formulation!r}")
+    # rk4_plain keeps nu dzz in the RHS and runs the RK4 with unit factors
+    viscous = cfg.scheme == "rk4_plain"
+    if kind == "rotating":
         arrs = (state.vbar, state.vplus[0:1])
 
         def rhs(a, t):
@@ -512,7 +502,7 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
 
         dvb, dphi, lim = rhs_rotating(arrs, state.t, cfg, include_viscous=viscous, cfl=True)
         k1 = (dvb, dphi)
-    elif isinstance(state, DirectState):
+    else:
         arrs = (state.v,)
 
         def rhs(a, t):
@@ -520,20 +510,16 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
 
         dv, lim = rhs_direct(state.v, state.t, cfg, include_viscous=viscous, cfl=True)
         k1 = (dv,)
-    else:
-        raise TypeError(f"unknown state type {type(state)!r}")
     if check_cfl and cfg.dt > lim:
         raise CflError(cfg.dt, lim)
 
-    if viscous:
-        new = _plain_rk4(arrs, state.t, cfg.dt, rhs, k1=k1)
-    else:
-        eh = _decay_factors(g, cfg.nu, 0.5 * cfg.dt)
-        ef = _decay_factors(g, cfg.nu, cfg.dt)
-        # the compact barotropic Vbar has no vertical mode to diffuse
-        e_half, e_full = ((1.0, eh), (1.0, ef)) if len(arrs) == 2 else ((eh,), (ef,))
-        new = _if_rk4(arrs, state.t, cfg.dt, rhs, e_half, e_full, k1=k1)
-    if isinstance(state, RotatingState):
+    nu_if = 0.0 if viscous else cfg.nu
+    eh = _decay_factors(g, nu_if, 0.5 * cfg.dt)
+    ef = _decay_factors(g, nu_if, cfg.dt)
+    # the compact barotropic Vbar has no vertical mode to diffuse
+    e_half, e_full = ((1.0, eh), (1.0, ef)) if len(arrs) == 2 else ((eh,), (ef,))
+    new = _if_rk4(arrs, state.t, cfg.dt, rhs, e_half, e_full, k1=k1)
+    if kind == "rotating":
         vbar, phi = new
         return RotatingState(state.t + cfg.dt, vbar, _polarized(phi)), lim
     return DirectState(state.t + cfg.dt, new[0]), lim
@@ -565,8 +551,7 @@ _DIAGNOSTIC_ERRORS = (InsufficientDecayData, SpectralRangeError)
 
 
 def _row_from_state(
-    state, v: np.ndarray, power: ShellPower, cfg: SolverConfig, report: NormSpec,
-    tau_tracked: float, fit_floor: float,
+    state, v: np.ndarray, power: ShellPower, cfg: SolverConfig, report: NormSpec, tau_tracked: float
 ):
     """(diagnostics row, number of failed radius fits) of a state whose lab-frame
     coefficients are v and whose shell-power table is `power`."""
@@ -583,7 +568,7 @@ def _row_from_state(
     fits, failed = [], 0
     for axis in ("horizontal", "vertical"):
         try:
-            fits.append(fit_radius(power, axis, floor=fit_floor))
+            fits.append(fit_radius(power, axis))
         except _DIAGNOSTIC_ERRORS:
             fits.append(float("nan"))
             failed += 1
@@ -625,7 +610,6 @@ def integrate(
     report: NormSpec | None = None,
     blowup_factor: float = 1e4,
     tau_tracker=None,
-    fit_floor: float = 1e-14,
     check_cfl: bool = True,
     state_observer=None,
 ) -> IntegrationResult:
@@ -634,7 +618,8 @@ def integrate(
     The sentinel fires when norm_rst at the report spec exceeds
     blowup_factor x initial, or on NaN.  The fitted-radius collapse
     (tau_fit_h < 0.05 x initial fit) is logged separately, never fatal.
-    A state0 with modes outside the 2/3-rule band raises ValueError.
+    A state0 with modes outside the 2/3-rule band, or of the other
+    formulation than cfg.formulation, raises ValueError.
 
     The CFL limit of each pre-step state comes from stage 1 of its RK4 step,
     which evaluates the RHS there and so holds the physical velocity: with
@@ -651,7 +636,7 @@ def integrate(
     n_steps = int(round(cfg.t_end / cfg.dt))
     tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
     v = _lab_velocity(state, cfg)
-    row, fit_failures = _row_from_state(state, v, ShellPower.of(v, g), cfg, report, tau_now, fit_floor)
+    row, fit_failures = _row_from_state(state, v, ShellPower.of(v, g), cfg, report, tau_now)
     rows = [row]
     if observer:
         observer(row)
@@ -672,7 +657,7 @@ def integrate(
         if tau_tracker is not None:
             tau_tracker.step(cfg.dt, _norms_for_tracker(power, report.r))
             tau_now = tau_tracker.tau
-        row, failed = _row_from_state(state, v, power, cfg, report, tau_now, fit_floor)
+        row, failed = _row_from_state(state, v, power, cfg, report, tau_now)
         fit_failures += failed
         rows.append(row)
         if observer:
@@ -747,17 +732,3 @@ def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
     ef = _decay_factors(grid, nu, dt)[0]
     (new,) = _if_rk4((state.u,), state.t, dt, nl, (eh,), (ef,))
     return State2D(state.t + dt, new)
-
-
-def norm_rst_2d(u: np.ndarray, grid: GridSpec, spec: NormSpec) -> float:
-    """norm_rst of the 2D state as a 3-D field (u on the n2 = 0 column, v = 0),
-    summed on the compact (nh, nz) layout with that column of the 3-D weight."""
-    if spec.eta != 0.0:
-        raise ValueError("norm_rst is the eta=0 norm; use norm_rst_eta")
-    a2 = np.abs(u) ** 2
-    w = _weight_a_exp(grid, spec.r, spec.tau)[:, 0]
-    total = 0.0
-    for m in range(spec.s + 1):
-        vert = mpi(grid)[0] ** (2 * m) if m > 0 else 1.0
-        total += np.sqrt(float(np.sum(a2 * w * vert)) + float(np.sum(a2 * vert)))
-    return float(total)

@@ -34,15 +34,15 @@ from .initial_data import (
 from .io import write_diagnostics_csv, write_snapshot
 from .lemmas import LemmaKind, ensemble_parameters, run_ensemble
 from .limit_solver import LimitState, integrate_limit, vorticity_from_velocity
-from .norms import NormSpec, norm_rst
+from .norms import NormSpec, ShellPower, dz_l2_sq, norm_rst
 from .pe_solver import (
     DirectState,
     RotatingState,
     SolverConfig,
     State2D,
+    _norms_for_tracker,
     direct_from_rotating,
     integrate,
-    norm_rst_2d,
     plus_projection,
     rhs_direct,
     rhs_rotating,
@@ -293,7 +293,6 @@ def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
 GAIN_BAROCLINIC_FRACTION = 0.8
 GAIN_SLOPE_FACTOR = 0.35
 GAIN_WINDOW = (0.2, 1.0)
-GAIN_FIT_FLOOR = 1e-14
 
 
 def vertical_gain(cfg: RunConfig, out) -> dict:
@@ -307,7 +306,7 @@ def vertical_gain(cfg: RunConfig, out) -> dict:
     rows = []
     t0 = time.time()
     res = integrate(rotating_from_direct(v0, 0.0, cfg.omega), _solver_config(cfg, cfg.omega),
-                    report=_report_spec(cfg), observer=rows.append, fit_floor=GAIN_FIT_FLOOR)
+                    report=_report_spec(cfg), observer=rows.append)
     runtime = time.time() - t0
     lo, hi = GAIN_WINDOW
     margin = float("inf")
@@ -449,9 +448,15 @@ SMALL_2D_C_R = 1.0      # rate constant of the 2-D decay clock and threshold
 SMALL_2D_SLACK = 1.10
 
 
+def _power_2d(u: np.ndarray, grid: GridSpec) -> ShellPower:
+    """The shell-power table of a 2D state u(x, z): the x-z layout of ShellPower.of."""
+    return ShellPower.of(u[None, :, None, :], grid)
+
+
 def small_data_2d(cfg: RunConfig, out) -> dict:
     """Decay from a datum of analytic radius init.tau0 whose norm is
-    init.amplitude times the smallness threshold."""
+    init.amplitude times the smallness threshold.  Each recorded state's
+    row and the tau tracker read one shell-power table of that state."""
     cfg = resolve(cfg, "small_data_2d")
     out = _setup(cfg, out)
     grid, init, nu, r, s = cfg.grid, cfg.init, cfg.nu, cfg.norms.r, cfg.norms.s
@@ -459,50 +464,37 @@ def small_data_2d(cfg: RunConfig, out) -> dict:
     thresh = threshold_2d(nu, init.tau0, SMALL_2D_C_R)
     u0 = random_scalar_2d(grid.nh, grid.nz, rng, tau=init.tau0, eta=init.eta0,
                           hcut=grid.hcut, zcut=grid.zcut)
-    spec0 = NormSpec(r=r, s=s, tau=init.tau0)
-    u0 *= (init.amplitude * thresh) / norm_rst_2d(u0, grid, spec0)
-    n0 = norm_rst_2d(u0, grid, spec0)
+    u0 *= (init.amplitude * thresh) / norm_rst(_power_2d(u0, grid), NormSpec(r=r, s=s, tau=init.tau0))
 
     from .io import DiagnosticsRow
 
     tracker = TauTracker(init.tau0, decay_2d_rate(SMALL_2D_C_R))
     st = State2D(0.0, u0.copy())
     rows = []
-    worst = 0.0
 
-    def record(state):
-        tau = tracker.tau
-        n = norm_rst_2d(state.u, grid, NormSpec(r=r, s=s, tau=tau))
-        envelope = n0 * np.exp(-nu * state.t / 2.0)
-        ratio = n / (SMALL_2D_SLACK * envelope)
+    def record(state, power):
+        l2_sq = dz_l2_sq(power)
         rows.append(
             DiagnosticsRow(
-                t=state.t, norm_r0tau=n, sobolev_norm=norm_rst_2d(state.u, grid, NormSpec(r=r, s=s)),
-                tau_tracked=tau, tau_fit_h=float("nan"), eta_fit_v=float("nan"),
-                energy=0.5 * float(np.sum(np.abs(state.u) ** 2)), enstrophy_bar=0.0,
-                baroclinic_l2=float(np.sqrt(np.sum(np.abs(state.u) ** 2))),
+                t=state.t, norm_r0tau=norm_rst(power, NormSpec(r=r, s=s, tau=tracker.tau)),
+                sobolev_norm=norm_rst(power, NormSpec(r=r, s=s)),
+                tau_tracked=tracker.tau, tau_fit_h=float("nan"), eta_fit_v=float("nan"),
+                energy=0.5 * l2_sq, enstrophy_bar=0.0, baroclinic_l2=float(np.sqrt(l2_sq)),
                 div_residual=0.0, mean_residual=float(np.abs(state.u[:, 0]).max()),
             )
         )
-        return ratio
 
-    def norms_for_tracker(state):
-        # the tracker's pair (||u||, ||dz u||) at vertical order 0
-        def norms_at(tau):
-            w = np.pi * np.arange(grid.nz)[None, :]
-            return (
-                norm_rst_2d(state.u, grid, NormSpec(r=r, tau=tau)),
-                norm_rst_2d(-w * state.u, grid, NormSpec(r=r, tau=tau)),
-            )
-
-        return norms_at
-
-    worst = max(worst, record(st))
+    # the initial row's norm is at radius init.tau0, so it is the envelope's n0
+    record(st, _power_2d(st.u, grid))
     n_steps = int(round(cfg.t_end / cfg.dt))
     for _ in range(n_steps):
         st = step_2d(st, grid, nu, cfg.dt)
-        tracker.step(cfg.dt, norms_for_tracker(st))
-        worst = max(worst, record(st))
+        power = _power_2d(st.u, grid)
+        tracker.step(cfg.dt, _norms_for_tracker(power, r))
+        record(st, power)
+    n0 = rows[0].norm_r0tau
+    # np.max, not max: a NaN ratio must fail the run, not drop out of it
+    worst = np.max([row.norm_r0tau / (SMALL_2D_SLACK * (n0 * np.exp(-nu * row.t / 2.0))) for row in rows])
     if cfg.output.csv:
         write_diagnostics_csv(out / "diagnostics.csv", rows)
     ok = worst <= 1.0 and tracker.alive

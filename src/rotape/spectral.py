@@ -589,15 +589,14 @@ def conjugate_reverse(coeffs: np.ndarray) -> np.ndarray:
     return np.conj(out, out=out)
 
 
-def is_conjugate_symmetric(f: SpectralField, tol: float = 1e-12) -> bool:
-    """Reality condition a(-n1,-n2,m) = conj(a(n1,n2,m)), to tol relative to max |a|.
+def _conjugate_mismatch(a: np.ndarray) -> tuple[float, float]:
+    """(max |a(n) - conj a(-n)|, max |a|) over the last three axes (n1, n2, m).
 
-    The residual max |a(n) - conj a(-n)| is taken block by block over the
-    rows 0 <= n1 <= nh/2 against their partner rows, with no reversed copy
-    of the array: the pair (n, -n) has the same residual from either side
-    (bit for bit), so the other rows add nothing.
+    The residual is taken block by block over the rows 0 <= n1 <= nh/2
+    against their partner rows, with no reversed copy of the array: the pair
+    (n, -n) has the same residual from either side (bit for bit), so the
+    other rows add nothing.  The scale is NaN when a holds a NaN.
     """
-    a = f.coeffs
     n1 = a.shape[-3]
     h = n1 // 2
     rows = (_NEG_INDEX[0], (slice(1, h + 1), slice(n1 - 1, n1 - h - 1, -1)))
@@ -607,8 +606,23 @@ def is_conjugate_symmetric(f: SpectralField, tol: float = 1e-12) -> bool:
             blk = np.conjugate(a[..., s1, s2, :])
             blk -= a[..., d1, d2, :]
             resid = max(resid, np.abs(blk).max())
-    scale = max(np.abs(a).max(), 1e-300)
+    return resid, max(np.abs(a).max(), 1e-300)
+
+
+def is_conjugate_symmetric(f: SpectralField, tol: float = 1e-12) -> bool:
+    """Reality condition a(-n1,-n2,m) = conj(a(n1,n2,m)), to tol relative to max |a|."""
+    resid, scale = _conjugate_mismatch(f.coeffs)
     return bool(resid <= tol * scale)
+
+
+def require_real(coeffs: np.ndarray, what: str):
+    """ValueError unless coeffs are conjugate symmetric to 1e-10 relative to
+    max |a|.  Non-finite coefficients pass, so that a state that went NaN or
+    inf can still be built and its run reported as terminated."""
+    resid, scale = _conjugate_mismatch(coeffs)
+    rel = resid / scale
+    if rel > 1e-10:
+        raise ValueError(f"{what} (relative mismatch {rel:.3e}): the velocity is not real")
 
 
 def symmetrize(coeffs: np.ndarray) -> np.ndarray:

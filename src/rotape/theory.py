@@ -281,8 +281,8 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
     """
     from .limit_solver import LimitState, velocity_from_vorticity
     from .norms import NormSpec, ShellPower, norm_rst, seminorm_a_sq, dz_l2_sq
-    from .spectral import conjugate_reverse
-    from .pe_solver import _require_partner, plus_projection
+    from .spectral import require_real
+    from .pe_solver import plus_projection
 
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(pe_states),))
     ts, fs, gs, hs, ks = [], [], [], [], []
@@ -296,7 +296,7 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
             tl, lim_vbar, lim_vt = ls
         if abs(tl - ps.t) > 1e-9:
             raise ValueError(f"misaligned trajectories: t={ps.t} vs {tl}")
-        _require_partner(lim_vt, conjugate_reverse(lim_vt), "limit vtilde is not conjugate symmetric")
+        require_real(lim_vt, "limit vtilde is not conjugate symmetric")
         lim_vp = plus_projection(lim_vt)
         phib = ShellPower.of(ps.vbar - lim_vbar, grid)
         phip = ShellPower.of(ps.vplus - lim_vp, grid)

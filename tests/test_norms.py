@@ -1,6 +1,7 @@
 """Analytic-Sobolev norms and radius fitting."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ class TestNormRstEta:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] > 0
 
+    @pytest.mark.parametrize("nh", [16, 32])
+    def test_matches_per_mode_sum(self, rng, nh):
+        """The table reduction equals the displayed per-mode sum."""
+        grid = GridSpec(nh=nh, nz=8)
+        f = random_vector(grid, rng, tau=0.3, eta=0.2)
+        k, m = kabs(grid), mpi(grid)
+        for r, s, tau, eta in ((0.0, 0, 0.0, 0.0), (2.0, 0, 0.3, 0.1), (1.5, 1, 0.2, 0.4), (2.0, 2, 0.0, 0.25)):
+            # 0^0 = 1: the A^0 = identity convention at k = 0 and m = 0
+            weight = 1.0 + (k ** (2 * r) + m ** (2 * s)) * np.exp(2 * tau * k + 2 * eta * m)
+            expect = np.sqrt(np.sum(np.abs(f.coeffs) ** 2 * weight))
+            spec = NormSpec(r=r, s=s, tau=tau, eta=eta)
+            assert abs(norm_rst_eta(f, spec) - expect) <= 1e-13 * expect
+            assert norm_rst_eta(ShellPower.of(f.coeffs, grid), spec) == norm_rst_eta(f, spec)
+
 
 class TestFitRadius:
     def test_prescribed_decay_recovered(self, grid16, rng):
@@ -153,18 +168,6 @@ class TestFitRadius:
         with pytest.raises(InsufficientDecayData):
             fit_radius(f, "horizontal")
 
-    def test_shell_max_method(self, grid16, rng):
-        # anisotropic-in-angle field: shell maxima still recover the envelope
-        tau0 = 0.5
-        g = rng.standard_normal((1, *grid16.shape)) + 1j * rng.standard_normal((1, *grid16.shape))
-        g /= np.abs(g)
-        a = g * np.exp(-tau0 * kabs(grid16)) * dealias_mask(grid16)[None, ...]
-        f = SpectralField(grid16, symmetrize(a))
-        got = fit_radius(f, "horizontal", method="shell_max")
-        assert abs(got - tau0) < 0.1 * tau0
-        with pytest.raises(ValueError):
-            fit_radius(f, "horizontal", method="bogus")
-
 
 class TestShells:
     # at nh = 48 these modes have an integer |n| that floor(|k| / 2 pi) puts
@@ -183,13 +186,12 @@ class TestShells:
         # every q = n1^2 + n2^2 lands in exactly one shell
         assert all(len(np.unique(shells[q == v])) == 1 for v in np.unique(q))
 
-    @pytest.mark.parametrize("method", ["shell_l2", "shell_max"])
     @pytest.mark.parametrize("mode", INTEGER_RADIUS_MODES)
-    def test_power_at_integer_radius_reported_in_its_shell(self, method, mode):
+    def test_power_at_integer_radius_reported_in_its_shell(self, mode):
         grid = GridSpec(nh=48, nz=4)
         a, b = mode
         f = mode_field(grid, {(0, a, b, 1): 1.0, (0, -a, -b, 1): 1.0})
-        ks, amps = _shell_stats(f, "horizontal", method)
+        ks, amps = _shell_stats(f, "horizontal")
         (hit,) = np.flatnonzero(amps > 0)
         radius = math.isqrt(a * a + b * b)
         assert 2 * np.pi * radius <= ks[hit] < 2 * np.pi * (radius + 1)
@@ -203,7 +205,7 @@ class TestShells:
         edge (hcut < |n| <= sqrt(2) hcut) too; the shells past it read 0."""
         grid = GridSpec(nh=nh, nz=4)
         f = SpectralField(grid, dealias_mask(grid)[None].astype(np.complex128))
-        _, amps = _shell_stats(f, "horizontal", "shell_l2")
+        _, amps = _shell_stats(f, "horizontal")
         last = math.isqrt(2 * grid.hcut**2)  # shells 1 .. last hold in-band modes
         expect = np.sqrt((grid.zcut + 1) / grid.nz)
         assert np.allclose(amps[:last], expect, rtol=1e-14, atol=0.0)
@@ -256,11 +258,11 @@ class TestShellPower:
 
         from rotape.initial_data import random_scalar_2d
         from rotape.lemmas import _profile, _z_power
-        from rotape.pe_solver import norm_rst_2d
 
         grid = GridSpec(nh=64, nz=8)
         f = random_vector(grid, rng)
         u = random_scalar_2d(64, 8, rng, tau=0.5, eta=0.3, hcut=grid.hcut, zcut=grid.zcut)
+        table_2d = ShellPower.of(u[None, :, None, :], grid)
         table = _z_power(f, 4 * grid.nz)
         kmax = kabs(grid).max()
         log_max = np.log(np.finfo(np.float64).max)
@@ -271,7 +273,7 @@ class TestShellPower:
                 lambda: norm_rst(f, NormSpec(r=2.0, tau=tau)),
                 lambda: seminorm_a_sq(f, 2.0, tau),
                 lambda: norm_rst_eta(f, NormSpec(r=2.0, tau=tau)),
-                lambda: norm_rst_2d(u, grid, NormSpec(r=2.0, tau=tau)),
+                lambda: norm_rst(table_2d, NormSpec(r=2.0, tau=tau)),
                 lambda: _profile(table, grid, 2.0, tau),
             )
             with warnings.catch_warnings():
@@ -299,8 +301,16 @@ class TestShellPower:
         grid = GridSpec(nh=32, nz=16)
         f = random_vector(grid, rng, tau=0.4, eta=0.3)
         assert fit_radius(ShellPower.of(f.coeffs, grid), axis) == fit_radius(f, axis)
-        with pytest.raises(TypeError, match="shell_max"):
-            fit_radius(ShellPower.of(f.coeffs, grid), axis, method="shell_max")
+
+
+def test_only_norms_forms_the_per_mode_weight():
+    """Layering: the solver and the scenarios read norms off a ShellPower
+    table, so neither builds the per-mode weight grid."""
+    import rotape
+
+    root = Path(rotape.__file__).parent
+    offenders = [name for name in ("pe_solver.py", "scenarios.py") if "_weight_a_exp" in (root / name).read_text()]
+    assert offenders == []
 
 
 def test_norm_spec_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from rotape.grid import GridSpec
 from rotape.initial_data import random_scalar_2d, random_state
-from rotape.norms import NormSpec, norm_rst
+from rotape.norms import NormSpec, ShellPower, norm_rst
 from rotape.pe_solver import (
     CflError,
     DirectState,
@@ -15,7 +15,6 @@ from rotape.pe_solver import (
     cfl_limit,
     direct_from_rotating,
     integrate,
-    norm_rst_2d,
     rhs_2d,
     rhs_direct,
     rhs_rotating,
@@ -147,6 +146,15 @@ class TestRealityChecks:
         with pytest.raises(ValueError, match="v is not conjugate symmetric"):
             DirectState(0.0, v)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_constructs(self, rng, bad):
+        """A state that went non-finite is built, so its run ends as "nan"."""
+        v = make_state(rng).v
+        v[0, 1, 0, 1] = bad
+        with np.errstate(invalid="ignore"):
+            DirectState(0.0, v)
+            rotating_from_direct(v, 0.0, 5.0)
+
 
 @pytest.mark.parametrize("formulation", ["direct", "rotating", "limit"])
 def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
@@ -202,7 +210,9 @@ class TestRhsDirect:
     def test_coriolis_term_isolation(self, rng):
         cfg = cfg_for(omega=3.0)
         ds = make_state(rng)
-        out = rhs_direct(ds.v, 0.0, cfg, include_viscous=False, include_nonlinear=False)
+        out = rhs_direct(ds.v, 0.0, cfg, include_viscous=False) - rhs_direct(
+            ds.v, 0.0, cfg_for(omega=0.0), include_viscous=False
+        )
         perp = np.concatenate([-ds.v[1:2], ds.v[0:1]], axis=0)
         expect = -cfg.omega * perp
         from rotape.pe_solver import _leray2d
@@ -287,6 +297,45 @@ class TestStepping:
         out = step(st, cfg)
         assert out.t == pytest.approx(cfg.dt)
         assert np.isfinite(out.v).all()
+
+    def test_state_of_the_other_formulation_rejected(self, rng):
+        """The state type picks the formulation; a config naming the other is rejected."""
+        v = make_state(rng, amplitude=0.5).v
+        # dt |Omega| = 2 passes only the direct formulation's guard
+        direct_cfg = cfg_for(omega=200.0, dt=1e-2, formulation="direct")
+        with pytest.raises(ValueError, match="RotatingState.*formulation='direct'"):
+            step(rotating_from_direct(v, 0.0, direct_cfg.omega), direct_cfg)
+        with pytest.raises(ValueError, match="DirectState.*formulation='rotating'"):
+            step(DirectState(0.0, v), cfg_for())
+        with pytest.raises(ValueError, match="DirectState.*formulation='rotating'"):
+            integrate(DirectState(0.0, v), cfg_for(t_end=2e-3))
+
+    @pytest.mark.parametrize("formulation", ["rotating", "direct"])
+    def test_rk4_plain_is_the_classical_rk4(self, rng, formulation):
+        """rk4_plain runs the integrating-factor RK4 with unit factors: bit for
+        bit the classical RK4 on the full right-hand side."""
+        cfg = cfg_for(nu=0.2, omega=3.0, dt=1e-3, scheme="rk4_plain", formulation=formulation)
+        st = _initial(formulation, make_state(rng).v, cfg.omega)
+        if formulation == "rotating":
+            y = (st.vbar, st.vplus[0:1])
+
+            def rhs(a, t):
+                return rhs_rotating(a, t, cfg)
+        else:
+            y = (st.v,)
+
+            def rhs(a, t):
+                return (rhs_direct(a[0], t, cfg),)
+
+        t, dt = st.t, cfg.dt
+        k1 = rhs(y, t)
+        k2 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)), t + 0.5 * dt)
+        k3 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)), t + 0.5 * dt)
+        k4 = rhs(tuple(a + dt * k for a, k in zip(y, k3)), t + dt)
+        expect = [a + (dt / 6.0) * (p + 2.0 * (q + r) + w) for a, p, q, r, w in zip(y, k1, k2, k3, k4)]
+        new = _step_nocfl(st, cfg)
+        got = (new.vbar, new.vplus[0:1]) if formulation == "rotating" else (new.v,)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
     def test_rk4_plain_matches_if_at_small_dt(self, rng):
         grid = GridSpec(nh=16, nz=8)
@@ -503,11 +552,15 @@ class TestReduce2D:
     @pytest.mark.parametrize("s", [0, 1])
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_norm_2d_matches_embedded_norm(self, rng, s, tau):
+        """The x-z layout's table is the embedded 3-D field's, bit for bit, so
+        every norm of the 2D state is that of the embedded field."""
         grid = GridSpec(nh=32, nz=16)
         u = random_scalar_2d(32, 16, rng, tau=1.0, eta=0.2, hcut=grid.hcut, zcut=grid.zcut)
+        v3 = embed_2d(u, grid)
+        table = ShellPower.of(u[None, :, None, :], grid)
+        assert np.array_equal(table.table, ShellPower.of(v3, grid).table)
         spec = NormSpec(r=2.0, s=s, tau=tau)
-        embedded = norm_rst(SpectralField(grid, embed_2d(u, grid), COS), spec)
-        assert abs(norm_rst_2d(u, grid, spec) - embedded) <= 1e-13 * embedded
+        assert norm_rst(table, spec) == norm_rst(SpectralField(grid, v3, COS), spec)
 
     def test_2d_decay_small_data(self, rng):
         grid = GridSpec(nh=16, nz=8)

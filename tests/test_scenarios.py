@@ -149,3 +149,27 @@ def test_summaries_record_cfl_margin_and_fit_failures(short_summaries):
     # every run completed its steps: each took one, and the checked ones stayed under the limit
     assert all(isinstance(m, float) and m > 1.0 for m in margins)
     assert all(isinstance(n, int) and n >= 0 for n in failures)
+
+
+def test_small_data_2d_builds_one_table_per_recorded_state(tmp_path, monkeypatch):
+    """The row and the tau tracker of each recorded state read one shell-power
+    table; the datum's scaling to the threshold reads one more."""
+    from rotape.config import parse_config
+    from rotape.norms import ShellPower
+    from rotape.scenarios import small_data_2d
+
+    of = ShellPower.of
+    calls = []
+
+    def counted(cls, coeffs, grid):
+        calls.append(coeffs.shape)
+        return of(coeffs, grid)
+
+    monkeypatch.setattr(ShellPower, "of", classmethod(counted))
+    cfg = parse_config({"scenario": {"name": "small_data_2d"}, "grid": {"nh": 16, "nz": 8},
+                        "time": {"dt": 2.5e-3, "t_end": 0.01}})
+    summary = small_data_2d(cfg, tmp_path)
+    steps = 4
+    assert len(read_diagnostics_csv(tmp_path / "diagnostics.csv")) == steps + 1
+    assert calls == [(1, 16, 1, 8)] * (steps + 2)
+    assert summary["worst_envelope_ratio"] == pytest.approx(1 / 1.1, rel=1e-15)
