@@ -5,14 +5,66 @@ complement, and P+/P- = (1/2)(I +- i J) restricted to the baroclinic part
 diagonalize the rotation operator R f = (baroclinic f)^perp with
 eigenvalues -+ i.  P+/P- outputs are intrinsically complex: they drop the
 conjugate-symmetry (reality) invariant, which is restored by P+ + P-.
+
+The array-level operators come first: Leray, curl, grad^perp and Biot-Savart
+of the compact (2, nh, nh) barotropic mode (`leray` takes the 3-D layout
+too) and P+/P- of a baroclinic 2-vector.  The solvers call them, and the
+SpectralField projections that the projection checks certify wrap them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import ksq, kx, ky
+from .grid import GridSpec, k_h, ksq
 from .spectral import SpectralField
+
+
+def leray(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Horizontal Leray projection a - k (k . a)/|k|^2 of 2-vector coefficients,
+    compact (2, nh, nh) or 3-D (2, nh, nh, nz); the k = 0 mode is unchanged."""
+    kxx, kyy = k_h(grid, a)
+    k2 = kxx**2 + kyy**2
+    inv = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
+    kdv = kxx * a[0] + kyy * a[1]
+    out = a.copy()
+    out[0] -= kxx * kdv * inv
+    out[1] -= kyy * kdv * inv
+    return out
+
+
+def vorticity_from_velocity(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """omega = dx V2 - dy V1 on the compact (2, nh, nh) layout."""
+    kxx, kyy = k_h(grid, a)
+    return 1j * kxx * a[1] - 1j * kyy * a[0]
+
+
+def perp_grad(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """grad^perp psi = (-dy psi, dx psi) of a compact (nh, nh) scalar."""
+    kxx, kyy = k_h(grid, psi)
+    return np.stack([-(1j * kyy * psi), 1j * kxx * psi])
+
+
+def velocity_from_vorticity(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """V = grad^perp psi with Delta psi = omega (zero-mean inversion)."""
+    k2 = ksq(grid)[..., 0]
+    inv = np.where(k2 > 0.0, -1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
+    return perp_grad(omega * inv, grid)
+
+
+def polarized(phi: np.ndarray) -> np.ndarray:
+    """The 2-vector phi (1, i) of a (1, nh, nh, nz) scalar phi."""
+    return np.concatenate([phi, 1j * phi], axis=0)
+
+
+def plus_projection(vt: np.ndarray) -> np.ndarray:
+    """P+ Vt = (1/2)(Vt + i Vt^perp) = phi (1, i), phi = (1/2)(Vt_x - i Vt_y), of a baroclinic Vt."""
+    return polarized(0.5 * (vt[0:1] - 1j * vt[1:2]))
+
+
+def minus_projection(vt: np.ndarray) -> np.ndarray:
+    """P- Vt = (1/2)(Vt - i Vt^perp) = conj P+ conj Vt, the conjugates taken coefficientwise."""
+    return np.conj(plus_projection(np.conj(vt)))
 
 
 def p0(v: SpectralField) -> SpectralField:
@@ -51,26 +103,17 @@ def leray_h(vbar: SpectralField) -> SpectralField:
     scale = max(np.abs(vbar.coeffs).max(), 1e-300)
     if tail > 1e-13 * scale:
         raise ValueError("leray_h expects a barotropic (m=0 only) field")
-    g = vbar.grid
-    k2 = ksq(g)
-    inv = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    kdotv = kx(g) * vbar.coeffs[0:1] + ky(g) * vbar.coeffs[1:2]
-    out = vbar.coeffs.copy()
-    out[0:1] -= kx(g) * kdotv * inv
-    out[1:2] -= ky(g) * kdotv * inv
-    return SpectralField(g, out, vbar.basis)
+    return SpectralField(vbar.grid, leray(vbar.coeffs, vbar.grid), vbar.basis)
 
 
 def p_plus(v: SpectralField) -> SpectralField:
     """P+ V = (1/2)(Vt + i Vt^perp), Vt the baroclinic part."""
-    vt = baroclinic(v)
-    return SpectralField(v.grid, 0.5 * (vt.coeffs + 1j * perp(vt).coeffs), v.basis)
+    return SpectralField(v.grid, plus_projection(baroclinic(v).coeffs), v.basis)
 
 
 def p_minus(v: SpectralField) -> SpectralField:
     """P- V = (1/2)(Vt - i Vt^perp)."""
-    vt = baroclinic(v)
-    return SpectralField(v.grid, 0.5 * (vt.coeffs - 1j * perp(vt).coeffs), v.basis)
+    return SpectralField(v.grid, minus_projection(baroclinic(v).coeffs), v.basis)
 
 
 def rotation_r(v: SpectralField) -> SpectralField:

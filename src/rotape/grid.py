@@ -1,4 +1,4 @@
-"""Grid specification and cached wavenumber/dealiasing machinery.
+"""Grid specification, cached wavenumber/dealiasing machinery, the A^r e^{tau A} weight.
 
 Fields live on the horizontal unit torus (Fourier modes k = 2*pi*(n1, n2))
 times the channel z in (0, 1) (vertical basis {1, sqrt(2) cos(m pi z)}).
@@ -14,7 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-_LOG_OVERFLOW = np.log(1e300)
+# log of the largest float64: a value past it is inf, not a number
+_LOG_MAX = np.log(np.finfo(np.float64).max)
+
+
+class SpectralRangeError(ArithmeticError):
+    """Raised when a diagonal multiplier leaves the float64 range."""
 
 
 @dataclass(frozen=True)
@@ -116,18 +121,34 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return keep_h[:, :, None] & keep_z[None, None, :]
 
 
-def a_exp_multiplier(grid: GridSpec, r: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal multiplier |k|^r e^{tau |k|}, shape (nh, nh, 1).
+def k_h(grid: GridSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kx, ky) for the (n1, n2) axes of the 3-D layout (.., nh, nh, nz) when
+    a is 4-D, else of the compact barotropic (.., nh, nh) one."""
+    if a.ndim == 4:
+        return kx(grid), ky(grid)
+    return kx(grid)[..., 0], ky(grid)[..., 0]
+
+
+def a_exp_weight(k: np.ndarray, r: float, tau: float, data=None) -> np.ndarray:
+    """The multiplier |k|^r e^{tau |k|} of A^r e^{tau A} over an array of |k|.
 
     Zero-wavenumber convention: 0 for r > 0, 1 for r = 0 (A^0 = identity).
-    Returns the multiplier together with an overflow mask; callers decide
-    whether offending modes carry data.
+    A value past the float64 range raises SpectralRangeError naming the
+    smallest such |k| where it multiplies data: everywhere, or where the mask
+    `data()` (shaped like k, formed on overflow only) is True; elsewhere it
+    is 0.  A squared norm's weight is the multiplier at (2r, 2 tau).
     """
-    k = kabs(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmult = np.where(k > 0.0, r * np.log(np.where(k > 0.0, k, 1.0)) + tau * k, 0.0)
-    overflow = logmult > _LOG_OVERFLOW
-    mult = np.where(overflow, 0.0, np.exp(np.where(overflow, 0.0, logmult)))
+    with np.errstate(divide="ignore"):
+        logw = np.where(k > 0.0, r * np.log(np.where(k > 0.0, k, 1.0)) + tau * k, 0.0)
+    over = logw > _LOG_MAX
+    if over.any():
+        bad = over if data is None else over & data()
+        if bad.any():
+            raise SpectralRangeError(
+                f"|k|^{r} e^{{{tau}|k|}} overflows float64 on shell |k|={k[bad].min():.6g}"
+            )
+        logw = np.where(over, -np.inf, logw)
+    w = np.exp(logw)
     if r > 0:
-        mult = np.where(k == 0.0, 0.0, mult)
-    return mult, overflow
+        w = np.where(k == 0.0, 0.0, w)
+    return w

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, dealias_mask, kabs, kx, ky, mode_numbers, mpi
+from .decomposition import perp_grad
+from .grid import GridSpec, dealias_mask, kabs, mode_numbers, mpi
 from .norms import NormSpec, norm_rst
 from .spectral import COS, SpectralField, symmetrize
 
@@ -62,9 +63,7 @@ def random_barotropic(
     """
     psi = random_scalar(grid, rng, tau, 0.0).coeffs[0, :, :, 0]
     psi[0, 0] = 0.0
-    gx = 1j * kx(grid)[..., 0] * psi
-    gy = 1j * ky(grid)[..., 0] * psi
-    return np.stack([-gy, gx], axis=0)
+    return perp_grad(psi, grid)
 
 
 def scale_barotropic(vbar: np.ndarray, target_l2: float) -> np.ndarray:

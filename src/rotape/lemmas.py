@@ -16,9 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridSpec, dealias_mask, mode_numbers
+from .grid import GridSpec, a_exp_weight, dealias_mask, kabs, mode_numbers
 from .initial_data import random_scalar, random_vector
-from .norms import NormSpec, ShellPower, _weight_a_exp, norm_rst, q_table, q_weight, seminorm_a_sq
+from .norms import NormSpec, ShellPower, norm_rst, q_table, q_weight, seminorm_a_sq
 from .spectral import (
     _CLOSURE,
     COS,
@@ -75,6 +75,9 @@ class CheckResult:
 # norms.ShellPower, and every profile of that field reduces the table.
 # ---------------------------------------------------------------------------
 
+_REFINE = 4  # midpoints per vertical mode of the refined z grid of the profiles
+
+
 def _z_power(f: SpectralField, nzf: int) -> np.ndarray:
     """P[q, z] = sum_c sum_{n1^2 + n2^2 = q} |f_c(n1, n2, z)|^2 on nzf midpoints.
 
@@ -101,7 +104,7 @@ def _zero_mode_profile(p: np.ndarray) -> np.ndarray:
 
 def _weighted_inner(x: SpectralField, h: SpectralField, r: float, tau: float) -> complex:
     """<A^r e^{tau A} x, A^r e^{tau A} h> as a coefficient sum."""
-    w = _weight_a_exp(x.grid, r, tau)
+    w = a_exp_weight(kabs(x.grid), 2.0 * r, 2.0 * tau)
     return complex(np.sum(x.coeffs * np.conj(h.coeffs) * w))
 
 
@@ -310,7 +313,6 @@ def check(
     h: SpectralField | None,
     r: float,
     tau: float,
-    refine: int = 4,
     force_path: str | None = None,
 ) -> CheckResult:
     """Evaluate (lhs, rhs_unit, ratio) for one lemma on given fields.
@@ -333,7 +335,7 @@ def check(
         raise ValueError("exact path requested but inputs have more than 3 active modes")
 
     lhs = _lhs(kind, f, g, h, r, tau, exact=exact_ok)
-    rhs = _rhs_unit(kind, f, g, h, r, tau, refine)
+    rhs = _rhs_unit(kind, f, g, h, r, tau)
     if lhs == 0.0 and rhs == 0.0:
         ratio = 0.0
     elif rhs == 0.0:
@@ -425,8 +427,8 @@ def _mode_product_vec(scalar_modes: list, vec_modes: list, ncomp: int) -> list:
     return out
 
 
-def _rhs_unit(kind, f, g, h, r, tau, refine: int) -> float:
-    nzf = refine * f.grid.nz
+def _rhs_unit(kind, f, g, h, r, tau) -> float:
+    nzf = _REFINE * f.grid.nz
     grid = f.grid
     if kind is LemmaKind.banach_algebra:
         tf, tg = _z_power(f, nzf), _z_power(g, nzf)

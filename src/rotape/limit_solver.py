@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, dealias_mask, kx, ky, ksq, mpi
+from .decomposition import minus_projection, plus_projection, velocity_from_vorticity
+from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: builds a LimitState's omega_bar)
+from .grid import GridSpec, dealias_mask, kx, ky, mpi
 from .spectral import COS, barotropic_coeffs, barotropic_values, coeffs_from_values, require_band, values_from_coeffs
-from .pe_solver import _grad_stack, _guard, _if_rk4, plus_projection
+from .pe_solver import _decay_factors, _grad_stack, _guard, _if_rk4
 
 
 @dataclass
@@ -27,19 +29,6 @@ class LimitState:
 
     def copy(self) -> "LimitState":
         return LimitState(self.t, self.omega_bar.copy(), self.vtilde.copy())
-
-
-def vorticity_from_velocity(vbar: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """omega = dx V2 - dy V1 on the compact (2, nh, nh) layout."""
-    return 1j * kx(grid)[..., 0] * vbar[1] - 1j * ky(grid)[..., 0] * vbar[0]
-
-
-def velocity_from_vorticity(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """V = grad^perp psi with Delta psi = omega (zero-mean inversion)."""
-    k2 = ksq(grid)[..., 0]
-    inv = np.where(k2 > 0.0, -1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    psi = omega * inv
-    return np.stack([-1j * ky(grid)[..., 0] * psi, 1j * kx(grid)[..., 0] * psi])
 
 
 def euler2d_rhs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -84,11 +73,8 @@ def transport_rhs(
 
 
 def limit_to_vpm(vtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V+- = (1/2)(Vt +- i Vt^perp); V+ + V- recovers Vt.
-
-    P- Vt = conj P+ conj Vt, the conjugates taken coefficientwise.
-    """
-    return plus_projection(vtilde), np.conj(plus_projection(np.conj(vtilde)))
+    """V+- = (1/2)(Vt +- i Vt^perp); V+ + V- recovers Vt."""
+    return plus_projection(vtilde), minus_projection(vtilde)
 
 
 def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> LimitState:
@@ -98,8 +84,8 @@ def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> Limit
             transport_rhs(a[1], a[0], grid, nu, include_viscous=False),
         )
 
-    eh = np.exp(-nu * mpi(grid) ** 2 * 0.5 * dt)
-    ef = np.exp(-nu * mpi(grid) ** 2 * dt)
+    eh = _decay_factors(grid, nu, 0.5 * dt)
+    ef = _decay_factors(grid, nu, dt)
     new = _if_rk4((state.omega_bar, state.vtilde), state.t, dt, nl, (1.0, eh), (1.0, ef))
     return LimitState(state.t + dt, *new)
 

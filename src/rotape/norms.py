@@ -35,11 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, dealias_mask, kabs, mode_numbers, mpi
-from .spectral import SpectralField, SpectralRangeError
-
-# log of the largest float64: a weight past it is inf, not a number
-_LOG_MAX = np.log(np.finfo(np.float64).max)
+from .grid import GridSpec, a_exp_weight, dealias_mask, kabs, mode_numbers, mpi
+from .spectral import SpectralField
 
 
 @dataclass(frozen=True)
@@ -56,24 +53,6 @@ class NormSpec:
             raise ValueError("norm parameters must be nonnegative")
         if self.s > 2:
             raise ValueError("s <= 2 is the highest vertical order used here")
-
-
-def _a_exp_weight(k: np.ndarray, r: float, tau: float) -> np.ndarray:
-    """|k|^{2r} e^{2 tau |k|} over an array of |k|, with the A^0 = identity
-    convention at k = 0; raises SpectralRangeError when a weight overflows."""
-    with np.errstate(divide="ignore"):
-        logw = np.where(k > 0.0, 2.0 * r * np.log(np.where(k > 0.0, k, 1.0)) + 2.0 * tau * k, 0.0)
-    if (logw > _LOG_MAX).any():
-        raise SpectralRangeError(f"norm weight overflows at r={r}, tau={tau}")
-    w = np.exp(logw)
-    if r > 0:
-        w = np.where(k == 0.0, 0.0, w)
-    return w
-
-
-def _weight_a_exp(grid: GridSpec, r: float, tau: float) -> np.ndarray:
-    """The weight |k|^{2r} e^{2 tau |k|} on every grid mode, shape (nh, nh, 1)."""
-    return _a_exp_weight(kabs(grid), r, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +163,7 @@ def q_table(a2: np.ndarray, grid: GridSpec, modes: np.ndarray) -> np.ndarray:
 
 def q_weight(grid: GridSpec, r: float, tau: float) -> np.ndarray:
     """|k|^{2r} e^{2 tau |k|} per q bin, the rows of a ShellPower table."""
-    return _a_exp_weight(_bins(grid).k, r, tau)
+    return a_exp_weight(_bins(grid).k, 2.0 * r, 2.0 * tau)
 
 
 def _power(v: ShellPower | SpectralField) -> ShellPower:
@@ -216,16 +195,17 @@ def norm_rst(v: ShellPower | SpectralField, spec: NormSpec) -> float:
 def norm_rst_eta(v: ShellPower | SpectralField, spec: NormSpec) -> float:
     """The four-parameter norm with vertical analyticity weight e^{eta A_z}.
 
-    Its weight splits into factors per q and per m, each the A^r e^{tau A}
-    weight of one direction, so SpectralRangeError is raised as soon as one
-    factor overflows."""
+    Its weight splits into factors per q and per m, each the squared
+    A^r e^{tau A} weight of one direction, so SpectralRangeError is raised as
+    soon as one factor overflows."""
     p = _power(v)
     k = _bins(p.grid).k
     m = mpi(p.grid)[0, 0]
+    r, s, tau, eta = 2.0 * spec.r, 2.0 * spec.s, 2.0 * spec.tau, 2.0 * spec.eta
     total = (
         p.table.sum()
-        + _a_exp_weight(k, spec.r, spec.tau) @ p.table @ _a_exp_weight(m, 0.0, spec.eta)
-        + _a_exp_weight(k, 0.0, spec.tau) @ p.table @ _a_exp_weight(m, spec.s, spec.eta)
+        + a_exp_weight(k, r, tau) @ p.table @ a_exp_weight(m, 0.0, eta)
+        + a_exp_weight(k, 0.0, tau) @ p.table @ a_exp_weight(m, s, eta)
     )
     return float(np.sqrt(total))
 

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decomposition import leray, plus_projection, polarized, vorticity_from_velocity
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
 from .norms import InsufficientDecayData, NormSpec, ShellPower, dz_l2_sq, fit_radius, norm_rst
-from .spectral import COS, SIN, SpectralField, SpectralRangeError, conjugate_reverse, require_band, require_real
-from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, values_from_coeffs
+from .spectral import COS, SIN, SpectralRangeError, conjugate_reverse, divergence, integral_z, require_band
+from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, require_real, values_from_coeffs
 
 
 class CflError(RuntimeError):
@@ -51,16 +52,6 @@ def _require_partner(
     resid = np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
     if resid > 1e-10:
         raise ValueError(f"{what} (relative mismatch {resid:.3e}): {cause}")
-
-
-def _polarized(phi: np.ndarray) -> np.ndarray:
-    """The 2-vector phi (1, i) of a (1, nh, nh, nz) scalar phi."""
-    return np.concatenate([phi, 1j * phi], axis=0)
-
-
-def plus_projection(vt: np.ndarray) -> np.ndarray:
-    """P+ Vt = (1/2)(Vt + i Vt^perp) = phi (1, i) with phi = (1/2)(Vt_x - i Vt_y)."""
-    return _polarized(0.5 * (vt[0:1] - 1j * vt[1:2]))
 
 
 @dataclass
@@ -161,44 +152,19 @@ def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
     return v
 
 
-def barotropic_field(vbar: np.ndarray, grid: GridSpec) -> SpectralField:
-    out = np.zeros((2, *grid.shape), dtype=np.complex128)
-    out[..., 0] = vbar
-    return SpectralField(grid, out, COS)
-
-
 # ---------------------------------------------------------------------------
 # array-level building blocks
 # ---------------------------------------------------------------------------
-
-def _leray2d(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Leray projection on a compact (2, nh, nh) barotropic array; k=0 unchanged."""
-    kxx = kx(grid)[..., 0]
-    kyy = ky(grid)[..., 0]
-    k2 = kxx**2 + kyy**2
-    inv = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    kdv = kxx * a[0] + kyy * a[1]
-    out = a.copy()
-    out[0] -= kxx * kdv * inv
-    out[1] -= kyy * kdv * inv
-    return out
-
-
-def _div2d(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return 1j * kx(grid)[..., 0] * a[0] + 1j * ky(grid)[..., 0] * a[1]
-
 
 def _plus_values(phi: np.ndarray, grid: GridSpec) -> tuple:
     """Physical phi, dx phi, dy phi (cos) and dz phi, int_0^z div V+ (sin) of V+ = phi (1, i).
 
     Two stacked transforms of one complex scalar: div V+ = dx phi + i dy phi.
     """
-    w = mpi(grid)
     grad = _grad_stack(phi, grid)
-    intc = np.zeros_like(phi)
-    intc[..., 1:] = (grad[1:2, ..., 1:] + 1j * grad[2:3, ..., 1:]) / w[..., 1:]
+    intc = integral_z(grad[1:2] + 1j * grad[2:3], grid)
     p, px, py = values_from_coeffs(grad, grid, COS, band=True)
-    dz, intp = values_from_coeffs(np.concatenate([-w * phi, intc], axis=0), grid, SIN, band=True)
+    dz, intp = values_from_coeffs(np.concatenate([-mpi(grid) * phi, intc], axis=0), grid, SIN, band=True)
     return p, px, py, dz, intp
 
 
@@ -277,7 +243,7 @@ def rhs_rotating(
     """
     if isinstance(state, RotatingState):
         dvb, dphi, *extra = _rhs_plus(state.vbar, state.vplus[0:1], t, cfg, include_viscous, cfl)
-        dvp = _polarized(dphi)
+        dvp = polarized(dphi)
         return (dvb, dvp, conjugate_reverse(dvp), *extra)
     vbar, phi = state
     return _rhs_plus(vbar, phi, t, cfg, include_viscous, cfl)
@@ -341,7 +307,7 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool, cfl
     s = (ep * ep) * (2.0 * selfadv.mean(axis=-1))
     mask2 = dealias_mask(g)[:, :, 0]
     b0 = barotropic_coeffs(_adv(vb, gx, gy) + 2.0 * np.stack([s.real, -s.imag]), g)
-    dvb = -_leray2d(b0, g)
+    dvb = -leray(b0, g)
     dvb *= mask2[None, ...]
     _guard("barotropic", dvb)
 
@@ -370,7 +336,7 @@ def rhs_direct(
     w = mpi(g)
     cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True, band=True)
     svals = values_from_coeffs(
-        np.concatenate([-w * v, _w_coeffs(v, g)], axis=0), g, SIN, real=True, band=True
+        np.concatenate([-w * v, integral_z(-divergence(v, g)[None], g)], axis=0), g, SIN, real=True, band=True
     )
     p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
     dzp, wphys = svals[0:2], svals[2:3]
@@ -382,7 +348,7 @@ def rhs_direct(
     out += nhat
     out -= cfg.omega * np.concatenate([-v[1:2], v[0:1]], axis=0)
     # pressure projection: baroclinic part untouched, barotropic part Leray-projected
-    out[..., 0] = _leray2d(out[..., 0], g)
+    out[..., 0] = leray(out[..., 0], g)
     if include_viscous:
         damp = cfg.nu * mpi(g) ** 2
         out = out - damp * v
@@ -418,14 +384,6 @@ def _decay_factors(grid: GridSpec, nu: float, h: float) -> np.ndarray:
     return np.exp(-nu * mpi(grid) ** 2 * h)
 
 
-def _w_coeffs(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Sine coefficients of w = -int_0^z div_h V for a lab-frame velocity."""
-    divc = 1j * kx(grid) * v[0:1] + 1j * ky(grid) * v[1:2]
-    wc = np.zeros_like(divc)
-    wc[..., 1:] = -divc[..., 1:] / mpi(grid)[..., 1:]
-    return wc
-
-
 def _lab_velocity(state, cfg: SolverConfig) -> np.ndarray:
     """Lab-frame coefficients V of a rotating or direct state."""
     return direct_from_rotating(state, cfg.omega) if isinstance(state, RotatingState) else state.v
@@ -453,7 +411,7 @@ def cfl_limit(state, cfg: SolverConfig) -> float:
     g = cfg.grid
     v = state if isinstance(state, np.ndarray) else _lab_velocity(state, cfg)
     umax = np.abs(values_from_coeffs(v, g, COS, real=True)).max()
-    wmax = np.abs(values_from_coeffs(_w_coeffs(v, g), g, SIN, real=True)).max()
+    wmax = np.abs(values_from_coeffs(integral_z(-divergence(v, g)[None], g), g, SIN, real=True)).max()
     return _cfl_from_maxima(umax, wmax, cfg)
 
 
@@ -521,7 +479,7 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
     new = _if_rk4(arrs, state.t, cfg.dt, rhs, e_half, e_full, k1=k1)
     if kind == "rotating":
         vbar, phi = new
-        return RotatingState(state.t + cfg.dt, vbar, _polarized(phi)), lim
+        return RotatingState(state.t + cfg.dt, vbar, polarized(phi)), lim
     return DirectState(state.t + cfg.dt, new[0]), lim
 
 
@@ -572,7 +530,7 @@ def _row_from_state(
         except _DIAGNOSTIC_ERRORS:
             fits.append(float("nan"))
             failed += 1
-    omega_bar = 1j * kx(g)[..., 0] * vbar[1] - 1j * ky(g)[..., 0] * vbar[0]
+    omega_bar = vorticity_from_velocity(vbar, g)
     row = DiagnosticsRow(
         t=state.t,
         norm_r0tau=nrt,
@@ -583,7 +541,7 @@ def _row_from_state(
         energy=0.5 * dz_l2_sq(power),
         enstrophy_bar=0.5 * float(np.sum(np.abs(omega_bar) ** 2)),
         baroclinic_l2=float(np.sqrt(power.table[:, 1:].sum())),
-        div_residual=float(np.abs(_div2d(vbar, g)).max()),
+        div_residual=float(np.abs(divergence(vbar, g)).max()),
         mean_residual=float(np.abs(v[:, 0, 0, 0]).max()),
     )
     return row, failed
@@ -706,12 +664,10 @@ def rhs_2d(u: np.ndarray, grid: GridSpec, nu: float, include_viscous: bool = Tru
     subtraction removes; only the m >= 1 content of the two products survives.
     """
     col = u[:, None, :]
-    w = mpi(grid)
     dxu = 1j * kx(grid) * col
-    intc = np.zeros_like(dxu)
-    intc[..., 1:] = dxu[..., 1:] / w[..., 1:]
     p, px = values_from_coeffs(np.stack([col, dxu]), grid, COS, real=True, band=True)
-    dzp, intp = values_from_coeffs(np.stack([-w * col, intc]), grid, SIN, real=True, band=True)
+    sines = np.stack([-mpi(grid) * col, integral_z(dxu, grid)])
+    dzp, intp = values_from_coeffs(sines, grid, SIN, real=True, band=True)
     out = coeffs_from_values(intp * dzp - p * px, grid, COS, band=True)
     out[..., 0] = 0.0
     _guard("advection_2d", out)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_config, resolve
-from .decomposition import baroclinic, p0, p_minus, p_plus, rotation_r
+from .decomposition import baroclinic, p0, p_minus, p_plus, plus_projection, rotation_r, vorticity_from_velocity
 from .grid import GridSpec
 from .initial_data import (
     random_scalar_2d,
@@ -33,7 +33,7 @@ from .initial_data import (
 )
 from .io import write_diagnostics_csv, write_snapshot
 from .lemmas import LemmaKind, ensemble_parameters, run_ensemble
-from .limit_solver import LimitState, integrate_limit, vorticity_from_velocity
+from .limit_solver import LimitState, integrate_limit
 from .norms import NormSpec, ShellPower, dz_l2_sq, norm_rst
 from .pe_solver import (
     DirectState,
@@ -43,7 +43,6 @@ from .pe_solver import (
     _norms_for_tracker,
     direct_from_rotating,
     integrate,
-    plus_projection,
     rhs_direct,
     rhs_rotating,
     rotating_from_direct,

@@ -44,6 +44,11 @@ a state with an out-of-band mode (`require_band`), which the band mode
 would drop.  `product`, the lemma checker's advection term and `cfl_limit`
 accept any field, so they keep the full transforms.
 
+The solvers' horizontal divergence (`divergence`) and int_0^z of a cosine
+series (`integral_z`) live here too; `div_h` and `w_from_baroclinic` wrap
+them.  `apply_A_exp` multiplies by `grid.a_exp_weight`, the one A^r e^{tau A}
+weight and overflow rule (SpectralRangeError is re-exported from grid).
+
 All operations are pure: inputs are never mutated and outputs are fresh.
 """
 
@@ -55,16 +60,12 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import GridSpec, a_exp_multiplier, dealias_mask, kabs, kx, ky, mode_numbers, mpi
+from .grid import GridSpec, SpectralRangeError, a_exp_weight, dealias_mask, k_h, kabs, kx, ky, mode_numbers, mpi
 
 SQRT2 = np.sqrt(2.0)
 
 COS = "cos"
 SIN = "sin"
-
-
-class SpectralRangeError(ArithmeticError):
-    """Raised when a diagonal multiplier exceeds the overflow guard."""
 
 
 class BasisError(ValueError):
@@ -444,18 +445,14 @@ def inverse(f: SpectralField) -> PhysField:
 # ---------------------------------------------------------------------------
 
 def apply_A_exp(f: SpectralField, r: float, tau: float) -> SpectralField:
-    """Apply A^r e^{tau A}, A = sqrt(-Delta_h), as a diagonal multiplier."""
+    """Apply A^r e^{tau A}, A = sqrt(-Delta_h), as a diagonal multiplier.
+
+    A multiplier past the float64 range raises SpectralRangeError on a
+    populated shell and is 0 on an empty one.
+    """
     if r < 0 or tau < 0:
         raise ValueError("r and tau must be nonnegative")
-    mult, overflow = a_exp_multiplier(f.grid, r, tau)
-    if overflow.any():
-        populated = (np.abs(f.coeffs) > 0.0).any(axis=(0, 3))
-        bad = overflow[..., 0] & populated
-        if bad.any():
-            kmin = kabs(f.grid)[..., 0][bad].min()
-            raise SpectralRangeError(
-                f"A^{r} e^{{{tau} A}} multiplier exceeds 1e300 on populated shell |k|={kmin:.6g}"
-            )
+    mult = a_exp_weight(kabs(f.grid), r, tau, lambda: (np.abs(f.coeffs) > 0.0).any(axis=(0, 3))[..., None])
     return SpectralField(f.grid, f.coeffs * mult, f.basis)
 
 
@@ -485,16 +482,20 @@ def grad_h(f: SpectralField) -> SpectralField:
     """Horizontal gradient of a scalar field, returned as a 2-vector."""
     if f.components != 1:
         raise ValueError("grad_h expects a scalar field")
-    out = np.concatenate([f.coeffs * (1j * kx(f.grid)), f.coeffs * (1j * ky(f.grid))], axis=0)
-    return SpectralField(f.grid, out, f.basis)
+    return SpectralField(f.grid, np.concatenate([dx(f).coeffs, dy(f).coeffs], axis=0), f.basis)
+
+
+def divergence(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """i kx a_x + i ky a_y of 2-vector coefficients a, 3-D or compact (2, nh, nh) layout."""
+    kxx, kyy = k_h(grid, a)
+    return 1j * kxx * a[0] + 1j * kyy * a[1]
 
 
 def div_h(f: SpectralField) -> SpectralField:
     """Horizontal divergence of a 2-vector field."""
     if f.components != 2:
         raise ValueError("div_h expects a 2-vector field")
-    out = f.coeffs[0:1] * (1j * kx(f.grid)) + f.coeffs[1:2] * (1j * ky(f.grid))
-    return SpectralField(f.grid, out, f.basis)
+    return SpectralField(f.grid, divergence(f.coeffs, f.grid)[None], f.basis)
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -534,28 +535,35 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(f.grid, out, tag)
 
 
+def integral_z(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Sine coefficients of int_0^z of cosine coefficients c (last axis m).
+
+    Cosine mode m >= 1 maps to sine mode m divided by m pi; the m = 0 mode,
+    whose integral z is no sine series, is dropped.
+    """
+    out = np.zeros_like(c)
+    out[..., 1:] = c[..., 1:] / mpi(grid)[..., 1:]
+    return out
+
+
 def w_from_baroclinic(vt: SpectralField) -> SpectralField:
     """Vertical velocity w = -int_0^z div_h(Vt) ds for a baroclinic 2-vector.
 
-    Cosine mode m >= 1 of the divergence with value d maps to sine mode m
-    with value -d/(m pi); w vanishes at z = 0 and z = 1 identically.
+    w vanishes at z = 0 and z = 1 identically.
     """
     if vt.components != 2:
         raise ValueError("expects a 2-vector field")
     if vt.basis != COS:
         raise BasisError("expects a cosine-basis field")
-    d = div_h(vt)
-    m0 = np.abs(d.coeffs[..., 0]).max()
-    scale = np.abs(d.coeffs).max()
+    d = divergence(vt.coeffs, vt.grid)[None]
+    m0 = np.abs(d[..., 0]).max()
+    scale = np.abs(d).max()
     if m0 > 1e-12 * max(scale, 1e-300):
         raise ValueError(
             "baroclinic input required: nonzero vertical-mean divergence "
             f"(relative size {m0 / max(scale, 1e-300):.3e}) would violate w(z=1)=0"
         )
-    w = mpi(vt.grid)
-    out = np.zeros_like(d.coeffs)
-    out[..., 1:] = -d.coeffs[..., 1:] / w[..., 1:]
-    return SpectralField(vt.grid, out, SIN)
+    return SpectralField(vt.grid, integral_z(-d, vt.grid), SIN)
 
 
 def integral_z_of_div(vt: SpectralField) -> SpectralField:

@@ -49,7 +49,9 @@ class TauTracker:
 
     `step(dt, norms_at)` advances one solver step; norms_at(tau) returns the
     tuple of norms the rate function consumes, evaluated at the current
-    radius.  Crossing tau <= 0 freezes the tracker and records the time.
+    radius.  Crossing tau <= 0 freezes the tracker and records the time in
+    `crossed_at`.  A NaN rate stops it as failed instead: tau becomes NaN and
+    `failed_at` records the start of that step.
     """
 
     def __init__(self, tau0: float, rate, t0: float = 0.0):
@@ -59,10 +61,11 @@ class TauTracker:
         self.t = float(t0)
         self.rate = rate
         self.crossed_at: float | None = None
+        self.failed_at: float | None = None
 
     @property
     def alive(self) -> bool:
-        return self.crossed_at is None
+        return self.crossed_at is None and self.failed_at is None
 
     def step(self, dt: float, norms_at) -> float:
         if not self.alive:
@@ -71,7 +74,9 @@ class TauTracker:
         pred = self.tau + dt * r0
         r1 = self.rate(norms_at(max(pred, 0.0)))
         new = self.tau + 0.5 * dt * (r0 + r1)
-        if new <= 0.0:
+        if math.isnan(new):
+            self.failed_at = self.t
+        elif new <= 0.0:
             frac = self.tau / max(self.tau - new, 1e-300)
             self.crossed_at = self.t + frac * dt
             new = 0.0
@@ -279,10 +284,10 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
     Each field's norms are read from one shell-power table; the barotropic
     ones from the compact (2, nh, nh) layout.
     """
-    from .limit_solver import LimitState, velocity_from_vorticity
+    from .decomposition import plus_projection, velocity_from_vorticity
+    from .limit_solver import LimitState
     from .norms import NormSpec, ShellPower, norm_rst, seminorm_a_sq, dz_l2_sq
     from .spectral import require_real
-    from .pe_solver import plus_projection
 
     taus = np.broadcast_to(np.asarray(taus, dtype=float), (len(pe_states),))
     ts, fs, gs, hs, ks = [], [], [], [], []

@@ -5,16 +5,22 @@ import pytest
 
 from rotape.decomposition import (
     baroclinic,
+    leray,
     leray_h,
+    minus_projection,
     p0,
     p_minus,
     p_plus,
     pe_leray,
     perp,
+    perp_grad,
+    plus_projection,
     rotation_r,
+    velocity_from_vorticity,
+    vorticity_from_velocity,
 )
-from rotape.initial_data import random_scalar, random_vector
-from rotape.spectral import SpectralField, apply_A_exp, div_h, inner, l2_norm_sq
+from rotape.initial_data import random_barotropic, random_scalar, random_vector
+from rotape.spectral import SpectralField, apply_A_exp, div_h, divergence, inner, l2_norm_sq
 from tests.test_spectral_core import mode_field
 
 
@@ -156,3 +162,47 @@ def test_pe_leray(grid16, rng):
 def test_perp_involution(grid16, rng):
     v = rand2(grid16, rng)
     assert np.abs(perp(perp(v)).coeffs + v.coeffs).max() == 0.0
+
+
+class TestArrayOperators:
+    """The array-level kernels that the solvers call and the SpectralField
+    projections wrap, on single modes with closed-form values."""
+
+    def test_leray_single_mode(self, grid16):
+        # k = 2 pi (1, 2), a = (1, 0): a - k (k . a)/|k|^2 = (4/5, -2/5)
+        a = np.zeros((2, 16, 16), dtype=np.complex128)
+        a[0, 1, 2] = 1.0
+        out = leray(a, grid16)
+        assert abs(out[0, 1, 2] - 0.8) < 1e-15 and abs(out[1, 1, 2] + 0.4) < 1e-15
+        assert np.count_nonzero(out) == 2
+
+    def test_leray_keeps_the_mean_and_both_layouts_agree(self, grid16, rng):
+        v = rand2(grid16, rng).coeffs
+        out = leray(v[..., 0], grid16)
+        assert out[:, 0, 0].tolist() == v[:, 0, 0, 0].tolist()
+        assert np.array_equal(leray(v, grid16)[..., 0], out)
+        assert np.abs(divergence(out, grid16)).max() < 1e-12 * np.abs(v).max() * 2 * np.pi * 8
+
+    def test_curl_grad_perp_and_biot_savart(self, grid16):
+        psi = np.zeros((16, 16), dtype=np.complex128)
+        psi[1, 2] = 1.0
+        v = perp_grad(psi, grid16)
+        assert v[0, 1, 2] == -(1j * 4.0 * np.pi) and v[1, 1, 2] == 1j * 2.0 * np.pi
+        # curl grad^perp psi = Delta psi = -|k|^2 psi
+        w = vorticity_from_velocity(v, grid16)
+        assert abs(w[1, 2] + 20.0 * np.pi**2) < 1e-12 and np.count_nonzero(w) == 1
+        assert np.abs(velocity_from_vorticity(w, grid16) - v).max() < 1e-15 * 4.0 * np.pi
+
+    def test_random_barotropic_is_grad_perp(self, grid16):
+        vbar = random_barotropic(grid16, np.random.default_rng(5))
+        psi = random_scalar(grid16, np.random.default_rng(5), 0.5, 0.0).coeffs[0, :, :, 0]
+        psi[0, 0] = 0.0
+        assert np.array_equal(vbar, perp_grad(psi, grid16))
+
+    def test_plus_minus_projections(self, grid16, rng):
+        vt = baroclinic(rand2(grid16, rng)).coeffs
+        vp, vm = plus_projection(vt), minus_projection(vt)
+        assert np.array_equal(vp[1], 1j * vp[0]) and np.array_equal(vm, np.conj(plus_projection(np.conj(vt))))
+        assert np.abs(vp + vm - vt).max() < 1e-15 * np.abs(vt).max()
+        v = SpectralField(grid16, vt)
+        assert np.array_equal(p_plus(v).coeffs, vp) and np.array_equal(p_minus(v).coeffs, vm)

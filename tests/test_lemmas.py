@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rotape.grid import GridSpec
+from rotape.grid import GridSpec, a_exp_weight, kabs
 from rotape.lemmas import (
     LemmaKind,
     _adv_field,
@@ -15,7 +15,6 @@ from rotape.lemmas import (
     ensemble_parameters,
     run_ensemble,
 )
-from rotape.norms import _weight_a_exp
 from rotape.spectral import (
     COS,
     SpectralField,
@@ -197,7 +196,7 @@ class TestEnsemble:
 
 def reference_profile(f, r, tau, nzf):
     """The per-mode sum the q table replaces: every (n1, n2) column, weighted."""
-    w = _weight_a_exp(f.grid, r, tau)[..., 0]
+    w = a_exp_weight(kabs(f.grid), 2.0 * r, 2.0 * tau)[..., 0]
     vals = vertical_values(f.coeffs, f.basis, nzf)
     return np.sqrt(np.einsum("cxyz,xy->z", np.abs(vals) ** 2, w).real)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotape.decomposition import baroclinic, p0, p_plus
-from rotape.grid import GridSpec, dealias_mask, kabs, mode_numbers, mpi
+from rotape.grid import GridSpec, a_exp_weight, dealias_mask, kabs, mode_numbers, mpi
 from rotape.initial_data import random_scalar, random_vector
 from rotape.norms import (
     InsufficientDecayData,
@@ -17,7 +17,6 @@ from rotape.norms import (
     ShellPower,
     _mode_shells,
     _shell_stats,
-    _weight_a_exp,
     dz_l2_sq,
     seminorm_a_sq,
     fit_radius,
@@ -214,7 +213,7 @@ class TestShells:
 
 def _per_mode_sq(f, r, tau, s_order, weighted=True):
     """The per-mode coefficient sum the table replaces."""
-    w = _weight_a_exp(f.grid, r, tau) if weighted else 1.0
+    w = a_exp_weight(kabs(f.grid), 2.0 * r, 2.0 * tau) if weighted else 1.0
     vert = mpi(f.grid) ** (2 * s_order)
     return float(np.sum(np.abs(f.coeffs) ** 2 * w * vert))
 
@@ -246,7 +245,7 @@ class TestShellPower:
         grid = GridSpec(nh=64, nz=8)
         f = random_vector(grid, rng)
         with pytest.raises(SpectralRangeError, match="overflows"):
-            _weight_a_exp(grid, 2.0, 6.0)
+            a_exp_weight(kabs(grid), 2.0 * 2.0, 2.0 * 6.0)
         for v in (f, ShellPower.of(f.coeffs, grid)):
             with pytest.raises(SpectralRangeError, match="overflows"):
                 norm_rst(v, NormSpec(r=2.0, tau=6.0))
@@ -309,7 +308,7 @@ def test_only_norms_forms_the_per_mode_weight():
     import rotape
 
     root = Path(rotape.__file__).parent
-    offenders = [name for name in ("pe_solver.py", "scenarios.py") if "_weight_a_exp" in (root / name).read_text()]
+    offenders = [name for name in ("pe_solver.py", "scenarios.py") if "a_exp_weight" in (root / name).read_text()]
     assert offenders == []
 
 

@@ -173,3 +173,18 @@ def test_small_data_2d_builds_one_table_per_recorded_state(tmp_path, monkeypatch
     assert len(read_diagnostics_csv(tmp_path / "diagnostics.csv")) == steps + 1
     assert calls == [(1, 16, 1, 8)] * (steps + 2)
     assert summary["worst_envelope_ratio"] == pytest.approx(1 / 1.1, rel=1e-15)
+
+
+def test_small_data_2d_fails_on_a_failed_tracker(tmp_path, monkeypatch):
+    """A NaN tau rate stops the tracker as failed, and the run fails with it."""
+    import math
+
+    import rotape.scenarios as scenarios
+    from rotape.config import parse_config
+
+    monkeypatch.setattr(scenarios, "decay_2d_rate", lambda c_r: lambda norms: float("nan"))
+    cfg = parse_config({"scenario": {"name": "small_data_2d"}, "grid": {"nh": 16, "nz": 8},
+                        "time": {"dt": 2.5e-3, "t_end": 0.01}})
+    summary = scenarios.small_data_2d(cfg, tmp_path)
+    assert summary["pass"] is False
+    assert math.isnan(summary["tau_final"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotape.grid import GridSpec, dealias_mask
+from rotape.grid import GridSpec, a_exp_weight, dealias_mask
 from rotape.initial_data import random_scalar, random_vector
 from rotape.spectral import (
     COS,
@@ -20,10 +20,12 @@ from rotape.spectral import (
     coeffs_from_values,
     dealias,
     div_h,
+    divergence,
     dz,
     forward,
     grad_h,
     grid_points,
+    integral_z,
     inverse,
     product,
     values_from_coeffs,
@@ -178,6 +180,54 @@ class TestApplyAExp:
         f = mode_field(grid16, {(0, 1, 0, 0): 1.0})
         g = apply_A_exp(f, 0.0, 25.0)  # overflows only at high shells, which are empty
         assert np.isfinite(g.coeffs).all()
+
+    def test_one_overflow_rule_the_float64_range(self, grid16):
+        """A populated-shell multiplier between 1e300 and the float64 maximum
+        is applied; one past the maximum raises, naming the shell."""
+        f = mode_field(grid16, {(0, 5, 0, 0): 1.0})
+        k = 2.0 * np.pi * 5
+        g = apply_A_exp(f, 0.0, np.log(1e305) / k)
+        assert np.isfinite(g.coeffs).all()
+        assert g.coeffs[0, 5, 0, 0].real == pytest.approx(1e305, rel=1e-12)
+        log_max = np.log(np.finfo(np.float64).max)
+        with pytest.raises(SpectralRangeError, match=r"shell \|k\|=31\.4159"):
+            apply_A_exp(f, 0.0, log_max / k * (1.0 + 1e-9))
+
+
+class TestSharedKernels:
+    """The array-level divergence and z-integral that every caller shares."""
+
+    def test_weight_zero_mode_and_single_shell(self):
+        k = np.array([0.0, 2.0 * np.pi])
+        assert a_exp_weight(k, 0.0, 3.0).tolist() == [1.0, np.exp(3.0 * 2.0 * np.pi)]
+        assert a_exp_weight(k, 1.0, 0.0)[0] == 0.0
+        assert a_exp_weight(k, 1.0, 0.0)[1] == pytest.approx(2.0 * np.pi, rel=1e-15)
+
+    def test_weight_overflow_outside_the_data_is_zero(self):
+        k = np.array([1.0, 1e3])
+        w = a_exp_weight(k, 0.0, 1.0, lambda: np.array([True, False]))
+        assert w.tolist() == [np.e, 0.0]
+        with pytest.raises(SpectralRangeError, match="shell"):
+            a_exp_weight(k, 0.0, 1.0)
+
+    def test_divergence_single_mode_both_layouts(self, grid16):
+        v = mode_field(grid16, {(0, 1, 2, 3): 1.0, (1, 1, 2, 3): 2.0}, components=2)
+        expect = 1j * 2.0 * np.pi * 1.0 + 1j * 4.0 * np.pi * 2.0
+        d = divergence(v.coeffs, grid16)
+        assert d.shape == grid16.shape and d[1, 2, 3] == expect
+        d2 = divergence(v.coeffs[..., 3], grid16)
+        assert d2.shape == grid16.shape[:2] and d2[1, 2] == expect
+        assert np.count_nonzero(d) == 1 and np.count_nonzero(d2) == 1
+
+    def test_integral_z_maps_cos_m_to_sin_m_over_m_pi(self, grid16, rng):
+        c = rng.standard_normal((1, *grid16.shape)) + 1j * rng.standard_normal((1, *grid16.shape))
+        out = integral_z(c, grid16)
+        m = np.arange(1, grid16.nz)
+        assert not out[..., 0].any()
+        assert np.array_equal(out[..., 1:], c[..., 1:] / (np.pi * m))
+        # d/dz of the sine series returns the cosine series without its mean
+        back = dz(SpectralField(grid16, out, SIN))
+        assert np.abs(back.coeffs[..., 1:] - c[..., 1:]).max() < 1e-14 * np.abs(c).max()
 
 
 class TestDz:
@@ -371,6 +421,38 @@ def test_is_conjugate_symmetric_matches_the_reversed_copy(rng, shape):
         resid = np.abs(b - conjugate_reverse(b)).max()
         expect = bool(resid <= 1e-12 * np.abs(b).max())
         assert is_conjugate_symmetric(SpectralField(grid, b)) == expect
+
+
+# (fingerprint, owning module) of operators that one module defines: the
+# Leray projection's 1/|k|^2 with k = 0 pinned, the z-integral's division of
+# the slots m >= 1 by m pi, and the A^r e^{tau A} weight in log or power form
+_OPERATOR_FINGERPRINTS = {
+    "Leray projection": (
+        r"\bksq\(|\w\s*\*\*\s*2\s*\+\s*\w+\s*\*\*\s*2|/\s*np\.where\(", "decomposition.py"
+    ),
+    "z-integral": (r"/\s*(?:mpi\([^)]*\)|\w+)\[\.\.\.,\s*1:\]", "spectral.py"),
+    "A^r e^{tau A} weight": (
+        r"np\.log\(np\.where\(|\*\*\s*\(?\s*(?:2(?:\.0)?\s*\*\s*)?r\s*\)?\s*\*\s*np\.exp", "grid.py"
+    ),
+}
+
+
+def test_each_operator_has_one_definition():
+    """Layering: the solvers, the initial data, the theory, the scenarios and
+    the norms call the shared Leray projection, z-integral and A^r e^{tau A}
+    weight, so none of them re-derives one.  Each fingerprint must still
+    match its owner, or the scan would find nothing."""
+    import rotape
+
+    root = Path(rotape.__file__).parent
+    callers = ("pe_solver.py", "limit_solver.py", "initial_data.py", "theory.py", "scenarios.py", "norms.py")
+    offenders = []
+    for operator, (pattern, owner) in _OPERATOR_FINGERPRINTS.items():
+        assert re.search(pattern, (root / owner).read_text()), f"{operator} fingerprint not found in {owner}"
+        for name in callers:
+            if re.search(pattern, (root / name).read_text()):
+                offenders.append(f"{name}: {operator}")
+    assert offenders == []
 
 
 def test_only_spectral_calls_transforms():

@@ -40,6 +40,21 @@ class TestTauOde:
         assert crossed == pytest.approx(1.0 / 6.0, abs=1e-9)
         assert taus[-1] == 0.0
 
+    def test_nan_rate_stops_the_tracker_as_failed(self):
+        """A NaN rate fails the tracker, which is not a crossing: it stops and
+        evaluates no further norms."""
+        from rotape.theory import TauTracker, local_rate
+
+        tracker = TauTracker(0.5, local_rate(1.0))
+        tracker.step(0.01, lambda tau: (0.0, 0.0))
+        tracker.step(0.01, lambda tau: (float("nan"), 0.0))
+        assert not tracker.alive
+        assert tracker.failed_at == 0.01 and tracker.crossed_at is None
+        assert math.isnan(tracker.tau)
+        seen = []
+        tracker.step(0.01, lambda tau: seen.append(tau) or (0.0, 0.0))
+        assert seen == [] and tracker.t == 0.02
+
     def test_nonincreasing_for_nonnegative_norms(self, rng):
         times = np.linspace(0, 0.5, 64)
 
@@ -233,8 +248,13 @@ class TestPerturbationDiagnostics:
     def _two_sided(ps, lim_vbar, lim_vt, grid, r, tau):
         """F, G, H, K with the V- perturbation and limit field evaluated on their own."""
         from rotape.norms import NormSpec, dz_l2_sq, norm_rst, seminorm_a_sq
-        from rotape.pe_solver import barotropic_field
         from rotape.spectral import SpectralField
+
+        def barotropic_field(vbar, grid):
+            """The compact (2, nh, nh) barotropic mode embedded at m = 0 of the 3-D layout."""
+            out = np.zeros((2, *grid.shape), dtype=np.complex128)
+            out[..., 0] = vbar
+            return SpectralField(grid, out)
 
         vperp = np.concatenate([-lim_vt[1:2], lim_vt[0:1]], axis=0)
         lim_vp, lim_vm = 0.5 * (lim_vt + 1j * vperp), 0.5 * (lim_vt - 1j * vperp)
