@@ -2,8 +2,8 @@
 
 Verbs:
   run    --config PATH [--out DIR] [--seed N]   one scenario
-  sweep  --config PATH ... [--threads N]        scenario once per scenario.sweep value as
-                                                physics.omega, in a pool of N processes
+  sweep  --config PATH ...                      scenario once per scenario.sweep value as
+                                                physics.omega, the members in sequence
   verify [--config PATH] ...                    projection/norm identity table
   lemmas [--config PATH] ...                    lemma-ratio ensemble
   list                                          print available scenario names
@@ -40,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--list", action="store_true", help="print scenario names and exit")
     sub = ap.add_subparsers(dest="verb")
     _base_parser(sub, "run", "run one scenario from a config", True)
-    sweep = _base_parser(sub, "sweep", "run the scenario once per sweep value", True)
-    sweep.add_argument("--threads", type=int, default=1, help="worker pool size for sweeps")
+    _base_parser(sub, "sweep", "run the scenario once per sweep value", True)
     _base_parser(sub, "verify", "run the projection/norm verification table", False)
     _base_parser(sub, "lemmas", "run the lemma-ratio ensemble", False)
     sub.add_parser("list", help="print scenario names")
@@ -84,7 +83,7 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.verb == "sweep":
-            return _sweep(_document(args), args.out, threads=args.threads)
+            return _sweep(_document(args), args.out)
         return _finish(run_scenario(parse_config(_document(args)), args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -95,13 +94,8 @@ def main(argv=None) -> int:
     return 1
 
 
-def _run_member(payload) -> dict:
-    doc, out_dir = payload
-    return run_scenario(parse_config(doc), out_dir)
-
-
-def _sweep(doc: dict, out: Path | None, threads: int = 1) -> int:
-    """Run the configured scenario once per scenario.sweep value (parallel over members).
+def _sweep(doc: dict, out: Path | None) -> int:
+    """Run the configured scenario once per scenario.sweep value, one member after another.
 
     Each value overrides physics.omega, so the scenario must read that key;
     each member gets its own member_<i> output directory.
@@ -119,14 +113,7 @@ def _sweep(doc: dict, out: Path | None, threads: int = 1) -> int:
     members = [parse_config({**base, "physics": {**base.get("physics", {}), "omega": v}}) for v in values]
     out = Path(out or cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(m.echo(), str(out / f"member_{i:02d}")) for i, m in enumerate(members)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(_run_member, payloads))
-    else:
-        summaries = [_run_member(p) for p in payloads]
+    summaries = [run_scenario(m, str(out / f"member_{i:02d}")) for i, m in enumerate(members)]
     combined = {
         "scenario": cfg.scenario.name,
         "sweep": values,

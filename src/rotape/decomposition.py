@@ -8,7 +8,7 @@ conjugate-symmetry (reality) invariant, which is restored by P+ + P-.
 
 The array-level operators come first: Leray, curl, grad^perp and Biot-Savart
 of the compact (2, nh, nh) barotropic mode (`leray` takes the 3-D layout
-too) and P+/P- of a baroclinic 2-vector.  The solvers call them, and the
+too), the rotation (a, b) -> (-b, a) and P+/P- of a baroclinic 2-vector.  The solvers call them, and the
 SpectralField projections that the projection checks certify wrap them.
 """
 
@@ -52,6 +52,11 @@ def velocity_from_vorticity(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
     return perp_grad(omega * inv, grid)
 
 
+def perp_vector(a: np.ndarray) -> np.ndarray:
+    """The rotation (a, b) -> (-b, a) of 2-vector coefficients, any trailing layout."""
+    return np.concatenate([-a[1:2], a[0:1]], axis=0)
+
+
 def polarized(phi: np.ndarray) -> np.ndarray:
     """The 2-vector phi (1, i) of a (1, nh, nh, nz) scalar phi."""
     return np.concatenate([phi, 1j * phi], axis=0)
@@ -88,8 +93,7 @@ def perp(v: SpectralField) -> SpectralField:
     """(a, b) -> (-b, a)."""
     if v.components != 2:
         raise ValueError("perp expects a 2-vector field")
-    out = np.concatenate([-v.coeffs[1:2], v.coeffs[0:1]], axis=0)
-    return SpectralField(v.grid, out, v.basis)
+    return SpectralField(v.grid, perp_vector(v.coeffs), v.basis)
 
 
 def leray_h(vbar: SpectralField) -> SpectralField:

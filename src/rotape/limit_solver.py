@@ -3,7 +3,9 @@ one-way to a linear transport + stretching + vertical-diffusion equation for
 the baroclinic mode.
 
 The Euler half is evolved in vorticity-streamfunction form so horizontal
-incompressibility is structural; velocity is reconstructed on demand.
+incompressibility is structural; velocity is reconstructed on demand.  As in
+the PE solver, the right-hand sides are non-diffusive and the vertical
+diffusion acts through the RK4 step's integrating factor alone.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import minus_projection, plus_projection, velocity_from_vorticity
+from .decomposition import minus_projection, perp_vector, plus_projection, velocity_from_vorticity
 from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: builds a LimitState's omega_bar)
-from .grid import GridSpec, dealias_mask, kx, ky, mpi
+from .grid import GridSpec, dealias_mask, kx, ky
 from .spectral import COS, barotropic_coeffs, barotropic_values, coeffs_from_values, require_band, values_from_coeffs
 from .pe_solver import _decay_factors, _grad_stack, _guard, _if_rk4
 
@@ -45,14 +47,9 @@ def euler2d_rhs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def transport_rhs(
-    vtilde: np.ndarray,
-    omega: np.ndarray,
-    grid: GridSpec,
-    nu: float,
-    include_viscous: bool = True,
-) -> np.ndarray:
-    """-Vbar . grad Vt - (1/2) Vt^perp (perp-div Vbar) + nu dzz Vt.
+def transport_rhs(vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """-Vbar . grad Vt - (1/2) Vt^perp (perp-div Vbar); nu dzz Vt is the
+    integrating factor's.
 
     perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.
     """
@@ -61,14 +58,11 @@ def transport_rhs(
     vb, wphys = bar[0:2], bar[2:3]
     vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True, band=True)
     p, px, py = vals[0:2], vals[2:4], vals[4:6]
-    perp = np.concatenate([-p[1:2], p[0:1]], axis=0)
     n = -(vb[0:1] * px + vb[1:2] * py)
-    n -= 0.5 * perp * wphys
+    n -= 0.5 * perp_vector(p) * wphys
     out = coeffs_from_values(n, grid, COS, band=True)
     out[..., 0] = 0.0
     _guard("limit_transport", out)
-    if include_viscous:
-        out = out - nu * mpi(grid) ** 2 * vtilde
     return out
 
 
@@ -81,7 +75,7 @@ def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> Limit
     def nl(a, t):
         return (
             euler2d_rhs(a[0], grid),
-            transport_rhs(a[1], a[0], grid, nu, include_viscous=False),
+            transport_rhs(a[1], a[0], grid),
         )
 
     eh = _decay_factors(grid, nu, 0.5 * dt)

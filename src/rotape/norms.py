@@ -49,8 +49,9 @@ class NormSpec:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0 or self.s < 0 or self.tau < 0 or self.eta < 0:
-            raise ValueError("norm parameters must be nonnegative")
+        # written as "not >= 0" so that a NaN parameter is rejected too
+        if not all(x >= 0 for x in (self.r, self.s, self.tau, self.eta)):
+            raise ValueError(f"norm parameters must be nonnegative numbers: {self}")
         if self.s > 2:
             raise ValueError("s <= 2 is the highest vertical order used here")
 

@@ -13,11 +13,12 @@ Two formulations of the same dynamics, each an oracle for the other:
   evolved: its physical values are the conjugates of those of V+.  States of
   a non-real V, or whose V+ is not polarized, are rejected.
 
-The stiff vertical diffusion nu dzz is integrated exactly by an
-integrating-factor RK4 (scheme "rk4_if"); "rk4_plain" runs the same RK4 with
-unit factors and nu dzz in the right-hand side, for cross-checks at small
-dt.  The state type selects the formulation, and it must agree with
-SolverConfig.formulation, which sets the dt |Omega| guard.
+Every right-hand side here is the non-diffusive tendency N of the split
+u' = -nu (m pi)^2 u + N(u): the stiff vertical diffusion nu dzz acts only
+through the integrating factor e^{-nu (m pi)^2 h} of the RK4 step
+(`_decay_factors`), which integrates it exactly.  The state type selects the
+formulation, and it must agree with SolverConfig.formulation, which sets
+the dt |Omega| guard.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import leray, plus_projection, polarized, vorticity_from_velocity
+from .decomposition import leray, perp_vector, plus_projection, polarized, vorticity_from_velocity
 from .grid import GridSpec, dealias_mask, kx, ky, mpi
 from .norms import InsufficientDecayData, NormSpec, ShellPower, dz_l2_sq, fit_radius, norm_rst
 from .spectral import COS, SIN, SpectralRangeError, conjugate_reverse, divergence, integral_z, require_band
@@ -110,7 +111,6 @@ class SolverConfig:
     grid: GridSpec
     dt: float
     t_end: float
-    scheme: str = "rk4_if"
     formulation: str = "rotating"
     cfl_safety: float = 0.5
 
@@ -119,8 +119,6 @@ class SolverConfig:
             raise ValueError("nu must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("rk4_if", "rk4_plain"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.formulation not in ("rotating", "direct"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
@@ -223,11 +221,11 @@ def rhs_rotating(
     state: RotatingState | tuple,
     t: float,
     cfg: SolverConfig,
-    include_viscous: bool = True,
     *,
     cfl: bool = False,
 ) -> tuple:
-    """Tendencies of the rotating-frame equations.
+    """Non-diffusive tendencies of the rotating-frame equations (nu dzz is
+    the integrating factor's).
 
     For a RotatingState the result is (dVbar, dV+, dV-), with dV+ = dphi (1, i)
     polarized like V+ and dV- its conjugate partner conjugate_reverse(dV+).
@@ -242,14 +240,14 @@ def rhs_rotating(
     Leray-projected.
     """
     if isinstance(state, RotatingState):
-        dvb, dphi, *extra = _rhs_plus(state.vbar, state.vplus[0:1], t, cfg, include_viscous, cfl)
+        dvb, dphi, *extra = _rhs_plus(state.vbar, state.vplus[0:1], t, cfg, cfl)
         dvp = polarized(dphi)
         return (dvb, dvp, conjugate_reverse(dvp), *extra)
     vbar, phi = state
-    return _rhs_plus(vbar, phi, t, cfg, include_viscous, cfl)
+    return _rhs_plus(vbar, phi, t, cfg, cfl)
 
 
-def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool, cfl: bool = False):
+def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False):
     """(dVbar, dphi) of V+ = phi (1, i); V- enters as the conjugate of V+.
 
     Every tendency group of V+ is polarized like V+, so only x-components are
@@ -297,8 +295,6 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, include_viscous: bool, cfl
     if not np.isfinite(dhat).all():
         _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus)
     dphi = -dhat
-    if include_viscous:
-        dphi -= cfg.nu * mpi(g) ** 2 * phi
 
     # --- Vbar equation: self terms of V+ and V-, averaged over z, Leray-projected ---
     # the V+ source (V+ . grad) V+ + (div V+) V+ is s (1, i) with s the z-mean
@@ -322,11 +318,11 @@ def rhs_direct(
     v: np.ndarray,
     t: float,
     cfg: SolverConfig,
-    include_viscous: bool = True,
     *,
     cfl: bool = False,
 ):
-    """-V.grad V - w dz V + nu dzz V - Omega V^perp, pressure removed by projection.
+    """-V.grad V - w dz V - Omega V^perp, pressure removed by projection (nu dzz
+    is the integrating factor's).
 
     With cfl=True the result is (tendency, CFL limit of v), the limit read
     off the values of V and w that the nonlinear terms transform anyway.
@@ -346,13 +342,9 @@ def rhs_direct(
     nhat = coeffs_from_values(n, g, COS, band=True)
     _guard("advection", nhat)
     out += nhat
-    out -= cfg.omega * np.concatenate([-v[1:2], v[0:1]], axis=0)
+    out -= cfg.omega * perp_vector(v)
     # pressure projection: baroclinic part untouched, barotropic part Leray-projected
     out[..., 0] = leray(out[..., 0], g)
-    if include_viscous:
-        damp = cfg.nu * mpi(g) ** 2
-        out = out - damp * v
-        _guard("viscous", out)
     return (out, lim) if cfl else out
 
 
@@ -381,6 +373,7 @@ def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple, 
 
 
 def _decay_factors(grid: GridSpec, nu: float, h: float) -> np.ndarray:
+    """e^{-nu (m pi)^2 h}: the only place the vertical diffusion nu dzz acts."""
     return np.exp(-nu * mpi(grid) ** 2 * h)
 
 
@@ -450,30 +443,27 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
     if kind != cfg.formulation:
         raise ValueError(f"a {type(state).__name__} steps in the {kind} formulation, "
                          f"but the config sets formulation={cfg.formulation!r}")
-    # rk4_plain keeps nu dzz in the RHS and runs the RK4 with unit factors
-    viscous = cfg.scheme == "rk4_plain"
     if kind == "rotating":
         arrs = (state.vbar, state.vplus[0:1])
 
         def rhs(a, t):
-            return rhs_rotating(a, t, cfg, include_viscous=viscous)
+            return rhs_rotating(a, t, cfg)
 
-        dvb, dphi, lim = rhs_rotating(arrs, state.t, cfg, include_viscous=viscous, cfl=True)
+        dvb, dphi, lim = rhs_rotating(arrs, state.t, cfg, cfl=True)
         k1 = (dvb, dphi)
     else:
         arrs = (state.v,)
 
         def rhs(a, t):
-            return (rhs_direct(a[0], t, cfg, include_viscous=viscous),)
+            return (rhs_direct(a[0], t, cfg),)
 
-        dv, lim = rhs_direct(state.v, state.t, cfg, include_viscous=viscous, cfl=True)
+        dv, lim = rhs_direct(state.v, state.t, cfg, cfl=True)
         k1 = (dv,)
     if check_cfl and cfg.dt > lim:
         raise CflError(cfg.dt, lim)
 
-    nu_if = 0.0 if viscous else cfg.nu
-    eh = _decay_factors(g, nu_if, 0.5 * cfg.dt)
-    ef = _decay_factors(g, nu_if, cfg.dt)
+    eh = _decay_factors(g, cfg.nu, 0.5 * cfg.dt)
+    ef = _decay_factors(g, cfg.nu, cfg.dt)
     # the compact barotropic Vbar has no vertical mode to diffuse
     e_half, e_full = ((1.0, eh), (1.0, ef)) if len(arrs) == 2 else ((eh,), (ef,))
     new = _if_rk4(arrs, state.t, cfg.dt, rhs, e_half, e_full, k1=k1)
@@ -494,7 +484,10 @@ class IntegrationResult:
     cfl_margin_min is the smallest (advective CFL limit) / dt over the
     pre-step states of the accepted steps (None when no step was taken);
     fit_failures counts the radius fits that raised InsufficientDecayData or
-    SpectralRangeError and were recorded as NaN.
+    SpectralRangeError and were recorded as NaN.  tau_fallbacks counts the
+    rows whose tracked radius was NaN (a failed tau tracker), so that their
+    norm_r0tau was taken at the report radius instead; it is 0 without a
+    tracker.
     """
 
     state: object
@@ -503,6 +496,7 @@ class IntegrationResult:
     radius_collapse_t: float | None = None
     cfl_margin_min: float | None = None
     fit_failures: int = 0
+    tau_fallbacks: int = 0
 
 
 _DIAGNOSTIC_ERRORS = (InsufficientDecayData, SpectralRangeError)
@@ -637,7 +631,8 @@ def integrate(
         ):
             collapse_t = state.t
     rows[-1].termination = termination
-    return IntegrationResult(state, rows, termination, collapse_t, margin, fit_failures)
+    fallbacks = 0 if tau_tracker is None else sum(not np.isfinite(row.tau_tracked) for row in rows)
+    return IntegrationResult(state, rows, termination, collapse_t, margin, fit_failures, fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +650,9 @@ class State2D:
         return State2D(self.t, self.u.copy())
 
 
-def rhs_2d(u: np.ndarray, grid: GridSpec, nu: float, include_viscous: bool = True) -> np.ndarray:
-    """du = -u dx u + (int_0^z dx u) dz u + nu dzz u, barotropic part structurally zero.
+def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """du = -u dx u + (int_0^z dx u) dz u, barotropic part structurally zero
+    (nu dzz u is the integrating factor's).
 
     u is real, so its (nh, nz) coefficients take the real transforms as the
     n2 = 0 column (nh, 1, nz) of the 3-D layout.  The dx P0(u^2) term of the
@@ -671,10 +667,7 @@ def rhs_2d(u: np.ndarray, grid: GridSpec, nu: float, include_viscous: bool = Tru
     out = coeffs_from_values(intp * dzp - p * px, grid, COS, band=True)
     out[..., 0] = 0.0
     _guard("advection_2d", out)
-    out = out[:, 0, :]
-    if include_viscous:
-        out = out - nu * mpi(grid)[0] ** 2 * u
-    return out
+    return out[:, 0, :]
 
 
 def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
@@ -682,7 +675,7 @@ def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
     require_band(state.u[:, None, :], grid, "u")
 
     def nl(a, t):
-        return (rhs_2d(a[0], grid, nu, include_viscous=False),)
+        return (rhs_2d(a[0], grid),)
 
     eh = _decay_factors(grid, nu, 0.5 * dt)[0]
     ef = _decay_factors(grid, nu, dt)[0]

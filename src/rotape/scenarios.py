@@ -255,12 +255,13 @@ def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
                             baroclinic_fraction=CLOCK_BAROCLINIC_FRACTION)
     v0 = _direct_array(vbar, vt)
     omegas = cfg.scenario.sweep
-    doubling = {}
+    doubling, fallbacks = {}, {}
     for om in omegas:
         tracker = TauTracker(cfg.norms.tau_report, local_rate(CLOCK_C_R))
         rows = []
-        integrate(rotating_from_direct(v0, 0.0, om), _solver_config(cfg, om),
-                  report=_report_spec(cfg), tau_tracker=tracker, observer=rows.append)
+        res = integrate(rotating_from_direct(v0, 0.0, om), _solver_config(cfg, om),
+                        report=_report_spec(cfg), tau_tracker=tracker, observer=rows.append)
+        fallbacks[om] = res.tau_fallbacks
         n0 = rows[0].norm_r0tau
         td = None
         for prev, cur in zip(rows[:-1], rows[1:]):
@@ -280,6 +281,7 @@ def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
         "doubling_times": {str(k): v for k, v in doubling.items()},
         "relative_spread": spread,
         "tolerance": CLOCK_SPREAD_TOL,
+        "tau_fallbacks": {str(k): v for k, v in fallbacks.items()},
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -473,11 +475,14 @@ def small_data_2d(cfg: RunConfig, out) -> dict:
 
     def record(state, power):
         l2_sq = dz_l2_sq(power)
+        # a failed tracker's NaN radius has no norm: the row records NaN and the run fails
+        tau = tracker.tau
+        nrt = float("nan") if np.isnan(tau) else norm_rst(power, NormSpec(r=r, s=s, tau=tau))
         rows.append(
             DiagnosticsRow(
-                t=state.t, norm_r0tau=norm_rst(power, NormSpec(r=r, s=s, tau=tracker.tau)),
+                t=state.t, norm_r0tau=nrt,
                 sobolev_norm=norm_rst(power, NormSpec(r=r, s=s)),
-                tau_tracked=tracker.tau, tau_fit_h=float("nan"), eta_fit_v=float("nan"),
+                tau_tracked=tau, tau_fit_h=float("nan"), eta_fit_v=float("nan"),
                 energy=0.5 * l2_sq, enstrophy_bar=0.0, baroclinic_l2=float(np.sqrt(l2_sq)),
                 div_residual=0.0, mean_residual=float(np.abs(state.u[:, 0]).max()),
             )

@@ -51,11 +51,12 @@ class TauTracker:
     tuple of norms the rate function consumes, evaluated at the current
     radius.  Crossing tau <= 0 freezes the tracker and records the time in
     `crossed_at`.  A NaN rate stops it as failed instead: tau becomes NaN and
-    `failed_at` records the start of that step.
+    `failed_at` records the start of that step.  No norm is evaluated at a
+    NaN radius: a NaN first-stage rate fails the step at once.
     """
 
     def __init__(self, tau0: float, rate, t0: float = 0.0):
-        if tau0 <= 0:
+        if not tau0 > 0:
             raise ValueError("tau0 must be positive")
         self.tau = float(tau0)
         self.t = float(t0)
@@ -72,8 +73,7 @@ class TauTracker:
             return self.tau
         r0 = self.rate(norms_at(self.tau))
         pred = self.tau + dt * r0
-        r1 = self.rate(norms_at(max(pred, 0.0)))
-        new = self.tau + 0.5 * dt * (r0 + r1)
+        new = pred if math.isnan(pred) else self.tau + 0.5 * dt * (r0 + self.rate(norms_at(max(pred, 0.0))))
         if math.isnan(new):
             self.failed_at = self.t
         elif new <= 0.0:

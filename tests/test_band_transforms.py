@@ -167,10 +167,8 @@ class TestStepsStayInTheBand:
     """Five accepted steps leave every coefficient outside the band exactly 0."""
 
     @pytest.mark.parametrize("formulation", ["rotating", "direct"])
-    @pytest.mark.parametrize("scheme", ["rk4_if", "rk4_plain"])
-    def test_pe_formulations(self, rng, formulation, scheme):
-        cfg = SolverConfig(nu=0.1, omega=5.0, grid=GRID, dt=1e-3, t_end=5e-3,
-                           formulation=formulation, scheme=scheme)
+    def test_pe_formulations(self, rng, formulation):
+        cfg = SolverConfig(nu=0.1, omega=5.0, grid=GRID, dt=1e-3, t_end=5e-3, formulation=formulation)
         st0 = _direct_state(rng)
         if formulation == "rotating":
             st0 = rotating_from_direct(st0.v, 0.0, cfg.omega)

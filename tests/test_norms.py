@@ -317,3 +317,11 @@ def test_norm_spec_validation():
         NormSpec(r=-1.0)
     with pytest.raises(ValueError):
         NormSpec(r=1.0, s=3)
+
+
+@pytest.mark.parametrize("field", ["r", "s", "tau", "eta"])
+@pytest.mark.parametrize("value", [float("nan"), -0.5])
+def test_norm_spec_rejects_nan_and_negative_parameters(field, value):
+    """A NaN radius used to construct and make every norm at it NaN."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        NormSpec(**{"r": 2.0, field: value})

@@ -22,8 +22,11 @@ from rotape.pe_solver import (
     step,
     step_2d,
     _advance,
+    _if_rk4,
     _step_nocfl,
 )
+from rotape.decomposition import polarized
+from rotape.grid import mpi
 from rotape.spectral import COS, SpectralField
 
 
@@ -191,7 +194,7 @@ def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
         rhs_rotating(rotating_from_direct(v, 0.3, cfg.omega), 0.3, cfg)
     else:
         v[..., 0] = 0.0
-        lim.transport_rhs(v, lim.vorticity_from_velocity(make_state(rng).v[..., 0], GRID), GRID, cfg.nu)
+        lim.transport_rhs(v, lim.vorticity_from_velocity(make_state(rng).v[..., 0], GRID), GRID)
     expect = {
         "direct": {"inverse": [("cos", 6, True), ("sin", 3, True)], "forward": [("cos", 2, True)]},
         "rotating": {"inverse": [("cos", 3, True), ("sin", 2, True)], "forward": [("cos", 1, True)]},
@@ -210,9 +213,7 @@ class TestRhsDirect:
     def test_coriolis_term_isolation(self, rng):
         cfg = cfg_for(omega=3.0)
         ds = make_state(rng)
-        out = rhs_direct(ds.v, 0.0, cfg, include_viscous=False) - rhs_direct(
-            ds.v, 0.0, cfg_for(omega=0.0), include_viscous=False
-        )
+        out = rhs_direct(ds.v, 0.0, cfg) - rhs_direct(ds.v, 0.0, cfg_for(omega=0.0))
         perp = np.concatenate([-ds.v[1:2], ds.v[0:1]], axis=0)
         expect = -cfg.omega * perp
         from rotape.decomposition import leray
@@ -312,58 +313,68 @@ class TestStepping:
 
     @pytest.mark.parametrize("formulation", ["rotating", "direct"])
     def test_rk4_plain_is_the_classical_rk4(self, rng, formulation):
-        """rk4_plain runs the integrating-factor RK4 with unit factors: bit for
-        bit the classical RK4 on the full right-hand side."""
-        cfg = cfg_for(nu=0.2, omega=3.0, dt=1e-3, scheme="rk4_plain", formulation=formulation)
+        """The integrating-factor RK4 with unit factors is a plain RK4: bit for
+        bit the classical RK4 written out here."""
+        cfg = cfg_for(nu=0.2, omega=3.0, dt=1e-3, formulation=formulation)
         st = _initial(formulation, make_state(rng).v, cfg.omega)
-        if formulation == "rotating":
-            y = (st.vbar, st.vplus[0:1])
-
-            def rhs(a, t):
-                return rhs_rotating(a, t, cfg)
-        else:
-            y = (st.v,)
-
-            def rhs(a, t):
-                return (rhs_direct(a[0], t, cfg),)
-
-        t, dt = st.t, cfg.dt
-        k1 = rhs(y, t)
-        k2 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)), t + 0.5 * dt)
-        k3 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)), t + 0.5 * dt)
-        k4 = rhs(tuple(a + dt * k for a, k in zip(y, k3)), t + dt)
-        expect = [a + (dt / 6.0) * (p + 2.0 * (q + r) + w) for a, p, q, r, w in zip(y, k1, k2, k3, k4)]
-        new = _step_nocfl(st, cfg)
-        got = (new.vbar, new.vplus[0:1]) if formulation == "rotating" else (new.v,)
+        y, rhs = _arrays_and_rhs(st, cfg)
+        expect = _classical_rk4(y, st.t, cfg.dt, rhs)
+        ones = (1.0,) * len(y)
+        got = _if_rk4(y, st.t, cfg.dt, rhs, ones, ones)
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
     def test_rk4_plain_matches_if_at_small_dt(self, rng):
+        """The integrating-factor step agrees with the classical RK4 on the full
+        right-hand side N(y) - nu (m pi)^2 y at small dt."""
         grid = GridSpec(nh=16, nz=8)
         vbar, vt = random_state(grid, rng, tau0=0.6, eta0=0.4, amplitude=0.5)
         v0 = vt.coeffs.copy()
         v0[..., 0] += vbar
-        outs = {}
-        for scheme in ("rk4_if", "rk4_plain"):
-            cfg = SolverConfig(nu=0.2, omega=3.0, grid=grid, dt=2.5e-4, t_end=0.02, scheme=scheme)
-            st = rotating_from_direct(v0, 0.0, cfg.omega)
-            for _ in range(int(round(cfg.t_end / cfg.dt))):
-                st = _step_nocfl(st, cfg)
-            outs[scheme] = direct_from_rotating(st, cfg.omega)
-        scale = np.abs(outs["rk4_if"]).max()
-        assert np.abs(outs["rk4_if"] - outs["rk4_plain"]).max() < 1e-9 * scale
+        cfg = SolverConfig(nu=0.2, omega=3.0, grid=grid, dt=2.5e-4, t_end=0.02)
+        st = rotating_from_direct(v0, 0.0, cfg.omega)
+        (vbar_p, phi_p), nl = _arrays_and_rhs(st, cfg)
+        damp = cfg.nu * mpi(grid) ** 2
+
+        def full(a, t):
+            dvb, dphi = nl(a, t)
+            return dvb, dphi - damp * a[1]
+
+        t = 0.0
+        for _ in range(int(round(cfg.t_end / cfg.dt))):
+            st = _step_nocfl(st, cfg)
+            vbar_p, phi_p = _classical_rk4((vbar_p, phi_p), t, cfg.dt, full)
+            t += cfg.dt
+        got = direct_from_rotating(st, cfg.omega)
+        plain = direct_from_rotating(RotatingState(t, vbar_p, polarized(phi_p)), cfg.omega)
+        assert np.abs(got - plain).max() < 1e-9 * np.abs(got).max()
 
 
 def _initial(formulation, v, omega):
     return rotating_from_direct(v, 0.0, omega) if formulation == "rotating" else DirectState(0.0, v.copy())
 
 
+def _arrays_and_rhs(st, cfg):
+    """The arrays the stepper advances and their non-diffusive tendency."""
+    if isinstance(st, RotatingState):
+        return (st.vbar, st.vplus[0:1]), lambda a, t: rhs_rotating(a, t, cfg)
+    return (st.v,), lambda a, t: (rhs_direct(a[0], t, cfg),)
+
+
+def _classical_rk4(y, t, dt, rhs):
+    """One classical RK4 step of y' = rhs(y, t), written out."""
+    k1 = rhs(y, t)
+    k2 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)), t + 0.5 * dt)
+    k3 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)), t + 0.5 * dt)
+    k4 = rhs(tuple(a + dt * k for a, k in zip(y, k3)), t + dt)
+    return tuple(a + (dt / 6.0) * (p + 2.0 * (q + r) + w) for a, p, q, r, w in zip(y, k1, k2, k3, k4))
+
+
 class TestStageOneCfl:
     """The CFL limit comes from stage 1 of the step, not from cfl_limit's transforms."""
 
-    @pytest.mark.parametrize("scheme", ["rk4_if", "rk4_plain"])
     @pytest.mark.parametrize("formulation", ["rotating", "direct"])
-    def test_stage_one_limit_equals_cfl_limit(self, rng, formulation, scheme):
-        cfg = cfg_for(nu=0.1, omega=7.0, dt=2e-3, scheme=scheme, formulation=formulation)
+    def test_stage_one_limit_equals_cfl_limit(self, rng, formulation):
+        cfg = cfg_for(nu=0.1, omega=7.0, dt=2e-3, formulation=formulation)
         st = _initial(formulation, make_state(rng, amplitude=2.0).v, cfg.omega)
         st = _step_nocfl(st, cfg)  # t > 0: the phase e^{i Omega t} is not 1
         for _ in range(3):
@@ -439,6 +450,21 @@ class TestStageOneCfl:
         monkeypatch.setattr(pe, "fit_radius", flat)
         res = integrate(st, cfg, check_cfl=False)
         assert res.fit_failures == len(res.rows) == 5
+
+    def test_result_counts_the_rows_whose_nan_tau_fell_back(self, rng):
+        """A failed tracker's NaN radius falls back to the report radius, and
+        each such row is counted; without a tracker nothing falls back."""
+        from rotape.theory import TauTracker, local_rate
+
+        cfg = cfg_for(dt=1e-3, t_end=4e-3)
+        st = rotating_from_direct(make_state(rng).v, 0.0, cfg.omega)
+        report = NormSpec(r=2.0, s=0, tau=0.2)
+        res = integrate(st, cfg, report=report, tau_tracker=TauTracker(0.3, lambda norms: float("nan")))
+        assert res.tau_fallbacks == len(res.rows) - 1 == 4
+        plain = integrate(st, cfg, report=report)
+        assert [r.norm_r0tau for r in res.rows[1:]] == [r.norm_r0tau for r in plain.rows[1:]]
+        assert plain.tau_fallbacks == 0
+        assert integrate(st, cfg, report=report, tau_tracker=TauTracker(0.3, local_rate(1e-4))).tau_fallbacks == 0
 
 
 class TestIntegrate:
@@ -520,25 +546,29 @@ class TestIntegrate:
 class TestReduce2D:
     def test_zero(self):
         grid = GridSpec(nh=16, nz=8)
-        out = rhs_2d(np.zeros((16, 8), dtype=np.complex128), grid, nu=0.5)
+        out = rhs_2d(np.zeros((16, 8), dtype=np.complex128), grid)
         assert np.abs(out).max() == 0.0
 
     def test_single_mode_tendency_is_pure_diffusion(self):
         # u = a cos(2 pi x) sqrt2 cos(pi z): the advective and w-transport terms
-        # cancel against the P0 subtraction; hand assembly leaves nu dzz u.
+        # cancel against the P0 subtraction, so the tendency is zero (to
+        # roundoff) and the integrating factor alone evolves u, as the heat
+        # equation does
         grid = GridSpec(nh=16, nz=8)
         a = 0.7
         u = np.zeros((16, 8), dtype=np.complex128)
         u[1, 1] = a / 2
         u[-1, 1] = a / 2
-        out = rhs_2d(u, grid, nu=0.5)
-        expect = -0.5 * np.pi**2 * u
-        assert np.abs(out - expect).max() < 1e-13
+        assert np.abs(rhs_2d(u, grid)).max() < 1e-13
+        st = State2D(0.0, u)
+        for _ in range(10):
+            st = step_2d(st, grid, nu=0.5, dt=0.02)
+        assert np.abs(st.u - np.exp(-0.5 * np.pi**2 * 0.2) * u).max() < 1e-13
 
     def test_3d_consistency_oracle(self, rng):
         grid = GridSpec(nh=16, nz=8)
         u = random_scalar_2d(16, 8, rng, tau=0.4, eta=0.3, hcut=grid.hcut, zcut=grid.zcut)
-        du = rhs_2d(u, grid, nu=0.3)
+        du = rhs_2d(u, grid)
         v3 = embed_2d(u, grid)
         cfg = SolverConfig(nu=0.3, omega=0.0, grid=grid, dt=1e-3, t_end=1.0, formulation="direct")
         dv3 = rhs_direct(v3, 0.0, cfg)

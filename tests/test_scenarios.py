@@ -188,3 +188,16 @@ def test_small_data_2d_fails_on_a_failed_tracker(tmp_path, monkeypatch):
     summary = scenarios.small_data_2d(cfg, tmp_path)
     assert summary["pass"] is False
     assert math.isnan(summary["tau_final"])
+
+
+def test_local_clock_summary_counts_nan_tau_fallbacks(tmp_path, monkeypatch):
+    """Each member's rows whose NaN tracked radius fell back to the report
+    radius are counted in the summary."""
+    import rotape.scenarios as scenarios
+    from rotape.config import parse_config
+
+    monkeypatch.setattr(scenarios, "local_rate", lambda c_r: lambda norms: float("nan"))
+    cfg = parse_config({"scenario": {"name": "local_clock_vs_omega", "sweep": [0.0, 10.0]},
+                        "grid": {"nh": 16, "nz": 8}, "time": {"dt": 2e-3, "t_end": 0.006}})
+    summary = scenarios.local_clock_vs_omega(cfg, tmp_path)
+    assert summary["tau_fallbacks"] == {"0.0": 3, "10.0": 3}

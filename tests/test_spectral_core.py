@@ -1,5 +1,6 @@
 """Transform, derivative, product, and w-reconstruction kernels."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -436,12 +437,26 @@ _OPERATOR_FINGERPRINTS = {
     ),
 }
 
+# (fingerprint, owning module, owning function) of operators written on one
+# line of the whole package: the vertical diffusion nu (m pi)^2, which acts
+# only through the integrating factor, and the rotation (a, b) -> (-b, a)
+_ONE_LINE_OPERATORS = {
+    "nu (m pi)^2": (
+        r"\bnu\b.*\bmpi\(|\bmpi\([^)]*\)(?:\[[^\]]*\])?\s*\*\*\s*2\b", "pe_solver.py", "_decay_factors"
+    ),
+    "rotation (a, b) -> (-b, a)": (
+        r"(?:concatenate|stack)\(\[\s*-\s*[\w.]+\[1(?::2)?\]", "decomposition.py", "perp_vector"
+    ),
+}
+
 
 def test_each_operator_has_one_definition():
     """Layering: the solvers, the initial data, the theory, the scenarios and
     the norms call the shared Leray projection, z-integral and A^r e^{tau A}
-    weight, so none of them re-derives one.  Each fingerprint must still
-    match its owner, or the scan would find nothing."""
+    weight, so none of them re-derives one.  nu (m pi)^2 and the rotation
+    (a, b) -> (-b, a) are each written on one line of the package, inside
+    their owning function.  Each fingerprint must still match its owner, or
+    the scan would find nothing."""
     import rotape
 
     root = Path(rotape.__file__).parent
@@ -452,6 +467,14 @@ def test_each_operator_has_one_definition():
         for name in callers:
             if re.search(pattern, (root / name).read_text()):
                 offenders.append(f"{name}: {operator}")
+    for operator, (pattern, owner, function) in _ONE_LINE_OPERATORS.items():
+        fn = next(node for node in ast.walk(ast.parse((root / owner).read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == function)
+        sites = [(path.name, i) for path in sorted(root.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1) if re.search(pattern, line)]
+        owned = [(name, i) for name, i in sites if name == owner and fn.lineno <= i <= fn.end_lineno]
+        assert owned, f"{operator} fingerprint not found in {owner}:{function}"
+        offenders += [f"{name}:{i}: {operator}" for name, i in sites if (name, i) not in owned[:1]]
     assert offenders == []
 
 

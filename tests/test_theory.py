@@ -55,6 +55,18 @@ class TestTauOde:
         tracker.step(0.01, lambda tau: seen.append(tau) or (0.0, 0.0))
         assert seen == [] and tracker.t == 0.02
 
+    def test_nan_rate_evaluates_no_norm_at_a_nan_radius(self):
+        """A NaN first-stage rate fails the step before the second stage, whose
+        NormSpec at a NaN radius would raise."""
+        from rotape.theory import TauTracker, local_rate
+
+        tracker = TauTracker(0.5, local_rate(1.0))
+        seen = []
+        tracker.step(0.01, lambda tau: seen.append(tau) or (float("nan"), 0.0))
+        assert seen == [0.5] and tracker.failed_at == 0.0
+        with pytest.raises(ValueError, match="tau0"):
+            TauTracker(float("nan"), local_rate(1.0))
+
     def test_nonincreasing_for_nonnegative_norms(self, rng):
         times = np.linspace(0, 0.5, 64)
 
