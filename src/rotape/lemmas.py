@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridSpec, a_exp_weight, dealias_mask, kabs, mode_numbers
+from .grid import GridSpec, a_exp_weight, kabs, mode_numbers
 from .initial_data import random_scalar, random_vector
 from .norms import NormSpec, ShellPower, norm_rst, q_table, q_weight, seminorm_a_sq
 from .spectral import (
@@ -33,6 +33,7 @@ from .spectral import (
     integral_z_of_div,
     is_conjugate_symmetric,
     product,
+    require_band,
     values_from_coeffs,
     vertical_values,
 )
@@ -119,17 +120,10 @@ def _adv_field(f: SpectralField, g: SpectralField) -> SpectralField:
     separate products would be: the commutator LHS takes a difference of
     nearly equal inner products, which magnifies any change of rounding.
     Real (conjugate-symmetric) inputs take the real path: multiplying by ik
-    maps a conjugate-symmetric g onto conjugate-symmetric dx g, dy g, except
-    on the Nyquist row (dx) and column (dy), which pair with themselves, so
-    g is checked once and must leave those empty."""
+    maps a conjugate-symmetric g onto conjugate-symmetric dx g, dy g on the
+    2/3-rule band, which excludes the self-paired Nyquist row and column."""
     grid, nc = f.grid, g.components
-    h = grid.nh // 2
-    real = (
-        is_conjugate_symmetric(f)
-        and is_conjugate_symmetric(g)
-        and not g.coeffs[:, h].any()
-        and not g.coeffs[:, :, h].any()
-    )
+    real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
     gx, gy = dx(g), dy(g)
     grad = np.concatenate([gx.coeffs, gy.coeffs])
     # the stacks are the largest arrays of a lemma check: hold no copy that
@@ -143,7 +137,6 @@ def _adv_field(f: SpectralField, g: SpectralField) -> SpectralField:
     del pf
     tag = _CLOSURE[(f.basis, g.basis)]
     out = coeffs_from_values(pg, grid, tag)
-    out *= dealias_mask(grid)[None, ...]
     return SpectralField(grid, out[:nc] + out[nc:], tag)
 
 
@@ -318,9 +311,17 @@ def check(
     """Evaluate (lhs, rhs_unit, ratio) for one lemma on given fields.
 
     lhs is the exact inner-product magnitude; rhs_unit the displayed bound
-    with unit constants.  0/0 reports ratio 0.
+    with unit constants.  0/0 reports ratio 0.  force_path "exact" or
+    "transform" picks the LHS path, None the exact one for inputs of at most
+    3 active modes.  A field with a mode outside the 2/3-rule band, which
+    the transform path cannot represent, raises ValueError.
     """
     kind = LemmaKind(kind)
+    if force_path not in (None, "exact", "transform"):
+        raise ValueError(f"force_path must be None, 'exact' or 'transform', got {force_path!r}")
+    for name, x in (("f", f), ("g", g), ("h", h)):
+        if x is not None:
+            require_band(x.coeffs, x.grid, name)
     if r <= _MIN_R[kind]:
         raise ValueError(f"{kind.value} requires r > {_MIN_R[kind]}, got {r}")
     if kind is LemmaKind.type2 and r <= 2.0:

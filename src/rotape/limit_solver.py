@@ -56,11 +56,11 @@ def transport_rhs(vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec) -> np.n
     vbar = velocity_from_vorticity(omega, grid)
     bar = barotropic_values(np.concatenate([vbar, omega[None]]), grid)[..., None]
     vb, wphys = bar[0:2], bar[2:3]
-    vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True, band=True)
+    vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True)
     p, px, py = vals[0:2], vals[2:4], vals[4:6]
     n = -(vb[0:1] * px + vb[1:2] * py)
     n -= 0.5 * perp_vector(p) * wphys
-    out = coeffs_from_values(n, grid, COS, band=True)
+    out = coeffs_from_values(n, grid, COS)
     out[..., 0] = 0.0
     _guard("limit_transport", out)
     return out
@@ -103,7 +103,6 @@ def integrate_limit(
     nu: float,
     dt: float,
     t_end: float,
-    observer=None,
     store_every: int = 0,
     r: float = 2.0,
     s: int = 1,
@@ -118,13 +117,9 @@ def integrate_limit(
     n_steps = int(round(t_end / dt))
     stored = [state.copy()] if store_every else []
     diags = [_limit_diag(state, grid, r, s)]
-    if observer:
-        observer(diags[-1])
     for i in range(n_steps):
         state = step_limit(state, grid, nu, dt)
         diags.append(_limit_diag(state, grid, r, s))
-        if observer:
-            observer(diags[-1])
         if store_every and (i + 1) % store_every == 0:
             stored.append(state.copy())
     return state, diags, stored

@@ -34,6 +34,10 @@ from .spectral import COS, SIN, SpectralRangeError, conjugate_reverse, divergenc
 from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, require_real, values_from_coeffs
 
 
+# the advective step limit is this fraction of 1 / (max|u, v| / dx + max|w| / dz)
+CFL_SAFETY = 0.5
+
+
 class CflError(RuntimeError):
     def __init__(self, dt: float, suggested: float):
         super().__init__(f"advective CFL violated: dt={dt:g}, suggested dt <= {suggested:g}")
@@ -112,7 +116,6 @@ class SolverConfig:
     dt: float
     t_end: float
     formulation: str = "rotating"
-    cfl_safety: float = 0.5
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -121,8 +124,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.formulation not in ("rotating", "direct"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
         if self.formulation == "rotating" and self.dt * abs(self.omega) > 0.5 + 1e-12:
             raise ValueError("dt * |omega| must be <= 0.5 in the rotating formulation")
 
@@ -161,8 +162,8 @@ def _plus_values(phi: np.ndarray, grid: GridSpec) -> tuple:
     """
     grad = _grad_stack(phi, grid)
     intc = integral_z(grad[1:2] + 1j * grad[2:3], grid)
-    p, px, py = values_from_coeffs(grad, grid, COS, band=True)
-    dz, intp = values_from_coeffs(np.concatenate([-mpi(grid) * phi, intc], axis=0), grid, SIN, band=True)
+    p, px, py = values_from_coeffs(grad, grid, COS)
+    dz, intp = values_from_coeffs(np.concatenate([-mpi(grid) * phi, intc], axis=0), grid, SIN)
     return p, px, py, dz, intp
 
 
@@ -188,7 +189,7 @@ def _fwd_baroclinic(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     equations (the divergence/w integration-by-parts identity holds
     structurally for baroclinic inputs).
     """
-    out = coeffs_from_values(vals, grid, COS, band=True)
+    out = coeffs_from_values(vals, grid, COS)
     out[..., 0] = 0.0
     return out
 
@@ -330,16 +331,16 @@ def rhs_direct(
     g = cfg.grid
     out = np.zeros_like(v)
     w = mpi(g)
-    cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True, band=True)
+    cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True)
     svals = values_from_coeffs(
-        np.concatenate([-w * v, integral_z(-divergence(v, g)[None], g)], axis=0), g, SIN, real=True, band=True
+        np.concatenate([-w * v, integral_z(-divergence(v, g)[None], g)], axis=0), g, SIN, real=True
     )
     p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
     dzp, wphys = svals[0:2], svals[2:3]
     if cfl:
         lim = _cfl_from_maxima(_abs_max(p), _abs_max(wphys), cfg)
     n = -_adv(p, px, py) - wphys * dzp
-    nhat = coeffs_from_values(n, g, COS, band=True)
+    nhat = coeffs_from_values(n, g, COS)
     _guard("advection", nhat)
     out += nhat
     out -= cfg.omega * perp_vector(v)
@@ -388,21 +389,23 @@ def _abs_max(x: np.ndarray) -> float:
 
 
 def _cfl_from_maxima(umax: float, wmax: float, cfg: SolverConfig) -> float:
-    """The advective limit cfl_safety / (max|u, v| / dx + max|w| / dz)."""
+    """The advective limit CFL_SAFETY / (max|u, v| / dx + max|w| / dz)."""
     dx = 1.0 / cfg.grid.nh
     dz = 1.0 / cfg.grid.nz
-    return float(cfg.cfl_safety / max(umax / dx + wmax / dz, 1e-12))
+    return float(CFL_SAFETY / max(umax / dx + wmax / dz, 1e-12))
 
 
 def cfl_limit(state, cfg: SolverConfig) -> float:
     """Largest advectively stable dt for the current state.
 
     state is a RotatingState, a DirectState, or the lab-frame coefficient
-    array V itself.  The steppers do not call this: stage 1 of each step
+    array V itself; a V with a mode outside the 2/3-rule band raises
+    ValueError.  The steppers do not call this: stage 1 of each step
     returns the same limit from the values it transforms anyway.
     """
     g = cfg.grid
     v = state if isinstance(state, np.ndarray) else _lab_velocity(state, cfg)
+    require_band(v, g, "v")
     umax = np.abs(values_from_coeffs(v, g, COS, real=True)).max()
     wmax = np.abs(values_from_coeffs(integral_z(-divergence(v, g)[None], g), g, SIN, real=True)).max()
     return _cfl_from_maxima(umax, wmax, cfg)
@@ -661,10 +664,10 @@ def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     col = u[:, None, :]
     dxu = 1j * kx(grid) * col
-    p, px = values_from_coeffs(np.stack([col, dxu]), grid, COS, real=True, band=True)
+    p, px = values_from_coeffs(np.stack([col, dxu]), grid, COS, real=True)
     sines = np.stack([-mpi(grid) * col, integral_z(dxu, grid)])
-    dzp, intp = values_from_coeffs(sines, grid, SIN, real=True, band=True)
-    out = coeffs_from_values(intp * dzp - p * px, grid, COS, band=True)
+    dzp, intp = values_from_coeffs(sines, grid, SIN, real=True)
+    out = coeffs_from_values(intp * dzp - p * px, grid, COS)
     out[..., 0] = 0.0
     _guard("advection_2d", out)
     return out[:, 0, :]

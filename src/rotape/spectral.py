@@ -30,19 +30,17 @@ V+ = e^{-i Omega t} P+ V is intrinsically complex (its coefficients are not
 conjugate symmetric), so the scalar phi = V+_x that carries it keeps the
 complex kernels.
 
-The 3-D kernels also have a band-limited mode (band=True), after the pruned
-FFTs that go with Orszag's 2/3 rule: the inverse reads only the band
-|n1|, |n2| <= hcut, m <= zcut as if the rest were zero, and the forward
+The 3-D kernels transform the 2/3-rule band alone, the Galerkin truncation
+of Orszag's rule, after the pruned FFTs that go with it: the inverse reads
+only |n1|, |n2| <= hcut, m <= zcut as if the rest were zero, and the forward
 computes only the band and returns zeros elsewhere, the dealiased transform.
 The vertical pass comes first in the inverse and last in the forward, so
 it runs on the band's (n1, n2) columns alone, and each horizontal pass runs
-only on the lines that the passes before it filled.  There is one
-implementation: the full transform is the box that covers the grid.  The
-solvers' per-stage transforms (`rhs_rotating`, `rhs_direct`, `rhs_2d`, the
-limit system's `transport_rhs`) are band-limited, and their steppers reject
-a state with an out-of-band mode (`require_band`), which the band mode
-would drop.  `product`, the lemma checker's advection term and `cfl_limit`
-accept any field, so they keep the full transforms.
+only on the lines that the passes before it filled.  The kernels do not
+check their input: a mode outside the band would be dropped silently.  So
+the callers reject it once (`require_band`): the steppers (`integrate`,
+`step`, `step_2d`, `integrate_limit`) check the state at entry, and
+`product`, `lemmas.check` and `cfl_limit` check their inputs.
 
 The solvers' horizontal divergence (`divergence`) and int_0^z of a cosine
 series (`integral_z`) live here too; `div_h` and `w_from_baroclinic` wrap
@@ -121,32 +119,11 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs[c : c + 1], self.basis)
 
 
-@dataclass
-class PhysField:
-    """Real collocation values on the uniform x,y / midpoint z grid."""
-
-    grid: GridSpec
-    values: np.ndarray  # (components, nh, nh, nz) real
-
-    def __post_init__(self):
-        if self.values.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"value shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-
 def _check_same(a: SpectralField, b: SpectralField):
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
     if a.basis != b.basis:
         raise BasisError(f"basis mismatch: {a.basis} vs {b.basis}")
-
-
-def grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collocation coordinates (x_i, y_j, z_l)."""
-    x = np.arange(grid.nh) / grid.nh
-    z = (np.arange(grid.nz) + 0.5) / grid.nz
-    return x, x.copy(), z
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +137,20 @@ _NEG_INDEX = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
 
 
 @lru_cache(maxsize=None)
-def _box(grid: GridSpec, band: bool, n1: int, n2: int, real: bool) -> tuple:
-    """(rows, cols, largest |n|, largest m) of the box a transform of an
-    (.., n1, n2, nz) layout reads or writes: the 2/3-rule band, or a box that
-    covers the whole grid.  rows and cols are the runs of its n1 and n2
-    indices (`_runs`); a real field's cols are its half-plane columns."""
-    cut, mmax = (grid.hcut, grid.zcut) if band else (grid.nh // 2, grid.nz - 1)
+def _box(grid: GridSpec, n1: int, n2: int, real: bool) -> tuple:
+    """(rows, cols, hcut, zcut) of the 2/3-rule band of an (.., n1, n2, nz)
+    layout, the box a transform reads or writes.  rows and cols are the runs
+    of its n1 and n2 indices (`_runs`); a real field's cols are its
+    half-plane columns."""
+    cut = grid.hcut
     cols = ((slice(0, min(cut, n2 // 2) + 1),) * 2,) if real else _runs(n2, cut)
-    return _runs(n1, cut), cols, cut, mmax
+    return _runs(n1, cut), cols, cut, grid.zcut
 
 
 def _runs(n: int, cut: int) -> tuple:
     """(full, packed) slice pairs of the FFT-order indices |i| <= cut on an axis
-    of length n, packed in storage order; one pair when they cover the axis."""
+    of length n, packed in storage order; one pair when they cover the axis
+    (the single column n2 = 0 of the x-z layout)."""
     if 2 * cut + 1 >= n:
         return ((slice(0, n), slice(0, n)),)
     low, high = slice(0, cut + 1), slice(n - cut, n)
@@ -188,18 +166,14 @@ def _slots(coeffs: np.ndarray, basis: str, mmax: int) -> np.ndarray:
     return coeffs[..., : mmax + 1] if basis == COS else coeffs[..., 1 : mmax + 1]
 
 
-def _z_inverse(x: np.ndarray, basis: str, nslots: int, own: bool) -> np.ndarray:
-    """DCT/DST-III: the vertical series at x.shape[-1] midpoints z_j = (j + 1/2)/n.
+def _z_inverse(x: np.ndarray, basis: str, nslots: int) -> np.ndarray:
+    """DCT/DST-III in place: the vertical series at x.shape[-1] midpoints
+    z_j = (j + 1/2)/n.
 
     The first nslots entries of the last axis are the slots; the rest, zero,
-    pad them to the midpoint count.  own=True transforms x in place;
-    otherwise x must hold the slots alone (nslots == x.shape[-1]).
+    pad them to the midpoint count.
     """
-    scale = _cos_in_scale(nslots) if basis == COS else 1.0 / SQRT2
-    if own:
-        x[..., :nslots] *= scale
-    else:
-        x = x * scale
+    x[..., :nslots] *= _cos_in_scale(nslots) if basis == COS else 1.0 / SQRT2
     return _r2r(basis, x, 3)
 
 
@@ -254,24 +228,19 @@ def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
     slots = _slots(coeffs, basis, coeffs.shape[-1] - 1)
     x = np.zeros(slots.shape[:-1] + (n,), dtype=slots.dtype)
     x[..., : slots.shape[-1]] = slots
-    return _z_inverse(x, basis, slots.shape[-1], own=True)
+    return _z_inverse(x, basis, slots.shape[-1])
 
 
-def _gather(
-    a: np.ndarray, rows: tuple, cols: tuple, depth: int | None = None
-) -> tuple[np.ndarray, bool]:
-    """(the packed box a[.., rows, cols, :], zero-padded along the last axis to
-    `depth`; whether it is a copy).  A view of a when one row run and one
-    column run make the box and nothing is padded."""
+def _gather(a: np.ndarray, rows: tuple, cols: tuple, depth: int | None = None) -> np.ndarray:
+    """A copy of the packed box a[.., rows, cols, :], zero-padded along the
+    last axis to `depth`."""
     depth = depth or a.shape[-1]
-    if len(rows) == len(cols) == 1 and depth == a.shape[-1]:
-        return a[..., rows[0][0], cols[0][0], :], False
     make = np.zeros if depth > a.shape[-1] else np.empty
     out = make(a.shape[:-3] + (_width(rows), _width(cols), depth), dtype=a.dtype)
     for r, rp in rows:
         for c, cp in cols:
             out[..., rp, cp, : a.shape[-1]] = a[..., r, c, :]
-    return out, True
+    return out
 
 
 def _scatter(
@@ -280,10 +249,7 @@ def _scatter(
 ) -> np.ndarray:
     """Zeros of `shape` with each packed block x[.., rows, cols, :] at its full
     position, the last axis starting at m0: written into the buffer `into`
-    when given (it must not hold x), else into a fresh array.  x itself when
-    one block fills `shape`."""
-    if len(rows) == len(cols) == 1 and x.shape == tuple(shape):
-        return x
+    when given (it must not hold x), else into a fresh array."""
     if into is None:
         out = np.zeros(shape, dtype=np.complex128)
     else:
@@ -305,65 +271,57 @@ def _conj_fill(out: np.ndarray, neg: int) -> np.ndarray:
     return out
 
 
-def coeffs_from_values(
-    vals: np.ndarray, grid: GridSpec, basis: str = COS, *, band: bool = False
-) -> np.ndarray:
-    """Forward transform: collocation values (.., n1, n2, z) -> basis coefficients.
+def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
+    """Dealiased forward transform: collocation values (.., n1, n2, z) -> the
+    basis coefficients of the 2/3-rule band |n1|, |n2| <= hcut, m <= zcut.
 
-    The n2 pass runs first (an rfft for real values, whose half plane is
-    expanded by conjugation at the end), then the n1 pass, then the vertical
-    DCT/DST with the horizontal normalisation folded into its scale.  The
-    result is the full FFT-order layout.  band=True computes only the 2/3-rule
-    band |n1|, |n2| <= hcut, m <= zcut, zero elsewhere: the dealiased
-    transform.  The n1 pass then runs on the band's n2 columns and the
-    vertical one on the band's (n1, n2) columns.  A single n2 = 0 column
+    The result is the full FFT-order layout, zero outside the band.  The n2
+    pass runs first (an rfft for real values, whose half plane is expanded
+    by conjugation at the end), then the n1 pass on the band's n2 columns,
+    then the vertical DCT/DST on the band's (n1, n2) columns, with the
+    horizontal normalisation folded into its scale.  A single n2 = 0 column
     (.., nh, 1, nz) is the x-z layout.
     """
     n1, n2, nz = vals.shape[-3:]
     real = not np.iscomplexobj(vals)
-    rows, cols, cut, mmax = _box(grid, band, n1, n2, real)
+    rows, cols, cut, mmax = _box(grid, n1, n2, real)
     if real:
         x = sfft.rfft(vals, axis=-2, workers=_WORKERS)
     else:
         x = sfft.fft(vals, axis=-2, workers=_WORKERS)
     for c, _ in cols:
         _fft_pass(x[..., c, :], -3, inverse=False)
-    box, copied = _gather(x, rows, cols)
-    box = _z_forward(box, basis, n1 * n2, mmax)
-    # a packed box frees the buffer of the horizontal passes to be the output
-    into = x if copied and not real else None
+    box = _z_forward(_gather(x, rows, cols), basis, n1 * n2, mmax)
+    # the packed box frees the buffer of the horizontal passes to be the output
+    into = None if real else x
     out = _scatter(box, rows, cols, vals.shape, 0 if basis == COS else 1, into)
     return _conj_fill(out, min(cut, n2 - _width(cols))) if real else out
 
 
 def values_from_coeffs(
-    coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False, band: bool = False
+    coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False
 ) -> np.ndarray:
-    """Inverse transform: basis coefficients -> collocation values.
+    """Inverse transform of the 2/3-rule band: basis coefficients -> collocation
+    values, reading only |n1|, |n2| <= hcut, m <= zcut as if the rest were zero.
 
-    The vertical DCT/DST runs first, on the DCT/DST slots only (the empty
-    sine slot m = 0 is never transformed), then the n2 pass and the n1 pass.
+    The vertical DCT/DST runs first, on the band's (n1, n2) columns and its
+    DCT/DST slots only (the empty sine slot m = 0 is never transformed),
+    zero-padded to nz, then the n2 pass on the band's rows and the n1 pass.
     real=True asserts that the field is real (conjugate symmetric): only the
-    half plane n2 <= nh/2 is read, the n1 pass comes first and the n2 pass is
-    an irfft, and the values come back real.  Otherwise the values are
-    complex.  band=True reads only the 2/3-rule band |n1|, |n2| <= hcut,
-    m <= zcut, as if the rest were zero: the vertical pass runs on the band's
-    (n1, n2) columns, zero-padding m, and the first horizontal pass on the
-    band's rows (n1) or columns (n2 of a real field).
+    half plane n2 <= hcut is read, the n1 pass comes first, on the band's
+    columns, and the n2 pass is an irfft, and the values come back real.
+    Otherwise the values are complex.
     """
     n1, n2 = coeffs.shape[-3:-1]
-    rows, cols, _, mmax = _box(grid, band, n1, n2, real)
+    rows, cols, _, mmax = _box(grid, n1, n2, real)
     width = n2 // 2 + 1 if real else n2
-    shape = coeffs.shape[:-3] + (n1, width, grid.nz)
     # the buffer of the horizontal passes is allocated before the box, which
     # is then freed above it: in rhs_rotating at (32, 32) that order took
     # fewer minor page faults per call than the reverse one
-    covered = (_width(rows), _width(cols)) == (n1, width)
-    into = None if covered else np.empty(shape, np.complex128)
+    into = np.empty(coeffs.shape[:-3] + (n1, width, grid.nz), np.complex128)
     slots = _slots(coeffs, basis, mmax)
-    x, copied = _gather(slots, rows, cols, grid.nz)
-    x = _z_inverse(x, basis, slots.shape[-1], own=copied)
-    x = _scatter(x, rows, cols, shape, 0, into)
+    x = _z_inverse(_gather(slots, rows, cols, grid.nz), basis, slots.shape[-1])
+    x = _scatter(x, rows, cols, into.shape, 0, into)
     if real:
         _fft_pass(x[..., cols[0][0], :], -3, inverse=True)
         return sfft.irfft(x, n=n2, axis=-2, norm="forward", workers=_WORKERS)
@@ -425,21 +383,6 @@ def _cos_out_scale(hsize: int, nz: int) -> np.ndarray:
     return s
 
 
-def forward(phys: PhysField) -> SpectralField:
-    """Project values onto {e^{ik.x}} x {1, sqrt(2) cos(m pi z)}."""
-    return SpectralField(phys.grid, coeffs_from_values(phys.values, phys.grid), COS)
-
-
-def inverse(f: SpectralField) -> PhysField:
-    """Evaluate on the collocation grid; imaginary residue is discarded.
-
-    For conjugate-symmetric (real-valued) fields the residue is O(1e-15);
-    use `values_from_coeffs` directly for intrinsically complex fields.
-    """
-    vals = values_from_coeffs(f.coeffs, f.grid, f.basis)
-    return PhysField(f.grid, vals.real.copy())
-
-
 # ---------------------------------------------------------------------------
 # diagonal operators
 # ---------------------------------------------------------------------------
@@ -498,10 +441,6 @@ def div_h(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, divergence(f.coeffs, f.grid)[None], f.basis)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * dealias_mask(f.grid)[None, ...], f.basis)
-
-
 # ---------------------------------------------------------------------------
 # pseudo-spectral product
 # ---------------------------------------------------------------------------
@@ -514,10 +453,13 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
 
     Component rule: scalar*scalar, scalar*vector (broadcast), or
     componentwise vector*vector.  Two real (conjugate-symmetric) factors
-    take the real transform path; any other pair the complex one.
+    take the real transform path; any other pair the complex one.  A factor
+    with a mode outside the 2/3-rule band raises ValueError.
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
+    require_band(f.coeffs, f.grid, "product factor f")
+    require_band(g.coeffs, g.grid, "product factor g")
     tag = _CLOSURE[(f.basis, g.basis)]
     real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
     pf = values_from_coeffs(f.coeffs, f.grid, f.basis, real=real)
@@ -530,9 +472,7 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
         pv = pf * pg[0:1]
     else:
         raise ValueError("incompatible component counts")
-    out = coeffs_from_values(pv, f.grid, tag)
-    out *= dealias_mask(f.grid)[None, ...]
-    return SpectralField(f.grid, out, tag)
+    return SpectralField(f.grid, coeffs_from_values(pv, f.grid, tag), tag)
 
 
 def integral_z(c: np.ndarray, grid: GridSpec) -> np.ndarray:

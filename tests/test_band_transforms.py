@@ -1,9 +1,16 @@
-"""Band-limited transforms, and the solvers that keep their states in the band."""
+"""Band-limited transforms, and the solvers that keep their states in the band.
+
+The kernels are checked against references written here, which share no code
+with `rotape.spectral`: np.fft with scipy's DCT/DST on the band-masked array,
+and dense sums of e^{2 pi i n.x} sqrt(2) cos(m pi z) (or sqrt(2) sin(m pi z))
+over the collocation points.
+"""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,25 +45,106 @@ def _rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def _band(grid, n2=None):
+    """|n1|, |n2| <= hcut, m <= zcut over (nh, n2, nz), from the mode numbers alone."""
+    n2 = grid.nh if n2 is None else n2
+    keep1 = np.abs(np.rint(np.fft.fftfreq(grid.nh) * grid.nh)) <= grid.hcut
+    keep2 = np.abs(np.rint(np.fft.fftfreq(n2) * n2)) <= grid.hcut
+    return keep1[:, None, None] & keep2[None, :, None] & (np.arange(grid.nz) <= grid.zcut)
+
+
+# --- reference 1: np.fft and scipy's DCT/DST of the whole array ---------------
+
+def _r2r_parts(kernel, x, type):
+    """A real-to-real transform along the last axis, real and imaginary parts separately."""
+    return kernel(x.real, type=type, axis=-1) + 1j * kernel(x.imag, type=type, axis=-1)
+
+
+def _fft_inverse(a, basis):
+    """sum_n,m a(n, m) e^{2 pi i n.x} phi_m(z) at the collocation points."""
+    nh, nz = a.shape[-3], a.shape[-1]
+    h = np.fft.ifft2(a, axes=(-3, -2)) * (a.shape[-3] * a.shape[-2])
+    if basis == COS:  # DCT-III: y_l = x_0 + 2 sum_m x_m cos(m pi z_l)
+        x = h / np.sqrt(2.0)
+        x[..., 0] = h[..., 0]
+        return _r2r_parts(sfft.dct, x, 3)
+    x = np.zeros_like(h)  # DST-III: y_l = 2 sum_k x_k sin((k + 1) pi z_l), x_{nz-1} = 0
+    x[..., : nz - 1] = h[..., 1:] / np.sqrt(2.0)
+    return _r2r_parts(sfft.dst, x, 3)
+
+
+def _fft_forward(vals, basis):
+    """The basis coefficients of every mode (n, m), m < nz, of collocation values."""
+    nz = vals.shape[-1]
+    h = np.fft.fft2(vals, axes=(-3, -2)) / (vals.shape[-3] * vals.shape[-2])
+    if basis == COS:  # DCT-II: y_m = 2 sum_l v_l cos(m pi z_l)
+        a = _r2r_parts(sfft.dct, h, 2) / (np.sqrt(2.0) * nz)
+        a[..., 0] /= np.sqrt(2.0)
+        return a
+    a = np.zeros_like(h)  # DST-II: y_k = 2 sum_l v_l sin((k + 1) pi z_l)
+    a[..., 1:] = _r2r_parts(sfft.dst, h, 2)[..., : nz - 1] / (np.sqrt(2.0) * nz)
+    return a
+
+
+# --- reference 2: dense sums over the collocation points ----------------------
+
+def _dense_bases(n1, n2, nz, basis):
+    """E1[n, i] = e^{2 pi i n x_i}, E2 likewise, Z[m, l] = phi_m(z_l), n in FFT order."""
+    def fourier(n):
+        return np.exp(2j * np.pi * np.outer(np.rint(np.fft.fftfreq(n) * n), np.arange(n) / n))
+
+    m = np.arange(nz)[:, None]
+    z = (np.arange(nz) + 0.5) / nz
+    if basis == COS:
+        zb = np.where(m == 0, 1.0, np.sqrt(2.0) * np.cos(m * np.pi * z))
+    else:
+        zb = np.sqrt(2.0) * np.sin(m * np.pi * z)
+    return fourier(n1), fourier(n2), zb
+
+
+def _dense_inverse(a, basis):
+    e1, e2, zb = _dense_bases(*a.shape[-3:], basis)
+    return np.einsum("...abm,ai,bj,ml->...ijl", a, e1, e2, zb, optimize=True)
+
+
+def _dense_forward(vals, basis):
+    n1, n2, nz = vals.shape[-3:]
+    e1, e2, zb = _dense_bases(n1, n2, nz, basis)
+    return np.einsum("...ijl,ai,bj,ml->...abm", vals, e1.conj(), e2.conj(), zb, optimize=True) / (n1 * n2 * nz)
+
+
+def _check_kernels(grid, basis, real, a, vals, reference, bound):
+    """The inverse of the band-limited part of a, and the forward of vals,
+    against `reference` (inverse, forward) on the band-masked array."""
+    mask = _band(grid, a.shape[-2])
+    inverse, forward = reference
+    expect = inverse(a * mask, basis)
+    got = values_from_coeffs(a, grid, basis, real=real)
+    if real:
+        assert got.dtype == np.float64
+        assert np.abs(expect.imag).max() <= 1e-14 * np.abs(expect).max()
+        expect = expect.real
+    assert got.shape == expect.shape
+    assert _rel(got, expect) <= bound
+    got = coeffs_from_values(vals, grid, basis)
+    expect = forward(vals, basis) * mask
+    assert got.shape == expect.shape
+    assert _rel(got, expect) <= bound
+    assert not got[:, ~mask].any()
+
+
 @pytest.mark.parametrize("components", [1, 2, 3, 6])
 @pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("basis", [COS, SIN])
 @pytest.mark.parametrize("nh, nz", [(24, 12), (32, 32), (64, 32)])
 def test_band_kernels_agree_with_full_kernels(rng, nh, nz, basis, real, components):
+    """The band kernels equal the full np.fft/DCT transforms of the band-masked
+    input (inverse) and the band-masked full transforms (forward)."""
     grid = GridSpec(nh=nh, nz=nz)
-    mask = dealias_mask(grid)
     shape = (components, *grid.shape)
-    a = _coeffs(rng, shape, real) * mask
-    full = values_from_coeffs(a, grid, basis, real=real)
-    band = values_from_coeffs(a, grid, basis, real=real, band=True)
-    assert band.dtype == full.dtype and band.shape == full.shape
-    assert _rel(band, full) <= 1e-14
+    a = _coeffs(rng, shape, real) * _band(grid)
     vals = rng.standard_normal(shape) if real else _coeffs(rng, shape, False)
-    full = coeffs_from_values(vals, grid, basis) * mask
-    band = coeffs_from_values(vals, grid, basis, band=True)
-    assert band.shape == full.shape
-    assert _rel(band, full) <= 1e-14
-    assert not band[:, ~mask].any()
+    _check_kernels(grid, basis, real, a, vals, (_fft_inverse, _fft_forward), 1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,36 +160,27 @@ def test_band_kernels_agree_with_full_kernels(rng, nh, nz, basis, real, componen
 @example(half_nh=32, nz=32, frac=Fraction(1), basis=COS, real=False, seed=1)  # hcut = nh/2 - 1, zcut = nz - 1
 def test_band_kernels_read_and_write_only_the_band(half_nh, nz, frac, basis, real, seed):
     """On any input, including the Nyquist row and column, the band inverse is
-    the full inverse of the band-masked coefficients and the band forward the
-    band-masked full forward."""
+    the dense sum over the band-masked coefficients and the band forward the
+    band-masked dense projection."""
     nh = 2 * half_nh
     if frac * nh < 2:
         frac = Fraction(1)
     grid = GridSpec(nh=nh, nz=nz, dealias_fraction=frac)
     rng = np.random.default_rng(seed)
-    mask = dealias_mask(grid)
     shape = (2, *grid.shape)
     a = _coeffs(rng, shape, real)
     assert a[:, nh // 2].any() and a[:, :, nh // 2].any()
-    expect = values_from_coeffs(a * mask, grid, basis, real=real)
-    assert _rel(values_from_coeffs(a, grid, basis, real=real, band=True), expect) <= 1e-13
     vals = rng.standard_normal(shape) if real else _coeffs(rng, shape, False)
-    expect = coeffs_from_values(vals, grid, basis) * mask
-    got = coeffs_from_values(vals, grid, basis, band=True)
-    assert _rel(got, expect) <= 1e-13
-    assert not got[:, ~mask].any()
+    _check_kernels(grid, basis, real, a, vals, (_dense_inverse, _dense_forward), 1e-13)
 
 
 def test_xz_column_layout(rng):
     """The n2 = 0 column (nh, 1, nz) of the 2-D reduced system: its band is |n1| <= hcut, m <= zcut."""
     grid = GridSpec(nh=32, nz=16)
-    mask = dealias_mask(grid)[:, 0:1, :]
     vals = rng.standard_normal((2, grid.nh, 1, grid.nz))
-    expect = coeffs_from_values(vals, grid, COS) * mask
-    assert _rel(coeffs_from_values(vals, grid, COS, band=True), expect) <= 1e-14
     for basis in (COS, SIN):
-        full = values_from_coeffs(expect, grid, basis, real=True)
-        assert _rel(values_from_coeffs(expect, grid, basis, real=True, band=True), full) <= 1e-14
+        a = _coeffs(rng, (2, grid.nh, 1, grid.nz), real=True)
+        _check_kernels(grid, basis, True, a, vals, (_dense_inverse, _dense_forward), 1e-14)
 
 
 GRID = GridSpec(nh=16, nz=8)

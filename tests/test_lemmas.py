@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rotape.grid import GridSpec, a_exp_weight, kabs
+from rotape.grid import GridSpec, a_exp_weight, dealias_mask, kabs
 from rotape.lemmas import (
     LemmaKind,
     _adv_field,
@@ -175,6 +175,26 @@ class TestStructure:
         sob = float(np.mean(np.prod([_profile(_z_power(x, nzf), GRID, 2.25, 0.0) for x in (f, g, h)], axis=0)))
         assert res.rhs_unit == pytest.approx(sob, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_out_of_band_field_rejected(self, rng, kind):
+        """Each of f, g and h is checked once, on either path, and named."""
+        r, tau, tau_gen, eta_gen = ensemble_parameters(kind)
+        fields = ensemble_fields(kind, GRID, rng, tau_gen, eta_gen)
+        for i, name in enumerate("fgh"):
+            if fields[i] is None:
+                continue
+            bad = [x if x is None else x.copy() for x in fields]
+            bad[i].coeffs[0, 1, 0, 6] = 1.0  # m = 6 > zcut = 5
+            for path in ("exact", "transform", None):
+                with pytest.raises(ValueError, match=rf"^{name} has 1 nonzero coefficients outside"):
+                    check(kind, *bad, r, tau, force_path=path)
+
+    @pytest.mark.parametrize("path", ["trasnform", "Exact", "", "both"])
+    def test_unknown_force_path_rejected(self, rng, path):
+        f, g, h = ensemble_fields(LemmaKind.type1, GRID, rng, 0.45, 0.3)
+        with pytest.raises(ValueError, match="force_path"):
+            check(LemmaKind.type1, f, g, h, 1.5, 0.2, force_path=path)
+
     def test_hypothesis_rejection_and_warning(self, rng):
         f, g, h = ensemble_fields(LemmaKind.type2, GRID, rng, 0.45, 0.3)
         with pytest.raises(ValueError):
@@ -215,10 +235,12 @@ def reference_adv(f, g):
     return np.concatenate([p.coeffs for p in parts]), parts[0].basis
 
 
-def complex_flat_field(grid, rng):
-    """Every (n1, n2, m) populated, outside the 2/3 band too; not conjugate symmetric."""
+def complex_flat_field(grid, rng, in_band=False):
+    """Every (n1, n2, m) populated, outside the 2/3 band too unless in_band;
+    not conjugate symmetric."""
     shape = (2, *grid.shape)
-    return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralField(grid, a * dealias_mask(grid) if in_band else a)
 
 
 class TestProfileTable:
@@ -250,7 +272,10 @@ class TestProfileTable:
         if real:
             pairs = [ensemble_fields(LemmaKind.type1, grid, rng, 0.45, 0.3)[:2]]
         else:
-            pairs = [single_mode_triple(grid)[:2], (complex_flat_field(grid, rng), complex_flat_field(grid, rng))]
+            pairs = [
+                single_mode_triple(grid)[:2],
+                (complex_flat_field(grid, rng, in_band=True), complex_flat_field(grid, rng, in_band=True)),
+            ]
         for f, g in pairs:
             assert is_conjugate_symmetric(f) == is_conjugate_symmetric(g) == real
             expect, basis = reference_adv(f, g)
@@ -259,15 +284,18 @@ class TestProfileTable:
             assert np.abs(got.coeffs - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
-    def test_nyquist_content_keeps_the_complex_path(self, rng):
+    def test_nyquist_content_is_rejected(self, rng):
         """dx g and dy g are not conjugate symmetric where a conjugate-symmetric g
-        fills the Nyquist row and column, so the stack must not take the real path."""
+        fills the Nyquist row and column, which lie outside the 2/3-rule band:
+        the checker rejects such a g rather than take the real path on it."""
         grid = GridSpec(nh=16, nz=8)
-        f, g = (SpectralField(grid, symmetrize(complex_flat_field(grid, rng).coeffs)) for _ in range(2))
+        f, g, h = (
+            SpectralField(grid, symmetrize(complex_flat_field(grid, rng, in_band=True).coeffs)) for _ in range(3)
+        )
+        g.coeffs[:, 8, 3, 1] = g.coeffs[:, 8, -3, 1] = 1.0
         assert is_conjugate_symmetric(g) and not is_conjugate_symmetric(dx(g))
-        expect, _ = reference_adv(f, g)
-        got = _adv_field(f, g)
-        assert np.abs(got.coeffs - expect).max() <= 1e-13 * np.abs(expect).max()
+        with pytest.raises(ValueError, match=r"^g has 4 nonzero coefficients outside the 2/3-rule band"):
+            check(LemmaKind.type1, f, g, h, 1.5, 0.2)
 
 
 PROFILE_KINDS = [

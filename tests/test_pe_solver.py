@@ -162,7 +162,7 @@ class TestRealityChecks:
 @pytest.mark.parametrize("formulation", ["direct", "rotating", "limit"])
 def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
     """One RHS evaluation costs two stacked inverse transforms and one forward
-    (the limit transport one of each), all band-limited.
+    (the limit transport one of each).
 
     The rotating RHS transforms the scalar phi of V+ = phi (1, i): three cos
     and two sin components in, one out; the direct RHS the real 2-vector V;
@@ -178,7 +178,7 @@ def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
         def wrapper(*args, **kwargs):
             calls[kind] += 1
             basis = args[2] if len(args) > 2 else kwargs.get("basis", "cos")
-            stacks[kind].append((basis, args[0].shape[0], kwargs.get("band", False)))
+            stacks[kind].append((basis, args[0].shape[0]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -196,9 +196,9 @@ def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
         v[..., 0] = 0.0
         lim.transport_rhs(v, lim.vorticity_from_velocity(make_state(rng).v[..., 0], GRID), GRID)
     expect = {
-        "direct": {"inverse": [("cos", 6, True), ("sin", 3, True)], "forward": [("cos", 2, True)]},
-        "rotating": {"inverse": [("cos", 3, True), ("sin", 2, True)], "forward": [("cos", 1, True)]},
-        "limit": {"inverse": [("cos", 6, True)], "forward": [("cos", 2, True)]},
+        "direct": {"inverse": [("cos", 6), ("sin", 3)], "forward": [("cos", 2)]},
+        "rotating": {"inverse": [("cos", 3), ("sin", 2)], "forward": [("cos", 1)]},
+        "limit": {"inverse": [("cos", 6)], "forward": [("cos", 2)]},
     }[formulation]
     assert calls == {kind: len(stack) for kind, stack in expect.items()}
     assert stacks == expect
@@ -383,19 +383,30 @@ class TestStageOneCfl:
             assert abs(lim - expect) <= 1e-14 * expect
             st = new
 
+    def test_cfl_limit_rejects_an_out_of_band_velocity(self, rng):
+        """A mode the band transforms would drop is rejected, in any input form."""
+        cfg = cfg_for()
+        v = make_state(rng).v
+        v[0, 7, 2, 1] = v[0, -7, -2, 1] = 1e-3  # |n1| = 7 > hcut = 5
+        for state in (v, DirectState(0.0, v), rotating_from_direct(v, 0.0, cfg.omega)):
+            with pytest.raises(ValueError, match="^v has 2 nonzero coefficients outside the 2/3-rule band"):
+                cfl_limit(state, cfg)
+
     @pytest.mark.parametrize("formulation", ["rotating", "direct"])
-    def test_cfl_error_fires_at_the_first_step_over_the_limit(self, rng, formulation):
-        # cfl_safety scales the limit without touching the trajectory, so it
-        # can place dt just over the limit of one chosen pre-step state
-        base = cfg_for(nu=0.1, omega=40.0, dt=2e-3, t_end=0.02, cfl_safety=1.0, formulation=formulation)
-        st0 = _initial(formulation, make_state(rng, amplitude=2.0).v, base.omega)
+    def test_cfl_error_fires_at_the_first_step_over_the_limit(self, monkeypatch, rng, formulation):
+        # the safety factor scales the limit without touching the trajectory,
+        # so it can place dt just over the limit of one chosen pre-step state
+        import rotape.pe_solver as pe
+
+        monkeypatch.setattr(pe, "CFL_SAFETY", 1.0)
+        cfg = cfg_for(nu=0.1, omega=40.0, dt=2e-3, t_end=0.02, formulation=formulation)
+        st0 = _initial(formulation, make_state(rng, amplitude=2.0).v, cfg.omega)
         states = []
-        integrate(st0, base, check_cfl=False, state_observer=states.append)
-        speeds = np.array([1.0 / cfl_limit(st, base) for st in states[:-1]])
+        integrate(st0, cfg, check_cfl=False, state_observer=states.append)
+        speeds = np.array([1.0 / cfl_limit(st, cfg) for st in states[:-1]])
         k = int(np.argmax(speeds))
         assert k > 0 and speeds[k] > speeds[:k].max() * (1 + 1e-6)
-        safety = base.dt * speeds[k] * (1 - 1e-9)
-        cfg = cfg_for(nu=0.1, omega=40.0, dt=2e-3, t_end=0.02, cfl_safety=safety, formulation=formulation)
+        monkeypatch.setattr(pe, "CFL_SAFETY", cfg.dt * speeds[k] * (1 - 1e-9))
         accepted = []
         with pytest.raises(CflError):
             integrate(st0, cfg, state_observer=accepted.append)

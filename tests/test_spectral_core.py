@@ -2,6 +2,7 @@
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,20 +15,15 @@ from rotape.initial_data import random_scalar, random_vector
 from rotape.spectral import (
     COS,
     SIN,
-    PhysField,
     SpectralField,
     SpectralRangeError,
     apply_A_exp,
     coeffs_from_values,
-    dealias,
     div_h,
     divergence,
     dz,
-    forward,
     grad_h,
-    grid_points,
     integral_z,
-    inverse,
     product,
     values_from_coeffs,
     vertical_values,
@@ -45,23 +41,23 @@ def mode_field(grid, entries, components=1, basis=COS):
 
 class TestForwardInverse:
     def test_constant_field_projects_to_zero_mode(self, grid16):
-        vals = np.ones((1, *grid16.shape))
-        f = forward(PhysField(grid16, vals))
-        assert abs(f.coeffs[0, 0, 0, 0] - 1.0) < 1e-14
-        rest = f.coeffs.copy()
+        c = coeffs_from_values(np.ones((1, *grid16.shape)), grid16, COS)
+        assert abs(c[0, 0, 0, 0] - 1.0) < 1e-14
+        rest = c.copy()
         rest[0, 0, 0, 0] = 0.0
         assert np.abs(rest).max() < 1e-14
 
     def test_cos_cos_mode_coefficients(self, grid16):
         # f(x,z) = cos(2 pi x) cos(pi z) -> 1/(2 sqrt(2)) at (n=(+-1,0), m=1)
-        x, _, z = grid_points(grid16)
+        x = np.arange(grid16.nh) / grid16.nh
+        z = (np.arange(grid16.nz) + 0.5) / grid16.nz
         vals = np.cos(2 * np.pi * x)[None, :, None, None] * np.cos(np.pi * z)[None, None, None, :]
         vals = np.broadcast_to(vals, (1, *grid16.shape)).copy()
-        f = forward(PhysField(grid16, vals))
+        c = coeffs_from_values(vals, grid16, COS)
         expect = 1.0 / (2.0 * np.sqrt(2.0))
-        assert abs(f.coeffs[0, 1, 0, 1] - expect) < 1e-13
-        assert abs(f.coeffs[0, -1, 0, 1] - expect) < 1e-13
-        other = f.coeffs.copy()
+        assert abs(c[0, 1, 0, 1] - expect) < 1e-13
+        assert abs(c[0, -1, 0, 1] - expect) < 1e-13
+        other = c.copy()
         other[0, 1, 0, 1] = other[0, -1, 0, 1] = 0.0
         assert np.abs(other).max() < 1e-13
 
@@ -79,13 +75,13 @@ class TestForwardInverse:
         cr = coeffs_from_values(vr, grid, basis)
         assert np.abs(cr - cc).max() < 1e-14 * np.abs(cc).max()
         assert np.abs(cr - f).max() < 1e-13
-        if basis == COS:
-            assert np.abs(forward(inverse(SpectralField(grid, f))).coeffs - f).max() < 1e-13
+        assert np.abs(cc - f).max() < 1e-13
 
     def test_round_trip_physical(self, grid16, rng):
+        """Values of a band-limited field come back from a forward and inverse pass."""
         f = random_scalar(grid16, rng, tau=0.2, eta=0.1)
-        vals = inverse(f).values
-        again = inverse(forward(PhysField(grid16, vals))).values
+        vals = values_from_coeffs(f.coeffs, grid16, COS, real=True)
+        again = values_from_coeffs(coeffs_from_values(vals, grid16, COS), grid16, COS, real=True)
         assert np.abs(again - vals).max() < 1e-13 * max(1.0, np.abs(vals).max())
 
     def test_reality_of_inverse(self, grid16, rng):
@@ -95,7 +91,7 @@ class TestForwardInverse:
 
     def test_parseval(self, grid16, rng):
         f = random_scalar(grid16, rng)
-        vals = inverse(f).values
+        vals = values_from_coeffs(f.coeffs, grid16, COS, real=True)
         quad = np.sum(vals**2) / (grid16.nh**2 * grid16.nz)
         spect = np.sum(np.abs(f.coeffs) ** 2)
         assert abs(quad - spect) < 1e-12 * spect
@@ -106,11 +102,6 @@ class TestForwardInverse:
         vals = values_from_coeffs(s.coeffs, grid16, SIN)
         back = coeffs_from_values(vals, grid16, SIN)
         assert np.abs(back - s.coeffs).max() < 1e-13
-
-    def test_dimension_mismatch_rejected(self, grid16):
-        with pytest.raises(ValueError):
-            PhysField(grid16, np.ones((1, 4, 4, 4)))
-
 
     @pytest.mark.parametrize("basis", [COS, SIN])
     @pytest.mark.parametrize("refine", [1, 4])
@@ -286,8 +277,7 @@ class TestGradProduct:
         f = random_scalar(grid16, rng)
         one = mode_field(grid16, {(0, 0, 0, 0): 1.0})
         p = product(f, one)
-        d = dealias(f)
-        assert np.abs(p.coeffs - d.coeffs).max() < 1e-13
+        assert np.abs(p.coeffs - f.coeffs).max() < 1e-13
 
     def test_cos_squared_trig_identity(self, grid16):
         # cos(2 pi x)^2 = 1/2 + 1/2 cos(4 pi x)
@@ -301,8 +291,9 @@ class TestGradProduct:
         f = random_scalar(grid16, rng)
         g = random_scalar(grid16, rng)
         p = product(f, g)
-        # undealiased product energy from a padded exact grid
-        big = GridSpec(nh=2 * grid16.nh, nz=2 * grid16.nz)
+        # undealiased product energy from a padded exact grid, whose band
+        # (|n| <= 15, m <= 15) holds every product mode (|n| <= 10, m <= 14)
+        big = GridSpec(nh=2 * grid16.nh, nz=2 * grid16.nz, dealias_fraction=Fraction(1))
         fb = np.zeros((1, *big.shape), dtype=np.complex128)
         gb = np.zeros((1, *big.shape), dtype=np.complex128)
         c = grid16.hcut
@@ -326,6 +317,17 @@ class TestGradProduct:
         lin = product(f + 2.0 * h, g)
         rhs = pfg.coeffs + 2.0 * product(h, g).coeffs
         assert np.abs(lin.coeffs - rhs).max() < 1e-12
+
+    def test_out_of_band_factor_rejected(self, grid16, rng):
+        """A mode outside the 2/3-rule band, which the band transforms would
+        drop, is rejected, naming the factor; the Nyquist mode (8, 0) too."""
+        f = random_scalar(grid16, rng)
+        for index in ((0, 6, 1, 0), (0, 8, 0, 0), (0, 1, 1, 6)):
+            bad = mode_field(grid16, {index: 1.0})
+            with pytest.raises(ValueError, match="product factor g has 1 nonzero"):
+                product(f, bad)
+            with pytest.raises(ValueError, match="product factor f has 1 nonzero"):
+                product(bad, f)
 
     def test_incompatible_tags_in_real_space_composition(self, grid16, rng):
         f = random_scalar(grid16, rng, baroclinic=True)
@@ -450,13 +452,50 @@ _ONE_LINE_OPERATORS = {
 }
 
 
+def _calls(expr, callee: str) -> bool:
+    return any(isinstance(n, ast.Call) and callee in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+               for n in ast.walk(expr))
+
+
+def _masked_forwards(tree) -> list[int]:
+    """Lines that multiply a coeffs_from_values result by dealias_mask, directly
+    or through a name bound to either, within one function."""
+    lines = []
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        bound = {"coeffs_from_values": set(), "dealias_mask": set()}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for callee, names in bound.items():
+                    if _calls(node.value, callee):
+                        names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+
+        def refers(expr, callee):
+            return _calls(expr, callee) or any(isinstance(n, ast.Name) and n.id in bound[callee]
+                                               for n in ast.walk(expr))
+
+        for node in ast.walk(fn):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+                pair = (node.target, node.value)
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                pair = (node.left, node.right)
+            else:
+                continue
+            if any(refers(x, "coeffs_from_values") and refers(y, "dealias_mask") for x, y in (pair, pair[::-1])):
+                lines.append(node.lineno)
+    return lines
+
+
 def test_each_operator_has_one_definition():
     """Layering: the solvers, the initial data, the theory, the scenarios and
     the norms call the shared Leray projection, z-integral and A^r e^{tau A}
     weight, so none of them re-derives one.  nu (m pi)^2 and the rotation
     (a, b) -> (-b, a) are each written on one line of the package, inside
     their owning function.  Each fingerprint must still match its owner, or
-    the scan would find nothing."""
+    the scan would find nothing.  The 3-D transforms have one mode, the
+    2/3-rule band: no call or definition in the package takes a band=
+    argument, and no coeffs_from_values result is multiplied by dealias_mask,
+    which the band forward makes redundant (the initial data's draw mask and
+    the compact barotropic masks multiply other arrays)."""
     import rotape
 
     root = Path(rotape.__file__).parent
@@ -475,6 +514,11 @@ def test_each_operator_has_one_definition():
         owned = [(name, i) for name, i in sites if name == owner and fn.lineno <= i <= fn.end_lineno]
         assert owned, f"{operator} fingerprint not found in {owner}:{function}"
         offenders += [f"{name}:{i}: {operator}" for name, i in sites if (name, i) not in owned[:1]]
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}:{n.lineno}: band= argument" for n in ast.walk(tree)
+                      if isinstance(n, (ast.keyword, ast.arg)) and n.arg == "band"]
+        offenders += [f"{path.name}:{i}: dealias_mask times a forward transform" for i in _masked_forwards(tree)]
     assert offenders == []
 
 
