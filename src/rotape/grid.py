@@ -45,6 +45,11 @@ class GridSpec:
             raise ValueError(f"dealias_fraction must lie in (0, 1], got {frac}")
         if frac * self.nh < 2:
             raise ValueError("dealias_fraction * nh must be >= 2")
+        # every cached table is keyed on the grid: hash the Fraction once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.nh, self.nz, self.dealias_fraction)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def hcut(self) -> int:
@@ -76,23 +81,33 @@ def _cuts(grid: GridSpec) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _fft_numbers(n: int) -> np.ndarray:
+    """Integer mode numbers 0, 1, .., -1 of an FFT-order axis of length n."""
+    return np.rint(np.fft.fftfreq(n) * n).astype(int)
+
+
+@lru_cache(maxsize=None)
 def mode_numbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integer mode indices (n1, n2, m) in storage order."""
-    n = np.rint(np.fft.fftfreq(grid.nh) * grid.nh).astype(int)
+    n = _fft_numbers(grid.nh)
     m = np.arange(grid.nz)
     return n, n, m
 
 
 @lru_cache(maxsize=None)
+def _k_axes(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(kx, ky) = 2 pi (n1, n2) over FFT-order axes of lengths n1 and n2, shaped
+    (n1, 1, 1) and (1, n2, 1): the full axis (nh), the packed 2/3-rule band's
+    (2 hcut + 1, itself in FFT order) or the x-z column (1)."""
+    return (2.0 * np.pi * _fft_numbers(n1))[:, None, None], (2.0 * np.pi * _fft_numbers(n2))[None, :, None]
+
+
 def kx(grid: GridSpec) -> np.ndarray:
-    n1, _, _ = mode_numbers(grid)
-    return (2.0 * np.pi * n1)[:, None, None]
+    return _k_axes(grid.nh, grid.nh)[0]
 
 
-@lru_cache(maxsize=None)
 def ky(grid: GridSpec) -> np.ndarray:
-    _, n2, _ = mode_numbers(grid)
-    return (2.0 * np.pi * n2)[None, :, None]
+    return _k_axes(grid.nh, grid.nh)[1]
 
 
 @lru_cache(maxsize=None)
@@ -106,10 +121,16 @@ def ksq(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def mpi(grid: GridSpec) -> np.ndarray:
-    """Vertical wavenumbers m*pi, shape (1, 1, nz)."""
+def _mpi(grid: GridSpec) -> np.ndarray:
     _, _, m = mode_numbers(grid)
     return (np.pi * m)[None, None, :]
+
+
+def mpi(grid: GridSpec, a: np.ndarray | None = None) -> np.ndarray:
+    """Vertical wavenumbers m*pi, shape (1, 1, nz), or over the m axis of a:
+    both layouts number it m = 0, 1, .., so the packed band's zcut + 1 slots
+    take the first entries."""
+    return _mpi(grid) if a is None else _mpi(grid)[..., : a.shape[-1]]
 
 
 @lru_cache(maxsize=None)
@@ -122,11 +143,13 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 
 def k_h(grid: GridSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(kx, ky) for the (n1, n2) axes of the 3-D layout (.., nh, nh, nz) when
-    a is 4-D, else of the compact barotropic (.., nh, nh) one."""
+    """(kx, ky) for the (n1, n2) axes of a: (.., n1, n2, m) when a is 4-D, else
+    the compact barotropic (.., n1, n2).  The axis lengths pick the layout:
+    full (nh), packed band (2 hcut + 1) or x-z column (n2 = 1)."""
     if a.ndim == 4:
-        return kx(grid), ky(grid)
-    return kx(grid)[..., 0], ky(grid)[..., 0]
+        return _k_axes(*a.shape[-3:-1])
+    kxx, kyy = _k_axes(*a.shape[-2:])
+    return kxx[..., 0], kyy[..., 0]
 
 
 def a_exp_weight(k: np.ndarray, r: float, tau: float, data=None) -> np.ndarray:

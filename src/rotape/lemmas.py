@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridSpec, a_exp_weight, kabs, mode_numbers
+from .grid import GridSpec, a_exp_weight, k_h, kabs, mode_numbers
 from .initial_data import random_scalar, random_vector
 from .norms import NormSpec, ShellPower, norm_rst, q_table, q_weight, seminorm_a_sq
 from .spectral import (
@@ -25,10 +25,10 @@ from .spectral import (
     SIN,
     SpectralField,
     apply_A_exp,
+    band_pack,
+    band_unpack,
     coeffs_from_values,
     div_h,
-    dx,
-    dy,
     dz,
     integral_z_of_div,
     is_conjugate_symmetric,
@@ -124,20 +124,21 @@ def _adv_field(f: SpectralField, g: SpectralField) -> SpectralField:
     2/3-rule band, which excludes the self-paired Nyquist row and column."""
     grid, nc = f.grid, g.components
     real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
-    gx, gy = dx(g), dy(g)
-    grad = np.concatenate([gx.coeffs, gy.coeffs])
+    gb = band_pack(g.coeffs, grid, "g")
+    kxx, kyy = k_h(grid, gb)
+    grad = np.concatenate([gb * (1j * kxx), gb * (1j * kyy)])
     # the stacks are the largest arrays of a lemma check: hold no copy that
     # a transform no longer needs
-    del gx, gy
+    del gb
     pg = values_from_coeffs(grad, grid, g.basis, real=real)
     del grad
-    pf = values_from_coeffs(f.coeffs, grid, f.basis, real=real)
+    pf = values_from_coeffs(band_pack(f.coeffs, grid, "f"), grid, f.basis, real=real)
     pg[:nc] *= pf[0:1]
     pg[nc:] *= pf[1:2]
     del pf
     tag = _CLOSURE[(f.basis, g.basis)]
     out = coeffs_from_values(pg, grid, tag)
-    return SpectralField(grid, out[:nc] + out[nc:], tag)
+    return SpectralField(grid, band_unpack(out[:nc] + out[nc:], grid), tag)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 from .decomposition import minus_projection, perp_vector, plus_projection, velocity_from_vorticity
 from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: builds a LimitState's omega_bar)
 from .grid import GridSpec, dealias_mask, kx, ky
-from .spectral import COS, barotropic_coeffs, barotropic_values, coeffs_from_values, require_band, values_from_coeffs
+from .spectral import COS, band_pack, band_unpack, barotropic_coeffs, barotropic_values, coeffs_from_values, is_packed
+from .spectral import require_band, values_from_coeffs
 from .pe_solver import _decay_factors, _grad_stack, _guard, _if_rk4
 
 
@@ -51,8 +52,13 @@ def transport_rhs(vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec) -> np.n
     """-Vbar . grad Vt - (1/2) Vt^perp (perp-div Vbar); nu dzz Vt is the
     integrating factor's.
 
-    perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.
+    perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.  vtilde is
+    the full layout (2, nh, nh, nz) or the packed band (`band_pack`) that the
+    stepper passes; the tendency comes back in vtilde's layout.
     """
+    full = not is_packed(vtilde, grid)
+    if full:
+        vtilde = band_pack(vtilde, grid, "vtilde")
     vbar = velocity_from_vorticity(omega, grid)
     bar = barotropic_values(np.concatenate([vbar, omega[None]]), grid)[..., None]
     vb, wphys = bar[0:2], bar[2:3]
@@ -63,7 +69,7 @@ def transport_rhs(vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec) -> np.n
     out = coeffs_from_values(n, grid, COS)
     out[..., 0] = 0.0
     _guard("limit_transport", out)
-    return out
+    return band_unpack(out, grid) if full else out
 
 
 def limit_to_vpm(vtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,16 +78,18 @@ def limit_to_vpm(vtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> LimitState:
+    """One RK4-IF step; the baroclinic Vt steps in the packed band layout."""
     def nl(a, t):
         return (
             euler2d_rhs(a[0], grid),
             transport_rhs(a[1], a[0], grid),
         )
 
-    eh = _decay_factors(grid, nu, 0.5 * dt)
-    ef = _decay_factors(grid, nu, dt)
-    new = _if_rk4((state.omega_bar, state.vtilde), state.t, dt, nl, (1.0, eh), (1.0, ef))
-    return LimitState(state.t + dt, *new)
+    vt = band_pack(state.vtilde, grid, "vtilde")
+    eh = _decay_factors(vt, grid, nu, 0.5 * dt)
+    ef = _decay_factors(vt, grid, nu, dt)
+    omega, vt = _if_rk4((state.omega_bar, vt), state.t, dt, nl, (1.0, eh), (1.0, ef))
+    return LimitState(state.t + dt, omega, band_unpack(vt, grid))
 
 
 @dataclass

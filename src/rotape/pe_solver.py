@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import leray, perp_vector, plus_projection, polarized, vorticity_from_velocity
-from .grid import GridSpec, dealias_mask, kx, ky, mpi
+from .grid import GridSpec, dealias_mask, k_h, mpi
 from .norms import InsufficientDecayData, NormSpec, ShellPower, dz_l2_sq, fit_radius, norm_rst
-from .spectral import COS, SIN, SpectralRangeError, conjugate_reverse, divergence, integral_z, require_band
-from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, require_real, values_from_coeffs
+from .spectral import COS, SIN, SpectralRangeError, band_pack, band_unpack, conjugate_reverse, divergence, integral_z
+from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, is_packed, require_band, require_real
+from .spectral import values_from_coeffs
 
 
 # the advective step limit is this fraction of 1 / (max|u, v| / dx + max|w| / dz)
@@ -156,24 +157,26 @@ def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _plus_values(phi: np.ndarray, grid: GridSpec) -> tuple:
-    """Physical phi, dx phi, dy phi (cos) and dz phi, int_0^z div V+ (sin) of V+ = phi (1, i).
+    """Physical phi, dx phi, dy phi (cos) and dz phi, int_0^z div V+ (sin) of V+ = phi (1, i),
+    phi in the packed band layout.
 
     Two stacked transforms of one complex scalar: div V+ = dx phi + i dy phi.
     """
     grad = _grad_stack(phi, grid)
     intc = integral_z(grad[1:2] + 1j * grad[2:3], grid)
     p, px, py = values_from_coeffs(grad, grid, COS)
-    dz, intp = values_from_coeffs(np.concatenate([-mpi(grid) * phi, intc], axis=0), grid, SIN)
+    dz, intp = values_from_coeffs(np.concatenate([-mpi(grid, phi) * phi, intc], axis=0), grid, SIN)
     return p, px, py, dz, intp
 
 
 def _grad_stack(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(c, dx c, dy c) stacked on the component axis, c in the 3D layout."""
+    """(c, dx c, dy c) stacked on the component axis, c in a 3D layout (full or packed band)."""
     k = len(c)
+    kxx, kyy = k_h(grid, c)
     out = np.empty((3 * k, *c.shape[1:]), dtype=np.complex128)
     out[:k] = c
-    np.multiply(1j * kx(grid), c, out=out[k : 2 * k])
-    np.multiply(1j * ky(grid), c, out=out[2 * k :])
+    np.multiply(1j * kxx, c, out=out[k : 2 * k])
+    np.multiply(1j * kyy, c, out=out[2 * k :])
     return out
 
 
@@ -229,11 +232,13 @@ def rhs_rotating(
     the integrating factor's).
 
     For a RotatingState the result is (dVbar, dV+, dV-), with dV+ = dphi (1, i)
-    polarized like V+ and dV- its conjugate partner conjugate_reverse(dV+).
-    The time steppers pass the bare (vbar, phi) arrays instead, phi = vplus[0:1],
-    and get (dVbar, dphi) alone.  With cfl=True the advective CFL limit of the
-    state at time t (what `cfl_limit` returns) is appended to the tuple; it is
-    read off the physical values this evaluation forms anyway.
+    polarized like V+ and dV- its conjugate partner conjugate_reverse(dV+); a
+    V+ with a mode outside the 2/3-rule band raises ValueError.  The time
+    steppers pass the bare (vbar, phi) arrays instead, phi = vplus[0:1] in the
+    packed band layout (`band_pack`), and get (dVbar, dphi) alone, dphi
+    packed.  With cfl=True the advective CFL limit of the state at time t
+    (what `cfl_limit` returns) is appended to the tuple; it is read off the
+    physical values this evaluation forms anyway.
 
     Every quadratic term is evaluated pseudo-spectrally and dealiased; the
     oscillatory prefactors e^{+-i Omega t}, e^{+-2i Omega t} are evaluated at
@@ -241,15 +246,17 @@ def rhs_rotating(
     Leray-projected.
     """
     if isinstance(state, RotatingState):
-        dvb, dphi, *extra = _rhs_plus(state.vbar, state.vplus[0:1], t, cfg, cfl)
-        dvp = polarized(dphi)
+        phi = band_pack(state.vplus[0:1], cfg.grid, "vplus")
+        dvb, dphi, *extra = _rhs_plus(state.vbar, phi, t, cfg, cfl)
+        dvp = polarized(band_unpack(dphi, cfg.grid))
         return (dvb, dvp, conjugate_reverse(dvp), *extra)
     vbar, phi = state
     return _rhs_plus(vbar, phi, t, cfg, cfl)
 
 
 def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False):
-    """(dVbar, dphi) of V+ = phi (1, i); V- enters as the conjugate of V+.
+    """(dVbar, dphi) of V+ = phi (1, i), phi and dphi packed; V- enters as the
+    conjugate of V+.
 
     Every tendency group of V+ is polarized like V+, so only x-components are
     assembled.  In physical space V- = conj(phi) (1, -i), so
@@ -325,12 +332,18 @@ def rhs_direct(
     """-V.grad V - w dz V - Omega V^perp, pressure removed by projection (nu dzz
     is the integrating factor's).
 
-    With cfl=True the result is (tendency, CFL limit of v), the limit read
-    off the values of V and w that the nonlinear terms transform anyway.
+    v is the full layout (2, nh, nh, nz), whose modes outside the 2/3-rule
+    band raise ValueError, or the packed band (`band_pack`) that the stepper
+    passes; the tendency comes back in v's layout.  With cfl=True the result
+    is (tendency, CFL limit of v), the limit read off the values of V and w
+    that the nonlinear terms transform anyway.
     """
     g = cfg.grid
+    full = not is_packed(v, g)
+    if full:
+        v = band_pack(v, g, "v")
     out = np.zeros_like(v)
-    w = mpi(g)
+    w = mpi(g, v)
     cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True)
     svals = values_from_coeffs(
         np.concatenate([-w * v, integral_z(-divergence(v, g)[None], g)], axis=0), g, SIN, real=True
@@ -346,6 +359,8 @@ def rhs_direct(
     out -= cfg.omega * perp_vector(v)
     # pressure projection: baroclinic part untouched, barotropic part Leray-projected
     out[..., 0] = leray(out[..., 0], g)
+    if full:
+        out = band_unpack(out, g)
     return (out, lim) if cfl else out
 
 
@@ -373,9 +388,10 @@ def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple, 
     )
 
 
-def _decay_factors(grid: GridSpec, nu: float, h: float) -> np.ndarray:
-    """e^{-nu (m pi)^2 h}: the only place the vertical diffusion nu dzz acts."""
-    return np.exp(-nu * mpi(grid) ** 2 * h)
+def _decay_factors(a: np.ndarray, grid: GridSpec, nu: float, h: float) -> np.ndarray:
+    """e^{-nu (m pi)^2 h} over the m axis of a: the only place the vertical
+    diffusion nu dzz acts."""
+    return np.exp(-nu * mpi(grid, a) ** 2 * h)
 
 
 def _lab_velocity(state, cfg: SolverConfig) -> np.ndarray:
@@ -404,8 +420,7 @@ def cfl_limit(state, cfg: SolverConfig) -> float:
     returns the same limit from the values it transforms anyway.
     """
     g = cfg.grid
-    v = state if isinstance(state, np.ndarray) else _lab_velocity(state, cfg)
-    require_band(v, g, "v")
+    v = band_pack(state if isinstance(state, np.ndarray) else _lab_velocity(state, cfg), g, "v")
     umax = np.abs(values_from_coeffs(v, g, COS, real=True)).max()
     wmax = np.abs(values_from_coeffs(integral_z(-divergence(v, g)[None], g), g, SIN, real=True)).max()
     return _cfl_from_maxima(umax, wmax, cfg)
@@ -438,6 +453,8 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
     Stage 1 of the RK4 step evaluates the RHS at `state`, so it holds the
     physical velocity the limit needs and no transform is made for it.  With
     check_cfl a dt over the limit raises CflError before stages 2-4 run.
+    The evolved 3-D array (phi or V) is packed once: every stage, tendency and
+    decay factor is in the band layout, and the new state is unpacked once.
     """
     g = cfg.grid
     if not isinstance(state, (RotatingState, DirectState)):
@@ -447,7 +464,7 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
         raise ValueError(f"a {type(state).__name__} steps in the {kind} formulation, "
                          f"but the config sets formulation={cfg.formulation!r}")
     if kind == "rotating":
-        arrs = (state.vbar, state.vplus[0:1])
+        arrs = (state.vbar, band_pack(state.vplus[0:1], g, "vplus"))
 
         def rhs(a, t):
             return rhs_rotating(a, t, cfg)
@@ -455,25 +472,25 @@ def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
         dvb, dphi, lim = rhs_rotating(arrs, state.t, cfg, cfl=True)
         k1 = (dvb, dphi)
     else:
-        arrs = (state.v,)
+        arrs = (band_pack(state.v, g, "v"),)
 
         def rhs(a, t):
             return (rhs_direct(a[0], t, cfg),)
 
-        dv, lim = rhs_direct(state.v, state.t, cfg, cfl=True)
+        dv, lim = rhs_direct(arrs[0], state.t, cfg, cfl=True)
         k1 = (dv,)
     if check_cfl and cfg.dt > lim:
         raise CflError(cfg.dt, lim)
 
-    eh = _decay_factors(g, cfg.nu, 0.5 * cfg.dt)
-    ef = _decay_factors(g, cfg.nu, cfg.dt)
+    eh = _decay_factors(arrs[-1], g, cfg.nu, 0.5 * cfg.dt)
+    ef = _decay_factors(arrs[-1], g, cfg.nu, cfg.dt)
     # the compact barotropic Vbar has no vertical mode to diffuse
     e_half, e_full = ((1.0, eh), (1.0, ef)) if len(arrs) == 2 else ((eh,), (ef,))
     new = _if_rk4(arrs, state.t, cfg.dt, rhs, e_half, e_full, k1=k1)
     if kind == "rotating":
         vbar, phi = new
-        return RotatingState(state.t + cfg.dt, vbar, polarized(phi)), lim
-    return DirectState(state.t + cfg.dt, new[0]), lim
+        return RotatingState(state.t + cfg.dt, vbar, polarized(band_unpack(phi, g))), lim
+    return DirectState(state.t + cfg.dt, band_unpack(new[0], g)), lim
 
 
 # ---------------------------------------------------------------------------
@@ -661,26 +678,32 @@ def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     n2 = 0 column (nh, 1, nz) of the 3-D layout.  The dx P0(u^2) term of the
     reduced equation lives entirely in the m = 0 slots, which the exact P0
     subtraction removes; only the m >= 1 content of the two products survives.
+    u may also be the packed band (2 hcut + 1, zcut + 1) of that column, as the
+    stepper passes it; the tendency comes back in u's layout.
     """
-    col = u[:, None, :]
-    dxu = 1j * kx(grid) * col
-    p, px = values_from_coeffs(np.stack([col, dxu]), grid, COS, real=True)
-    sines = np.stack([-mpi(grid) * col, integral_z(dxu, grid)])
+    col = u[None, :, None, :]
+    full = not is_packed(col, grid)
+    if full:
+        col = band_pack(col, grid, "u")
+    dxu = 1j * k_h(grid, col)[0] * col
+    p, px = values_from_coeffs(np.concatenate([col, dxu]), grid, COS, real=True)
+    sines = np.concatenate([-mpi(grid, col) * col, integral_z(dxu, grid)])
     dzp, intp = values_from_coeffs(sines, grid, SIN, real=True)
     out = coeffs_from_values(intp * dzp - p * px, grid, COS)
     out[..., 0] = 0.0
     _guard("advection_2d", out)
-    return out[:, 0, :]
+    return (band_unpack(out, grid) if full else out)[:, 0, :]
 
 
 def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
-    """One RK4-IF step; ValueError for a state with modes outside the 2/3-rule band."""
-    require_band(state.u[:, None, :], grid, "u")
+    """One RK4-IF step on the packed band of u; ValueError for a state with
+    modes outside the 2/3-rule band."""
+    u = band_pack(state.u[:, None, :], grid, "u")[:, 0, :]
 
     def nl(a, t):
         return (rhs_2d(a[0], grid),)
 
-    eh = _decay_factors(grid, nu, 0.5 * dt)[0]
-    ef = _decay_factors(grid, nu, dt)[0]
-    (new,) = _if_rk4((state.u,), state.t, dt, nl, (eh,), (ef,))
-    return State2D(state.t + dt, new)
+    eh = _decay_factors(u, grid, nu, 0.5 * dt)[0]
+    ef = _decay_factors(u, grid, nu, dt)[0]
+    (new,) = _if_rk4((u,), state.t, dt, nl, (eh,), (ef,))
+    return State2D(state.t + dt, band_unpack(new[:, None, :], grid)[:, 0, :])

@@ -12,40 +12,46 @@ is a horizontal FFT composed with one vertical pair, the DCT/DST-III
 evaluation on midpoints (`_z_inverse`) and its DCT/DST-II inverse
 (`_z_forward`), run as one pass per axis.  The layouts served:
 
-* 3-D (.., nh, nh, nz): `values_from_coeffs`, `coeffs_from_values`;
+* 3-D (.., nh, nh, nz), the full layout of states, snapshots and norms;
+* the packed 2/3-rule band (.., 2 hcut + 1, 2 hcut + 1, zcut + 1): the modes
+  |n1|, |n2| <= hcut, m <= zcut alone, each axis itself in FFT order
+  (0, 1, .., hcut, -hcut, .., -1), so `conjugate_reverse` and the real
+  half-plane columns work on it unchanged.  `values_from_coeffs` reads and
+  `coeffs_from_values` returns this layout; `band_pack` and `band_unpack`
+  convert from and to the full one, and `grid.k_h`/`grid.mpi` give its
+  wavenumbers from the array's shape;
 * x-z (.., nh, 1, nz), the n2 = 0 column of the 3-D layout that carries
-  the y-independent 2-D reduced system: the same two kernels;
+  the y-independent 2-D reduced system, packed as (.., 2 hcut + 1, 1, zcut + 1):
+  the same kernels;
 * compact barotropic (.., nh, nh), z-independent: `barotropic_values`,
   `barotropic_coeffs`;
 * the vertical series alone, on a refined midpoint grid: `vertical_values`.
 
 The 3-D kernels have a real-field path (an rfft/irfft n2 pass, so that
 the other passes skip the redundant half of a conjugate-symmetric spectrum)
-behind the same names and the same full coefficient layout:
-`coeffs_from_values` takes it for real values, `values_from_coeffs` when
-the caller passes real=True.  It serves every real field: the lab-frame
-velocity in `rhs_direct` and `cfl_limit`, the limit system, the 2-D reduced
-system, and products of two real factors.  The rotating-frame
-V+ = e^{-i Omega t} P+ V is intrinsically complex (its coefficients are not
-conjugate symmetric), so the scalar phi = V+_x that carries it keeps the
-complex kernels.
+behind the same names and the same packed layout: `coeffs_from_values`
+takes it for real values, `values_from_coeffs` when the caller passes
+real=True.  It serves every real field: the lab-frame velocity in
+`rhs_direct` and `cfl_limit`, the limit system, the 2-D reduced system, and
+products of two real factors.  The rotating-frame V+ = e^{-i Omega t} P+ V
+is intrinsically complex (its coefficients are not conjugate symmetric), so
+the scalar phi = V+_x that carries it keeps the complex kernels.
 
 The 3-D kernels transform the 2/3-rule band alone, the Galerkin truncation
-of Orszag's rule, after the pruned FFTs that go with it: the inverse reads
-only |n1|, |n2| <= hcut, m <= zcut as if the rest were zero, and the forward
-computes only the band and returns zeros elsewhere, the dealiased transform.
-The vertical pass comes first in the inverse and last in the forward, so
-it runs on the band's (n1, n2) columns alone, and each horizontal pass runs
-only on the lines that the passes before it filled.  The kernels do not
-check their input: a mode outside the band would be dropped silently.  So
-the callers reject it once (`require_band`): the steppers (`integrate`,
-`step`, `step_2d`, `integrate_limit`) check the state at entry, and
-`product`, `lemmas.check` and `cfl_limit` check their inputs.
+of Orszag's rule, after the pruned FFTs that go with it.  The vertical pass
+comes first in the inverse and last in the forward, so it runs on the
+band's (n1, n2) columns alone, and each horizontal pass runs only on the
+lines that the passes before it filled.  The packed layout cannot hold a
+mode outside the band, so a full layout is checked where it enters it:
+`band_pack` raises ValueError on such a mode (`require_band`).  The
+steppers (`integrate`, `step`, `step_2d`, `integrate_limit`) also check the
+state at entry, and `product`, `lemmas.check` and `cfl_limit` their inputs.
 
 The solvers' horizontal divergence (`divergence`) and int_0^z of a cosine
-series (`integral_z`) live here too; `div_h` and `w_from_baroclinic` wrap
-them.  `apply_A_exp` multiplies by `grid.a_exp_weight`, the one A^r e^{tau A}
-weight and overflow rule (SpectralRangeError is re-exported from grid).
+series (`integral_z`) live here too, on either 3-D layout; `div_h` and
+`w_from_baroclinic` wrap them.  `apply_A_exp` multiplies by
+`grid.a_exp_weight`, the one A^r e^{tau A} weight and overflow rule
+(SpectralRangeError is re-exported from grid).
 
 All operations are pure: inputs are never mutated and outputs are fresh.
 """
@@ -130,7 +136,7 @@ def _check_same(a: SpectralField, b: SpectralField):
 # transform kernels: one horizontal transform composed with one vertical pair
 # ---------------------------------------------------------------------------
 
-_WORKERS = 2
+_WORKERS = 1
 
 # FFT-order index -n, as (destination, source) slices of one axis: 0 <- 0, n <- nh - n
 _NEG_INDEX = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
@@ -161,19 +167,42 @@ def _width(runs: tuple) -> int:
     return runs[-1][1].stop
 
 
+def _outside(a: np.ndarray, rows: tuple, cols: tuple, depth: int) -> list:
+    """Views of slabs that cover a full-layout a outside the blocks
+    a[.., rows, cols, :depth]: the rows between and after the row runs, the
+    columns between and after the column runs of those rows, and the modes
+    m >= depth (of every column: fewer, larger slabs)."""
+    def gaps(runs, n):
+        ends = [r.stop for r, _ in runs]
+        starts = [r.start for r, _ in runs[1:]] + [n]
+        return [slice(e, s) for e, s in zip(ends, starts) if s > e]
+
+    slabs = [a[..., g, :, :] for g in gaps(rows, a.shape[-3])]
+    slabs += [a[..., r, g, :] for r, _ in rows for g in gaps(cols, a.shape[-2])]
+    return slabs + [a[..., depth:]] if depth < a.shape[-1] else slabs
+
+
+def _full_axes(grid: GridSpec, packed: np.ndarray) -> tuple[int, int]:
+    """The full (n1, n2) of a packed band array: the x-z column keeps its single n2."""
+    return grid.nh, 1 if packed.shape[-2] == 1 else grid.nh
+
+
+def is_packed(a: np.ndarray, grid: GridSpec) -> bool:
+    """Whether an (.., n1, n2, m) array is in the packed band layout, not the full one."""
+    return a.shape[-3] != grid.nh
+
+
 def _slots(coeffs: np.ndarray, basis: str, mmax: int) -> np.ndarray:
     """DCT/DST slots of the modes m <= mmax: cos mode m is slot m, sine mode m slot m - 1."""
     return coeffs[..., : mmax + 1] if basis == COS else coeffs[..., 1 : mmax + 1]
 
 
-def _z_inverse(x: np.ndarray, basis: str, nslots: int) -> np.ndarray:
-    """DCT/DST-III in place: the vertical series at x.shape[-1] midpoints
-    z_j = (j + 1/2)/n.
-
-    The first nslots entries of the last axis are the slots; the rest, zero,
-    pad them to the midpoint count.
-    """
-    x[..., :nslots] *= _cos_in_scale(nslots) if basis == COS else 1.0 / SQRT2
+def _z_inverse(slots: np.ndarray, basis: str, n: int) -> np.ndarray:
+    """DCT/DST-III: the vertical series of DCT/DST slots (last axis) at n
+    midpoints z_j = (j + 1/2)/n, the scaled slots zero-padded to n."""
+    k = slots.shape[-1]
+    x = np.zeros(slots.shape[:-1] + (n,), dtype=slots.dtype)
+    np.multiply(slots, _cos_in_scale(k) if basis == COS else 1.0 / SQRT2, out=x[..., :k])
     return _r2r(basis, x, 3)
 
 
@@ -185,10 +214,18 @@ def _r2r(basis: str, x: np.ndarray, type: int) -> np.ndarray:
     """
     kernel = sfft.dct if basis == COS else sfft.dst
     if not np.iscomplexobj(x):
-        return kernel(x, type=type, axis=-1, overwrite_x=True, workers=_WORKERS)
+        y = kernel(x, type=type, axis=-1, overwrite_x=True, workers=_WORKERS)
+        return _written_back(x, y)
     pairs = x.view(np.float64).reshape(x.shape + (2,))
-    out = kernel(pairs, type=type, axis=-2, overwrite_x=True, workers=_WORKERS)
-    return out.view(np.complex128)[..., 0]
+    _written_back(pairs, kernel(pairs, type=type, axis=-2, overwrite_x=True, workers=_WORKERS))
+    return x
+
+
+def _written_back(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x holding the result y of a transform asked to overwrite x (a copy when it did not)."""
+    if not np.may_share_memory(x, y):
+        x[...] = y
+    return x
 
 
 def _z_forward(x: np.ndarray, basis: str, hsize: int, mmax: int) -> np.ndarray:
@@ -215,8 +252,7 @@ def _fft_pass(x: np.ndarray, axis: int, inverse: bool) -> None:
         y = sfft.ifft(x, axis=axis, norm="forward", overwrite_x=True, workers=_WORKERS)
     else:
         y = sfft.fft(x, axis=axis, overwrite_x=True, workers=_WORKERS)
-    if not np.may_share_memory(x, y):
-        x[...] = y
+    _written_back(x, y)
 
 
 def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
@@ -225,46 +261,56 @@ def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
     The horizontal modes are left untouched: a refined z grid for per-z
     horizontal norms, which Parseval evaluates without an x transform.
     """
-    slots = _slots(coeffs, basis, coeffs.shape[-1] - 1)
-    x = np.zeros(slots.shape[:-1] + (n,), dtype=slots.dtype)
-    x[..., : slots.shape[-1]] = slots
-    return _z_inverse(x, basis, slots.shape[-1])
+    return _z_inverse(_slots(coeffs, basis, coeffs.shape[-1] - 1), basis, n)
 
 
-def _gather(a: np.ndarray, rows: tuple, cols: tuple, depth: int | None = None) -> np.ndarray:
-    """A copy of the packed box a[.., rows, cols, :], zero-padded along the
-    last axis to `depth`."""
-    depth = depth or a.shape[-1]
-    make = np.zeros if depth > a.shape[-1] else np.empty
-    out = make(a.shape[:-3] + (_width(rows), _width(cols), depth), dtype=a.dtype)
+def _gather(a: np.ndarray, rows: tuple, cols: tuple, out: np.ndarray) -> np.ndarray:
+    """out[.., rows, cols, :] = the blocks a[.., rows, cols, :depth] at their
+    packed positions, depth the length of out's last axis."""
+    depth = out.shape[-1]
     for r, rp in rows:
         for c, cp in cols:
-            out[..., rp, cp, : a.shape[-1]] = a[..., r, c, :]
+            out[..., rp, cp, :] = a[..., r, c, :depth]
     return out
 
 
-def _scatter(
-    x: np.ndarray, rows: tuple, cols: tuple, shape: tuple, m0: int = 0,
-    into: np.ndarray | None = None,
-) -> np.ndarray:
-    """Zeros of `shape` with each packed block x[.., rows, cols, :] at its full
-    position, the last axis starting at m0: written into the buffer `into`
-    when given (it must not hold x), else into a fresh array."""
-    if into is None:
-        out = np.zeros(shape, dtype=np.complex128)
-    else:
-        out = into
-        out.fill(0.0)
-    stop = m0 + x.shape[-1]
+def _scatter(x: np.ndarray, rows: tuple, cols: tuple, out: np.ndarray) -> np.ndarray:
+    """Each packed block x[.., rows, cols, :] written at its full position in
+    the buffer out, and zeros everywhere else."""
+    for slab in _outside(out, rows, cols, x.shape[-1]):
+        slab.fill(0.0)
     for r, rp in rows:
         for c, cp in cols:
-            out[..., r, c, m0:stop] = x[..., rp, cp, :]
+            out[..., r, c, : x.shape[-1]] = x[..., rp, cp, :]
     return out
+
+
+def band_pack(a: np.ndarray, grid: GridSpec, what: str = "coefficients") -> np.ndarray:
+    """The packed band of a full-layout (.., n1, n2, m) array: the modes
+    |n1|, |n2| <= hcut, m <= zcut, shape (.., 2 hcut + 1, 2 hcut + 1, zcut + 1)
+    (n2 = 1 stays 1 on the x-z layout, m = 1 on the barotropic one).
+
+    A nonzero mode outside the band raises ValueError naming `what`
+    (`require_band`): this is where a full layout enters the band.
+    """
+    require_band(a, grid, what)
+    rows, cols = _box(grid, *a.shape[-3:-1], False)[:2]
+    shape = a.shape[:-3] + (_width(rows), _width(cols), min(a.shape[-1], grid.zcut + 1))
+    return _gather(a, rows, cols, np.empty(shape, dtype=a.dtype))
+
+
+def band_unpack(b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The full layout of a packed band array, zero outside the band."""
+    n1, n2 = _full_axes(grid, b)
+    rows, cols = _box(grid, n1, n2, False)[:2]
+    depth = grid.nz if b.shape[-1] > 1 else 1
+    return _scatter(b, rows, cols, np.empty(b.shape[:-3] + (n1, n2, depth), dtype=b.dtype))
 
 
 def _conj_fill(out: np.ndarray, neg: int) -> np.ndarray:
-    """Fill the columns n2 = -1 .. -neg of a real field's full layout in place,
-    out(n1, -n2) = conj out(-n1, n2), by two block copies."""
+    """Fill the columns n2 = -1 .. -neg of a real field's FFT-order layout (full
+    or packed band) in place, out(n1, -n2) = conj out(-n1, n2), by two block
+    copies."""
     n2 = out.shape[-2]
     for d1, s1 in _NEG_INDEX:
         np.conjugate(out[..., s1, neg:0:-1, :], out=out[..., d1, n2 - neg :, :])
@@ -273,13 +319,14 @@ def _conj_fill(out: np.ndarray, neg: int) -> np.ndarray:
 
 def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
     """Dealiased forward transform: collocation values (.., n1, n2, z) -> the
-    basis coefficients of the 2/3-rule band |n1|, |n2| <= hcut, m <= zcut.
+    basis coefficients of the 2/3-rule band |n1|, |n2| <= hcut, m <= zcut, in
+    the packed layout (`band_pack`).
 
-    The result is the full FFT-order layout, zero outside the band.  The n2
-    pass runs first (an rfft for real values, whose half plane is expanded
-    by conjugation at the end), then the n1 pass on the band's n2 columns,
-    then the vertical DCT/DST on the band's (n1, n2) columns, with the
-    horizontal normalisation folded into its scale.  A single n2 = 0 column
+    The n2 pass runs first (an rfft for real values, whose half plane is
+    expanded by conjugation at the end), then the n1 pass on the band's n2
+    columns.  The band of those passes is copied once into the output buffer,
+    where the vertical DCT/DST runs in place, with the horizontal
+    normalisation folded into its scale.  A single n2 = 0 column
     (.., nh, 1, nz) is the x-z layout.
     """
     n1, n2, nz = vals.shape[-3:]
@@ -291,18 +338,21 @@ def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np
         x = sfft.fft(vals, axis=-2, workers=_WORKERS)
     for c, _ in cols:
         _fft_pass(x[..., c, :], -3, inverse=False)
-    box = _z_forward(_gather(x, rows, cols), basis, n1 * n2, mmax)
-    # the packed box frees the buffer of the horizontal passes to be the output
-    into = None if real else x
-    out = _scatter(box, rows, cols, vals.shape, 0 if basis == COS else 1, into)
-    return _conj_fill(out, min(cut, n2 - _width(cols))) if real else out
+    out = np.empty(vals.shape[:-3] + (_width(rows), _width(_runs(n2, cut)), nz), dtype=np.complex128)
+    box = _gather(x, rows, cols, out[..., : _width(cols), :])  # a real field's half plane
+    d = _z_forward(box, basis, n1 * n2, mmax)
+    if basis == SIN:  # sine slot m - 1 holds mode m
+        box[..., 1 : mmax + 1] = d
+        box[..., 0] = 0.0
+    out = out[..., : mmax + 1]
+    return _conj_fill(out, out.shape[-2] - _width(cols)) if real else out
 
 
 def values_from_coeffs(
     coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False
 ) -> np.ndarray:
-    """Inverse transform of the 2/3-rule band: basis coefficients -> collocation
-    values, reading only |n1|, |n2| <= hcut, m <= zcut as if the rest were zero.
+    """Inverse transform of the 2/3-rule band: packed basis coefficients
+    (`band_pack`) -> collocation values on the full grid.
 
     The vertical DCT/DST runs first, on the band's (n1, n2) columns and its
     DCT/DST slots only (the empty sine slot m = 0 is never transformed),
@@ -312,16 +362,18 @@ def values_from_coeffs(
     columns, and the n2 pass is an irfft, and the values come back real.
     Otherwise the values are complex.
     """
-    n1, n2 = coeffs.shape[-3:-1]
-    rows, cols, _, mmax = _box(grid, n1, n2, real)
+    n1, n2 = _full_axes(grid, coeffs)
+    rows, cols, cut, mmax = _box(grid, n1, n2, real)
+    packed = (_width(rows), _width(_runs(n2, cut)), mmax + 1)
+    if coeffs.shape[-3:] != packed:
+        raise ValueError(f"coefficients of shape {coeffs.shape} are not in the packed band layout "
+                         f"(.., {packed[0]}, {packed[1]}, {packed[2]}); band_pack converts the full one")
     width = n2 // 2 + 1 if real else n2
-    # the buffer of the horizontal passes is allocated before the box, which
-    # is then freed above it: in rhs_rotating at (32, 32) that order took
-    # fewer minor page faults per call than the reverse one
+    # the buffer of the horizontal passes is allocated before the padded box,
+    # which is then freed above it: in rhs_rotating at (32, 32) that order
+    # took fewer minor page faults per call than the reverse one
     into = np.empty(coeffs.shape[:-3] + (n1, width, grid.nz), np.complex128)
-    slots = _slots(coeffs, basis, mmax)
-    x = _z_inverse(_gather(slots, rows, cols, grid.nz), basis, slots.shape[-1])
-    x = _scatter(x, rows, cols, into.shape, 0, into)
+    x = _scatter(vertical_values(coeffs[..., : _width(cols), :], basis, grid.nz), rows, cols, into)
     if real:
         _fft_pass(x[..., cols[0][0], :], -3, inverse=True)
         return sfft.irfft(x, n=n2, axis=-2, norm="forward", workers=_WORKERS)
@@ -332,29 +384,29 @@ def values_from_coeffs(
 
 
 def require_band(coeffs: np.ndarray, grid: GridSpec, what: str) -> None:
-    """Raise ValueError when `coeffs` hold a nonzero mode outside the 2/3-rule
-    band, which the band transforms would silently drop.
+    """Raise ValueError when full-layout `coeffs` hold a nonzero mode outside
+    the 2/3-rule band, which the band transforms would silently drop.
 
     The trailing axes are (n1, n2, m); an n2 axis of length 1 is the x-z
     layout and an m axis of length 1 the barotropic mode (pass the compact
-    (.., nh, nh) layout as coeffs[..., None]).
+    (.., nh, nh) layout as coeffs[..., None]).  Only the out-of-band slabs
+    are scanned: the rows |n1| > hcut, the columns |n2| > hcut of the
+    band's rows, and the modes m > zcut.
     """
-    keep = dealias_mask(grid)[:, : coeffs.shape[-2], : coeffs.shape[-1]]
+    n1, n2 = coeffs.shape[-3:-1]
+    if not any(s.any() for s in _outside(coeffs, _runs(n1, grid.hcut), _runs(n2, grid.hcut), grid.zcut + 1)):
+        return
+    keep = dealias_mask(grid)[:, :n2, : coeffs.shape[-1]]
     bad = (coeffs != 0) & ~keep
-    count = int(np.count_nonzero(bad))
-    if count:
-        n1, n2, m = np.nonzero(bad.reshape(-1, *keep.shape).any(axis=0))
-        nums = mode_numbers(grid)[0]
-        nmax = int(np.maximum(np.abs(nums[n1]), np.abs(nums[n2])).max())
-        raise ValueError(
-            f"{what} has {count} nonzero coefficients outside the 2/3-rule band "
-            f"|n1|, |n2| <= {grid.hcut}, m <= {grid.zcut} (largest max(|n1|, |n2|) "
-            f"there {nmax}, largest m {int(m.max())}); band-limited transforms would drop them"
-        )
+    n1, n2, m = np.nonzero(bad.reshape(-1, *keep.shape).any(axis=0))
+    nums = mode_numbers(grid)[0]
+    nmax = int(np.maximum(np.abs(nums[n1]), np.abs(nums[n2])).max())
+    raise ValueError(
+        f"{what} has {int(np.count_nonzero(bad))} nonzero coefficients outside the 2/3-rule band "
+        f"|n1|, |n2| <= {grid.hcut}, m <= {grid.zcut} (largest max(|n1|, |n2|) "
+        f"there {nmax}, largest m {int(m.max())}); band-limited transforms would drop them"
+    )
 
-
-# The compact barotropic transforms are small (a few (nh, nh) planes), where a
-# second FFT worker costs more CPU and wall time than it saves, so they use one.
 
 def barotropic_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real values of compact (.., nh, nh) coefficients of real z-independent fields."""
@@ -429,7 +481,8 @@ def grad_h(f: SpectralField) -> SpectralField:
 
 
 def divergence(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """i kx a_x + i ky a_y of 2-vector coefficients a, 3-D or compact (2, nh, nh) layout."""
+    """i kx a_x + i ky a_y of 2-vector coefficients a, 3-D (full or packed band)
+    or compact (2, nh, nh) layout."""
     kxx, kyy = k_h(grid, a)
     return 1j * kxx * a[0] + 1j * kyy * a[1]
 
@@ -458,12 +511,12 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
-    require_band(f.coeffs, f.grid, "product factor f")
-    require_band(g.coeffs, g.grid, "product factor g")
+    cf = band_pack(f.coeffs, f.grid, "product factor f")
+    cg = band_pack(g.coeffs, g.grid, "product factor g")
     tag = _CLOSURE[(f.basis, g.basis)]
     real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
-    pf = values_from_coeffs(f.coeffs, f.grid, f.basis, real=real)
-    pg = values_from_coeffs(g.coeffs, g.grid, g.basis, real=real)
+    pf = values_from_coeffs(cf, f.grid, f.basis, real=real)
+    pg = values_from_coeffs(cg, g.grid, g.basis, real=real)
     if f.components == g.components:
         pv = pf * pg
     elif f.components == 1:
@@ -472,17 +525,18 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
         pv = pf * pg[0:1]
     else:
         raise ValueError("incompatible component counts")
-    return SpectralField(f.grid, coeffs_from_values(pv, f.grid, tag), tag)
+    return SpectralField(f.grid, band_unpack(coeffs_from_values(pv, f.grid, tag), f.grid), tag)
 
 
 def integral_z(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Sine coefficients of int_0^z of cosine coefficients c (last axis m).
+    """Sine coefficients of int_0^z of cosine coefficients c (last axis m, full
+    or packed band layout).
 
     Cosine mode m >= 1 maps to sine mode m divided by m pi; the m = 0 mode,
     whose integral z is no sine series, is dropped.
     """
     out = np.zeros_like(c)
-    out[..., 1:] = c[..., 1:] / mpi(grid)[..., 1:]
+    out[..., 1:] = c[..., 1:] / mpi(grid, c)[..., 1:]
     return out
 
 

@@ -14,14 +14,26 @@ import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rotape.decomposition import polarized
 from rotape.grid import GridSpec, dealias_mask
-from rotape.initial_data import random_state, well_prepared_state
-from rotape.limit_solver import LimitState, integrate_limit, vorticity_from_velocity
+from rotape.initial_data import random_scalar_2d, random_state, well_prepared_state
+from rotape.limit_solver import (
+    LimitState,
+    euler2d_rhs,
+    integrate_limit,
+    step_limit,
+    transport_rhs,
+    vorticity_from_velocity,
+)
 from rotape.pe_solver import (
     DirectState,
+    RotatingState,
     SolverConfig,
     State2D,
     integrate,
+    rhs_2d,
+    rhs_direct,
+    rhs_rotating,
     rotating_from_direct,
     step,
     step_2d,
@@ -29,6 +41,8 @@ from rotape.pe_solver import (
 from rotape.spectral import (
     COS,
     SIN,
+    band_pack,
+    band_unpack,
     coeffs_from_values,
     require_band,
     symmetrize,
@@ -114,19 +128,19 @@ def _dense_forward(vals, basis):
 
 
 def _check_kernels(grid, basis, real, a, vals, reference, bound):
-    """The inverse of the band-limited part of a, and the forward of vals,
+    """The inverse of the packed band of a, and the forward of vals unpacked,
     against `reference` (inverse, forward) on the band-masked array."""
     mask = _band(grid, a.shape[-2])
     inverse, forward = reference
     expect = inverse(a * mask, basis)
-    got = values_from_coeffs(a, grid, basis, real=real)
+    got = values_from_coeffs(band_pack(a * mask, grid), grid, basis, real=real)
     if real:
         assert got.dtype == np.float64
         assert np.abs(expect.imag).max() <= 1e-14 * np.abs(expect).max()
         expect = expect.real
     assert got.shape == expect.shape
     assert _rel(got, expect) <= bound
-    got = coeffs_from_values(vals, grid, basis)
+    got = band_unpack(coeffs_from_values(vals, grid, basis), grid)
     expect = forward(vals, basis) * mask
     assert got.shape == expect.shape
     assert _rel(got, expect) <= bound
@@ -154,24 +168,37 @@ def test_band_kernels_agree_with_full_kernels(rng, nh, nz, basis, real, componen
     frac=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]),
     basis=st.sampled_from([COS, SIN]),
     real=st.booleans(),
+    xz=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(half_nh=2, nz=2, frac=Fraction(2, 3), basis=SIN, real=True, seed=0)  # hcut = 1, zcut = nz - 1
-@example(half_nh=32, nz=32, frac=Fraction(1), basis=COS, real=False, seed=1)  # hcut = nh/2 - 1, zcut = nz - 1
-def test_band_kernels_read_and_write_only_the_band(half_nh, nz, frac, basis, real, seed):
+@example(half_nh=2, nz=2, frac=Fraction(2, 3), basis=SIN, real=True, xz=False, seed=0)  # hcut = 1, zcut = nz - 1
+@example(half_nh=32, nz=32, frac=Fraction(1), basis=COS, real=False, xz=False, seed=1)  # hcut = nh/2 - 1, zcut = nz - 1
+@example(half_nh=12, nz=12, frac=Fraction(2, 3), basis=COS, real=False, xz=False, seed=2)  # the benchmark grids
+@example(half_nh=16, nz=32, frac=Fraction(2, 3), basis=SIN, real=True, xz=False, seed=3)
+@example(half_nh=32, nz=32, frac=Fraction(2, 3), basis=COS, real=True, xz=False, seed=4)
+@example(half_nh=16, nz=16, frac=Fraction(2, 3), basis=SIN, real=True, xz=True, seed=5)  # the 2-D reduced system
+@example(half_nh=8, nz=6, frac=Fraction(1), basis=COS, real=True, xz=True, seed=6)
+def test_band_kernels_read_and_write_only_the_band(half_nh, nz, frac, basis, real, xz, seed):
     """On any input, including the Nyquist row and column, the band inverse is
     the dense sum over the band-masked coefficients and the band forward the
-    band-masked dense projection."""
+    band-masked dense projection.  The packed band round-trips band-limited
+    coefficients exactly, and a mode outside it is rejected on packing."""
     nh = 2 * half_nh
     if frac * nh < 2:
         frac = Fraction(1)
     grid = GridSpec(nh=nh, nz=nz, dealias_fraction=frac)
     rng = np.random.default_rng(seed)
-    shape = (2, *grid.shape)
+    shape = (2, nh, 1 if xz else nh, nz)
     a = _coeffs(rng, shape, real)
-    assert a[:, nh // 2].any() and a[:, :, nh // 2].any()
+    assert a[:, nh // 2].any() and (xz or a[:, :, nh // 2].any())
     vals = rng.standard_normal(shape) if real else _coeffs(rng, shape, False)
     _check_kernels(grid, basis, real, a, vals, (_dense_inverse, _dense_forward), 1e-13)
+    mask = _band(grid, shape[-2])
+    packed = band_pack(a * mask, grid)
+    assert packed.shape == (2, 2 * grid.hcut + 1, 1 if xz else 2 * grid.hcut + 1, grid.zcut + 1)
+    assert np.array_equal(band_unpack(packed, grid), a * mask)
+    with pytest.raises(ValueError, match="outside the 2/3-rule band"):
+        band_pack(a, grid)
 
 
 def test_xz_column_layout(rng):
@@ -181,6 +208,15 @@ def test_xz_column_layout(rng):
     for basis in (COS, SIN):
         a = _coeffs(rng, (2, grid.nh, 1, grid.nz), real=True)
         _check_kernels(grid, basis, True, a, vals, (_dense_inverse, _dense_forward), 1e-14)
+
+
+def test_inverse_rejects_the_full_layout(rng):
+    """The inverse reads the packed band only; a full-layout array is refused, not misread."""
+    grid = GridSpec(nh=24, nz=12)
+    a = _coeffs(rng, (2, *grid.shape), real=False) * _band(grid)
+    with pytest.raises(ValueError, match=r"not in the packed band layout \(\.\., 15, 15, 8\)"):
+        values_from_coeffs(a, grid, COS)
+    values_from_coeffs(band_pack(a, grid), grid, COS)
 
 
 GRID = GridSpec(nh=16, nz=8)
@@ -269,3 +305,87 @@ class TestStepsStayInTheBand:
         out = ~dealias_mask(GRID)
         assert not fin.omega_bar[out[..., 0]].any()
         assert not fin.vtilde[:, out].any()
+
+
+# --- the band-resident steppers against a full-layout reference ---------------
+
+def _full_if_rk4(arrs, t, dt, nl, e_half, e_full):
+    """The integrating-factor RK4 written out on full-layout arrays, around the
+    public full-layout right-hand sides."""
+    k1 = nl(arrs, t)
+    y2 = tuple(e_half[i] * (arrs[i] + 0.5 * dt * k1[i]) for i in range(len(arrs)))
+    k2 = nl(y2, t + 0.5 * dt)
+    y3 = tuple(e_half[i] * arrs[i] + 0.5 * dt * k2[i] for i in range(len(arrs)))
+    k3 = nl(y3, t + 0.5 * dt)
+    y4 = tuple(e_full[i] * arrs[i] + dt * e_half[i] * k3[i] for i in range(len(arrs)))
+    k4 = nl(y4, t + dt)
+    return tuple(
+        e_full[i] * arrs[i]
+        + (dt / 6.0) * (e_full[i] * k1[i] + 2.0 * e_half[i] * (k2[i] + k3[i]) + k4[i])
+        for i in range(len(arrs))
+    )
+
+
+def _full_decay(grid, nu, h):
+    return np.exp(-nu * (np.pi * np.arange(grid.nz)) ** 2 * h)[None, None, :]
+
+
+class TestBandResidentSteps:
+    """Five steps of `step`, `step_limit` and `step_2d`, which run every stage
+    on the packed band, equal the full-layout IF-RK4 bit for bit."""
+
+    @pytest.mark.parametrize("formulation", ["rotating", "direct"])
+    def test_pe_step(self, rng, formulation):
+        cfg = _cfg(formulation)
+        st = _direct_state(rng)
+        eh, ef = _full_decay(GRID, cfg.nu, 0.5 * cfg.dt), _full_decay(GRID, cfg.nu, cfg.dt)
+        if formulation == "rotating":
+            st = rotating_from_direct(st.v, 0.0, cfg.omega)
+
+            def nl(a, t):
+                dvb, dvp, _ = rhs_rotating(RotatingState(t, a[0], polarized(a[1])), t, cfg)
+                return dvb, dvp[0:1]
+
+            ref = (st.vbar, st.vplus[0:1])
+            factors = ((1.0, eh), (1.0, ef))
+        else:
+            def nl(a, t):
+                return (rhs_direct(a[0], t, cfg),)
+
+            ref = (st.v,)
+            factors = ((eh,), (ef,))
+        t = st.t
+        for _ in range(5):
+            st = step(st, cfg)
+            ref = _full_if_rk4(ref, t, cfg.dt, nl, *factors)
+            t += cfg.dt
+        if formulation == "rotating":
+            assert np.array_equal(st.vbar, ref[0]) and np.array_equal(st.vplus, polarized(ref[1]))
+        else:
+            assert np.array_equal(st.v, ref[0])
+
+    def test_limit_step(self, rng):
+        vbar, vt = well_prepared_state(GRID, rng, tau0=0.4, eta0=0.3)
+        st = LimitState(0.0, vorticity_from_velocity(vbar, GRID), vt.coeffs)
+        nu, dt = 0.1, 1e-3
+        eh, ef = _full_decay(GRID, nu, 0.5 * dt), _full_decay(GRID, nu, dt)
+
+        def nl(a, t):
+            return euler2d_rhs(a[0], GRID), transport_rhs(a[1], a[0], GRID)
+
+        ref = (st.omega_bar, st.vtilde)
+        for i in range(5):
+            st = step_limit(st, GRID, nu, dt)
+            ref = _full_if_rk4(ref, i * dt, dt, nl, (1.0, eh), (1.0, ef))
+        assert np.array_equal(st.omega_bar, ref[0]) and np.array_equal(st.vtilde, ref[1])
+
+    def test_2d_step(self, rng):
+        u = random_scalar_2d(GRID.nh, GRID.nz, rng, tau=0.4, eta=0.3, hcut=GRID.hcut, zcut=GRID.zcut)
+        st = State2D(0.0, u)
+        nu, dt = 0.1, 1e-3
+        eh, ef = _full_decay(GRID, nu, 0.5 * dt)[0], _full_decay(GRID, nu, dt)[0]
+        ref = (u,)
+        for i in range(5):
+            st = step_2d(st, GRID, nu, dt)
+            ref = _full_if_rk4(ref, i * dt, dt, lambda a, t: (rhs_2d(a[0], GRID),), (eh,), (ef,))
+        assert np.array_equal(st.u, ref[0])

@@ -24,6 +24,7 @@ from rotape.spectral import (
     is_conjugate_symmetric,
     product,
     symmetrize,
+    band_pack,
     values_from_coeffs,
     vertical_values,
 )
@@ -65,8 +66,8 @@ def brute_force_inner(xc, hc, grid, r, tau, basis=COS):
         dst[:, :half, -half:, : grid.nz] = src[:, :half, -half:, :]
         dst[:, -half:, :half, : grid.nz] = src[:, -half:, :half, :]
         dst[:, -half:, -half:, : grid.nz] = src[:, -half:, -half:, :]
-    px = values_from_coeffs(xb, big, basis)
-    ph = values_from_coeffs(hb, big, basis)
+    px = values_from_coeffs(band_pack(xb, big), big, basis)
+    ph = values_from_coeffs(band_pack(hb, big), big, basis)
     quad = np.sum(px * np.conj(ph)) / (big.nh**2 * big.nz)
     return complex(quad)
 

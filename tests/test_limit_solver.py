@@ -112,11 +112,11 @@ class TestTransport:
 
         def rhs_const_advection(v):
             from rotape.grid import kx
-            from rotape.spectral import COS, coeffs_from_values, values_from_coeffs
+            from rotape.spectral import COS, band_pack, band_unpack, coeffs_from_values, values_from_coeffs
             from rotape.grid import dealias_mask
 
-            px = values_from_coeffs(1j * kx(grid) * v, grid, COS)
-            out = coeffs_from_values(-0.7 * px, grid, COS)
+            px = values_from_coeffs(band_pack(1j * kx(grid) * v, grid), grid, COS)
+            out = band_unpack(coeffs_from_values(-0.7 * px, grid, COS), grid)
             return out * dealias_mask(grid)[None, ...]
 
         v = vt0.copy()

@@ -27,7 +27,7 @@ from rotape.pe_solver import (
 )
 from rotape.decomposition import polarized
 from rotape.grid import mpi
-from rotape.spectral import COS, SpectralField
+from rotape.spectral import COS, SpectralField, band_pack, band_unpack
 
 
 GRID = GridSpec(nh=16, nz=8)
@@ -162,11 +162,13 @@ class TestRealityChecks:
 @pytest.mark.parametrize("formulation", ["direct", "rotating", "limit"])
 def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
     """One RHS evaluation costs two stacked inverse transforms and one forward
-    (the limit transport one of each).
+    (the limit transport one of each), all on the packed band.
 
     The rotating RHS transforms the scalar phi of V+ = phi (1, i): three cos
     and two sin components in, one out; the direct RHS the real 2-vector V;
-    the limit transport RHS the real 2-vector Vt and its gradient.
+    the limit transport RHS the real 2-vector Vt and its gradient.  Each
+    inverse reads, and each forward returns, the packed stack
+    (components, 2 hcut + 1, 2 hcut + 1, zcut + 1) = (.., 11, 11, 6) at (16, 8).
     """
     import rotape.limit_solver as lim
     import rotape.pe_solver as pe
@@ -178,8 +180,9 @@ def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
         def wrapper(*args, **kwargs):
             calls[kind] += 1
             basis = args[2] if len(args) > 2 else kwargs.get("basis", "cos")
-            stacks[kind].append((basis, args[0].shape[0]))
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            stacks[kind].append((basis, (args[0] if kind == "inverse" else out).shape))
+            return out
 
         return wrapper
 
@@ -195,10 +198,11 @@ def test_transform_budget_per_rhs(monkeypatch, rng, formulation):
     else:
         v[..., 0] = 0.0
         lim.transport_rhs(v, lim.vorticity_from_velocity(make_state(rng).v[..., 0], GRID), GRID)
+    band = (11, 11, 6)
     expect = {
-        "direct": {"inverse": [("cos", 6), ("sin", 3)], "forward": [("cos", 2)]},
-        "rotating": {"inverse": [("cos", 3), ("sin", 2)], "forward": [("cos", 1)]},
-        "limit": {"inverse": [("cos", 6)], "forward": [("cos", 2)]},
+        "direct": {"inverse": [("cos", (6, *band)), ("sin", (3, *band))], "forward": [("cos", (2, *band))]},
+        "rotating": {"inverse": [("cos", (3, *band)), ("sin", (2, *band))], "forward": [("cos", (1, *band))]},
+        "limit": {"inverse": [("cos", (6, *band))], "forward": [("cos", (2, *band))]},
     }[formulation]
     assert calls == {kind: len(stack) for kind, stack in expect.items()}
     assert stacks == expect
@@ -333,7 +337,7 @@ class TestStepping:
         cfg = SolverConfig(nu=0.2, omega=3.0, grid=grid, dt=2.5e-4, t_end=0.02)
         st = rotating_from_direct(v0, 0.0, cfg.omega)
         (vbar_p, phi_p), nl = _arrays_and_rhs(st, cfg)
-        damp = cfg.nu * mpi(grid) ** 2
+        damp = cfg.nu * mpi(grid, phi_p) ** 2
 
         def full(a, t):
             dvb, dphi = nl(a, t)
@@ -345,7 +349,7 @@ class TestStepping:
             vbar_p, phi_p = _classical_rk4((vbar_p, phi_p), t, cfg.dt, full)
             t += cfg.dt
         got = direct_from_rotating(st, cfg.omega)
-        plain = direct_from_rotating(RotatingState(t, vbar_p, polarized(phi_p)), cfg.omega)
+        plain = direct_from_rotating(RotatingState(t, vbar_p, polarized(band_unpack(phi_p, grid))), cfg.omega)
         assert np.abs(got - plain).max() < 1e-9 * np.abs(got).max()
 
 
@@ -354,10 +358,10 @@ def _initial(formulation, v, omega):
 
 
 def _arrays_and_rhs(st, cfg):
-    """The arrays the stepper advances and their non-diffusive tendency."""
+    """The arrays the stepper advances (the 3-D one packed) and their non-diffusive tendency."""
     if isinstance(st, RotatingState):
-        return (st.vbar, st.vplus[0:1]), lambda a, t: rhs_rotating(a, t, cfg)
-    return (st.v,), lambda a, t: (rhs_direct(a[0], t, cfg),)
+        return (st.vbar, band_pack(st.vplus[0:1], cfg.grid)), lambda a, t: rhs_rotating(a, t, cfg)
+    return (band_pack(st.v, cfg.grid),), lambda a, t: (rhs_direct(a[0], t, cfg),)
 
 
 def _classical_rk4(y, t, dt, rhs):

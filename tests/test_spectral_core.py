@@ -18,6 +18,8 @@ from rotape.spectral import (
     SpectralField,
     SpectralRangeError,
     apply_A_exp,
+    band_pack,
+    band_unpack,
     coeffs_from_values,
     div_h,
     divergence,
@@ -66,7 +68,7 @@ class TestForwardInverse:
     def test_round_trip_band_limited(self, nh, basis, rng):
         """Round trip, and the real kernels agree with the complex ones both ways."""
         grid = GridSpec(nh=nh, nz=8)
-        f = random_scalar(grid, rng, tau=0.2, eta=0.1, baroclinic=basis == SIN).coeffs
+        f = band_pack(random_scalar(grid, rng, tau=0.2, eta=0.1, baroclinic=basis == SIN).coeffs, grid)
         vc = values_from_coeffs(f, grid, basis)
         vr = values_from_coeffs(f, grid, basis, real=True)
         assert vr.dtype == np.float64
@@ -79,19 +81,19 @@ class TestForwardInverse:
 
     def test_round_trip_physical(self, grid16, rng):
         """Values of a band-limited field come back from a forward and inverse pass."""
-        f = random_scalar(grid16, rng, tau=0.2, eta=0.1)
-        vals = values_from_coeffs(f.coeffs, grid16, COS, real=True)
+        f = band_pack(random_scalar(grid16, rng, tau=0.2, eta=0.1).coeffs, grid16)
+        vals = values_from_coeffs(f, grid16, COS, real=True)
         again = values_from_coeffs(coeffs_from_values(vals, grid16, COS), grid16, COS, real=True)
         assert np.abs(again - vals).max() < 1e-13 * max(1.0, np.abs(vals).max())
 
     def test_reality_of_inverse(self, grid16, rng):
         f = random_scalar(grid16, rng)
-        vals = values_from_coeffs(f.coeffs, grid16, f.basis)
+        vals = values_from_coeffs(band_pack(f.coeffs, grid16), grid16, f.basis)
         assert np.abs(vals.imag).max() < 1e-13
 
     def test_parseval(self, grid16, rng):
         f = random_scalar(grid16, rng)
-        vals = values_from_coeffs(f.coeffs, grid16, COS, real=True)
+        vals = values_from_coeffs(band_pack(f.coeffs, grid16), grid16, COS, real=True)
         quad = np.sum(vals**2) / (grid16.nh**2 * grid16.nz)
         spect = np.sum(np.abs(f.coeffs) ** 2)
         assert abs(quad - spect) < 1e-12 * spect
@@ -99,8 +101,8 @@ class TestForwardInverse:
     def test_sine_basis_round_trip(self, grid16, rng):
         f = random_scalar(grid16, rng, baroclinic=True)
         s = SpectralField(grid16, f.coeffs.copy(), SIN)
-        vals = values_from_coeffs(s.coeffs, grid16, SIN)
-        back = coeffs_from_values(vals, grid16, SIN)
+        vals = values_from_coeffs(band_pack(s.coeffs, grid16), grid16, SIN)
+        back = band_unpack(coeffs_from_values(vals, grid16, SIN), grid16)
         assert np.abs(back - s.coeffs).max() < 1e-13
 
     @pytest.mark.parametrize("basis", [COS, SIN])
@@ -302,8 +304,8 @@ class TestGradProduct:
             dst[:, : c + 1, -c:, : grid16.nz] = src[:, : c + 1, -c:, :]
             dst[:, -c:, : c + 1, : grid16.nz] = src[:, -c:, : c + 1, :]
             dst[:, -c:, -c:, : grid16.nz] = src[:, -c:, -c:, :]
-        pf = values_from_coeffs(fb, big, COS)
-        pg = values_from_coeffs(gb, big, COS)
+        pf = values_from_coeffs(band_pack(fb, big), big, COS)
+        pg = values_from_coeffs(band_pack(gb, big), big, COS)
         exact = coeffs_from_values(pf * pg, big, COS)
         assert np.sum(np.abs(p.coeffs) ** 2) <= np.sum(np.abs(exact) ** 2) * (1 + 1e-12)
 
@@ -396,6 +398,27 @@ def test_grid_validation():
         GridSpec(nh=2, nz=8)
     with pytest.raises(ValueError):
         GridSpec(nh=16, nz=1)
+
+
+def test_grid_hashes_its_fraction_once(monkeypatch):
+    """Cached lookups keyed on a GridSpec do not re-hash its dealias_fraction;
+    equal grids still hash equal and share the cache."""
+    from rotape.grid import kx, mode_numbers
+
+    grid = GridSpec(nh=24, nz=12)
+    kx(grid), mode_numbers(grid), dealias_mask(grid)
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    for _ in range(100):
+        kx(grid), mode_numbers(grid), dealias_mask(grid)
+    assert calls == []
+    assert hash(GridSpec(nh=24, nz=12)) == hash(grid) and mode_numbers(GridSpec(nh=24, nz=12)) is mode_numbers(grid)
 
 
 @pytest.mark.parametrize("shape", [(2, 6, 6, 3), (1, 4, 8, 2), (3, 2, 4, 4, 5)])
@@ -538,4 +561,38 @@ def test_only_spectral_calls_transforms():
         for name in re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", text):
             if name != "fftfreq":
                 offenders.append(f"{path.name}: np.fft.{name}")
+    assert offenders == []
+
+
+# the packed band's index machinery, private to spectral
+_BAND_LAYOUT_NAMES = {"_box", "_runs", "_width", "_full_axes", "_gather", "_scatter"}
+
+
+def _layout_references(tree) -> list[tuple[int, str]]:
+    """(line, name) of every name, attribute or import of the band layout's index machinery."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        refs += [(node.lineno, name) for name in names if name in _BAND_LAYOUT_NAMES]
+    return refs
+
+
+def test_only_spectral_knows_the_band_layout():
+    """Layering: the packed band's index runs and boxes (`_box`, `_runs`,
+    `_width`, `_full_axes`) and its block copies (`_gather`, `_scatter`) live
+    in spectral.py alone.  Every other module converts with band_pack and
+    band_unpack, and reads wavenumbers through grid.k_h and grid.mpi."""
+    import rotape
+
+    root = Path(rotape.__file__).parent
+    assert {name for _, name in _layout_references(ast.parse((root / "spectral.py").read_text()))} == _BAND_LAYOUT_NAMES
+    offenders = [f"{path.name}:{line}: {name}" for path in sorted(root.glob("*.py")) if path.name != "spectral.py"
+                 for line, name in _layout_references(ast.parse(path.read_text()))]
     assert offenders == []
