@@ -131,25 +131,19 @@ def shear_barotropic(grid: GridSpec, amplitude: float = 1.0, nshear: int = 1) ->
 
 
 def random_scalar_2d(
-    nh: int,
-    nz: int,
-    rng: np.random.Generator,
-    tau: float = 0.5,
-    eta: float = 0.3,
-    hcut: int | None = None,
-    zcut: int | None = None,
+    grid: GridSpec, rng: np.random.Generator, tau: float = 0.5, eta: float = 0.3
 ) -> np.ndarray:
-    """Random analytic baroclinic scalar on the (n1, m) grid of the 2D reduced system."""
-    n1 = mode_numbers(GridSpec(nh, nz))[0]
+    """Random analytic baroclinic scalar of the 2D reduced system, zero outside
+    the 2/3-rule band, in the x-z layout (1, nh, 1, nz)."""
+    nh, nz = grid.nh, grid.nz
+    n1 = mode_numbers(grid)[0]
     k = 2.0 * np.pi * np.abs(n1)[:, None]
     m = np.arange(nz)[None, :]
     a = rng.standard_normal((nh, nz)) + 1j * rng.standard_normal((nh, nz))
     a *= np.exp(-tau * k - eta * np.pi * m)
-    if hcut is not None:
-        a[np.abs(n1) > hcut, :] = 0.0
-    if zcut is not None:
-        a[:, zcut + 1 :] = 0.0
+    a[np.abs(n1) > grid.hcut, :] = 0.0
+    a[:, grid.zcut + 1 :] = 0.0
     a[:, 0] = 0.0  # baroclinic
     # conjugate symmetry along n1
     rev = np.conj(np.roll(a[::-1, :], 1, axis=0))
-    return 0.5 * (a + rev)
+    return (0.5 * (a + rev))[None, :, None, :]

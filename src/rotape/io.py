@@ -39,7 +39,7 @@ def write_diagnostics_csv(path, rows) -> None:
         writer.writerow(CSV_FIELDS)
         for row in rows:
             writer.writerow(
-                [repr(getattr(row, name)) if name != "termination" else getattr(row, name) for name in CSV_FIELDS]
+                [getattr(row, k) if k == "termination" else repr(float(getattr(row, k))) for k in CSV_FIELDS]
             )
 
 
@@ -65,7 +65,7 @@ def write_snapshot(path, coeffs: np.ndarray, grid: GridSpec, t: float) -> None:
     comps = coeffs.shape[0]
     if coeffs.shape != (comps, grid.nh, grid.nh, grid.nz):
         raise ValueError("coefficient array does not match the grid")
-    header = f"PESP1 nh={grid.nh} nz={grid.nz} comps={comps} t={t!r}\n"
+    header = f"PESP1 nh={grid.nh} nz={grid.nz} comps={comps} t={float(t)!r}\n"
     inter = np.empty(coeffs.shape + (2,), dtype="<f8")
     inter[..., 0] = coeffs.real
     inter[..., 1] = coeffs.imag

@@ -531,7 +531,8 @@ def run_ensemble(
     rng = np.random.default_rng(seed)
     out = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        # check() flags type2 at r in (3/2, 2] on every sample; any other warning reaches the caller
+        warnings.filterwarnings("ignore", "type2 hypothesis used with r", UserWarning)
         for _ in range(n_samples):
             f, g, h = ensemble_fields(kind, grid, rng, tau_gen, eta_gen)
             out.append(check(kind, f, g, h, r, tau))

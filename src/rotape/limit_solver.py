@@ -19,7 +19,12 @@ from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: 
 from .grid import GridSpec, dealias_mask, kx, ky
 from .spectral import COS, band_pack, band_unpack, barotropic_coeffs, barotropic_values, coeffs_from_values, is_packed
 from .spectral import require_band, values_from_coeffs
-from .pe_solver import _decay_factors, _grad_stack, _guard, _if_rk4
+from .pe_solver import _grad_stack, _guard, _if_rk4
+
+
+# the diagnostics' Sobolev norms: barotropic (r + 1, 0, 0), baroclinic (r, s, 0)
+DIAG_R = 2.0
+DIAG_S = 1
 
 
 @dataclass
@@ -77,25 +82,35 @@ def limit_to_vpm(vtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plus_projection(vtilde), minus_projection(vtilde)
 
 
-def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> LimitState:
-    """One RK4-IF step; the baroclinic Vt steps in the packed band layout."""
-    def nl(a, t):
-        return (
-            euler2d_rhs(a[0], grid),
-            transport_rhs(a[1], a[0], grid),
-        )
+def _pack(state: LimitState, grid: GridSpec) -> tuple:
+    """The arrays a step advances, (omega_bar, Vt packed); ValueError for a mode outside the band."""
+    require_band(state.omega_bar[..., None], grid, "omega_bar")
+    return state.omega_bar, band_pack(state.vtilde, grid, "vtilde")
 
-    vt = band_pack(state.vtilde, grid, "vtilde")
-    eh = _decay_factors(vt, grid, nu, 0.5 * dt)
-    ef = _decay_factors(vt, grid, nu, dt)
-    omega, vt = _if_rk4((state.omega_bar, vt), state.t, dt, nl, (1.0, eh), (1.0, ef))
-    return LimitState(state.t + dt, omega, band_unpack(vt, grid))
+
+def _unpack(arrs: tuple, t: float, grid: GridSpec) -> LimitState:
+    """The state at time t of the arrays that `_pack` returns."""
+    omega, vt = arrs
+    return LimitState(t, omega, band_unpack(vt, grid))
+
+
+def _advance(arrs: tuple, t: float, grid: GridSpec, nu: float, dt: float) -> tuple:
+    """One RK4-IF step of the packed arrays at time t."""
+    def nl(a, t):
+        return euler2d_rhs(a[0], grid), transport_rhs(a[1], a[0], grid)
+
+    return _if_rk4(arrs, t, dt, nl, grid, nu)
+
+
+def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> LimitState:
+    """One RK4-IF step; the baroclinic Vt steps in the packed band layout, and
+    a state with a mode outside the 2/3-rule band raises ValueError."""
+    return _unpack(_advance(_pack(state, grid), state.t, grid, nu, dt), state.t + dt, grid)
 
 
 @dataclass
 class LimitDiagnostics:
-    """Per-step observables, including the norms the growth bounds govern:
-    the barotropic (r+1, 0, 0) and baroclinic (r, s, 0) Sobolev norms."""
+    """Per-step observables, including the Sobolev norms the growth bounds govern."""
 
     t: float
     energy_bar: float
@@ -106,34 +121,23 @@ class LimitDiagnostics:
 
 
 def integrate_limit(
-    state0: LimitState,
-    grid: GridSpec,
-    nu: float,
-    dt: float,
-    t_end: float,
-    store_every: int = 0,
-    r: float = 2.0,
-    s: int = 1,
-) -> tuple[LimitState, list[LimitDiagnostics], list[LimitState]]:
-    """RK4 with exact vertical-diffusion factor; returns optional stored states.
-
-    A state0 with modes outside the 2/3-rule band raises ValueError.
-    """
-    require_band(state0.omega_bar[..., None], grid, "omega_bar")
-    require_band(state0.vtilde, grid, "vtilde")
+    state0: LimitState, grid: GridSpec, nu: float, dt: float, t_end: float
+) -> tuple[LimitState, list[LimitDiagnostics], list]:
+    """(final state, one diagnostics row per state, []): the third element is
+    always empty, kept for callers that unpack three values.  A state0 with a
+    mode outside the 2/3-rule band raises ValueError.  state0 is packed once,
+    and each step's state is built from the packed arrays for its diagnostics."""
+    arrs = _pack(state0, grid)
     state = state0.copy()
-    n_steps = int(round(t_end / dt))
-    stored = [state.copy()] if store_every else []
-    diags = [_limit_diag(state, grid, r, s)]
-    for i in range(n_steps):
-        state = step_limit(state, grid, nu, dt)
-        diags.append(_limit_diag(state, grid, r, s))
-        if store_every and (i + 1) % store_every == 0:
-            stored.append(state.copy())
-    return state, diags, stored
+    diags = [_limit_diag(state, grid)]
+    for _ in range(int(round(t_end / dt))):
+        arrs = _advance(arrs, state.t, grid, nu, dt)
+        state = _unpack(arrs, state.t + dt, grid)
+        diags.append(_limit_diag(state, grid))
+    return state, diags, []
 
 
-def _limit_diag(state: LimitState, grid: GridSpec, r: float, s: int) -> LimitDiagnostics:
+def _limit_diag(state: LimitState, grid: GridSpec) -> LimitDiagnostics:
     """Diagnostics of a limit state, each field's norms read from one shell-power table."""
     from .norms import NormSpec, ShellPower, dz_l2_sq, norm_rst
 
@@ -144,8 +148,8 @@ def _limit_diag(state: LimitState, grid: GridSpec, r: float, s: int) -> LimitDia
         energy_bar=0.5 * dz_l2_sq(bar),
         enstrophy=0.5 * float(np.sum(np.abs(state.omega_bar) ** 2)),
         vtilde_l2=float(np.sqrt(dz_l2_sq(tilde))),
-        vbar_sobolev=norm_rst(bar, NormSpec(r=r + 1, s=0, tau=0.0)),
-        vtilde_sobolev=norm_rst(tilde, NormSpec(r=r, s=s, tau=0.0)),
+        vbar_sobolev=norm_rst(bar, NormSpec(r=DIAG_R + 1, s=0, tau=0.0)),
+        vtilde_sobolev=norm_rst(tilde, NormSpec(r=DIAG_R, s=DIAG_S, tau=0.0)),
     )
 
 

@@ -368,11 +368,18 @@ def rhs_direct(
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple, k1=None) -> tuple:
+def _if_rk4(arrs: tuple, t: float, dt: float, nl, grid: GridSpec, nu: float, k1=None) -> tuple:
     """Classical RK4 on the integrating-factor variable; exact for pure diffusion.
 
+    The last array of arrs is the evolved 3-D one, in the packed band layout:
+    the vertical diffusion nu dzz acts on it through the factors
+    e^{-nu (m pi)^2 h}, h = dt/2 and dt.  The compact barotropic arrays in
+    front of it (Vbar, omega_bar) have no vertical mode and get no factor.
     k1 is the stage-1 tendency nl(arrs, t) when the caller has evaluated it.
     """
+    eh, ef = _decay_factors(arrs[-1], grid, nu, dt)
+    e_half = (1.0,) * (len(arrs) - 1) + (eh,)
+    e_full = (1.0,) * (len(arrs) - 1) + (ef,)
     if k1 is None:
         k1 = nl(arrs, t)
     y2 = tuple(e_half[i] * (arrs[i] + 0.5 * dt * k1[i]) for i in range(len(arrs)))
@@ -388,10 +395,11 @@ def _if_rk4(arrs: tuple, t: float, dt: float, nl, e_half: tuple, e_full: tuple, 
     )
 
 
-def _decay_factors(a: np.ndarray, grid: GridSpec, nu: float, h: float) -> np.ndarray:
-    """e^{-nu (m pi)^2 h} over the m axis of a: the only place the vertical
-    diffusion nu dzz acts."""
-    return np.exp(-nu * mpi(grid, a) ** 2 * h)
+def _decay_factors(a: np.ndarray, grid: GridSpec, nu: float, dt: float) -> tuple:
+    """(e^{-nu (m pi)^2 dt/2}, e^{-nu (m pi)^2 dt}) over the m axis of a: the
+    only place the vertical diffusion nu dzz acts."""
+    rate = -nu * mpi(grid, a) ** 2
+    return np.exp(rate * (0.5 * dt)), np.exp(rate * dt)
 
 
 def _lab_velocity(state, cfg: SolverConfig) -> np.ndarray:
@@ -426,71 +434,62 @@ def cfl_limit(state, cfg: SolverConfig) -> float:
     return _cfl_from_maxima(umax, wmax, cfg)
 
 
-def _require_band(state, grid: GridSpec):
-    """ValueError unless the state lies in the 2/3-rule band the RHS transforms read."""
-    if isinstance(state, RotatingState):
-        require_band(state.vbar[..., None], grid, "vbar")
-        require_band(state.vplus, grid, "vplus")
-    elif isinstance(state, DirectState):
-        require_band(state.v, grid, "v")
-
-
-def step(state, cfg: SolverConfig):
-    """Advance one dt; raises CflError when the advective limit is violated,
-    and ValueError for a state with modes outside the 2/3-rule band or of
-    the other formulation than cfg.formulation."""
-    _require_band(state, cfg.grid)
-    return _advance(state, cfg, check_cfl=True)[0]
-
-
-def _step_nocfl(state, cfg: SolverConfig):
-    return _advance(state, cfg, check_cfl=False)[0]
-
-
-def _advance(state, cfg: SolverConfig, check_cfl: bool) -> tuple:
-    """One dt: (new state, advective CFL limit of `state`).
-
-    Stage 1 of the RK4 step evaluates the RHS at `state`, so it holds the
-    physical velocity the limit needs and no transform is made for it.  With
-    check_cfl a dt over the limit raises CflError before stages 2-4 run.
-    The evolved 3-D array (phi or V) is packed once: every stage, tendency and
-    decay factor is in the band layout, and the new state is unpacked once.
-    """
-    g = cfg.grid
+def _pack(state, cfg: SolverConfig) -> tuple:
+    """The arrays a step advances, (Vbar, phi) or (V,), the 3-D one packed
+    (`band_pack`).  ValueError for a state of the other formulation than
+    cfg.formulation, or with a mode outside the 2/3-rule band (all of V+)."""
     if not isinstance(state, (RotatingState, DirectState)):
         raise TypeError(f"unknown state type {type(state)!r}")
     kind = "rotating" if isinstance(state, RotatingState) else "direct"
     if kind != cfg.formulation:
         raise ValueError(f"a {type(state).__name__} steps in the {kind} formulation, "
                          f"but the config sets formulation={cfg.formulation!r}")
-    if kind == "rotating":
-        arrs = (state.vbar, band_pack(state.vplus[0:1], g, "vplus"))
+    g = cfg.grid
+    if kind == "direct":
+        return (band_pack(state.v, g, "v"),)
+    require_band(state.vbar[..., None], g, "vbar")
+    require_band(state.vplus, g, "vplus")
+    return state.vbar, band_pack(state.vplus[0:1], g, "vplus")
 
-        def rhs(a, t):
-            return rhs_rotating(a, t, cfg)
 
-        dvb, dphi, lim = rhs_rotating(arrs, state.t, cfg, cfl=True)
-        k1 = (dvb, dphi)
+def _unpack(arrs: tuple, t: float, cfg: SolverConfig):
+    """The state at time t of the arrays that `_pack` returns."""
+    if cfg.formulation == "direct":
+        return DirectState(t, band_unpack(arrs[0], cfg.grid))
+    vbar, phi = arrs
+    return RotatingState(t, vbar, polarized(band_unpack(phi, cfg.grid)))
+
+
+def step(state, cfg: SolverConfig):
+    """Advance one dt; raises CflError when the advective limit is violated,
+    and ValueError for a state with modes outside the 2/3-rule band or of
+    the other formulation than cfg.formulation."""
+    return _unpack(_advance(_pack(state, cfg), state.t, cfg, True)[0], state.t + cfg.dt, cfg)
+
+
+def _step_nocfl(state, cfg: SolverConfig):
+    """`step` without the CFL check."""
+    return _unpack(_advance(_pack(state, cfg), state.t, cfg, False)[0], state.t + cfg.dt, cfg)
+
+
+def _advance(arrs: tuple, t: float, cfg: SolverConfig, check_cfl: bool) -> tuple:
+    """One dt of the packed arrays at time t: (new arrays, advective CFL limit
+    of the old ones).  Stage 1 of the RK4 step evaluates the RHS at the old
+    arrays, so it holds the physical velocity the limit needs and no
+    transform is made for it; with check_cfl a dt over the limit raises
+    CflError before stages 2-4 run."""
+    if cfg.formulation == "rotating":
+        def rhs(a, t, cfl=False):
+            return rhs_rotating(a, t, cfg, cfl=cfl)
     else:
-        arrs = (band_pack(state.v, g, "v"),)
+        def rhs(a, t, cfl=False):
+            out = rhs_direct(a[0], t, cfg, cfl=cfl)
+            return out if cfl else (out,)
 
-        def rhs(a, t):
-            return (rhs_direct(a[0], t, cfg),)
-
-        dv, lim = rhs_direct(arrs[0], state.t, cfg, cfl=True)
-        k1 = (dv,)
+    *k1, lim = rhs(arrs, t, cfl=True)
     if check_cfl and cfg.dt > lim:
         raise CflError(cfg.dt, lim)
-
-    eh = _decay_factors(arrs[-1], g, cfg.nu, 0.5 * cfg.dt)
-    ef = _decay_factors(arrs[-1], g, cfg.nu, cfg.dt)
-    # the compact barotropic Vbar has no vertical mode to diffuse
-    e_half, e_full = ((1.0, eh), (1.0, ef)) if len(arrs) == 2 else ((eh,), (ef,))
-    new = _if_rk4(arrs, state.t, cfg.dt, rhs, e_half, e_full, k1=k1)
-    if kind == "rotating":
-        vbar, phi = new
-        return RotatingState(state.t + cfg.dt, vbar, polarized(band_unpack(phi, g))), lim
-    return DirectState(state.t + cfg.dt, band_unpack(new[0], g)), lim
+    return _if_rk4(arrs, t, cfg.dt, rhs, cfg.grid, cfg.nu, k1=k1), lim
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +592,19 @@ def integrate(
     A state0 with modes outside the 2/3-rule band, or of the other
     formulation than cfg.formulation, raises ValueError.
 
-    The CFL limit of each pre-step state comes from stage 1 of its RK4 step,
-    which evaluates the RHS there and so holds the physical velocity: with
-    check_cfl a dt over the limit raises CflError before the step is
-    accepted, and the smallest limit / dt is recorded either way.  After
-    each step the lab-frame velocity is formed once and its shell-power
-    table built once; the tau tracker and the diagnostics row (norms, fits,
-    energy, baroclinic L2) all read that table.
+    state0 is packed once (`_pack`) and the packed arrays go from step to
+    step; each step's state is built from them for the diagnostics, the
+    observers and the result.  The CFL limit of each pre-step state comes
+    from stage 1 of its RK4 step, which evaluates the RHS there and so holds
+    the physical velocity: with check_cfl a dt over the limit raises CflError
+    before the step is accepted, and the smallest limit / dt is recorded
+    either way.  After each step the lab-frame velocity is formed once and
+    its shell-power table built once; the tau tracker and the diagnostics
+    row (norms, fits, energy, baroclinic L2) all read that table.
     """
     report = report or NormSpec(r=2.0, s=0, tau=0.0)
     g = cfg.grid
-    _require_band(state0, g)
+    arrs = _pack(state0, cfg)
     state = state0.copy()
     n_steps = int(round(cfg.t_end / cfg.dt))
     tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
@@ -621,7 +622,8 @@ def integrate(
     termination = "completed"
 
     for _ in range(n_steps):
-        state, lim = _advance(state, cfg, check_cfl)
+        arrs, lim = _advance(arrs, state.t, cfg, check_cfl)
+        state = _unpack(arrs, state.t + cfg.dt, cfg)
         if margin is None or lim / cfg.dt < margin:
             margin = lim / cfg.dt
         v = _lab_velocity(state, cfg)
@@ -636,8 +638,10 @@ def integrate(
             observer(row)
         if state_observer:
             state_observer(state)
-        arrs = (state.vbar, state.vplus) if isinstance(state, RotatingState) else (state.v,)
-        if any(not np.isfinite(a).all() for a in arrs):
+        # the built state, not arrs: the same verdict, but checking arrs let glibc
+        # trim the heap between steps, doubling a step's page faults at (24, 12)
+        coeffs = (state.vbar, state.vplus) if isinstance(state, RotatingState) else (state.v,)
+        if any(not np.isfinite(a).all() for a in coeffs):
             termination = "nan"
             break
         if np.isfinite(row.norm_r0tau) and row.norm_r0tau > blowup_factor * max(initial_norm, 1e-300):
@@ -661,7 +665,8 @@ def integrate(
 
 @dataclass
 class State2D:
-    """Baroclinic zonal velocity u(x, z): coefficients (nh, nz), n2 absent."""
+    """Baroclinic zonal velocity u(x, z): coefficients in the x-z layout
+    (1, nh, 1, nz), the n2 = 0 column of the 3-D layout."""
 
     t: float
     u: np.ndarray
@@ -674,36 +679,31 @@ def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """du = -u dx u + (int_0^z dx u) dz u, barotropic part structurally zero
     (nu dzz u is the integrating factor's).
 
-    u is real, so its (nh, nz) coefficients take the real transforms as the
-    n2 = 0 column (nh, 1, nz) of the 3-D layout.  The dx P0(u^2) term of the
-    reduced equation lives entirely in the m = 0 slots, which the exact P0
-    subtraction removes; only the m >= 1 content of the two products survives.
-    u may also be the packed band (2 hcut + 1, zcut + 1) of that column, as the
-    stepper passes it; the tendency comes back in u's layout.
+    u is real and in the x-z layout (1, nh, 1, nz), so it takes the real 3-D
+    transforms.  The dx P0(u^2) term of the reduced equation lives entirely
+    in the m = 0 slots, which the exact P0 subtraction removes; only the
+    m >= 1 content of the two products survives.  u may also be the packed
+    band (1, 2 hcut + 1, 1, zcut + 1) that the stepper passes; the tendency
+    comes back in u's layout.
     """
-    col = u[None, :, None, :]
-    full = not is_packed(col, grid)
+    full = not is_packed(u, grid)
     if full:
-        col = band_pack(col, grid, "u")
-    dxu = 1j * k_h(grid, col)[0] * col
-    p, px = values_from_coeffs(np.concatenate([col, dxu]), grid, COS, real=True)
-    sines = np.concatenate([-mpi(grid, col) * col, integral_z(dxu, grid)])
+        u = band_pack(u, grid, "u")
+    dxu = 1j * k_h(grid, u)[0] * u
+    p, px = values_from_coeffs(np.concatenate([u, dxu]), grid, COS, real=True)
+    sines = np.concatenate([-mpi(grid, u) * u, integral_z(dxu, grid)])
     dzp, intp = values_from_coeffs(sines, grid, SIN, real=True)
-    out = coeffs_from_values(intp * dzp - p * px, grid, COS)
+    out = coeffs_from_values((intp * dzp - p * px)[None], grid, COS)
     out[..., 0] = 0.0
     _guard("advection_2d", out)
-    return (band_unpack(out, grid) if full else out)[:, 0, :]
+    return band_unpack(out, grid) if full else out
 
 
 def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
     """One RK4-IF step on the packed band of u; ValueError for a state with
     modes outside the 2/3-rule band."""
-    u = band_pack(state.u[:, None, :], grid, "u")[:, 0, :]
-
     def nl(a, t):
         return (rhs_2d(a[0], grid),)
 
-    eh = _decay_factors(u, grid, nu, 0.5 * dt)[0]
-    ef = _decay_factors(u, grid, nu, dt)[0]
-    (new,) = _if_rk4((u,), state.t, dt, nl, (eh,), (ef,))
-    return State2D(state.t + dt, band_unpack(new[:, None, :], grid)[:, 0, :])
+    (u,) = _if_rk4((band_pack(state.u, grid, "u"),), state.t, dt, nl, grid, nu)
+    return State2D(state.t + dt, band_unpack(u, grid))

@@ -210,9 +210,7 @@ def formulation_equivalence(cfg: RunConfig, out) -> dict:
         rhs_err = max(rhs_err, float(np.abs(dv - direct).max() / max(np.abs(direct).max(), 1e-300)))
 
     # trajectory-level agreement
-    rows = []
-    rres = integrate(rotating_from_direct(v0, 0.0, omega), scfg,
-                     report=_report_spec(cfg), observer=rows.append,
+    rres = integrate(rotating_from_direct(v0, 0.0, omega), scfg, report=_report_spec(cfg),
                      state_observer=_snapshot_writer(cfg, out, grid, omega))
     dres = integrate(DirectState(0.0, v0.copy()), _solver_config(cfg, omega, "direct"),
                      report=_report_spec(cfg))
@@ -220,7 +218,7 @@ def formulation_equivalence(cfg: RunConfig, out) -> dict:
     vb = dres.state.v
     traj_err = float(np.sqrt(np.sum(np.abs(va - vb) ** 2) / max(np.sum(np.abs(vb) ** 2), 1e-300)))
     if cfg.output.csv:
-        write_diagnostics_csv(out / "diagnostics.csv", rows)
+        write_diagnostics_csv(out / "diagnostics.csv", rres.rows)
     ok = traj_err < 1e-6 and rhs_err < 1e-10
     summary = {
         "scenario": "formulation_equivalence",
@@ -258,9 +256,9 @@ def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
     doubling, fallbacks = {}, {}
     for om in omegas:
         tracker = TauTracker(cfg.norms.tau_report, local_rate(CLOCK_C_R))
-        rows = []
         res = integrate(rotating_from_direct(v0, 0.0, om), _solver_config(cfg, om),
-                        report=_report_spec(cfg), tau_tracker=tracker, observer=rows.append)
+                        report=_report_spec(cfg), tau_tracker=tracker)
+        rows = res.rows
         fallbacks[om] = res.tau_fallbacks
         n0 = rows[0].norm_r0tau
         td = None
@@ -304,11 +302,11 @@ def vertical_gain(cfg: RunConfig, out) -> dict:
     vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
                             baroclinic_fraction=GAIN_BAROCLINIC_FRACTION)
     v0 = _direct_array(vbar, vt)
-    rows = []
     t0 = time.time()
     res = integrate(rotating_from_direct(v0, 0.0, cfg.omega), _solver_config(cfg, cfg.omega),
-                    report=_report_spec(cfg), observer=rows.append)
+                    report=_report_spec(cfg))
     runtime = time.time() - t0
+    rows = res.rows
     lo, hi = GAIN_WINDOW
     margin = float("inf")
     failures = []
@@ -449,11 +447,6 @@ SMALL_2D_C_R = 1.0      # rate constant of the 2-D decay clock and threshold
 SMALL_2D_SLACK = 1.10
 
 
-def _power_2d(u: np.ndarray, grid: GridSpec) -> ShellPower:
-    """The shell-power table of a 2D state u(x, z): the x-z layout of ShellPower.of."""
-    return ShellPower.of(u[None, :, None, :], grid)
-
-
 def small_data_2d(cfg: RunConfig, out) -> dict:
     """Decay from a datum of analytic radius init.tau0 whose norm is
     init.amplitude times the smallness threshold.  Each recorded state's
@@ -463,9 +456,8 @@ def small_data_2d(cfg: RunConfig, out) -> dict:
     grid, init, nu, r, s = cfg.grid, cfg.init, cfg.nu, cfg.norms.r, cfg.norms.s
     rng = np.random.default_rng(init.seed + 19)
     thresh = threshold_2d(nu, init.tau0, SMALL_2D_C_R)
-    u0 = random_scalar_2d(grid.nh, grid.nz, rng, tau=init.tau0, eta=init.eta0,
-                          hcut=grid.hcut, zcut=grid.zcut)
-    u0 *= (init.amplitude * thresh) / norm_rst(_power_2d(u0, grid), NormSpec(r=r, s=s, tau=init.tau0))
+    u0 = random_scalar_2d(grid, rng, tau=init.tau0, eta=init.eta0)
+    u0 *= (init.amplitude * thresh) / norm_rst(ShellPower.of(u0, grid), NormSpec(r=r, s=s, tau=init.tau0))
 
     from .io import DiagnosticsRow
 
@@ -484,16 +476,16 @@ def small_data_2d(cfg: RunConfig, out) -> dict:
                 sobolev_norm=norm_rst(power, NormSpec(r=r, s=s)),
                 tau_tracked=tau, tau_fit_h=float("nan"), eta_fit_v=float("nan"),
                 energy=0.5 * l2_sq, enstrophy_bar=0.0, baroclinic_l2=float(np.sqrt(l2_sq)),
-                div_residual=0.0, mean_residual=float(np.abs(state.u[:, 0]).max()),
+                div_residual=0.0, mean_residual=float(np.abs(state.u[..., 0]).max()),
             )
         )
 
     # the initial row's norm is at radius init.tau0, so it is the envelope's n0
-    record(st, _power_2d(st.u, grid))
+    record(st, ShellPower.of(st.u, grid))
     n_steps = int(round(cfg.t_end / cfg.dt))
     for _ in range(n_steps):
         st = step_2d(st, grid, nu, cfg.dt)
-        power = _power_2d(st.u, grid)
+        power = ShellPower.of(st.u, grid)
         tracker.step(cfg.dt, _norms_for_tracker(power, r))
         record(st, power)
     n0 = rows[0].norm_r0tau

@@ -43,9 +43,9 @@ comes first in the inverse and last in the forward, so it runs on the
 band's (n1, n2) columns alone, and each horizontal pass runs only on the
 lines that the passes before it filled.  The packed layout cannot hold a
 mode outside the band, so a full layout is checked where it enters it:
-`band_pack` raises ValueError on such a mode (`require_band`).  The
-steppers (`integrate`, `step`, `step_2d`, `integrate_limit`) also check the
-state at entry, and `product`, `lemmas.check` and `cfl_limit` their inputs.
+`band_pack` raises ValueError on such a mode (`require_band`).  Each
+stepper checks a state where it packs it, once per `integrate` or
+`integrate_limit` run, and `product`, `lemmas.check` and `cfl_limit` their inputs.
 
 The solvers' horizontal divergence (`divergence`) and int_0^z of a cosine
 series (`integral_z`) live here too, on either 3-D layout; `div_h` and

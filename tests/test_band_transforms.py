@@ -269,8 +269,8 @@ class TestOutOfBandStatesRejected:
         w_bad[6, 6] = w_bad[-6, -6] = 1e-3
         with pytest.raises(ValueError, match="omega_bar has 2 nonzero"):
             integrate_limit(LimitState(0.0, w_bad, vt), GRID, 0.1, 1e-3, 2e-3)
-        u = np.zeros((GRID.nh, GRID.nz), dtype=np.complex128)
-        u[7, 1] = u[-7, 1] = 1.0
+        u = np.zeros((1, GRID.nh, 1, GRID.nz), dtype=np.complex128)
+        u[0, 7, 0, 1] = u[0, -7, 0, 1] = 1.0
         with pytest.raises(ValueError, match="u has 2 nonzero"):
             step_2d(State2D(0.0, u), GRID, 0.1, 1e-3)
 
@@ -305,6 +305,40 @@ class TestStepsStayInTheBand:
         out = ~dealias_mask(GRID)
         assert not fin.omega_bar[out[..., 0]].any()
         assert not fin.vtilde[:, out].any()
+
+
+@pytest.mark.parametrize("system", ["rotating", "direct", "limit"])
+def test_integrators_pack_their_state_once(rng, monkeypatch, system):
+    """`integrate` and `integrate_limit` carry the packed arrays from step to
+    step: they pack as often for 10 steps as for 2."""
+    import sys
+
+    from rotape import spectral
+
+    calls, band_pack = [], spectral.band_pack
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return band_pack(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rotape") and getattr(module, "band_pack", None) is band_pack:
+            monkeypatch.setattr(module, "band_pack", counting)
+
+    def packs(n_steps):
+        calls.clear()
+        if system == "limit":
+            vbar, vt = well_prepared_state(GRID, rng, tau0=0.4, eta0=0.3)
+            st0 = LimitState(0.0, vorticity_from_velocity(vbar, GRID), vt.coeffs)
+            integrate_limit(st0, GRID, 0.1, 1e-3, n_steps * 1e-3)
+        else:
+            st0 = _direct_state(rng)
+            if system == "rotating":
+                st0 = rotating_from_direct(st0.v, 0.0, 5.0)
+            assert len(integrate(st0, _cfg(system, n_steps * 1e-3)).rows) == n_steps + 1
+        return len(calls)
+
+    assert packs(2) == packs(10) >= 1
 
 
 # --- the band-resident steppers against a full-layout reference ---------------
@@ -380,10 +414,10 @@ class TestBandResidentSteps:
         assert np.array_equal(st.omega_bar, ref[0]) and np.array_equal(st.vtilde, ref[1])
 
     def test_2d_step(self, rng):
-        u = random_scalar_2d(GRID.nh, GRID.nz, rng, tau=0.4, eta=0.3, hcut=GRID.hcut, zcut=GRID.zcut)
+        u = random_scalar_2d(GRID, rng, tau=0.4, eta=0.3)
         st = State2D(0.0, u)
         nu, dt = 0.1, 1e-3
-        eh, ef = _full_decay(GRID, nu, 0.5 * dt)[0], _full_decay(GRID, nu, dt)[0]
+        eh, ef = _full_decay(GRID, nu, 0.5 * dt), _full_decay(GRID, nu, dt)
         ref = (u,)
         for i in range(5):
             st = step_2d(st, GRID, nu, dt)

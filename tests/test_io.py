@@ -24,6 +24,15 @@ class TestSnapshot:
         assert t == 0.625
         assert np.array_equal(coeffs, f.coeffs)
 
+    def test_round_trip_of_a_numpy_scalar_time(self, tmp_path, grid16, rng):
+        """A numpy float time is written as the float it holds, so the file reloads."""
+        f = random_vector(grid16, rng)
+        path = tmp_path / "state.pesp1"
+        write_snapshot(path, f.coeffs, grid16, np.float64(0.5))
+        assert path.open("rb").readline().decode("ascii") == "PESP1 nh=16 nz=8 comps=2 t=0.5\n"
+        _, _, t = read_snapshot(path)
+        assert t == 0.5
+
     def test_header_format(self, tmp_path, grid16, rng):
         f = random_vector(grid16, rng)
         path = tmp_path / "state.pesp1"
@@ -89,3 +98,12 @@ class TestDiagnosticsCsv:
         write_diagnostics_csv(p1, rows)
         write_diagnostics_csv(p2, rows)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_floats_written_as_floats(self, tmp_path):
+        """numpy float fields give the bytes of the Python floats they hold."""
+        values = (0.25, 1.0 / 3, 2.0, 0.5, float("nan"), 0.01, 3.0, 4.0, 0.5, 1e-13, 0.0)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_diagnostics_csv(p1, [DiagnosticsRow(*values)])
+        write_diagnostics_csv(p2, [DiagnosticsRow(*map(np.float64, values))])
+        assert p1.read_bytes() == p2.read_bytes()
+        assert read_diagnostics_csv(p2)[0].norm_r0tau == 1.0 / 3

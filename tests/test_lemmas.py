@@ -214,6 +214,31 @@ class TestEnsemble:
             assert all(np.isfinite(ratios))
             assert max(ratios) < 100.0
 
+    def test_runtime_warnings_reach_the_caller(self, monkeypatch):
+        """Only the type2 flag is silenced: a numpy overflow/invalid warning
+        raised while checking a sample is not hidden."""
+        import warnings
+
+        import rotape.lemmas as lemmas
+
+        original = lemmas.check
+
+        def noisy_check(*args, **kwargs):
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lemmas, "check", noisy_check)
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            run_ensemble(LemmaKind.type1, GRID, n_samples=1, seed=3)
+
+    def test_type2_flag_stays_silenced(self):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_ensemble(LemmaKind.type2, GRID, n_samples=2, seed=3, r=1.75)
+        assert caught == []
+
 
 def reference_profile(f, r, tau, nzf):
     """The per-mode sum the q table replaces: every (n1, n2) column, weighted."""

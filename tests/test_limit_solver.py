@@ -177,7 +177,7 @@ class TestLimitIntegration:
         w = random_vorticity(GRID, rng, amplitude=2.0)
         vt = random_vector(GRID, rng, baroclinic=True).coeffs
         st = LimitState(0.0, w, vt)
-        _, diags, _ = integrate_limit(st, GRID, nu=0.5, dt=4e-3, t_end=0.4, r=2.0, s=1)
+        _, diags, _ = integrate_limit(st, GRID, nu=0.5, dt=4e-3, t_end=0.4)
         kint = 0.0
         n0sq = diags[0].vtilde_sobolev ** 2
         for prev, cur in zip(diags[:-1], diags[1:]):

@@ -260,8 +260,8 @@ class TestShellPower:
 
         grid = GridSpec(nh=64, nz=8)
         f = random_vector(grid, rng)
-        u = random_scalar_2d(64, 8, rng, tau=0.5, eta=0.3, hcut=grid.hcut, zcut=grid.zcut)
-        table_2d = ShellPower.of(u[None, :, None, :], grid)
+        u = random_scalar_2d(grid, rng, tau=0.5, eta=0.3)
+        table_2d = ShellPower.of(u, grid)
         table = _z_power(f, 4 * grid.nz)
         kmax = kabs(grid).max()
         log_max = np.log(np.finfo(np.float64).max)

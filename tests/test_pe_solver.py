@@ -23,7 +23,9 @@ from rotape.pe_solver import (
     step_2d,
     _advance,
     _if_rk4,
+    _pack,
     _step_nocfl,
+    _unpack,
 )
 from rotape.decomposition import polarized
 from rotape.grid import mpi
@@ -34,9 +36,9 @@ GRID = GridSpec(nh=16, nz=8)
 
 
 def embed_2d(u, grid):
-    """The compact 2D state as a square-grid 2-vector: u on the n2 = 0 column, v = 0."""
+    """The x-z 2D state as a square-grid 2-vector: u on the n2 = 0 column, v = 0."""
     v = np.zeros((2, grid.nh, grid.nh, grid.nz), dtype=np.complex128)
-    v[0, :, 0, :] = u
+    v[0:1, :, 0:1, :] = u
     return v
 
 
@@ -323,8 +325,7 @@ class TestStepping:
         st = _initial(formulation, make_state(rng).v, cfg.omega)
         y, rhs = _arrays_and_rhs(st, cfg)
         expect = _classical_rk4(y, st.t, cfg.dt, rhs)
-        ones = (1.0,) * len(y)
-        got = _if_rk4(y, st.t, cfg.dt, rhs, ones, ones)
+        got = _if_rk4(y, st.t, cfg.dt, rhs, cfg.grid, 0.0)  # nu = 0: every factor is 1
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
     def test_rk4_plain_matches_if_at_small_dt(self, rng):
@@ -382,10 +383,10 @@ class TestStageOneCfl:
         st = _initial(formulation, make_state(rng, amplitude=2.0).v, cfg.omega)
         st = _step_nocfl(st, cfg)  # t > 0: the phase e^{i Omega t} is not 1
         for _ in range(3):
-            new, lim = _advance(st, cfg, check_cfl=False)
+            arrs, lim = _advance(_pack(st, cfg), st.t, cfg, check_cfl=False)
             expect = cfl_limit(st, cfg)
             assert abs(lim - expect) <= 1e-14 * expect
-            st = new
+            st = _unpack(arrs, st.t + cfg.dt, cfg)
 
     def test_cfl_limit_rejects_an_out_of_band_velocity(self, rng):
         """A mode the band transforms would drop is rejected, in any input form."""
@@ -561,7 +562,7 @@ class TestIntegrate:
 class TestReduce2D:
     def test_zero(self):
         grid = GridSpec(nh=16, nz=8)
-        out = rhs_2d(np.zeros((16, 8), dtype=np.complex128), grid)
+        out = rhs_2d(np.zeros((1, 16, 1, 8), dtype=np.complex128), grid)
         assert np.abs(out).max() == 0.0
 
     def test_single_mode_tendency_is_pure_diffusion(self):
@@ -571,9 +572,9 @@ class TestReduce2D:
         # equation does
         grid = GridSpec(nh=16, nz=8)
         a = 0.7
-        u = np.zeros((16, 8), dtype=np.complex128)
-        u[1, 1] = a / 2
-        u[-1, 1] = a / 2
+        u = np.zeros((1, 16, 1, 8), dtype=np.complex128)
+        u[0, 1, 0, 1] = a / 2
+        u[0, -1, 0, 1] = a / 2
         assert np.abs(rhs_2d(u, grid)).max() < 1e-13
         st = State2D(0.0, u)
         for _ in range(10):
@@ -582,13 +583,13 @@ class TestReduce2D:
 
     def test_3d_consistency_oracle(self, rng):
         grid = GridSpec(nh=16, nz=8)
-        u = random_scalar_2d(16, 8, rng, tau=0.4, eta=0.3, hcut=grid.hcut, zcut=grid.zcut)
+        u = random_scalar_2d(grid, rng, tau=0.4, eta=0.3)
         du = rhs_2d(u, grid)
         v3 = embed_2d(u, grid)
         cfg = SolverConfig(nu=0.3, omega=0.0, grid=grid, dt=1e-3, t_end=1.0, formulation="direct")
         dv3 = rhs_direct(v3, 0.0, cfg)
         scale = max(np.abs(du).max(), 1e-300)
-        assert np.abs(dv3[0, :, 0, :] - du).max() < 1e-11 * scale
+        assert np.abs(dv3[0:1, :, 0:1, :] - du).max() < 1e-11 * scale
         assert np.abs(dv3[1]).max() < 1e-13  # v stays zero
         other = dv3[0].copy()
         other[:, 0, :] = 0.0
@@ -600,16 +601,16 @@ class TestReduce2D:
         """The x-z layout's table is the embedded 3-D field's, bit for bit, so
         every norm of the 2D state is that of the embedded field."""
         grid = GridSpec(nh=32, nz=16)
-        u = random_scalar_2d(32, 16, rng, tau=1.0, eta=0.2, hcut=grid.hcut, zcut=grid.zcut)
+        u = random_scalar_2d(grid, rng, tau=1.0, eta=0.2)
         v3 = embed_2d(u, grid)
-        table = ShellPower.of(u[None, :, None, :], grid)
+        table = ShellPower.of(u, grid)
         assert np.array_equal(table.table, ShellPower.of(v3, grid).table)
         spec = NormSpec(r=2.0, s=s, tau=tau)
         assert norm_rst(table, spec) == norm_rst(SpectralField(grid, v3, COS), spec)
 
     def test_2d_decay_small_data(self, rng):
         grid = GridSpec(nh=16, nz=8)
-        u = random_scalar_2d(16, 8, rng, tau=0.5, eta=0.3, hcut=grid.hcut, zcut=grid.zcut)
+        u = random_scalar_2d(grid, rng, tau=0.5, eta=0.3)
         u *= 0.05 / np.sqrt(np.sum(np.abs(u) ** 2))
         st = State2D(0.0, u)
         nu = 1.0

@@ -513,7 +513,9 @@ def test_each_operator_has_one_definition():
     the norms call the shared Leray projection, z-integral and A^r e^{tau A}
     weight, so none of them re-derives one.  nu (m pi)^2 and the rotation
     (a, b) -> (-b, a) are each written on one line of the package, inside
-    their owning function.  Each fingerprint must still match its owner, or
+    their owning function, and the decay factors e^{-nu (m pi)^2 h}
+    (`_decay_factors`) are formed only inside the IF-RK4 core `_if_rk4`, so
+    no stepper builds its own.  Each fingerprint must still match its owner, or
     the scan would find nothing.  The 3-D transforms have one mode, the
     2/3-rule band: no call or definition in the package takes a band=
     argument, and no coeffs_from_values result is multiplied by dealias_mask,
@@ -537,6 +539,15 @@ def test_each_operator_has_one_definition():
         owned = [(name, i) for name, i in sites if name == owner and fn.lineno <= i <= fn.end_lineno]
         assert owned, f"{operator} fingerprint not found in {owner}:{function}"
         offenders += [f"{name}:{i}: {operator}" for name, i in sites if (name, i) not in owned[:1]]
+    rk4 = next(node for node in ast.walk(ast.parse((root / "pe_solver.py").read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_if_rk4")
+    factor_calls = [(path.name, n.lineno) for path in sorted(root.glob("*.py"))
+                    for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)
+                    and "_decay_factors" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    inside = [(name, i) for name, i in factor_calls
+              if name == "pe_solver.py" and rk4.lineno <= i <= rk4.end_lineno]
+    assert inside, "_decay_factors is not called in pe_solver.py:_if_rk4"
+    offenders += [f"{name}:{i}: _decay_factors outside _if_rk4" for name, i in factor_calls if (name, i) not in inside]
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
         offenders += [f"{path.name}:{n.lineno}: band= argument" for n in ast.walk(tree)
