@@ -357,6 +357,3 @@ def read_document(path) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
-
-def load_config(path) -> RunConfig:
-    return parse_config(read_document(path))

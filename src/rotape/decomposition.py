@@ -8,8 +8,11 @@ conjugate-symmetry (reality) invariant, which is restored by P+ + P-.
 
 The array-level operators come first: Leray, curl, grad^perp and Biot-Savart
 of the compact (2, nh, nh) barotropic mode (`leray` takes the 3-D layout
-too), the rotation (a, b) -> (-b, a) and P+/P- of a baroclinic 2-vector.  The solvers call them, and the
-SpectralField projections that the projection checks certify wrap them.
+too), the rotation (a, b) -> (-b, a) and P+/P- of a baroclinic 2-vector.  The
+solvers call them.  The SpectralField projections that the projection checks
+certify (P0, the baroclinic part, perp, P+/P-, R) wrap them; the Leray
+projection has only its array form, which the solvers apply to the
+barotropic mode.
 """
 
 from __future__ import annotations
@@ -96,20 +99,6 @@ def perp(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, perp_vector(v.coeffs), v.basis)
 
 
-def leray_h(vbar: SpectralField) -> SpectralField:
-    """Horizontal Leray projection of an m=0-only 2-vector: remove the gradient part.
-
-    Per mode k != 0: Vhat - k (k . Vhat)/|k|^2; the k = 0 mode is unchanged.
-    """
-    if vbar.components != 2:
-        raise ValueError("leray_h expects a 2-vector field")
-    tail = np.abs(vbar.coeffs[..., 1:]).max() if vbar.grid.nz > 1 else 0.0
-    scale = max(np.abs(vbar.coeffs).max(), 1e-300)
-    if tail > 1e-13 * scale:
-        raise ValueError("leray_h expects a barotropic (m=0 only) field")
-    return SpectralField(vbar.grid, leray(vbar.coeffs, vbar.grid), vbar.basis)
-
-
 def p_plus(v: SpectralField) -> SpectralField:
     """P+ V = (1/2)(Vt + i Vt^perp), Vt the baroclinic part."""
     return SpectralField(v.grid, plus_projection(baroclinic(v).coeffs), v.basis)
@@ -123,10 +112,3 @@ def p_minus(v: SpectralField) -> SpectralField:
 def rotation_r(v: SpectralField) -> SpectralField:
     """R V = (baroclinic V)^perp; satisfies R P+- = -+ i P+-."""
     return perp(baroclinic(v))
-
-
-def pe_leray(v: SpectralField) -> SpectralField:
-    """The PE pressure projection: baroclinic part + Leray of the barotropic part."""
-    vb = p0(v)
-    vb2 = leray_h(vb)
-    return baroclinic(v) + vb2

@@ -26,18 +26,15 @@ def random_scalar(
     tau: float = 0.5,
     eta: float = 0.3,
     baroclinic: bool = False,
-    real: bool = True,
 ) -> SpectralField:
-    """Random analytic scalar field with prescribed spectral envelope."""
+    """Random analytic real scalar field with prescribed spectral envelope."""
     shape = (1, *grid.shape)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a *= _envelope(grid, tau, eta)
     a *= dealias_mask(grid)[None, ...]
     if baroclinic:
         a[..., 0] = 0.0
-    if real:
-        a = symmetrize(a)
-    return SpectralField(grid, a, COS)
+    return SpectralField(grid, symmetrize(a), COS)
 
 
 def random_vector(
@@ -46,10 +43,9 @@ def random_vector(
     tau: float = 0.5,
     eta: float = 0.3,
     baroclinic: bool = False,
-    real: bool = True,
 ) -> SpectralField:
-    u = random_scalar(grid, rng, tau, eta, baroclinic, real)
-    v = random_scalar(grid, rng, tau, eta, baroclinic, real)
+    u = random_scalar(grid, rng, tau, eta, baroclinic)
+    v = random_scalar(grid, rng, tau, eta, baroclinic)
     return SpectralField(grid, np.concatenate([u.coeffs, v.coeffs], axis=0), COS)
 
 
@@ -105,28 +101,27 @@ def well_prepared_state(
     eta0: float = 0.3,
     barotropic_amplitude: float = 1.0,
     baroclinic_sobolev_target: float = 0.1,
-    delta: float = 0.25,
 ) -> tuple[np.ndarray, SpectralField]:
     """Well-prepared data: baroclinic Sobolev norm ||Vt||_{3/2+delta,0,0}
-    rescaled to the target while the barotropic mode stays O(1)."""
+    (delta = 1/4) rescaled to the target while the barotropic mode stays O(1)."""
     vbar = random_barotropic(grid, rng, tau0)
     vbar = scale_barotropic(vbar, barotropic_amplitude)
     vt = random_vector(grid, rng, tau0, eta0, baroclinic=True)
-    spec = NormSpec(r=1.5 + delta, s=0, tau=0.0)
+    spec = NormSpec(r=1.75, s=0, tau=0.0)
     cur = norm_rst(vt, spec)
     if cur > 0:
         vt = vt * (baroclinic_sobolev_target / cur)
     return vbar, vt
 
 
-def shear_barotropic(grid: GridSpec, amplitude: float = 1.0, nshear: int = 1) -> np.ndarray:
-    """Steady unidirectional shear: vorticity w = amplitude * cos(2 pi nshear x),
-    velocity V = (0, amplitude/(2 pi nshear) sin(2 pi nshear x))."""
+def shear_barotropic(grid: GridSpec, amplitude: float = 1.0) -> np.ndarray:
+    """Steady unidirectional shear: vorticity w = amplitude * cos(2 pi x),
+    velocity V = (0, amplitude/(2 pi) sin(2 pi x))."""
     vbar = np.zeros((2, grid.nh, grid.nh), dtype=np.complex128)
-    # sin(2 pi n x) = (e^{i..} - e^{-i..})/(2i); vorticity cos -> v = sin * amp/k
-    c = amplitude / (2.0 * np.pi * nshear)
-    vbar[1, nshear, 0] = c / (2j)
-    vbar[1, -nshear, 0] = -c / (2j)
+    # sin(2 pi x) = (e^{i..} - e^{-i..})/(2i); vorticity cos -> v = sin * amp/k
+    c = amplitude / (2.0 * np.pi)
+    vbar[1, 1, 0] = c / (2j)
+    vbar[1, -1, 0] = -c / (2j)
     return vbar
 
 
@@ -144,6 +139,4 @@ def random_scalar_2d(
     a[np.abs(n1) > grid.hcut, :] = 0.0
     a[:, grid.zcut + 1 :] = 0.0
     a[:, 0] = 0.0  # baroclinic
-    # conjugate symmetry along n1
-    rev = np.conj(np.roll(a[::-1, :], 1, axis=0))
-    return (0.5 * (a + rev))[None, :, None, :]
+    return symmetrize(a[None, :, None, :])

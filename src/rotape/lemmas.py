@@ -30,12 +30,12 @@ from .spectral import (
     coeffs_from_values,
     div_h,
     dz,
-    integral_z_of_div,
     is_conjugate_symmetric,
     product,
     require_band,
     values_from_coeffs,
     vertical_values,
+    w_from_baroclinic,
 )
 
 
@@ -361,7 +361,7 @@ def _lhs_transform(kind, f, g, h, r, tau) -> float:
         x = _adv_field(f, g)
         return abs(_weighted_inner(x, h, r, tau))
     if kind is LemmaKind.type2:
-        x = product(integral_z_of_div(f), dz(g))
+        x = product(-w_from_baroclinic(f), dz(g))
         return abs(_weighted_inner(x, h, r, tau))
     if kind is LemmaKind.type3:
         x = product(div_h(f), g)
@@ -376,7 +376,7 @@ def _lhs_transform(kind, f, g, h, r, tau) -> float:
         t2 = _plain_inner(product(div_h(apply_A_exp(f, r, tau)), g), ah)
         return abs(t1 - t2)
     if kind is LemmaKind.diff_type4:
-        intf = integral_z_of_div(f)
+        intf = -w_from_baroclinic(f)  # int_0^z div_h f
         t1 = _weighted_inner(product(intf, dz(g)), h, r, tau)
         t2 = _plain_inner(product(dz(g), apply_A_exp(intf, r, tau)), ah)
         return abs(t1 - t2)

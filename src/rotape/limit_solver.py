@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import minus_projection, perp_vector, plus_projection, velocity_from_vorticity
 from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: builds a LimitState's omega_bar)
 from .grid import GridSpec, dealias_mask, kx, ky
-from .spectral import COS, band_pack, band_unpack, barotropic_coeffs, barotropic_values, coeffs_from_values, is_packed
+from .spectral import COS, band_pack, band_unpack, barotropic_coeffs, barotropic_values, coeffs_from_values
 from .spectral import require_band, values_from_coeffs
 from .pe_solver import _grad_stack, _guard, _if_rk4
 
@@ -57,13 +57,10 @@ def transport_rhs(vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec) -> np.n
     """-Vbar . grad Vt - (1/2) Vt^perp (perp-div Vbar); nu dzz Vt is the
     integrating factor's.
 
-    perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.  vtilde is
-    the full layout (2, nh, nh, nz) or the packed band (`band_pack`) that the
-    stepper passes; the tendency comes back in vtilde's layout.
+    perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.  vtilde
+    and the tendency are in the packed band layout (`band_pack`) that the
+    stepper passes.
     """
-    full = not is_packed(vtilde, grid)
-    if full:
-        vtilde = band_pack(vtilde, grid, "vtilde")
     vbar = velocity_from_vorticity(omega, grid)
     bar = barotropic_values(np.concatenate([vbar, omega[None]]), grid)[..., None]
     vb, wphys = bar[0:2], bar[2:3]
@@ -74,7 +71,7 @@ def transport_rhs(vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec) -> np.n
     out = coeffs_from_values(n, grid, COS)
     out[..., 0] = 0.0
     _guard("limit_transport", out)
-    return band_unpack(out, grid) if full else out
+    return out
 
 
 def limit_to_vpm(vtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,17 +148,3 @@ def _limit_diag(state: LimitState, grid: GridSpec) -> LimitDiagnostics:
         vbar_sobolev=norm_rst(bar, NormSpec(r=DIAG_R + 1, s=0, tau=0.0)),
         vtilde_sobolev=norm_rst(tilde, NormSpec(r=DIAG_R, s=DIAG_S, tau=0.0)),
     )
-
-
-def fit_growth_rate(diags: list[LimitDiagnostics]) -> float:
-    """Empirical exponential growth rate of the baroclinic Sobolev norm.
-
-    The double/triple exponential constants of the theory are not explicit;
-    this fitted rate is logged so envelope exceedances can be flagged, never
-    failed on.
-    """
-    t = np.array([d.t for d in diags])
-    n = np.array([max(d.vtilde_sobolev, 1e-300) for d in diags])
-    if len(t) < 2:
-        return 0.0
-    return float(np.polyfit(t, np.log(n), 1)[0])

@@ -231,18 +231,21 @@ def _shell_stats(v: ShellPower | SpectralField, axis: str) -> tuple[np.ndarray, 
     return bins.shell_k[1:], np.sqrt(total[1:] / (bins.shell_count[1:] * g.nz))
 
 
-def fit_radius(v: ShellPower | SpectralField, axis: str = "horizontal", floor: float = 1e-14) -> float:
+# a radius fit reads only the shells whose amplitude exceeds this absolute floor
+FIT_FLOOR = 1e-14
+
+
+def fit_radius(v: ShellPower | SpectralField, axis: str = "horizontal") -> float:
     """Least-squares decay rate of ln(shell amplitude) vs shell wavenumber.
 
     Returns -slope clipped at 0: the empirical radius-of-analyticity proxy.
-    Raises InsufficientDecayData when fewer than 4 shells exceed `floor`.
+    Raises InsufficientDecayData when fewer than 4 shells exceed FIT_FLOOR.
     """
     ks, amps = _shell_stats(v, axis)
-    # shell amplitudes must exceed the amplitude floor AND the max over a2==0
-    keep = amps > floor
+    keep = amps > FIT_FLOOR
     if keep.sum() < 4:
         raise InsufficientDecayData(
-            f"insufficient decay data: {int(keep.sum())} usable {axis} shells above floor {floor:g}"
+            f"insufficient decay data: {int(keep.sum())} usable {axis} shells above floor {FIT_FLOOR:g}"
         )
     x = ks[keep]
     y = np.log(amps[keep])

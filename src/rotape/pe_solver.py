@@ -467,11 +467,6 @@ def step(state, cfg: SolverConfig):
     return _unpack(_advance(_pack(state, cfg), state.t, cfg, True)[0], state.t + cfg.dt, cfg)
 
 
-def _step_nocfl(state, cfg: SolverConfig):
-    """`step` without the CFL check."""
-    return _unpack(_advance(_pack(state, cfg), state.t, cfg, False)[0], state.t + cfg.dt, cfg)
-
-
 def _advance(arrs: tuple, t: float, cfg: SolverConfig, check_cfl: bool) -> tuple:
     """One dt of the packed arrays at time t: (new arrays, advective CFL limit
     of the old ones).  Stage 1 of the RK4 step evaluates the RHS at the old
@@ -682,13 +677,10 @@ def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     u is real and in the x-z layout (1, nh, 1, nz), so it takes the real 3-D
     transforms.  The dx P0(u^2) term of the reduced equation lives entirely
     in the m = 0 slots, which the exact P0 subtraction removes; only the
-    m >= 1 content of the two products survives.  u may also be the packed
-    band (1, 2 hcut + 1, 1, zcut + 1) that the stepper passes; the tendency
-    comes back in u's layout.
+    m >= 1 content of the two products survives.  u and the tendency are
+    in the packed band layout (1, 2 hcut + 1, 1, zcut + 1) that the stepper
+    passes (`band_pack`).
     """
-    full = not is_packed(u, grid)
-    if full:
-        u = band_pack(u, grid, "u")
     dxu = 1j * k_h(grid, u)[0] * u
     p, px = values_from_coeffs(np.concatenate([u, dxu]), grid, COS, real=True)
     sines = np.concatenate([-mpi(grid, u) * u, integral_z(dxu, grid)])
@@ -696,7 +688,7 @@ def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = coeffs_from_values((intp * dzp - p * px)[None], grid, COS)
     out[..., 0] = 0.0
     _guard("advection_2d", out)
-    return band_unpack(out, grid) if full else out
+    return out
 
 
 def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:

@@ -49,9 +49,9 @@ stepper checks a state where it packs it, once per `integrate` or
 
 The solvers' horizontal divergence (`divergence`) and int_0^z of a cosine
 series (`integral_z`) live here too, on either 3-D layout; `div_h` and
-`w_from_baroclinic` wrap them.  `apply_A_exp` multiplies by
-`grid.a_exp_weight`, the one A^r e^{tau A} weight and overflow rule
-(SpectralRangeError is re-exported from grid).
+`w_from_baroclinic` wrap them, and int_0^z div_h Vt is -w_from_baroclinic(Vt).
+`apply_A_exp` multiplies by `grid.a_exp_weight`, the one A^r e^{tau A}
+weight and overflow rule (SpectralRangeError is re-exported from grid).
 
 All operations are pure: inputs are never mutated and outputs are fresh.
 """
@@ -64,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import GridSpec, SpectralRangeError, a_exp_weight, dealias_mask, k_h, kabs, kx, ky, mode_numbers, mpi
+from .grid import GridSpec, SpectralRangeError, a_exp_weight, dealias_mask, k_h, kabs, mode_numbers, mpi
 
 SQRT2 = np.sqrt(2.0)
 
@@ -451,33 +451,14 @@ def apply_A_exp(f: SpectralField, r: float, tau: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * mult, f.basis)
 
 
-def dz(f: SpectralField, order: int = 1) -> SpectralField:
-    """Vertical derivative. Order 1 toggles the cos/sin basis tag; order 2 is diagonal."""
-    if order not in (1, 2):
-        raise ValueError("only orders 1 and 2 are supported")
+def dz(f: SpectralField) -> SpectralField:
+    """Vertical derivative; it toggles the cos/sin basis tag."""
     w = mpi(f.grid)
-    if order == 2:
-        return SpectralField(f.grid, f.coeffs * (-(w**2)), f.basis)
     if f.basis == COS:
         # d/dz sqrt(2) cos(m pi z) = -m pi sqrt(2) sin(m pi z)
         return SpectralField(f.grid, f.coeffs * (-w), SIN)
     # d/dz sqrt(2) sin(m pi z) = +m pi sqrt(2) cos(m pi z)
     return SpectralField(f.grid, f.coeffs * w, COS)
-
-
-def dx(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * kx(f.grid)), f.basis)
-
-
-def dy(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (1j * ky(f.grid)), f.basis)
-
-
-def grad_h(f: SpectralField) -> SpectralField:
-    """Horizontal gradient of a scalar field, returned as a 2-vector."""
-    if f.components != 1:
-        raise ValueError("grad_h expects a scalar field")
-    return SpectralField(f.grid, np.concatenate([dx(f).coeffs, dy(f).coeffs], axis=0), f.basis)
 
 
 def divergence(a: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -560,12 +541,6 @@ def w_from_baroclinic(vt: SpectralField) -> SpectralField:
     return SpectralField(vt.grid, integral_z(-d, vt.grid), SIN)
 
 
-def integral_z_of_div(vt: SpectralField) -> SpectralField:
-    """int_0^z div_h(Vt) ds, i.e. -w, as a sine-basis scalar."""
-    w = w_from_baroclinic(vt)
-    return SpectralField(vt.grid, -w.coeffs, SIN)
-
-
 # ---------------------------------------------------------------------------
 # inner products / reality
 # ---------------------------------------------------------------------------
@@ -574,11 +549,6 @@ def inner(f: SpectralField, g: SpectralField) -> complex:
     """L^2(D) inner product <f, g> = sum_coeffs f conj(g) (orthonormal basis)."""
     _check_same(f, g)
     return complex(np.vdot(g.coeffs, f.coeffs))  # vdot conjugates first arg
-
-
-def l2_norm_sq(f: SpectralField) -> float:
-    return float(np.vdot(f.coeffs, f.coeffs).real)
-
 
 
 def conjugate_reverse(coeffs: np.ndarray) -> np.ndarray:
@@ -611,10 +581,10 @@ def _conjugate_mismatch(a: np.ndarray) -> tuple[float, float]:
     return resid, max(np.abs(a).max(), 1e-300)
 
 
-def is_conjugate_symmetric(f: SpectralField, tol: float = 1e-12) -> bool:
-    """Reality condition a(-n1,-n2,m) = conj(a(n1,n2,m)), to tol relative to max |a|."""
+def is_conjugate_symmetric(f: SpectralField) -> bool:
+    """Reality condition a(-n1,-n2,m) = conj(a(n1,n2,m)), to 1e-12 relative to max |a|."""
     resid, scale = _conjugate_mismatch(f.coeffs)
-    return bool(resid <= tol * scale)
+    return bool(resid <= 1e-12 * scale)
 
 
 def require_real(coeffs: np.ndarray, what: str):

@@ -20,13 +20,11 @@ class TheoryConstants:
 
     c_r: float = 1.0          # the generic C_r of the local theory
     c_m: float = math.e       # base constant of the 2D Euler growth envelope (> 1)
-    c_r_a: float = 1.0        # analytic-estimate constant of the limit system
-    c_r_s: float = 1.0        # Sobolev-estimate constant of the limit system
     c_main: float = 1.0       # C_{tau0, M, r} of the long-time theorem
     c_main_nu: float = 1.0    # C_{tau0, M, r, nu} of the long-time theorem
 
     def __post_init__(self):
-        for name in ("c_r", "c_m", "c_r_a", "c_r_s", "c_main", "c_main_nu"):
+        for name in ("c_r", "c_m", "c_main", "c_main_nu"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -184,18 +182,13 @@ def tau_T_radius_residual(t: float, e0: float, nu: float, tau0: float, c_r: floa
     return b * (t + math.sqrt(2.0 * t / nu)) + e0 * t / nu - tau0 / (2.0 * c_r)
 
 
-def lifespan_main(
-    omega0: float,
-    tau0: float = 1.0,
-    m_bound: float = 1.0,
-    nu: float = 1.0,
-    constants: TheoryConstants = TheoryConstants(),
-) -> LifespanResult:
+def lifespan_main(omega0: float, constants: TheoryConstants = TheoryConstants()) -> LifespanResult:
     """Fast-rotation lifespan, the quadruple-log law T ~ log log log log |Omega0|.
 
-    tau0, m_bound and nu enter only through the configured constants; the
-    guard returns 0 with a threshold flag whenever an inner log is
-    non-positive or the final value would be negative.
+    The data's tau0, M and nu enter only through the constants C_{tau0, M, r}
+    and C_{tau0, M, r, nu}; the guard returns 0 with a threshold flag
+    whenever an inner log is non-positive or the final value would be
+    negative.
     """
     c1, c2 = constants.c_main, constants.c_main_nu
     omega0 = abs(omega0)
@@ -274,9 +267,10 @@ class PerturbationSeries:
 def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, taus) -> PerturbationSeries:
     """F, G, H, K series comparing a PE trajectory to the limit-system one.
 
-    pe_states: RotatingState sequence; limit_states: (t, vbar2d, vtilde_coeffs)
-    triples or LimitState objects at the same times; taus: radius used in the
-    analytic weights (scalar or per-time array).
+    pe_states: RotatingState sequence; limit_states: LimitState sequence at
+    the same times; taus: radius used in the analytic weights (scalar or
+    per-time array).  omega is not read: it stays in the signature because
+    callers pass it by position (perfbench's omega_ensemble_24 among them).
 
     For a real state and a real limit field the V- perturbation and limit
     field are the conjugate partners of the V+ ones, with equal norms, so
@@ -285,7 +279,6 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
     ones from the compact (2, nh, nh) layout.
     """
     from .decomposition import plus_projection, velocity_from_vorticity
-    from .limit_solver import LimitState
     from .norms import NormSpec, ShellPower, norm_rst, seminorm_a_sq, dz_l2_sq
     from .spectral import require_real
 
@@ -293,14 +286,10 @@ def perturbation_diagnostics(pe_states, limit_states, grid, omega, r: float, tau
     ts, fs, gs, hs, ks = [], [], [], [], []
     for idx, (ps, ls) in enumerate(zip(pe_states, limit_states)):
         tau = float(taus[idx])
-        if isinstance(ls, LimitState):
-            lim_vbar = velocity_from_vorticity(ls.omega_bar, grid)
-            lim_vt = ls.vtilde
-            tl = ls.t
-        else:
-            tl, lim_vbar, lim_vt = ls
-        if abs(tl - ps.t) > 1e-9:
-            raise ValueError(f"misaligned trajectories: t={ps.t} vs {tl}")
+        lim_vbar = velocity_from_vorticity(ls.omega_bar, grid)
+        lim_vt = ls.vtilde
+        if abs(ls.t - ps.t) > 1e-9:
+            raise ValueError(f"misaligned trajectories: t={ps.t} vs {ls.t}")
         require_real(lim_vt, "limit vtilde is not conjugate symmetric")
         lim_vp = plus_projection(lim_vt)
         phib = ShellPower.of(ps.vbar - lim_vbar, grid)

@@ -277,6 +277,14 @@ class TestOutOfBandStatesRejected:
     def test_require_band_accepts_band_limited(self, rng):
         require_band(_direct_state(rng).v, GRID, "v")
 
+    def test_band_tendencies_reject_the_full_layout(self, rng):
+        """transport_rhs and rhs_2d take the packed band their steppers pass; a full layout is refused."""
+        vbar, vt = well_prepared_state(GRID, rng, tau0=0.4, eta0=0.3)
+        with pytest.raises(ValueError, match="not in the packed band layout"):
+            transport_rhs(vt.coeffs, vorticity_from_velocity(vbar, GRID), GRID)
+        with pytest.raises(ValueError, match="not in the packed band layout"):
+            rhs_2d(random_scalar_2d(GRID, rng, tau=0.4, eta=0.3), GRID)
+
 
 class TestStepsStayInTheBand:
     """Five accepted steps leave every coefficient outside the band exactly 0."""
@@ -405,7 +413,7 @@ class TestBandResidentSteps:
         eh, ef = _full_decay(GRID, nu, 0.5 * dt), _full_decay(GRID, nu, dt)
 
         def nl(a, t):
-            return euler2d_rhs(a[0], GRID), transport_rhs(a[1], a[0], GRID)
+            return euler2d_rhs(a[0], GRID), band_unpack(transport_rhs(band_pack(a[1], GRID), a[0], GRID), GRID)
 
         ref = (st.omega_bar, st.vtilde)
         for i in range(5):
@@ -418,8 +426,12 @@ class TestBandResidentSteps:
         st = State2D(0.0, u)
         nu, dt = 0.1, 1e-3
         eh, ef = _full_decay(GRID, nu, 0.5 * dt), _full_decay(GRID, nu, dt)
+
+        def nl(a, t):
+            return (band_unpack(rhs_2d(band_pack(a[0], GRID), GRID), GRID),)
+
         ref = (u,)
         for i in range(5):
             st = step_2d(st, GRID, nu, dt)
-            ref = _full_if_rk4(ref, i * dt, dt, lambda a, t: (rhs_2d(a[0], GRID),), (eh,), (ef,))
+            ref = _full_if_rk4(ref, i * dt, dt, nl, (eh,), (ef,))
         assert np.array_equal(st.u, ref[0])

@@ -10,8 +10,8 @@ from rotape.config import (
     SCHEMA,
     ConfigError,
     RunConfig,
-    load_config,
     parse_config,
+    read_document,
     resolve,
 )
 from rotape.scenarios import SCENARIOS
@@ -96,7 +96,7 @@ class TestConfig:
     def test_load_from_disk(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_doc()))
-        cfg = load_config(p)
+        cfg = parse_config(read_document(p))
         assert cfg.omega == 5.0
 
     def test_echo_round_trips(self):
@@ -293,7 +293,7 @@ def test_config_json_reloads_to_the_same_echo(tmp_path, name):
     # every scenario resolves its config and writes it through _setup first
     _setup(resolve(RunConfig(), name), tmp_path)
     written = json.loads((tmp_path / "config.json").read_text())
-    assert load_config(tmp_path / "config.json").echo() == written
+    assert parse_config(read_document(tmp_path / "config.json")).echo() == written
     assert written["scenario"]["name"] == name
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rotape.grid import GridSpec, a_exp_weight, dealias_mask, kabs
+from rotape.grid import GridSpec, a_exp_weight, dealias_mask, kabs, kx, ky
 from rotape.lemmas import (
     LemmaKind,
     _adv_field,
@@ -18,8 +18,6 @@ from rotape.lemmas import (
 from rotape.spectral import (
     COS,
     SpectralField,
-    dx,
-    dy,
     dz,
     is_conjugate_symmetric,
     product,
@@ -250,6 +248,14 @@ def reference_profile(f, r, tau, nzf):
 def reference_zero_mode_profile(f, nzf):
     vals = vertical_values(f.coeffs[:, 0:1, 0:1, :], f.basis, nzf)
     return np.sqrt((np.abs(vals) ** 2).sum(axis=(0, 1, 2)))
+
+
+def dx(f):
+    return SpectralField(f.grid, f.coeffs * (1j * kx(f.grid)), f.basis)
+
+
+def dy(f):
+    return SpectralField(f.grid, f.coeffs * (1j * ky(f.grid)), f.basis)
 
 
 def reference_adv(f, g):

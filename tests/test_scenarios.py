@@ -201,3 +201,24 @@ def test_local_clock_summary_counts_nan_tau_fallbacks(tmp_path, monkeypatch):
                         "grid": {"nh": 16, "nz": 8}, "time": {"dt": 2e-3, "t_end": 0.006}})
     summary = scenarios.local_clock_vs_omega(cfg, tmp_path)
     assert summary["tau_fallbacks"] == {"0.0": 3, "10.0": 3}
+
+
+def test_lemma_ratios_fails_on_a_nan_ratio(tmp_path, monkeypatch):
+    """A NaN ratio anywhere in an ensemble fails the run, not only a NaN maximum:
+    Python's max skips a NaN that is not the first sample."""
+    import math
+
+    import rotape.scenarios as scenarios
+    from rotape.config import parse_config
+    from rotape.lemmas import CheckResult
+
+    def ensemble(kind, grid, n_samples, seed):
+        return [CheckResult(kind, ratio, 1.0, ratio, False) for ratio in (0.5, float("nan"), 0.4)]
+
+    monkeypatch.setattr(scenarios, "run_ensemble", ensemble)
+    summary = scenarios.lemma_ratios(parse_config({"scenario": {"name": "lemma_ratios"}}), tmp_path)
+    assert summary["pass"] is False
+    for entry in summary["kinds"].values():
+        assert entry["finite"] is False
+        assert all(math.isnan(m) for m in entry["maxima"].values())
+    assert json.loads((tmp_path / "summary.json").read_text())["pass"] is False

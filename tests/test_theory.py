@@ -240,6 +240,7 @@ class TestPerturbationDiagnostics:
     def test_identical_trajectories_give_zero(self, rng):
         from rotape.grid import GridSpec
         from rotape.initial_data import random_state
+        from rotape.limit_solver import LimitState, velocity_from_vorticity, vorticity_from_velocity
         from rotape.pe_solver import RotatingState
         from rotape.theory import perturbation_diagnostics
 
@@ -248,8 +249,9 @@ class TestPerturbationDiagnostics:
         vperp = np.concatenate([-vt.coeffs[1:2], vt.coeffs[0:1]], axis=0)
         vp = 0.5 * (vt.coeffs + 1j * vperp)
         vm = 0.5 * (vt.coeffs - 1j * vperp)
-        pe = [RotatingState(0.0, vbar, vp, vm)]
-        lim = [(0.0, vbar, vt.coeffs)]
+        lim = [LimitState(0.0, vorticity_from_velocity(vbar, grid), vt.coeffs)]
+        # the PE barotropic mode is the limit state's own velocity, bit for bit
+        pe = [RotatingState(0.0, velocity_from_vorticity(lim[0].omega_bar, grid), vp, vm)]
         series = perturbation_diagnostics(pe, lim, grid, omega=10.0, r=2.0, taus=0.1)
         assert series.f[0] == pytest.approx(0.0, abs=1e-20)
         assert series.g[0] == pytest.approx(0.0, abs=1e-20)
@@ -285,6 +287,7 @@ class TestPerturbationDiagnostics:
     def test_plus_terms_twice_match_two_sided(self, rng):
         from rotape.grid import GridSpec
         from rotape.initial_data import random_state, well_prepared_state
+        from rotape.limit_solver import LimitState, velocity_from_vorticity, vorticity_from_velocity
         from rotape.pe_solver import rotating_from_direct
         from rotape.theory import perturbation_diagnostics
 
@@ -294,8 +297,10 @@ class TestPerturbationDiagnostics:
         v = vt.coeffs + dvt.coeffs
         v[..., 0] += vbar + dbar
         ps = rotating_from_direct(v, 0.2, 10.0)
-        series = perturbation_diagnostics([ps], [(0.2, vbar, vt.coeffs)], grid, omega=10.0, r=2.0, taus=0.1)
-        expect = self._two_sided(ps, vbar, vt.coeffs, grid, 2.0, 0.1)
+        lim = LimitState(0.2, vorticity_from_velocity(vbar, grid), vt.coeffs)
+        series = perturbation_diagnostics([ps], [lim], grid, omega=10.0, r=2.0, taus=0.1)
+        lim_vbar = velocity_from_vorticity(lim.omega_bar, grid)
+        expect = self._two_sided(ps, lim_vbar, vt.coeffs, grid, 2.0, 0.1)
         got = (series.f[0], series.g[0], series.h[0], series.k[0])
         for a, b in zip(got, expect):
             assert b > 0.0
@@ -304,6 +309,7 @@ class TestPerturbationDiagnostics:
     def test_non_real_limit_field_rejected(self, rng):
         from rotape.grid import GridSpec
         from rotape.initial_data import random_state
+        from rotape.limit_solver import LimitState, vorticity_from_velocity
         from rotape.pe_solver import RotatingState
         from rotape.theory import perturbation_diagnostics
 
@@ -312,5 +318,6 @@ class TestPerturbationDiagnostics:
         bad = vt.coeffs.copy()
         bad[0, 1, 0, 1] += 0.1j * np.abs(bad).max()
         pe = [RotatingState(0.0, vbar, np.zeros_like(bad))]
+        lim = [LimitState(0.0, vorticity_from_velocity(vbar, grid), bad)]
         with pytest.raises(ValueError, match="limit vtilde is not conjugate symmetric"):
-            perturbation_diagnostics(pe, [(0.0, vbar, bad)], grid, omega=10.0, r=2.0, taus=0.1)
+            perturbation_diagnostics(pe, lim, grid, omega=10.0, r=2.0, taus=0.1)
