@@ -53,16 +53,30 @@ series (`integral_z`) live here too, on either 3-D layout; `div_h` and
 `apply_A_exp` multiplies by `grid.a_exp_weight`, the one A^r e^{tau A}
 weight and overflow rule (SpectralRangeError is re-exported from grid).
 
+The kernels (c2c, r2c, c2r, dct, dst) are those of scipy's compiled
+pocketfft extension, `scipy/fft/_pocketfft/pypocketfft`, loaded from its file
+(`_load_pocketfft`) and called with the arguments scipy.fft's wrappers would
+pass, so every transform is bit for bit the scipy.fft one.  Importing
+scipy.fft itself costs 0.35-0.4 s of CPU on a 2-vCPU Xeon host (Python 3.11,
+scipy 1.17), more than half of a process's start-up: it pulls in scipy's
+array-API layer, numpy.f2py, numpy.testing and, through _fftlog, all of
+scipy.special.  The extension alone loads in 1-5 ms.  It is registered
+under its own module name, so a later `import scipy.fft` shares the one
+instance.
+
 All operations are pure: inputs are never mutated and outputs are fresh.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import GridSpec, SpectralRangeError, a_exp_weight, dealias_mask, k_h, kabs, mode_numbers, mpi
 
@@ -138,6 +152,31 @@ def _check_same(a: SpectralField, b: SpectralField):
 
 _WORKERS = 1
 
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft extension, loaded from its file without
+    importing scipy.fft, and registered under its own module name so that a
+    later `import scipy.fft` shares this instance (or this one reuses it)."""
+    name = "scipy.fft._pocketfft.pypocketfft"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    where = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft") if spec else "sys.path (no scipy)"
+    paths = [os.path.join(where, "pypocketfft" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's pocketfft extension (pypocketfft) was not found in {where}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+# the kernels' arguments are those scipy.fft's wrappers pass: (array, axes,
+# forward, inorm, out, nthreads), inorm 0 unnormalised and 2 divided by the size
+_pfft = _load_pocketfft()
+
 # FFT-order index -n, as (destination, source) slices of one axis: 0 <- 0, n <- nh - n
 _NEG_INDEX = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
 
@@ -212,19 +251,12 @@ def _r2r(basis: str, x: np.ndarray, type: int) -> np.ndarray:
     A complex x takes one real transform of its interleaved (real, imag)
     parts, the same arithmetic as one transform of each part.
     """
-    kernel = sfft.dct if basis == COS else sfft.dst
-    if not np.iscomplexobj(x):
-        y = kernel(x, type=type, axis=-1, overwrite_x=True, workers=_WORKERS)
-        return _written_back(x, y)
-    pairs = x.view(np.float64).reshape(x.shape + (2,))
-    _written_back(pairs, kernel(pairs, type=type, axis=-2, overwrite_x=True, workers=_WORKERS))
-    return x
-
-
-def _written_back(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x holding the result y of a transform asked to overwrite x (a copy when it did not)."""
-    if not np.may_share_memory(x, y):
-        x[...] = y
+    kernel = _pfft.dct if basis == COS else _pfft.dst
+    if np.iscomplexobj(x):
+        pairs = x.view(np.float64).reshape(x.shape + (2,))
+        kernel(pairs, type, (-2,), 0, pairs, _WORKERS)
+    else:
+        kernel(x, type, (-1,), 0, x, _WORKERS)
     return x
 
 
@@ -248,11 +280,7 @@ def _z_forward(x: np.ndarray, basis: str, hsize: int, mmax: int) -> np.ndarray:
 
 def _fft_pass(x: np.ndarray, axis: int, inverse: bool) -> None:
     """One unnormalised FFT pass along `axis`, in place in x (which may be a view)."""
-    if inverse:
-        y = sfft.ifft(x, axis=axis, norm="forward", overwrite_x=True, workers=_WORKERS)
-    else:
-        y = sfft.fft(x, axis=axis, overwrite_x=True, workers=_WORKERS)
-    _written_back(x, y)
+    _pfft.c2c(x, (axis,), not inverse, 0, x, _WORKERS)
 
 
 def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
@@ -332,10 +360,7 @@ def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np
     n1, n2, nz = vals.shape[-3:]
     real = not np.iscomplexobj(vals)
     rows, cols, cut, mmax = _box(grid, n1, n2, real)
-    if real:
-        x = sfft.rfft(vals, axis=-2, workers=_WORKERS)
-    else:
-        x = sfft.fft(vals, axis=-2, workers=_WORKERS)
+    x = (_pfft.r2c if real else _pfft.c2c)(vals, (-2,), True, 0, None, _WORKERS)
     for c, _ in cols:
         _fft_pass(x[..., c, :], -3, inverse=False)
     out = np.empty(vals.shape[:-3] + (_width(rows), _width(_runs(n2, cut)), nz), dtype=np.complex128)
@@ -376,7 +401,7 @@ def values_from_coeffs(
     x = _scatter(vertical_values(coeffs[..., : _width(cols), :], basis, grid.nz), rows, cols, into)
     if real:
         _fft_pass(x[..., cols[0][0], :], -3, inverse=True)
-        return sfft.irfft(x, n=n2, axis=-2, norm="forward", workers=_WORKERS)
+        return _pfft.c2r(x, (-2,), n2, False, 0, None, _WORKERS)
     for r, _ in rows:
         _fft_pass(x[..., r, :, :], -2, inverse=True)
     _fft_pass(x, -3, inverse=True)
@@ -411,13 +436,13 @@ def require_band(coeffs: np.ndarray, grid: GridSpec, what: str) -> None:
 def barotropic_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real values of compact (.., nh, nh) coefficients of real z-independent fields."""
     nh = grid.nh
-    return sfft.irfft2(coeffs[..., : nh // 2 + 1], s=(nh, nh), axes=(-2, -1), norm="forward")
+    return _pfft.c2r(coeffs[..., : nh // 2 + 1], (-2, -1), nh, False, 0, None, _WORKERS)
 
 
 def barotropic_coeffs(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Full compact (.., nh, nh) coefficients of real (.., nh, nh) values."""
     h = grid.nh // 2
-    xh = sfft.rfft2(vals, axes=(-2, -1), norm="forward")
+    xh = _pfft.r2c(vals, (-2, -1), True, 2, None, _WORKERS)
     out = np.empty(xh.shape[:-1] + (grid.nh, 1), dtype=np.complex128)
     out[..., : h + 1, 0] = xh
     return _conj_fill(out, h - 1)[..., 0]

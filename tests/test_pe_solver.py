@@ -7,6 +7,7 @@ from rotape.grid import GridSpec
 from rotape.initial_data import random_scalar_2d, random_state
 from rotape.norms import NormSpec, ShellPower, norm_rst
 from rotape.pe_solver import (
+    CFL_SAFETY,
     CflError,
     DirectState,
     RotatingState,
@@ -382,6 +383,27 @@ class TestStageOneCfl:
             expect = cfl_limit(st, cfg)
             assert abs(lim - expect) <= 1e-14 * expect
             st = _unpack(arrs, st.t + cfg.dt, cfg)
+
+    @pytest.mark.parametrize("formulation", ["rotating", "direct"])
+    def test_limit_matches_closed_form_maxima(self, formulation):
+        """At nh != nz the limit weighs max|u, v| by 1/dx = nh and max|w| by
+        1/dz = nz.  u = A sin(2 pi n x) sqrt2 cos(pi z), v = 0, so
+        w = -int_0^z du/dx = -(2 n A) cos(2 pi n x) sqrt2 sin(pi z): both
+        maxima are taken over the collocation points x_j = j/nh,
+        z_k = (k + 1/2)/nz in closed form, no transform involved."""
+        cfg = cfg_for(omega=7.0, formulation=formulation)
+        nh, nz = cfg.grid.nh, cfg.grid.nz
+        amp, n = 0.7, 4
+        v = np.zeros((2, nh, nh, nz), dtype=np.complex128)
+        v[0, n, 0, 1], v[0, -n, 0, 1] = amp / 2j, -amp / 2j
+        x, z = np.arange(nh) / nh, (np.arange(nz) + 0.5) / nz
+        umax = amp * np.abs(np.sin(2 * np.pi * n * x)).max() * np.sqrt(2.0) * np.abs(np.cos(np.pi * z)).max()
+        wmax = 2 * n * amp * np.abs(np.cos(2 * np.pi * n * x)).max() * np.sqrt(2.0) * np.abs(np.sin(np.pi * z)).max()
+        expect = CFL_SAFETY / (umax * nh + wmax * nz)
+        st = _initial(formulation, v, cfg.omega)
+        lim = _advance(_pack(st, cfg), st.t, cfg, check_cfl=False)[1]
+        for got in (cfl_limit(st, cfg), lim):
+            assert abs(got - expect) <= 1e-13 * expect
 
     def test_cfl_limit_rejects_an_out_of_band_velocity(self, rng):
         """A mode the band transforms would drop is rejected, in any input form."""

@@ -578,41 +578,74 @@ def _identifiers(tree, strings: bool = False) -> list[tuple[int, str]]:
     return out
 
 
+def _package_module(name: str | None, level: int, modules: set) -> str | None:
+    """The package module that `from <level dots><name> import ...` names, if any."""
+    pkg, _, module = ("rotape." + (name or "") if level == 1 else name or "").partition(".")
+    return module if pkg == "rotape" and module in modules else None
+
+
+def _bindings(tree, own: str, modules: set) -> list[tuple[int, str, str]]:
+    """(line, module, name) of every reference in the package module `own`
+    that is bound to the top-level `name` of the package module `module`: a
+    bare name in its own module, `from .module import name` or
+    `from rotape.module import name`, and `module.name` where `module` was
+    imported as a module (`from . import module`, `import rotape.module as m`)."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "rotape")):
+            aliases.update((a.asname or a.name, a.name) for a in node.names if a.name in modules)
+        elif isinstance(node, ast.Import):
+            aliases.update((a.asname, m) for a in node.names
+                           if a.asname and (m := _package_module(a.name, 0, modules)))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.lineno, own, node.id))
+        elif isinstance(node, ast.ImportFrom) and (module := _package_module(node.module, node.level, modules)):
+            out += [(node.lineno, module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            out.append((node.lineno, aliases[node.value.id], node.attr))
+    return out
+
+
 def test_every_definition_has_a_caller():
     """Reachability: every top-level function and class of the package is
-    named somewhere in the package outside its own definition, or named (as
-    an identifier or inside a string) by the benchmark in perfbench/, or is
-    paper API that only the tests certify (`_CERTIFIED_ONLY`).  A definition
-    that only tests call is API that every later refactor must keep working."""
+    referred to somewhere in the package outside its own definition, through
+    a binding that resolves to it (`_bindings`: a local of the same name in
+    another module does not count), or named (as an identifier or inside a
+    string) by the benchmark in perfbench/, or is paper API that only the
+    tests certify (`_CERTIFIED_ONLY`).  A definition that only tests call is
+    API that every later refactor must keep working."""
     import rotape
 
     root = Path(rotape.__file__).parent
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
     bench = {name for path in sorted((root.parents[1] / "perfbench").glob("*.py"))
              for _, name in _identifiers(ast.parse(path.read_text()), strings=True)}
     assert {"integrate", "rhs_direct", "transport_rhs", "run_ensemble"} <= bench, "perfbench not found"
     sites = {}
-    for name, tree in trees.items():
-        for line, ident in _identifiers(tree):
-            sites.setdefault(ident, []).append((name, line))
+    for own, tree in trees.items():
+        for line, module, ident in _bindings(tree, own, set(trees)):
+            sites.setdefault((module, ident), []).append((own, line))
     offenders = []
-    for name, tree in trees.items():
+    for own, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name in bench or node.name in _CERTIFIED_ONLY.get(name, ()):
+            if node.name in bench or node.name in _CERTIFIED_ONLY.get(f"{own}.py", ()):
                 continue
-            outside = [(other, line) for other, line in sites.get(node.name, ())
-                       if not (other == name and node.lineno <= line <= node.end_lineno)]
+            outside = [(other, line) for other, line in sites.get((own, node.name), ())
+                       if not (other == own and node.lineno <= line <= node.end_lineno)]
             if not outside:
-                offenders.append(f"{name}:{node.lineno}: {node.name}")
+                offenders.append(f"{own}.py:{node.lineno}: {node.name}")
     assert offenders == []
 
 
 def test_only_spectral_calls_transforms():
     """Layering: the basis scaling, sine-slot shift and FFT normalisation live
-    in spectral.py alone, so no other module may call a transform
-    (np.fft.fftfreq, mode numbering only, is allowed)."""
+    in spectral.py alone, so no other module may call a transform or load
+    scipy's pocketfft extension (np.fft.fftfreq, mode numbering only, is
+    allowed)."""
     import rotape
 
     offenders = []
@@ -620,7 +653,7 @@ def test_only_spectral_calls_transforms():
         if path.name == "spectral.py":
             continue
         text = path.read_text()
-        if re.search(r"scipy\.fft|from scipy import fft|from numpy(\.fft import| import fft)", text):
+        if re.search(r"scipy\.fft|from scipy import fft|pypocketfft|_pocketfft|from numpy(\.fft import| import fft)", text):
             offenders.append(f"{path.name}: imports an FFT module")
         for name in re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", text):
             if name != "fftfreq":
