@@ -295,6 +295,10 @@ def parse_config(doc: dict) -> RunConfig:
     dt = _number(m["time"], "dt", "time")
     if dt is not None and dt <= 0:
         raise ConfigError("time.dt must be positive")
+    t_end = _number(m["time"], "t_end", "time", lo=0.0)
+    # the solvers take round(t_end / dt) steps, so any other t_end would be moved
+    if t_end is not None and abs(t_end / dt - round(t_end / dt)) > 1e-9 * (t_end / dt):
+        raise ConfigError(f"time.t_end ({t_end!r}) must be a whole number of steps of time.dt ({dt!r})")
 
     it = m["init"]
     init = InitSpec(
@@ -342,7 +346,7 @@ def parse_config(doc: dict) -> RunConfig:
         nu=nu,
         omega=_number(m["physics"], "omega", "physics"),
         dt=dt,
-        t_end=_number(m["time"], "t_end", "time", lo=0.0),
+        t_end=t_end,
         init=init,
         norms=norms,
         scenario=ScenarioSpec(name=m["scenario"]["name"], sweep=sweep),

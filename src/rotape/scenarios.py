@@ -1,13 +1,18 @@
 """Scenario orchestration: one runnable experiment per checkable claim.
 
-Each scenario takes a RunConfig and an output directory.  It first resolves
-the config against its own default document (`config.SCENARIO_DEFAULTS`),
-which rejects any key the scenario does not read, and then reads every grid,
-physics, time, init and norms value, and the Omega list (scenario.sweep),
-from the resolved config only.  It writes the resolved config as
-config.json (a document that reloads to the same run), optional
-diagnostics.csv / PESP1 snapshots, and a summary.json whose "pass" field
-drives the CLI exit code.  What defines an experiment and has no config key
+Every scenario is a body registered by the `_scenario` decorator, which
+owns the run framing.  The registered function takes a RunConfig and an
+output directory.  It resolves the config against the scenario's default
+document (`config.SCENARIO_DEFAULTS`), which rejects any key the scenario
+does not read, and echoes the resolved config as config.json (a document
+that reloads to the same run).  It then runs the body, which reads every
+grid, physics, time, init and norms value, and the Omega list
+(scenario.sweep), from the resolved config only, may write diagnostics.csv /
+PESP1 snapshots, and returns its summary.  Last, it writes
+{"scenario": name, **summary} as summary.json, whose "pass" field drives the
+CLI exit code, and returns it.  A body that raises leaves config.json and no
+summary.json.  `SCENARIOS` maps each name to its registered function in
+definition order.  What defines an experiment and has no config key
 is pinned here as a module constant: tolerances, fit windows, tracker
 constants, baroclinic fractions, the epsilon pair and the seed offsets.
 None of these is loosened at run time.
@@ -15,6 +20,7 @@ None of these is loosened at run time.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -62,6 +68,25 @@ def _setup(cfg: RunConfig, out) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg.echo())
     return out
+
+
+SCENARIOS = {}
+
+
+def _scenario(body):
+    """Register `body` under its name, wrapped in the run framing (module docstring)."""
+    name = body.__name__
+
+    @functools.wraps(body)
+    def run(cfg: RunConfig, out) -> dict:
+        cfg = resolve(cfg, name)
+        out = _setup(cfg, out)
+        summary = {"scenario": name, **body(cfg, out)}
+        _write_json(out / "summary.json", summary)
+        return summary
+
+    SCENARIOS[name] = run
+    return run
 
 
 def _report_spec(cfg: RunConfig) -> NormSpec:
@@ -112,8 +137,16 @@ def _direct_array(vbar, vt) -> np.ndarray:
     return v
 
 
+def _random_datum(cfg: RunConfig, seed_offset: int, baroclinic_fraction: float) -> np.ndarray:
+    """Direct-form random_state datum drawn with seed init.seed + seed_offset."""
+    init = cfg.init
+    vbar, vt = random_state(cfg.grid, np.random.default_rng(init.seed + seed_offset), tau0=init.tau0,
+                            eta0=init.eta0, amplitude=init.amplitude, baroclinic_fraction=baroclinic_fraction)
+    return _direct_array(vbar, vt)
+
+
 def _snapshot_writer(cfg: RunConfig, out: Path, grid: GridSpec, omega: float):
-    """state_observer writing PESP1 snapshots every output.snapshot_every steps."""
+    """state_observer writing the rotating run's PESP1 snapshots every output.snapshot_every steps."""
     every = cfg.output.snapshot_every
     if not every:
         return None
@@ -122,8 +155,8 @@ def _snapshot_writer(cfg: RunConfig, out: Path, grid: GridSpec, omega: float):
     def write(state):
         counter["n"] += 1
         if counter["n"] % every == 0:
-            v = direct_from_rotating(state, omega) if isinstance(state, RotatingState) else state.v
-            write_snapshot(out / f"snapshot_{counter['n']:06d}.pesp1", v, grid, state.t)
+            write_snapshot(out / f"snapshot_{counter['n']:06d}.pesp1", direct_from_rotating(state, omega),
+                           grid, state.t)
 
     return write
 
@@ -136,9 +169,8 @@ VERIFY_SAMPLES = 100
 VERIFY_TOL = 1e-12
 
 
-def verify_projections(cfg: RunConfig, out) -> dict:
-    cfg = resolve(cfg, "verify_projections")
-    out = _setup(cfg, out)
+@_scenario
+def verify_projections(cfg: RunConfig, out: Path) -> dict:
     grid = cfg.grid
     rng = np.random.default_rng(cfg.init.seed)
     worst: dict[str, float] = {}
@@ -176,11 +208,9 @@ def verify_projections(cfg: RunConfig, out) -> dict:
         for k, v in sorted(worst.items())
     ]
     ok = all(row["pass"] for row in table) and runtime < 5.0
-    summary = {"scenario": "verify_projections", "pass": bool(ok), "runtime_s": runtime, "table": table}
-    _write_json(out / "summary.json", summary)
     for row in table:
         print(f"{'PASS' if row['pass'] else 'FAIL'}  {row['check']:<28} max={row['max_violation']:.3e}")
-    return summary
+    return {"pass": bool(ok), "runtime_s": runtime, "table": table}
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +220,8 @@ def verify_projections(cfg: RunConfig, out) -> dict:
 EQUIVALENCE_RHS_TIMES = (0.0, 0.31)
 
 
-def formulation_equivalence(cfg: RunConfig, out) -> dict:
-    cfg = resolve(cfg, "formulation_equivalence")
-    out = _setup(cfg, out)
+@_scenario
+def formulation_equivalence(cfg: RunConfig, out: Path) -> dict:
     grid, omega = cfg.grid, cfg.omega
     vbar, vt = _initial_state(cfg)
     v0 = _direct_array(vbar, vt)
@@ -220,8 +249,7 @@ def formulation_equivalence(cfg: RunConfig, out) -> dict:
     if cfg.output.csv:
         write_diagnostics_csv(out / "diagnostics.csv", rres.rows)
     ok = traj_err < 1e-6 and rhs_err < 1e-10
-    summary = {
-        "scenario": "formulation_equivalence",
+    return {
         "pass": bool(ok),
         "trajectory_rel_l2_diff": traj_err,
         "rhs_rel_diff": rhs_err,
@@ -230,8 +258,6 @@ def formulation_equivalence(cfg: RunConfig, out) -> dict:
         "cfl_margin_min": rres.cfl_margin_min,
         "fit_failures": rres.fit_failures,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +269,10 @@ CLOCK_C_R = 1e-4        # local-clock rate constant of the tau tracker
 CLOCK_SPREAD_TOL = 0.2
 
 
-def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
+@_scenario
+def local_clock_vs_omega(cfg: RunConfig, out: Path) -> dict:
     """Doubling time of the report norm, its radius tracked from norms.tau_report."""
-    cfg = resolve(cfg, "local_clock_vs_omega")
-    out = _setup(cfg, out)
-    init = cfg.init
-    rng = np.random.default_rng(init.seed + 42)
-    vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
-                            baroclinic_fraction=CLOCK_BAROCLINIC_FRACTION)
-    v0 = _direct_array(vbar, vt)
+    v0 = _random_datum(cfg, 42, CLOCK_BAROCLINIC_FRACTION)
     omegas = cfg.scenario.sweep
     doubling, fallbacks = {}, {}
     for om in omegas:
@@ -273,16 +294,13 @@ def local_clock_vs_omega(cfg: RunConfig, out) -> dict:
     vals = [v for v in doubling.values() if v is not None]
     spread = (max(vals) - min(vals)) / min(vals) if len(vals) == len(omegas) and vals else float("inf")
     ok = len(vals) == len(omegas) and spread < CLOCK_SPREAD_TOL
-    summary = {
-        "scenario": "local_clock_vs_omega",
+    return {
         "pass": bool(ok),
         "doubling_times": {str(k): v for k, v in doubling.items()},
         "relative_spread": spread,
         "tolerance": CLOCK_SPREAD_TOL,
         "tau_fallbacks": {str(k): v for k, v in fallbacks.items()},
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -294,36 +312,30 @@ GAIN_SLOPE_FACTOR = 0.35
 GAIN_WINDOW = (0.2, 1.0)
 
 
-def vertical_gain(cfg: RunConfig, out) -> dict:
-    cfg = resolve(cfg, "vertical_gain")
-    out = _setup(cfg, out)
-    init = cfg.init
-    rng = np.random.default_rng(init.seed + 7)
-    vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
-                            baroclinic_fraction=GAIN_BAROCLINIC_FRACTION)
-    v0 = _direct_array(vbar, vt)
+@_scenario
+def vertical_gain(cfg: RunConfig, out: Path) -> dict:
+    v0 = _random_datum(cfg, 7, GAIN_BAROCLINIC_FRACTION)
     t0 = time.time()
     res = integrate(rotating_from_direct(v0, 0.0, cfg.omega), _solver_config(cfg, cfg.omega),
                     report=_report_spec(cfg))
     runtime = time.time() - t0
-    rows = res.rows
     lo, hi = GAIN_WINDOW
+    window = [row for row in res.rows if lo <= row.t <= hi]
     margin = float("inf")
     failures = []
-    for row in rows:
-        if lo <= row.t <= hi:
-            target = GAIN_SLOPE_FACTOR * cfg.nu * row.t
-            if not np.isfinite(row.eta_fit_v):
-                failures.append(row.t)
-                continue
-            margin = min(margin, row.eta_fit_v - target)
-            if row.eta_fit_v < target:
-                failures.append(row.t)
+    for row in window:
+        target = GAIN_SLOPE_FACTOR * cfg.nu * row.t
+        if not np.isfinite(row.eta_fit_v):
+            failures.append(row.t)
+            continue
+        margin = min(margin, row.eta_fit_v - target)
+        if row.eta_fit_v < target:
+            failures.append(row.t)
     if cfg.output.csv:
-        write_diagnostics_csv(out / "diagnostics.csv", rows)
-    ok = not failures and res.termination == "completed" and runtime < 120.0
-    summary = {
-        "scenario": "vertical_gain",
+        write_diagnostics_csv(out / "diagnostics.csv", res.rows)
+    # a run with no row in the window has checked nothing, so it fails
+    ok = bool(window) and not failures and res.termination == "completed" and runtime < 120.0
+    return {
         "pass": bool(ok),
         "min_margin": margin,
         "failed_times": failures,
@@ -333,8 +345,6 @@ def vertical_gain(cfg: RunConfig, out) -> dict:
         "cfl_margin_min": res.cfl_margin_min,
         "fit_failures": res.fit_failures,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +354,8 @@ def vertical_gain(cfg: RunConfig, out) -> dict:
 LIMIT_EXPONENT_WINDOW = (0.7, 1.3)
 
 
-def limit_convergence(cfg: RunConfig, out) -> dict:
+@_scenario
+def limit_convergence(cfg: RunConfig, out: Path) -> dict:
     """Decay of the perturbation against the limit-system trajectory with Omega.
 
     F is the squared perturbation functional at radius norms.tau_report; the
@@ -352,8 +363,6 @@ def limit_convergence(cfg: RunConfig, out) -> dict:
     (expected exponent ~1 in 1/Omega), so the window is checked on the
     sqrt(F) fit.  Both exponents are reported.
     """
-    cfg = resolve(cfg, "limit_convergence")
-    out = _setup(cfg, out)
     grid, init = cfg.grid, cfg.init
     rng = np.random.default_rng(init.seed + 11)
     vbar, vt = well_prepared_state(grid, rng, tau0=init.tau0, eta0=init.eta0,
@@ -378,8 +387,7 @@ def limit_convergence(cfg: RunConfig, out) -> dict:
     halving = [float(np.sqrt(fs[i] / fs[i + 1])) for i in range(len(fs) - 1)]
     lo, hi = LIMIT_EXPONENT_WINDOW
     ok = decreasing and lo <= alpha_norm <= hi
-    summary = {
-        "scenario": "limit_convergence",
+    return {
         "pass": bool(ok),
         "f_values": {str(k): v for k, v in fvals.items()},
         "fitted_exponent_norm": alpha_norm,
@@ -388,8 +396,6 @@ def limit_convergence(cfg: RunConfig, out) -> dict:
         "decreasing_in_omega": decreasing,
         "norm_halving_ratios_per_doubling": halving,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +406,11 @@ LIFESPAN_BAROCLINIC_FRACTION = 1.0
 LIFESPAN_BLOWUP_FACTOR = 100.0
 
 
-def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
+@_scenario
+def lifespan_vs_omega(cfg: RunConfig, out: Path) -> dict:
     """Sentinel time grows strictly with Omega for a fixed marginal baroclinic
     datum.  A run that never trips the sentinel is right-censored at t_end."""
-    cfg = resolve(cfg, "lifespan_vs_omega")
-    out = _setup(cfg, out)
-    init = cfg.init
-    rng = np.random.default_rng(init.seed + 3)
-    vbar, vt = random_state(cfg.grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude,
-                            baroclinic_fraction=LIFESPAN_BAROCLINIC_FRACTION)
-    v0 = _direct_array(vbar, vt)
+    v0 = _random_datum(cfg, 3, LIFESPAN_BAROCLINIC_FRACTION)
     tstars = {}
     censored = {}
     collapse, margins, fit_failures = {}, {}, {}
@@ -426,8 +427,7 @@ def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
     oms = sorted(tstars)
     vals = [tstars[o] for o in oms]
     strict = all(b > a for a, b in zip(vals, vals[1:]))
-    summary = {
-        "scenario": "lifespan_vs_omega",
+    return {
         "pass": bool(strict),
         "sentinel_times": {str(k): v for k, v in tstars.items()},
         "censored_at_t_end": {str(k): v for k, v in censored.items()},
@@ -435,8 +435,6 @@ def lifespan_vs_omega(cfg: RunConfig, out) -> dict:
         "cfl_margin_min": {str(k): v for k, v in margins.items()},
         "fit_failures": {str(k): v for k, v in fit_failures.items()},
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +445,11 @@ SMALL_2D_C_R = 1.0      # rate constant of the 2-D decay clock and threshold
 SMALL_2D_SLACK = 1.10
 
 
-def small_data_2d(cfg: RunConfig, out) -> dict:
+@_scenario
+def small_data_2d(cfg: RunConfig, out: Path) -> dict:
     """Decay from a datum of analytic radius init.tau0 whose norm is
     init.amplitude times the smallness threshold.  Each recorded state's
     row and the tau tracker read one shell-power table of that state."""
-    cfg = resolve(cfg, "small_data_2d")
-    out = _setup(cfg, out)
     grid, init, nu, r, s = cfg.grid, cfg.init, cfg.nu, cfg.norms.r, cfg.norms.s
     rng = np.random.default_rng(init.seed + 19)
     thresh = threshold_2d(nu, init.tau0, SMALL_2D_C_R)
@@ -494,16 +491,13 @@ def small_data_2d(cfg: RunConfig, out) -> dict:
     if cfg.output.csv:
         write_diagnostics_csv(out / "diagnostics.csv", rows)
     ok = worst <= 1.0 and tracker.alive
-    summary = {
-        "scenario": "small_data_2d",
+    return {
         "pass": bool(ok),
         "threshold": thresh,
         "initial_norm": n0,
         "worst_envelope_ratio": float(worst),
         "tau_final": tracker.tau,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +508,13 @@ LEMMA_STABILITY_FACTOR = 1.5
 LEMMA_SAMPLES = 200
 
 
-def lemma_ratios(cfg: RunConfig, out) -> dict:
+@_scenario
+def lemma_ratios(cfg: RunConfig, out: Path) -> dict:
     """Ensembles of LEMMA_SAMPLES draws on the grids nh/4, nh/2 and nh
     (grid.nh the finest); every ratio must be finite, and the finest maximum
     must stay within LEMMA_STABILITY_FACTOR of the middle one."""
     import csv
 
-    cfg = resolve(cfg, "lemma_ratios")
-    out = _setup(cfg, out)
     nh, nz = cfg.grid.nh, cfg.grid.nz
     nhs = (nh // 4, nh // 2, nh)
     seed = cfg.init.seed + 1
@@ -552,28 +545,24 @@ def lemma_ratios(cfg: RunConfig, out) -> dict:
         stable = per[nh] <= LEMMA_STABILITY_FACTOR * per[nh // 2]
         table[kind] = {"maxima": per, "finite": finite[kind], "resolution_stable": stable}
         ok = ok and finite[kind] and stable
-    summary = {"scenario": "lemma_ratios", "pass": bool(ok), "kinds": table}
-    _write_json(out / "summary.json", summary)
-    return summary
+    return {"pass": bool(ok), "kinds": table}
 
 
 # ---------------------------------------------------------------------------
 # continuous_dependence: linear response of trajectory differences
 # ---------------------------------------------------------------------------
 
+CONTINUOUS_BAROCLINIC_FRACTION = 0.5
 CONTINUOUS_EPSILONS = (1e-3, 1e-4)
 CONTINUOUS_RATIO_WINDOW = (8.0, 12.0)
 
 
-def continuous_dependence(cfg: RunConfig, out) -> dict:
+@_scenario
+def continuous_dependence(cfg: RunConfig, out: Path) -> dict:
     """Final-state differences, in the report norm, of two perturbations along
     a fixed L2-normalized direction drawn with the same envelope."""
-    cfg = resolve(cfg, "continuous_dependence")
-    out = _setup(cfg, out)
     grid, init, omega = cfg.grid, cfg.init, cfg.omega
-    rng = np.random.default_rng(init.seed + 13)
-    vbar, vt = random_state(grid, rng, tau0=init.tau0, eta0=init.eta0, amplitude=init.amplitude)
-    v0 = _direct_array(vbar, vt)
+    v0 = _random_datum(cfg, 13, CONTINUOUS_BAROCLINIC_FRACTION)
     dbar, dvt = random_state(grid, np.random.default_rng(init.seed + 14), tau0=init.tau0, eta0=init.eta0)
     dv = _direct_array(dbar, dvt)
     dv /= np.sqrt(np.sum(np.abs(dv) ** 2))
@@ -594,29 +583,13 @@ def continuous_dependence(cfg: RunConfig, out) -> dict:
     ratio = diffs[e1] / diffs[e2]
     lo, hi = CONTINUOUS_RATIO_WINDOW
     ok = lo <= ratio <= hi
-    summary = {
-        "scenario": "continuous_dependence",
+    return {
         "pass": bool(ok),
         "differences": {str(k): float(v) for k, v in diffs.items()},
         "ratio": float(ratio),
         "expected": e1 / e2,
         "window": [lo, hi],
     }
-    _write_json(out / "summary.json", summary)
-    return summary
-
-
-SCENARIOS = {
-    "verify_projections": verify_projections,
-    "formulation_equivalence": formulation_equivalence,
-    "local_clock_vs_omega": local_clock_vs_omega,
-    "vertical_gain": vertical_gain,
-    "limit_convergence": limit_convergence,
-    "lifespan_vs_omega": lifespan_vs_omega,
-    "small_data_2d": small_data_2d,
-    "lemma_ratios": lemma_ratios,
-    "continuous_dependence": continuous_dependence,
-}
 
 
 def run_scenario(cfg: RunConfig, out=None) -> dict:

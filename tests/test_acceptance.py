@@ -5,7 +5,9 @@ Tolerances are pinned here and match the documented claims; nothing is
 calibrated at run time.
 """
 
+import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rotape.pe_solver import (
 from rotape.scenarios import (
     continuous_dependence,
     formulation_equivalence,
+    lemma_ratios,
     lifespan_vs_omega,
     limit_convergence,
     local_clock_vs_omega,
@@ -178,19 +181,18 @@ def test_criterion_11_euler_invariants():
             f"energy drift {e_drift:.2e}, enstrophy drift {z_drift:.2e} < 1e-8 per unit time")
 
 
-def test_criterion_12_lemma_ratios():
-    from rotape.lemmas import LemmaKind, check, run_ensemble
+def test_criterion_12_lemma_ratios(tmp_path):
+    from rotape.lemmas import LemmaKind, check
     from tests.test_lemmas import baroclinic_single_mode_triple, single_mode_triple
 
-    maxima: dict[str, dict[int, float]] = {}
-    for kind in LemmaKind:
-        maxima[kind.value] = {}
-        for nh in (16, 32, 64):
-            grid = GridSpec(nh=nh, nz=8)
-            results = run_ensemble(kind, grid, n_samples=200, seed=1)
-            ratios = [r.ratio for r in results]
-            assert all(np.isfinite(ratios)), f"{kind.value} nh={nh}: non-finite ratio"
-            maxima[kind.value][nh] = max(ratios)
+    kinds = lemma_ratios(RunConfig(), tmp_path)["kinds"]
+    # the ensemble the criterion pins: 200 samples per kind and grid nh = 16, 32, 64 (nz 8), seed 1
+    with (tmp_path / "lemma_ratios.csv").open() as fh:
+        drawn = Counter((row["kind"], row["nh"], row["nz"], row["seed"]) for row in csv.DictReader(fh))
+    assert drawn == {(kind.value, str(nh), "8", "1"): 200 for kind in LemmaKind for nh in (16, 32, 64)}
+    for kind, entry in kinds.items():
+        assert entry["finite"], f"{kind}: non-finite ratio"
+    maxima = {kind: entry["maxima"] for kind, entry in kinds.items()}
     stable = {k: per[64] <= 1.5 * per[32] for k, per in maxima.items()}
     # dual-path agreement on <= 3-mode inputs
     dual_ok = True

@@ -83,6 +83,12 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 parse_config(doc)
 
+    def test_t_end_off_the_step_grid_rejected(self):
+        # dt = 3e-3 would run round(0.005 / 3e-3) = 2 steps and end at t = 0.006
+        with pytest.raises(ConfigError, match=r"time\.t_end .* time\.dt"):
+            parse_config(minimal_doc(time={"dt": 3e-3, "t_end": 0.005}))
+        assert parse_config(minimal_doc(time={"dt": 3e-3, "t_end": 0.006})).t_end == 0.006
+
     def test_dealias_one_keeps_every_mode(self):
         cfg = parse_config({"grid": {"dealias": 1}})
         assert cfg.grid.dealias_fraction == 1

@@ -21,12 +21,34 @@ def tiny_config(**kw):
     return cfg
 
 
-def test_scenario_registry_names():
-    assert set(SCENARIOS) == {
+def test_scenario_registry_names(capsys):
+    """SCENARIOS holds every scenario in definition order, the order `rotape list` prints."""
+    from rotape.cli import main
+
+    order = [
         "verify_projections", "formulation_equivalence", "local_clock_vs_omega",
         "vertical_gain", "limit_convergence", "lifespan_vs_omega", "small_data_2d",
         "lemma_ratios", "continuous_dependence",
-    }
+    ]
+    assert list(SCENARIOS) == order
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out.split() == order
+
+
+def test_failing_body_leaves_config_but_no_summary(tmp_path, monkeypatch):
+    """The harness echoes config.json before the body runs and writes
+    summary.json only from the body's returned summary."""
+    import rotape.scenarios as scenarios
+    from rotape.config import parse_config
+
+    def ensemble(kind, grid, n_samples, seed):
+        raise RuntimeError("ensemble failed")
+
+    monkeypatch.setattr(scenarios, "run_ensemble", ensemble)
+    with pytest.raises(RuntimeError, match="ensemble failed"):
+        scenarios.lemma_ratios(parse_config({"scenario": {"name": "lemma_ratios"}}), tmp_path)
+    assert json.loads((tmp_path / "config.json").read_text())["scenario"]["name"] == "lemma_ratios"
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_unknown_scenario_rejected(tmp_path):
@@ -135,6 +157,14 @@ def test_summaries_record_radius_collapse_time(short_summaries):
     assert docs["formulation_equivalence"]["radius_collapse_t"] is None
     assert docs["vertical_gain"]["radius_collapse_t"] is None
     assert docs["lifespan_vs_omega"]["radius_collapse_t"] == {"0.0": None, "20.0": None}
+
+
+def test_vertical_gain_fails_when_no_row_is_checked(short_summaries):
+    """t_end = 0.004 puts no row in the gain window, so the run checked nothing."""
+    doc = short_summaries["vertical_gain"]
+    assert doc["pass"] is False
+    assert doc["failed_times"] == [] and doc["min_margin"] == float("inf")
+    assert doc["termination"] == "completed"
 
 
 def test_summaries_record_cfl_margin_and_fit_failures(short_summaries):

@@ -584,12 +584,13 @@ def _package_module(name: str | None, level: int, modules: set) -> str | None:
     return module if pkg == "rotape" and module in modules else None
 
 
-def _bindings(tree, own: str, modules: set) -> list[tuple[int, str, str]]:
+def _bindings(tree, own: str, modules: set, within=None) -> list[tuple[int, str, str]]:
     """(line, module, name) of every reference in the package module `own`
-    that is bound to the top-level `name` of the package module `module`: a
-    bare name in its own module, `from .module import name` or
-    `from rotape.module import name`, and `module.name` where `module` was
-    imported as a module (`from . import module`, `import rotape.module as m`)."""
+    (or, given `within`, in that node of it) that is bound to the top-level
+    `name` of the package module `module`: a bare name in its own module,
+    `from .module import name` or `from rotape.module import name`, and
+    `module.name` where `module` was imported as a module
+    (`from . import module`, `import rotape.module as m`)."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "rotape")):
@@ -598,7 +599,7 @@ def _bindings(tree, own: str, modules: set) -> list[tuple[int, str, str]]:
             aliases.update((a.asname, m) for a in node.names
                            if a.asname and (m := _package_module(a.name, 0, modules)))
     out = []
-    for node in ast.walk(tree):
+    for node in ast.walk(tree if within is None else within):
         if isinstance(node, ast.Name):
             out.append((node.lineno, own, node.id))
         elif isinstance(node, ast.ImportFrom) and (module := _package_module(node.module, node.level, modules)):
@@ -612,10 +613,12 @@ def test_every_definition_has_a_caller():
     """Reachability: every top-level function and class of the package is
     referred to somewhere in the package outside its own definition, through
     a binding that resolves to it (`_bindings`: a local of the same name in
-    another module does not count), or named (as an identifier or inside a
-    string) by the benchmark in perfbench/, or is paper API that only the
-    tests certify (`_CERTIFIED_ONLY`).  A definition that only tests call is
-    API that every later refactor must keep working."""
+    another module does not count), or is decorated by a top-level
+    definition of the package (a registering decorator such as
+    `scenarios._scenario` is its caller), or named (as an identifier or
+    inside a string) by the benchmark in perfbench/, or is paper API that
+    only the tests certify (`_CERTIFIED_ONLY`).  A definition that only tests
+    call is API that every later refactor must keep working."""
     import rotape
 
     root = Path(rotape.__file__).parent
@@ -627,12 +630,17 @@ def test_every_definition_has_a_caller():
     for own, tree in trees.items():
         for line, module, ident in _bindings(tree, own, set(trees)):
             sites.setdefault((module, ident), []).append((own, line))
+    defined = {(own, node.name) for own, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     offenders = []
     for own, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name in bench or node.name in _CERTIFIED_ONLY.get(f"{own}.py", ()):
+                continue
+            if any((module, name) in defined for dec in node.decorator_list
+                   for _, module, name in _bindings(tree, own, set(trees), within=dec)):
                 continue
             outside = [(other, line) for other, line in sites.get((own, node.name), ())
                        if not (other == own and node.lineno <= line <= node.end_lineno)]
