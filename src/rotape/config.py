@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .grid import GridSpec
+from .pe_solver import step_count
 
 SCHEMA = "rotape-config/1"
 
@@ -272,6 +273,12 @@ def _merge_over_defaults(doc) -> dict:
     return merged
 
 
+def lemma_grid(grid: GridSpec, nh: int) -> GridSpec:
+    """The grid of lemma_ratios' ensemble at nh, with grid's nz and dealias
+    fraction (the scenario runs nh/4, nh/2 and nh = grid.nh)."""
+    return GridSpec(nh=nh, nz=grid.nz, dealias_fraction=grid.dealias_fraction)
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a config document and resolve it against its scenario's defaults."""
     m = _merge_over_defaults(doc)
@@ -288,6 +295,13 @@ def parse_config(doc: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    if m["scenario"]["name"] == "lemma_ratios":
+        for n in (grid.nh // 4, grid.nh // 2):
+            try:
+                lemma_grid(grid, n)
+            except ValueError as exc:
+                key = "dealias" if "dealias" in str(exc) else "nh"
+                raise ConfigError(f"grid.{key}: lemma_ratios also runs on nh/4 and nh/2 = {n}, and there {exc}") from exc
 
     nu = _number(m["physics"], "nu", "physics")
     if nu is not None and nu <= 0:
@@ -296,9 +310,11 @@ def parse_config(doc: dict) -> RunConfig:
     if dt is not None and dt <= 0:
         raise ConfigError("time.dt must be positive")
     t_end = _number(m["time"], "t_end", "time", lo=0.0)
-    # the solvers take round(t_end / dt) steps, so any other t_end would be moved
-    if t_end is not None and abs(t_end / dt - round(t_end / dt)) > 1e-9 * (t_end / dt):
-        raise ConfigError(f"time.t_end ({t_end!r}) must be a whole number of steps of time.dt ({dt!r})")
+    if t_end is not None:
+        try:
+            step_count(t_end, dt)
+        except ValueError:
+            raise ConfigError(f"time.t_end ({t_end!r}) must be a whole number of steps of time.dt ({dt!r})") from None
 
     it = m["init"]
     init = InitSpec(

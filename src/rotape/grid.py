@@ -143,10 +143,10 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 
 def k_h(grid: GridSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(kx, ky) for the (n1, n2) axes of a: (.., n1, n2, m) when a is 4-D, else
-    the compact barotropic (.., n1, n2).  The axis lengths pick the layout:
-    full (nh), packed band (2 hcut + 1) or x-z column (n2 = 1)."""
-    if a.ndim == 4:
+    """(kx, ky) for the (n1, n2) axes of a: (.., n1, n2, m) when a has 4 axes or
+    more, else the compact barotropic (.., n1, n2).  The axis lengths pick the
+    layout: full (nh), packed band (2 hcut + 1) or x-z column (n2 = 1)."""
+    if a.ndim >= 4:
         return _k_axes(*a.shape[-3:-1])
     kxx, kyy = _k_axes(*a.shape[-2:])
     return kxx[..., 0], kyy[..., 0]

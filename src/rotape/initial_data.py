@@ -8,16 +8,58 @@ so they are divergence-free and mean-zero by construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .decomposition import perp_grad
 from .grid import GridSpec, dealias_mask, kabs, mode_numbers, mpi
 from .norms import NormSpec, norm_rst
-from .spectral import COS, SpectralField, symmetrize
+from .spectral import COS, SpectralField, band_gather, symmetrize
 
 
-def _envelope(grid: GridSpec, tau: float, eta: float) -> np.ndarray:
-    return np.exp(-tau * kabs(grid) - eta * mpi(grid))
+@lru_cache(maxsize=64)
+def _envelope(grid: GridSpec, tau: float, eta: float, packed: bool) -> np.ndarray:
+    """The envelope e^{-tau |k| - eta m pi} times the dealias mask, complex and
+    read-only, in the full layout or its packed band.  One multiply by it
+    rounds as the envelope's and then the mask's did, every zero's sign
+    included: each factor is positive or 0."""
+    w = (np.exp(-tau * kabs(grid) - eta * mpi(grid)) * dealias_mask(grid)).astype(np.complex128)
+    w = band_gather(w, grid) if packed else w
+    w.flags.writeable = False
+    return w
+
+
+def random_coeffs(
+    grid: GridSpec,
+    rng: np.random.Generator,
+    tau: float,
+    eta: float,
+    baroclinic: bool = False,
+    components: int = 1,
+    out: np.ndarray | None = None,
+    packed: bool = False,
+) -> np.ndarray:
+    """Coefficients (components, nh, nh, nz) of random analytic real scalars,
+    into out if given.  Each scalar takes two standard_normal draws of shape
+    (1, nh, nh, nz), the real and then the imaginary part, written into one
+    complex buffer.  packed=True keeps the draws' packed 2/3-rule band
+    alone (`band_pack`): the band's coefficients come out bit for bit, and
+    the work outside it, which only sets the signs of zeros, is skipped."""
+    envelope = _envelope(grid, tau, eta, packed)
+    a = np.empty((components, *envelope.shape), dtype=np.complex128)
+    x = np.empty((1, *grid.shape))
+    for c in range(components):
+        for part in (a[c : c + 1].real, a[c : c + 1].imag):
+            rng.standard_normal(x.shape, out=x)
+            if packed:
+                band_gather(x, grid, part)
+            else:
+                part[...] = x
+    a *= envelope
+    if baroclinic:
+        a[..., 0] = 0.0
+    return symmetrize(a, out)
 
 
 def random_scalar(
@@ -28,13 +70,7 @@ def random_scalar(
     baroclinic: bool = False,
 ) -> SpectralField:
     """Random analytic real scalar field with prescribed spectral envelope."""
-    shape = (1, *grid.shape)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    a *= _envelope(grid, tau, eta)
-    a *= dealias_mask(grid)[None, ...]
-    if baroclinic:
-        a[..., 0] = 0.0
-    return SpectralField(grid, symmetrize(a), COS)
+    return SpectralField(grid, random_coeffs(grid, rng, tau, eta, baroclinic), COS)
 
 
 def random_vector(
@@ -44,9 +80,8 @@ def random_vector(
     eta: float = 0.3,
     baroclinic: bool = False,
 ) -> SpectralField:
-    u = random_scalar(grid, rng, tau, eta, baroclinic)
-    v = random_scalar(grid, rng, tau, eta, baroclinic)
-    return SpectralField(grid, np.concatenate([u.coeffs, v.coeffs], axis=0), COS)
+    """Two random_scalar components, drawn in order."""
+    return SpectralField(grid, random_coeffs(grid, rng, tau, eta, baroclinic, 2), COS)
 
 
 def random_barotropic(

@@ -6,33 +6,47 @@ constant set to 1, and reports the ratio.  The LHS has two independent
 paths: exact coefficient convolution when every input has at most 3 active
 modes, and dealiased transform products otherwise; the slow path anchors
 the fast one.
+
+The transform path and the RHS evaluate a stack of input triples at once,
+each field packed to its 2/3-rule band with a leading sample axis (`_Stack`).
+`check` evaluates one triple as a stack of one; `run_ensemble` draws the
+band of its samples alone, in the order `ensemble_fields` draws them, and
+evaluates them in stacks, every sample to the same bits as `check` of the
+same draw.  Each input is validated once, where it is packed: its band
+(`band_pack`, a ValueError naming f, g or h) and, for f and g, the
+conjugate symmetry that selects the real transforms.  The fields derived
+from them (div_h, d/dz, int_0^z, A^r e^{tau A}) are diagonal multipliers of
+a checked band, so they are not checked again.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridSpec, a_exp_weight, k_h, kabs, mode_numbers
-from .initial_data import random_scalar, random_vector
+from .initial_data import random_coeffs
 from .norms import NormSpec, ShellPower, norm_rst, q_table, q_weight, seminorm_a_sq
 from .spectral import (
     _CLOSURE,
+    _conjugate_mismatch,
     COS,
     SIN,
     SpectralField,
     apply_A_exp,
+    band_gather,
     band_pack,
+    band_product,
+    band_shape,
     band_unpack,
     coeffs_from_values,
     div_h,
     dz,
-    is_conjugate_symmetric,
-    product,
-    require_band,
+    is_packed,
     values_from_coeffs,
     vertical_values,
     w_from_baroclinic,
@@ -69,6 +83,18 @@ class CheckResult:
     exact_path: bool
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """Fields of one basis, coeffs (samples, components, 2 hcut + 1,
+    2 hcut + 1, zcut + 1): the packed 2/3-rule band (`band_pack`) of each.
+    spectral's diagonal operators (`div_h`, `dz`, `apply_A_exp`,
+    `w_from_baroclinic`) take it as they take a SpectralField."""
+
+    grid: GridSpec
+    coeffs: np.ndarray
+    basis: str = COS
+
+
 # ---------------------------------------------------------------------------
 # per-z horizontal L2 profiles: the vertical series on a refined midpoint grid,
 # horizontal norms by Parseval on the coefficients (no x transform).  Each
@@ -79,66 +105,110 @@ class CheckResult:
 _REFINE = 4  # midpoints per vertical mode of the refined z grid of the profiles
 
 
-def _z_power(f: SpectralField, nzf: int) -> np.ndarray:
-    """P[q, z] = sum_c sum_{n1^2 + n2^2 = q} |f_c(n1, n2, z)|^2 on nzf midpoints.
+@lru_cache(maxsize=None)
+def _columns(grid: GridSpec, packed: bool) -> np.ndarray:
+    """Flat (n1, n2) indices of a layout's columns in storage order: all of
+    the full layout's, or the packed band's, which keep ascending order."""
+    flat = np.arange(grid.nh * grid.nh).reshape(grid.nh, grid.nh, 1)
+    return (band_gather(flat, grid) if packed else flat).ravel()
+
+
+@lru_cache(maxsize=None)
+def _partners(n1: int, n2: int) -> np.ndarray:
+    """Flat index of the column (-n1, -n2) of each column of an FFT-order
+    (n1, n2) plane, full or packed."""
+    return ((-np.arange(n1)) % n1 * n2)[:, None] + ((-np.arange(n2)) % n2)[None, :]
+
+
+def _z_power(f: SpectralField | _Stack, nzf: int, mirror: bool = False) -> np.ndarray:
+    """P[.., q, z] = sum_c sum_{n1^2 + n2^2 = q} |f_c(n1, n2, z)|^2 on nzf
+    midpoints: one table per sample of a stack, one for a SpectralField.
 
     The vertical series runs only on the populated (n1, n2) columns: an
-    empty column adds exactly 0 to every entry.
+    empty column adds exactly 0 to every entry.  mirror=True asserts that
+    every sample is exactly conjugate symmetric: the series then runs on one
+    column of each pair (n, -n), whose |f|^2 the other repeats bit for bit
+    (|conj z|^2 = |z|^2, and the DCT/DST commutes with negation exactly).
     """
-    nh = f.grid.nh
-    c = f.coeffs.reshape(f.components, nh * nh, f.grid.nz)
-    cols = np.flatnonzero((c != 0).any(axis=(0, 2)))
-    vals = vertical_values(c[:, cols], f.basis, nzf)
-    a2 = np.square(vals.real).sum(axis=0) + np.square(vals.imag).sum(axis=0)
-    return q_table(a2, f.grid, cols)
+    c = f.coeffs
+    n1, n2, m = c.shape[-3:]
+    c = c.reshape(*c.shape[:-3], n1 * n2, m)
+    cols = np.flatnonzero(c.any(axis=tuple(range(c.ndim - 2)) + (-1,)))
+    own, rows = cols, None
+    if mirror:
+        rep = np.minimum(cols, _partners(n1, n2).ravel()[cols])
+        own = cols[rep == cols]
+        rows = np.searchsorted(own, rep)
+    vals = vertical_values(c[..., own, :], f.basis, nzf)
+    a2 = np.square(vals.real).sum(axis=-3) + np.square(vals.imag).sum(axis=-3)
+    if rows is not None:
+        a2 = a2[..., rows, :]
+    return q_table(a2, f.grid, _columns(f.grid, is_packed(f.coeffs, f.grid))[cols])
 
 
 def _profile(p: np.ndarray, grid: GridSpec, r: float, tau: float) -> np.ndarray:
     """z -> ||A^r e^{tau A} f(z)||_{L2(T^2)} from f's table p = _z_power(f, nzf)."""
-    return np.sqrt(q_weight(grid, r, tau) @ p)
+    return np.sqrt(_weight(grid, r, tau, True) @ p)
 
 
 def _zero_mode_profile(p: np.ndarray) -> np.ndarray:
     """z -> |fhat_0(z)| (vector magnitude of the k = 0 column): the q = 0 row of p."""
-    return np.sqrt(p[0])
+    return np.sqrt(p[..., 0, :])
 
 
-def _weighted_inner(x: SpectralField, h: SpectralField, r: float, tau: float) -> complex:
-    """<A^r e^{tau A} x, A^r e^{tau A} h> as a coefficient sum."""
-    w = a_exp_weight(kabs(x.grid), 2.0 * r, 2.0 * tau)
-    return complex(np.sum(x.coeffs * np.conj(h.coeffs) * w))
+# The inner products keep one field's full-layout expression and array sizes,
+# one sample at a time: numpy runs x * np.conj(h) as conj(h) * x in the
+# temporary when that is 256 KiB or more, and its complex multiply rounds
+# differently with the operands swapped.
+
+@lru_cache(maxsize=64)
+def _weight(grid: GridSpec, r: float, tau: float, per_q: bool) -> np.ndarray:
+    """The squared-norm weight |k|^{2r} e^{2 tau |k|}, read-only, per q bin
+    (`q_weight`) or over the full (n1, n2) plane: a check reuses a few
+    (r, tau) for every profile and inner product."""
+    w = q_weight(grid, r, tau) if per_q else a_exp_weight(kabs(grid), 2.0 * r, 2.0 * tau)
+    w.flags.writeable = False
+    return w
 
 
-def _plain_inner(x: SpectralField, h: SpectralField) -> complex:
-    return complex(np.sum(x.coeffs * np.conj(h.coeffs)))
+def _weighted_inner(x: _Stack, h: np.ndarray, r: float, tau: float) -> list[complex]:
+    """<A^r e^{tau A} x, A^r e^{tau A} h> per sample, h in the full layout."""
+    w = _weight(x.grid, r, tau, False)
+    return [complex(np.sum(xb * np.conj(hb) * w)) for xb, hb in zip(band_unpack(x.coeffs, x.grid), h)]
 
 
-def _adv_field(f: SpectralField, g: SpectralField) -> SpectralField:
+def _plain_inner(x: _Stack, h: np.ndarray) -> list[complex]:
+    return [complex(np.sum(xb * np.conj(hb))) for xb, hb in zip(band_unpack(x.coeffs, x.grid), h)]
+
+
+def _adv_field(f: _Stack, g: _Stack, real: bool) -> _Stack:
     """(f . grad) g, dealiased, in one transform round trip: the inverse of f,
     the inverse of the stacked (dx g, dy g), and one forward of the stacked
     (f_x dx g, f_y dy g).  The two halves are summed as coefficients, as
     separate products would be: the commutator LHS takes a difference of
     nearly equal inner products, which magnifies any change of rounding.
-    Real (conjugate-symmetric) inputs take the real path: multiplying by ik
+    real=True asserts f and g real (conjugate symmetric): multiplying by ik
     maps a conjugate-symmetric g onto conjugate-symmetric dx g, dy g on the
     2/3-rule band, which excludes the self-paired Nyquist row and column."""
-    grid, nc = f.grid, g.components
-    real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
-    gb = band_pack(g.coeffs, grid, "g")
+    grid, nc = f.grid, g.coeffs.shape[1]
+    gb = g.coeffs
     kxx, kyy = k_h(grid, gb)
-    grad = np.concatenate([gb * (1j * kxx), gb * (1j * kyy)])
+    grad = np.concatenate([gb * (1j * kxx), gb * (1j * kyy)], axis=1)
+    pg = values_from_coeffs(grad, grid, g.basis, real=real)
     # the stacks are the largest arrays of a lemma check: hold no copy that
     # a transform no longer needs
-    del gb
-    pg = values_from_coeffs(grad, grid, g.basis, real=real)
     del grad
-    pf = values_from_coeffs(band_pack(f.coeffs, grid, "f"), grid, f.basis, real=real)
-    pg[:nc] *= pf[0:1]
-    pg[nc:] *= pf[1:2]
+    pf = values_from_coeffs(f.coeffs, grid, f.basis, real=real)
+    pg[:, :nc] *= pf[:, 0:1]
+    pg[:, nc:] *= pf[:, 1:2]
     del pf
     tag = _CLOSURE[(f.basis, g.basis)]
     out = coeffs_from_values(pg, grid, tag)
-    return SpectralField(grid, band_unpack(out[:nc] + out[nc:], grid), tag)
+    return _Stack(grid, out[:, :nc] + out[:, nc:], tag)
+
+
+def _product(f: _Stack, g: _Stack, real: bool) -> _Stack:
+    return _Stack(f.grid, *band_product(f.coeffs, f.basis, g.coeffs, g.basis, f.grid, real))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +362,17 @@ def _exact_plain_inner(xmodes: list, hmodes: list) -> complex:
     return _exact_weighted_inner(xmodes, hmodes, 0.0, 0.0)
 
 
-def _active_mode_count(f: SpectralField) -> int:
-    return int((np.abs(f.coeffs) > 0).any(axis=0).sum())
+def _active_modes(x: _Stack) -> np.ndarray:
+    """Active (n1, n2, m) modes of each sample (any component nonzero)."""
+    return (np.abs(x.coeffs) > 0).any(axis=1).sum(axis=(1, 2, 3))
+
+
+def _symmetry(x: _Stack) -> tuple[bool, bool]:
+    """Whether every sample is conjugate symmetric to 1e-12 relative to its
+    largest coefficient (`is_conjugate_symmetric`), and whether every
+    sample is so exactly, with finite coefficients."""
+    resid, scale = _conjugate_mismatch(x.coeffs, axis=(1, 2, 3, 4))
+    return bool((resid <= 1e-12 * scale).all()), bool(((resid == 0.0) & np.isfinite(scale)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -315,72 +394,96 @@ def check(
     with unit constants.  0/0 reports ratio 0.  force_path "exact" or
     "transform" picks the LHS path, None the exact one for inputs of at most
     3 active modes.  A field with a mode outside the 2/3-rule band, which
-    the transform path cannot represent, raises ValueError.
+    the transform path cannot represent, raises ValueError naming it: each
+    field is checked once, where it is packed.  The triple is evaluated as a
+    stack of one (`_check_stack`), the code path of `run_ensemble`.
     """
     kind = LemmaKind(kind)
     if force_path not in (None, "exact", "transform"):
         raise ValueError(f"force_path must be None, 'exact' or 'transform', got {force_path!r}")
-    for name, x in (("f", f), ("g", g), ("h", h)):
-        if x is not None:
-            require_band(x.coeffs, x.grid, name)
+    if any(x is not None and x.grid != f.grid for x in (g, h)):
+        raise ValueError("grid mismatch")
+    stacks = (None if x is None else _Stack(f.grid, band_pack(x.coeffs, f.grid, name)[None], x.basis)
+              for name, x in zip("fgh", (f, g, h)))
+    return _check_stack(kind, *stacks, r, tau, force_path, warn=True)[0]
+
+
+def _check_stack(kind: LemmaKind, f: _Stack, g: _Stack, h: _Stack | None, r: float, tau: float,
+                 force_path: str | None, warn: bool = False) -> list[CheckResult]:
+    """check() of each sample of band-limited stacks (h None for
+    banach_algebra), which the caller has validated: `check` packs its
+    fields with `band_pack`, `run_ensemble` draws the band alone.  The
+    stack takes the real transforms when every f and g in it is conjugate
+    symmetric (`run_ensemble`'s draws always are; check's stack holds one
+    triple).  warn=True flags a type2 check at r in (3/2, 2] with a warning."""
     if r <= _MIN_R[kind]:
         raise ValueError(f"{kind.value} requires r > {_MIN_R[kind]}, got {r}")
-    if kind is LemmaKind.type2 and r <= 2.0:
-        warnings.warn(
-            f"type2 hypothesis used with r = {r} in (3/2, 2]: accepted, flagged",
-            stacklevel=2,
-        )
-    exact_ok = force_path != "transform" and all(
-        _active_mode_count(x) <= 3 for x in (f, g) + ((h,) if h is not None else ())
-    )
-    if force_path == "exact" and not exact_ok:
+    if warn and kind is LemmaKind.type2 and r <= 2.0:
+        warnings.warn(f"type2 hypothesis used with r = {r} in (3/2, 2]: accepted, flagged", stacklevel=3)
+    exact = np.full(len(f.coeffs), force_path != "transform")
+    for x in (f, g, h):
+        if x is not None:
+            exact &= _active_modes(x) <= 3
+    if force_path == "exact" and not exact.all():
         raise ValueError("exact path requested but inputs have more than 3 active modes")
 
-    lhs = _lhs(kind, f, g, h, r, tau, exact=exact_ok)
-    rhs = _rhs_unit(kind, f, g, h, r, tau)
-    if lhs == 0.0 and rhs == 0.0:
-        ratio = 0.0
-    elif rhs == 0.0:
-        ratio = float("inf")
-    else:
-        ratio = lhs / rhs
-    return CheckResult(kind, lhs, rhs, ratio, exact_ok)
+    # f and g pick the transforms; an input's exact symmetry halves its z table,
+    # which type2 and diff_type4 do not build
+    z_tables = kind not in (LemmaKind.type2, LemmaKind.diff_type4)
+    symmetry = [_symmetry(f), _symmetry(g), _symmetry(h) if z_tables and h is not None else (False, False)]
+    lhs = [None] * len(exact)
+    if not exact.all():
+        lhs = _lhs_transform(kind, f, g, h, r, tau, symmetry[0][0] and symmetry[1][0])
+    for b in np.flatnonzero(exact):
+        members = (None if x is None else SpectralField(x.grid, band_unpack(x.coeffs[b], x.grid), x.basis)
+                   for x in (f, g, h))
+        lhs[b] = _lhs_exact(kind, *members, r, tau)
+    out = []
+    rhs = _rhs_unit(kind, f, g, h, r, tau, [exact_real for _, exact_real in symmetry])
+    for left, right, ex in zip(lhs, rhs.tolist(), exact):
+        if left == 0.0 and right == 0.0:
+            ratio = 0.0
+        elif right == 0.0:
+            ratio = float("inf")
+        else:
+            ratio = left / right
+        out.append(CheckResult(kind, left, right, ratio, bool(ex)))
+    return out
 
 
-def _lhs(kind, f, g, h, r, tau, exact: bool) -> float:
-    if exact:
-        return _lhs_exact(kind, f, g, h, r, tau)
-    return _lhs_transform(kind, f, g, h, r, tau)
-
-
-def _lhs_transform(kind, f, g, h, r, tau) -> float:
+def _lhs_transform(kind, f, g, h, r, tau, real) -> list[float]:
+    """The transform LHS of each sample."""
     if kind is LemmaKind.banach_algebra:
-        fg = product(f, g)
-        return float(np.sqrt(seminorm_a_sq(fg, r, tau)))
+        fg = _product(f, g, real)
+        return [float(np.sqrt(seminorm_a_sq(ShellPower.of(c, f.grid), r, tau))) for c in fg.coeffs]
+    hf = band_unpack(h.coeffs, h.grid)
     if kind is LemmaKind.type1:
-        x = _adv_field(f, g)
-        return abs(_weighted_inner(x, h, r, tau))
+        x = _adv_field(f, g, real)
+        return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
     if kind is LemmaKind.type2:
-        x = product(-w_from_baroclinic(f), dz(g))
-        return abs(_weighted_inner(x, h, r, tau))
+        x = _product(_neg(w_from_baroclinic(f)), dz(g), real)
+        return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
     if kind is LemmaKind.type3:
-        x = product(div_h(f), g)
-        return abs(_weighted_inner(x, h, r, tau))
-    ah = apply_A_exp(h, r, tau)
+        x = _product(div_h(f), g, real)
+        return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
+    ah = band_unpack(apply_A_exp(h, r, tau).coeffs, h.grid)
     if kind is LemmaKind.diff_type1:
-        t1 = _weighted_inner(_adv_field(f, g), h, r, tau)
-        t2 = _plain_inner(_adv_field(f, apply_A_exp(g, r, tau)), ah)
-        return abs(t1 - t2)
-    if kind is LemmaKind.diff_type2:
-        t1 = _weighted_inner(product(div_h(f), g), h, r, tau)
-        t2 = _plain_inner(product(div_h(apply_A_exp(f, r, tau)), g), ah)
-        return abs(t1 - t2)
-    if kind is LemmaKind.diff_type4:
-        intf = -w_from_baroclinic(f)  # int_0^z div_h f
-        t1 = _weighted_inner(product(intf, dz(g)), h, r, tau)
-        t2 = _plain_inner(product(dz(g), apply_A_exp(intf, r, tau)), ah)
-        return abs(t1 - t2)
-    raise AssertionError(kind)
+        t1 = _weighted_inner(_adv_field(f, g, real), hf, r, tau)
+        t2 = _plain_inner(_adv_field(f, apply_A_exp(g, r, tau), real), ah)
+    elif kind is LemmaKind.diff_type2:
+        t1 = _weighted_inner(_product(div_h(f), g, real), hf, r, tau)
+        t2 = _plain_inner(_product(div_h(apply_A_exp(f, r, tau)), g, real), ah)
+    elif kind is LemmaKind.diff_type4:
+        intf = _neg(w_from_baroclinic(f))  # int_0^z div_h f
+        t1 = _weighted_inner(_product(intf, dz(g), real), hf, r, tau)
+        t2 = _plain_inner(_product(dz(g), apply_A_exp(intf, r, tau), real), ah)
+    else:
+        raise AssertionError(kind)
+    return [abs(a - b) for a, b in zip(t1, t2)]
+
+
+def _neg(x: _Stack) -> _Stack:
+    return replace(x, coeffs=-x.coeffs)
 
 
 def _lhs_exact(kind, f, g, h, r, tau) -> float:
@@ -429,18 +532,23 @@ def _mode_product_vec(scalar_modes: list, vec_modes: list, ncomp: int) -> list:
     return out
 
 
-def _rhs_unit(kind, f, g, h, r, tau) -> float:
+def _rhs_unit(kind, f, g, h, r, tau, mirror) -> np.ndarray:
+    """The displayed RHS of each sample, with unit constants.  mirror flags
+    the inputs whose samples are all exactly conjugate symmetric."""
     nzf = _REFINE * f.grid.nz
     grid = f.grid
+    if kind in (LemmaKind.type2, LemmaKind.diff_type4):
+        tables = None
+    else:
+        tables = [_z_power(x, nzf, m) for x, m in zip((f, g, h), mirror) if x is not None]
     if kind is LemmaKind.banach_algebra:
-        tf, tg = _z_power(f, nzf), _z_power(g, nzf)
+        tf, tg = tables
         pf = _profile(tf, grid, r, tau) + _zero_mode_profile(tf)
         pg = _profile(tg, grid, r, tau) + _zero_mode_profile(tg)
-        return float(np.sqrt(np.mean((pf * pg) ** 2)))
+        return np.sqrt(np.mean((pf * pg) ** 2, axis=-1))
     if kind in (LemmaKind.type1, LemmaKind.type3):
         # type3 swaps the roles of f and g in the zero-mode guard
-        a, b = (f, g) if kind is LemmaKind.type1 else (g, f)
-        ta, tb, th = _z_power(a, nzf), _z_power(b, nzf), _z_power(h, nzf)
+        ta, tb, th = tables if kind is LemmaKind.type1 else (tables[1], tables[0], tables[2])
         pa_r = _profile(ta, grid, r, tau) + _zero_mode_profile(ta)
         pa_half = _profile(ta, grid, r + 0.5, tau)
         pb_half = _profile(tb, grid, r + 0.5, tau)
@@ -450,22 +558,27 @@ def _rhs_unit(kind, f, g, h, r, tau) -> float:
             integrand = pa_r * pb_half * ph_half + pa_half * pb_half * ph_r
         else:
             integrand = pa_r * pb_half * ph_half + pb_half * pa_half * ph_r
-        return float(np.mean(integrand))
+        return np.mean(integrand, axis=-1)
     if kind is LemmaKind.type2:
-        nf = np.sqrt(seminorm_a_sq(f, r + 0.5, tau))
-        ng = norm_rst(dz(g), NormSpec(r=r, tau=tau))
-        nh_ = np.sqrt(seminorm_a_sq(h, r + 0.5, tau))
-        return float(nf * ng * nh_)
+        out = []
+        for cf, cg, ch in zip(f.coeffs, dz(g).coeffs, h.coeffs):
+            nf = np.sqrt(seminorm_a_sq(ShellPower.of(cf, grid), r + 0.5, tau))
+            ng = norm_rst(ShellPower.of(cg, grid), NormSpec(r=r, tau=tau))
+            nh_ = np.sqrt(seminorm_a_sq(ShellPower.of(ch, grid), r + 0.5, tau))
+            out.append(nf * ng * nh_)
+        return np.array(out)
     if kind in (LemmaKind.diff_type1, LemmaKind.diff_type2):
-        tables = [_z_power(x, nzf) for x in (f, g, h)]
         p1 = np.prod([_profile(t, grid, r, 0.0) for t in tables], axis=0)
         p2 = np.prod([_profile(t, grid, r + 0.5, tau) for t in tables], axis=0)
-        return float(np.mean(p1) + tau * np.mean(p2))
+        return np.mean(p1, axis=-1) + tau * np.mean(p2, axis=-1)
     if kind is LemmaKind.diff_type4:
-        tables = [ShellPower.of(x.coeffs, x.grid) for x in (dz(g), f, h)]
-        t1 = np.prod([np.sqrt(seminorm_a_sq(p, r, 0.0)) for p in tables])
-        t2 = np.prod([np.sqrt(seminorm_a_sq(p, r + 0.5, tau)) for p in tables])
-        return float(t1 + tau * t2)
+        out = []
+        for members in zip(dz(g).coeffs, f.coeffs, h.coeffs):
+            tables = [ShellPower.of(c, grid) for c in members]
+            t1 = np.prod([np.sqrt(seminorm_a_sq(p, r, 0.0)) for p in tables])
+            t2 = np.prod([np.sqrt(seminorm_a_sq(p, r + 0.5, tau)) for p in tables])
+            out.append(t1 + tau * t2)
+        return np.array(out)
     raise AssertionError(kind)
 
 
@@ -489,6 +602,11 @@ _KIND_PARAMS = {
     LemmaKind.diff_type4: (2.25, 0.2, 0.45),
 }
 _ETA_GEN = 0.3  # vertical envelope of the sampled fields, every kind
+# run_ensemble draws a chunk of samples into one buffer of at most
+# _CHUNK_BYTES, and evaluates it in stacks of at most _STACK_BYTES per field,
+# small enough that a stack's transforms stay in cache
+_CHUNK_BYTES = 4 << 20
+_STACK_BYTES = 1 << 19
 
 
 def ensemble_parameters(kind: LemmaKind) -> tuple[float, float, float, float]:
@@ -497,17 +615,21 @@ def ensemble_parameters(kind: LemmaKind) -> tuple[float, float, float, float]:
 
 
 def ensemble_fields(kind: LemmaKind, grid: GridSpec, rng, tau_gen: float, eta_gen: float):
-    needs_baroclinic_f = kind in (LemmaKind.type2, LemmaKind.diff_type4)
+    """One sample (f, g, h) of a kind's ensemble, h None for banach_algebra."""
+    return tuple(None if x is None else SpectralField(grid, x, COS)
+                 for x in _draw_sample(kind, grid, rng, tau_gen, eta_gen, (None, None, None)))
+
+
+def _draw_sample(kind: LemmaKind, grid: GridSpec, rng, tau_gen: float, eta_gen: float, out,
+                 packed: bool = False) -> tuple:
+    """The coefficients of one sample, drawn in order into the arrays out,
+    in the full layout or its packed band."""
     if kind is LemmaKind.banach_algebra:
-        return (
-            random_scalar(grid, rng, tau_gen, eta_gen),
-            random_scalar(grid, rng, tau_gen, eta_gen),
-            None,
-        )
-    f = random_vector(grid, rng, tau_gen, eta_gen, baroclinic=needs_baroclinic_f)
-    g = random_vector(grid, rng, tau_gen, eta_gen)
-    h = random_vector(grid, rng, tau_gen, eta_gen)
-    return f, g, h
+        return (random_coeffs(grid, rng, tau_gen, eta_gen, out=out[0], packed=packed),
+                random_coeffs(grid, rng, tau_gen, eta_gen, out=out[1], packed=packed), None)
+    baroclinic_f = kind in (LemmaKind.type2, LemmaKind.diff_type4)
+    return tuple(random_coeffs(grid, rng, tau_gen, eta_gen, baroclinic_f and i == 0, 2, x, packed)
+                 for i, x in enumerate(out))
 
 
 def run_ensemble(
@@ -520,6 +642,9 @@ def run_ensemble(
     tau_gen: float | None = None,
     eta_gen: float | None = None,
 ) -> list[CheckResult]:
+    """check() of n_samples triples drawn in order by `ensemble_fields` from
+    default_rng(seed), drawn into and evaluated as stacks of up to
+    _CHUNK_BYTES of full-layout input."""
     kind = LemmaKind(kind)
     r0, tau0, tau_gen0, eta_gen0 = ensemble_parameters(kind)
     r = r0 if r is None else r
@@ -529,11 +654,17 @@ def run_ensemble(
     if tau_gen <= tau:
         raise ValueError("ensemble envelope tau_gen must exceed the check tau")
     rng = np.random.default_rng(seed)
+    shape = (1 if kind is LemmaKind.banach_algebra else 2, *band_shape(grid))
+    nfields = 2 if kind is LemmaKind.banach_algebra else 3
+    field_bytes = 16 * int(np.prod(shape))  # one sample's packed field
+    chunk = max(1, _CHUNK_BYTES // (nfields * field_bytes))
+    stack = max(1, _STACK_BYTES // field_bytes)
     out = []
-    with warnings.catch_warnings():
-        # check() flags type2 at r in (3/2, 2] on every sample; any other warning reaches the caller
-        warnings.filterwarnings("ignore", "type2 hypothesis used with r", UserWarning)
-        for _ in range(n_samples):
-            f, g, h = ensemble_fields(kind, grid, rng, tau_gen, eta_gen)
-            out.append(check(kind, f, g, h, r, tau))
+    for start in range(0, n_samples, chunk):
+        fields = np.empty((nfields, min(chunk, n_samples - start), *shape), np.complex128)
+        for i in range(fields.shape[1]):
+            _draw_sample(kind, grid, rng, tau_gen, eta_gen, fields[:, i], packed=True)
+        for s in range(0, fields.shape[1], stack):
+            f, g, h = [_Stack(grid, x[s : s + stack]) for x in fields] + [None] * (3 - nfields)
+            out += _check_stack(kind, f, g, h, r, tau, None)
     return out

@@ -19,7 +19,7 @@ from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: 
 from .grid import GridSpec, dealias_mask, kx, ky
 from .spectral import COS, band_pack, band_unpack, barotropic_coeffs, barotropic_values, coeffs_from_values
 from .spectral import require_band, values_from_coeffs
-from .pe_solver import _grad_stack, _guard, _if_rk4
+from .pe_solver import _grad_stack, _guard, _if_rk4, step_count
 
 
 # the diagnostics' Sobolev norms: barotropic (r + 1, 0, 0), baroclinic (r, s, 0)
@@ -122,12 +122,13 @@ def integrate_limit(
 ) -> tuple[LimitState, list[LimitDiagnostics], list]:
     """(final state, one diagnostics row per state, []): the third element is
     always empty, kept for callers that unpack three values.  A state0 with a
-    mode outside the 2/3-rule band raises ValueError.  state0 is packed once,
+    mode outside the 2/3-rule band, or a t_end that is not a whole number of
+    steps (`pe_solver.step_count`), raises ValueError.  state0 is packed once,
     and each step's state is built from the packed arrays for its diagnostics."""
     arrs = _pack(state0, grid)
     state = state0.copy()
     diags = [_limit_diag(state, grid)]
-    for _ in range(int(round(t_end / dt))):
+    for _ in range(step_count(t_end, dt)):
         arrs = _advance(arrs, state.t, grid, nu, dt)
         state = _unpack(arrs, state.t + dt, grid)
         diags.append(_limit_diag(state, grid))

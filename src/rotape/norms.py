@@ -17,8 +17,8 @@ reduces one power table
     P[q, m] = sum_c sum_{n1^2 + n2^2 = q} |a_c(n1, n2, m)|^2,
 
 a `ShellPower`, built with one bincount over a flat (q, m) index cached per
-grid, from the 3-D layout, the compact barotropic one or the x-z plane of
-the 2D reduced mode.  `norm_rst`, `norm_rst_eta`, `seminorm_a_sq`,
+grid, from the 3-D layout or its packed 2/3-rule band, the compact
+barotropic layout or the x-z plane of the 2D reduced mode.  `norm_rst`, `norm_rst_eta`, `seminorm_a_sq`,
 `dz_l2_sq` and `fit_radius` take a `ShellPower` or a `SpectralField`; a
 field is turned into its table first.  A caller that evaluates several
 norms of one field (the solvers' per-step diagnostics and radius trackers,
@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridSpec, a_exp_weight, dealias_mask, kabs, mode_numbers, mpi
-from .spectral import SpectralField
+from .spectral import SpectralField, band_gather, is_packed
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,11 @@ class ShellPower:
 
     @classmethod
     def of(cls, coeffs: np.ndarray, grid: GridSpec) -> "ShellPower":
-        """The table of (components, nh, nh, nz) coefficients, of the compact
-        barotropic (components, nh, nh) layout, whose power sits at m = 0, or
-        of the x-z layout (components, nh, 1, nz), the n2 = 0 column of the
-        3-D one (the 2D reduced mode)."""
+        """The table of (components, nh, nh, nz) coefficients, of their packed
+        2/3-rule band (`spectral.band_pack`), of the compact barotropic
+        (components, nh, nh) layout, whose power sits at m = 0, or of the x-z
+        layout (components, nh, 1, nz), the n2 = 0 column of the 3-D one (the
+        2D reduced mode)."""
         bins = _bins(grid)
         a2 = np.square(coeffs[0].real)
         a2 += np.square(coeffs[0].imag)
@@ -133,8 +134,10 @@ class ShellPower:
             table = np.zeros((nbins, grid.nz))
             table[:, 0] = np.bincount(bins.of_mode, weights=a2.ravel(), minlength=nbins)
         else:
-            # the n2 columns present: all of them, or n2 = 0 alone in the x-z layout
-            flat = bins.flat.reshape(grid.nh, grid.nh, grid.nz)[:, : a2.shape[1]].ravel()
+            # the n2 columns present: all of them, n2 = 0 alone in the x-z layout,
+            # or the band's, whose modes keep their order and so their sums
+            flat = bins.flat.reshape(grid.nh, grid.nh, grid.nz)
+            flat = (band_gather(flat, grid) if is_packed(coeffs, grid) else flat[:, : a2.shape[1]]).ravel()
             table = np.bincount(flat, weights=a2.ravel(), minlength=nbins * grid.nz)
             table = table.reshape(nbins, grid.nz)
         return cls(grid, table)
@@ -151,15 +154,20 @@ class ShellPower:
 def q_table(a2: np.ndarray, grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     """Rows of per-mode power summed into the q bins of a ShellPower table.
 
-    a2 holds one row per listed (n1, n2) mode, `modes` being their flat
-    indices into the (nh, nh) plane, and any number of columns; a q with no
-    listed mode gets a zero row.
+    a2 (.., modes, columns) holds one row per listed (n1, n2) mode, `modes`
+    being their flat indices into the (nh, nh) plane, and any number of
+    columns; a q with no listed mode gets a zero row.  Leading axes give one
+    table each, from one bincount that sums each table's entries in the
+    order a single table's would be.
     """
     bins = _bins(grid)
-    ncol = a2.shape[-1]
+    nrow, ncol = len(bins.k), a2.shape[-1]
+    tables = int(np.prod(a2.shape[:-2]))
     flat = (bins.of_mode[modes][:, None] * ncol + np.arange(ncol)).ravel()
-    table = np.bincount(flat, weights=a2.ravel(), minlength=len(bins.k) * ncol)
-    return table.reshape(len(bins.k), ncol)
+    if tables > 1:
+        flat = (np.arange(tables)[:, None] * (nrow * ncol) + flat).ravel()
+    table = np.bincount(flat, weights=a2.ravel(), minlength=tables * nrow * ncol)
+    return table.reshape(*a2.shape[:-2], nrow, ncol)
 
 
 def q_weight(grid: GridSpec, r: float, tau: float) -> np.ndarray:

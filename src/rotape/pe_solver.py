@@ -568,6 +568,16 @@ def _norms_for_tracker(power: ShellPower, r: float):
     return norms_at
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of steps of dt that reach t_end.  A t_end that is not a
+    whole number of steps, to 1e-9 relative, raises ValueError rather than
+    be moved to the nearest one."""
+    n = t_end / dt
+    if abs(n - round(n)) > 1e-9 * n:
+        raise ValueError(f"t_end ({t_end!r}) must be a whole number of steps of dt ({dt!r})")
+    return int(round(n))
+
+
 def integrate(
     state0,
     cfg: SolverConfig,
@@ -601,7 +611,7 @@ def integrate(
     g = cfg.grid
     arrs = _pack(state0, cfg)
     state = state0.copy()
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = step_count(cfg.t_end, cfg.dt)
     tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
     v = _lab_velocity(state, cfg)
     row, fit_failures = _row_from_state(state, v, ShellPower.of(v, g), cfg, report, tau_now)

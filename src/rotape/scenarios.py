@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config, resolve
+from .config import RunConfig, lemma_grid, parse_config, resolve
 from .decomposition import baroclinic, p0, p_minus, p_plus, plus_projection, rotation_r, vorticity_from_velocity
 from .grid import GridSpec
 from .initial_data import (
@@ -53,6 +53,7 @@ from .pe_solver import (
     rhs_rotating,
     rotating_from_direct,
     step_2d,
+    step_count,
 )
 from .spectral import COS, SpectralField, inner
 from .theory import TauTracker, decay_2d_rate, local_rate, perturbation_diagnostics, threshold_2d
@@ -479,8 +480,7 @@ def small_data_2d(cfg: RunConfig, out: Path) -> dict:
 
     # the initial row's norm is at radius init.tau0, so it is the envelope's n0
     record(st, ShellPower.of(st.u, grid))
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    for _ in range(n_steps):
+    for _ in range(step_count(cfg.t_end, cfg.dt)):
         st = step_2d(st, grid, nu, cfg.dt)
         power = ShellPower.of(st.u, grid)
         tracker.step(cfg.dt, _norms_for_tracker(power, r))
@@ -526,8 +526,7 @@ def lemma_ratios(cfg: RunConfig, out: Path) -> dict:
         finite[kind.value] = True
         r, tau, _, _ = ensemble_parameters(kind)
         for n in nhs:
-            grid = GridSpec(nh=n, nz=nz, dealias_fraction=cfg.grid.dealias_fraction)
-            results = run_ensemble(kind, grid, n_samples=LEMMA_SAMPLES, seed=seed)
+            results = run_ensemble(kind, lemma_grid(cfg.grid, n), n_samples=LEMMA_SAMPLES, seed=seed)
             ratios = np.array([res.ratio for res in results])
             maxima[kind.value][n] = float(np.max(ratios))
             finite[kind.value] &= bool(np.isfinite(ratios).all())

@@ -64,7 +64,8 @@ scipy.special.  The extension alone loads in 1-5 ms.  It is registered
 under its own module name, so a later `import scipy.fft` shares the one
 instance.
 
-All operations are pure: inputs are never mutated and outputs are fresh.
+All operations are pure: inputs are never mutated, and outputs are fresh
+unless the caller passes an `out` buffer to write them into.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -322,9 +323,22 @@ def band_pack(a: np.ndarray, grid: GridSpec, what: str = "coefficients") -> np.n
     (`require_band`): this is where a full layout enters the band.
     """
     require_band(a, grid, what)
+    return band_gather(a, grid)
+
+
+def band_gather(a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """The packed band of a full-layout array, as `band_pack` without its
+    check, into out if given: for arrays whose entries outside the band are
+    to be dropped (tables over the grid, draws before their mask)."""
     rows, cols = _box(grid, *a.shape[-3:-1], False)[:2]
     shape = a.shape[:-3] + (_width(rows), _width(cols), min(a.shape[-1], grid.zcut + 1))
-    return _gather(a, rows, cols, np.empty(shape, dtype=a.dtype))
+    return _gather(a, rows, cols, np.empty(shape, dtype=a.dtype) if out is None else out)
+
+
+def band_shape(grid: GridSpec) -> tuple[int, int, int]:
+    """The (n1, n2, m) axes of the 3-D layout's packed band."""
+    rows, cols, _, mmax = _box(grid, grid.nh, grid.nh, False)
+    return _width(rows), _width(cols), mmax + 1
 
 
 def band_unpack(b: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -464,6 +478,10 @@ def _cos_out_scale(hsize: int, nz: int) -> np.ndarray:
 # diagonal operators
 # ---------------------------------------------------------------------------
 
+# The diagonal operators below take a SpectralField, or any dataclass with its
+# fields grid, coeffs and basis whose coeffs are a stack (.., components, n1,
+# n2, m) of either 3-D layout, and return the same type (lemmas' stacks).
+
 def apply_A_exp(f: SpectralField, r: float, tau: float) -> SpectralField:
     """Apply A^r e^{tau A}, A = sqrt(-Delta_h), as a diagonal multiplier.
 
@@ -472,18 +490,24 @@ def apply_A_exp(f: SpectralField, r: float, tau: float) -> SpectralField:
     """
     if r < 0 or tau < 0:
         raise ValueError("r and tau must be nonnegative")
-    mult = a_exp_weight(kabs(f.grid), r, tau, lambda: (np.abs(f.coeffs) > 0.0).any(axis=(0, 3))[..., None])
-    return SpectralField(f.grid, f.coeffs * mult, f.basis)
+    c, packed = f.coeffs, is_packed(f.coeffs, f.grid)
+
+    def populated():
+        shells = (np.abs(c) > 0.0).any(axis=tuple(range(c.ndim - 3)) + (-1,))[..., None]
+        return band_unpack(shells, f.grid) if packed else shells
+
+    mult = a_exp_weight(kabs(f.grid), r, tau, populated)
+    return replace(f, coeffs=c * (band_gather(mult, f.grid) if packed else mult))
 
 
 def dz(f: SpectralField) -> SpectralField:
     """Vertical derivative; it toggles the cos/sin basis tag."""
-    w = mpi(f.grid)
+    w = mpi(f.grid, f.coeffs)
     if f.basis == COS:
         # d/dz sqrt(2) cos(m pi z) = -m pi sqrt(2) sin(m pi z)
-        return SpectralField(f.grid, f.coeffs * (-w), SIN)
+        return replace(f, coeffs=f.coeffs * (-w), basis=SIN)
     # d/dz sqrt(2) sin(m pi z) = +m pi sqrt(2) cos(m pi z)
-    return SpectralField(f.grid, f.coeffs * w, COS)
+    return replace(f, coeffs=f.coeffs * w, basis=COS)
 
 
 def divergence(a: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -495,9 +519,10 @@ def divergence(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def div_h(f: SpectralField) -> SpectralField:
     """Horizontal divergence of a 2-vector field."""
-    if f.components != 2:
+    if f.coeffs.shape[-4] != 2:
         raise ValueError("div_h expects a 2-vector field")
-    return SpectralField(f.grid, divergence(f.coeffs, f.grid)[None], f.basis)
+    d = divergence(np.moveaxis(f.coeffs, -4, 0), f.grid)
+    return replace(f, coeffs=np.expand_dims(d, -4))
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +544,29 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
         raise ValueError("grid mismatch")
     cf = band_pack(f.coeffs, f.grid, "product factor f")
     cg = band_pack(g.coeffs, g.grid, "product factor g")
-    tag = _CLOSURE[(f.basis, g.basis)]
     real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
-    pf = values_from_coeffs(cf, f.grid, f.basis, real=real)
-    pg = values_from_coeffs(cg, g.grid, g.basis, real=real)
-    if f.components == g.components:
+    out, tag = band_product(cf, f.basis, cg, g.basis, f.grid, real)
+    return SpectralField(f.grid, band_unpack(out, f.grid), tag)
+
+
+def band_product(cf: np.ndarray, fbasis: str, cg: np.ndarray, gbasis: str, grid: GridSpec,
+                 real: bool) -> tuple[np.ndarray, str]:
+    """(packed coefficients, basis) of the dealiased pointwise product of two
+    packed band arrays (.., components, n1, n2, m), by `product`'s component
+    rule along the components axis; real=True asserts both factors real."""
+    pf = values_from_coeffs(cf, grid, fbasis, real=real)
+    pg = values_from_coeffs(cg, grid, gbasis, real=real)
+    nf, ng = pf.shape[-4], pg.shape[-4]
+    if nf == ng:
         pv = pf * pg
-    elif f.components == 1:
-        pv = pf[0:1] * pg
-    elif g.components == 1:
-        pv = pf * pg[0:1]
+    elif nf == 1:
+        pv = pf[..., 0:1, :, :, :] * pg
+    elif ng == 1:
+        pv = pf * pg[..., 0:1, :, :, :]
     else:
         raise ValueError("incompatible component counts")
-    return SpectralField(f.grid, band_unpack(coeffs_from_values(pv, f.grid, tag), f.grid), tag)
+    tag = _CLOSURE[(fbasis, gbasis)]
+    return coeffs_from_values(pv, grid, tag), tag
 
 
 def integral_z(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -547,23 +582,26 @@ def integral_z(c: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def w_from_baroclinic(vt: SpectralField) -> SpectralField:
-    """Vertical velocity w = -int_0^z div_h(Vt) ds for a baroclinic 2-vector.
+    """Vertical velocity w = -int_0^z div_h(Vt) ds for a baroclinic 2-vector
+    (or a stack of them, as `div_h` takes).
 
-    w vanishes at z = 0 and z = 1 identically.
+    w vanishes at z = 0 and z = 1 identically.  A field with a nonzero
+    vertical-mean divergence, for which w(z=1) = 0 fails, raises ValueError.
     """
-    if vt.components != 2:
+    if vt.coeffs.shape[-4] != 2:
         raise ValueError("expects a 2-vector field")
     if vt.basis != COS:
         raise BasisError("expects a cosine-basis field")
-    d = divergence(vt.coeffs, vt.grid)[None]
-    m0 = np.abs(d[..., 0]).max()
-    scale = np.abs(d).max()
-    if m0 > 1e-12 * max(scale, 1e-300):
+    d = div_h(vt).coeffs
+    # the vertical-mean divergence of each field, relative to its largest entry
+    m0 = np.abs(d[..., 0]).max(axis=(-3, -2, -1))
+    scale = np.maximum(np.abs(d).max(axis=(-4, -3, -2, -1)), 1e-300)
+    if np.any(m0 > 1e-12 * scale):
         raise ValueError(
             "baroclinic input required: nonzero vertical-mean divergence "
-            f"(relative size {m0 / max(scale, 1e-300):.3e}) would violate w(z=1)=0"
+            f"(relative size {np.max(m0 / scale):.3e}) would violate w(z=1)=0"
         )
-    return SpectralField(vt.grid, integral_z(-d, vt.grid), SIN)
+    return replace(vt, coeffs=integral_z(-d, vt.grid), basis=SIN)
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +614,20 @@ def inner(f: SpectralField, g: SpectralField) -> complex:
     return complex(np.vdot(g.coeffs, f.coeffs))  # vdot conjugates first arg
 
 
-def conjugate_reverse(coeffs: np.ndarray) -> np.ndarray:
-    """Map a(n1, n2, m) -> conj(a(-n1, -n2, m)) on the FFT-ordered axes."""
-    # four block copies: an order of magnitude faster than np.roll on reversed views
-    out = np.empty_like(coeffs)
+def conjugate_reverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map a(n1, n2, m) -> conj(a(-n1, -n2, m)) on the FFT-ordered axes, into
+    out (a fresh array by default, never coeffs itself)."""
+    # four conjugating block copies: an order of magnitude faster than np.roll on reversed views
+    out = np.empty_like(coeffs) if out is None else out
     for d1, s1 in _NEG_INDEX:
         for d2, s2 in _NEG_INDEX:
-            out[..., d1, d2, :] = coeffs[..., s1, s2, :]
-    return np.conj(out, out=out)
+            np.conjugate(coeffs[..., s1, s2, :], out=out[..., d1, d2, :])
+    return out
 
 
-def _conjugate_mismatch(a: np.ndarray) -> tuple[float, float]:
-    """(max |a(n) - conj a(-n)|, max |a|) over the last three axes (n1, n2, m).
+def _conjugate_mismatch(a: np.ndarray, axis=None) -> tuple:
+    """(max |a(n) - conj a(-n)|, max |a|) over the last three axes (n1, n2, m),
+    each a maximum over `axis` (every axis by default).
 
     The residual is taken block by block over the rows 0 <= n1 <= nh/2
     against their partner rows, with no reversed copy of the array: the pair
@@ -602,8 +642,8 @@ def _conjugate_mismatch(a: np.ndarray) -> tuple[float, float]:
         for d2, s2 in _NEG_INDEX:
             blk = np.conjugate(a[..., s1, s2, :])
             blk -= a[..., d1, d2, :]
-            resid = max(resid, np.abs(blk).max())
-    return resid, max(np.abs(a).max(), 1e-300)
+            resid = np.fmax(resid, np.abs(blk).max(axis))  # a NaN block adds nothing
+    return resid, np.maximum(np.abs(a).max(axis), 1e-300)
 
 
 def is_conjugate_symmetric(f: SpectralField) -> bool:
@@ -622,6 +662,11 @@ def require_real(coeffs: np.ndarray, what: str):
         raise ValueError(f"{what} (relative mismatch {rel:.3e}): the velocity is not real")
 
 
-def symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto the conjugate-symmetric (real-field) subspace."""
-    return 0.5 * (coeffs + conjugate_reverse(coeffs))
+def symmetrize(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Project onto the conjugate-symmetric (real-field) subspace:
+    0.5 (a + conj a(-n)), formed in the buffer of the reversed copy, out
+    (a fresh array by default, never coeffs itself)."""
+    out = conjugate_reverse(coeffs, out)
+    out += coeffs
+    out *= 0.5
+    return out

@@ -89,6 +89,18 @@ class TestConfig:
             parse_config(minimal_doc(time={"dt": 3e-3, "t_end": 0.005}))
         assert parse_config(minimal_doc(time={"dt": 3e-3, "t_end": 0.006})).t_end == 0.006
 
+    @pytest.mark.parametrize("nh", [12, 20])
+    def test_lemma_grids_checked_at_parse_time(self, nh):
+        # lemma_ratios also runs nh/4 and nh/2: 3 and 6, or 5 and 10, where nh = 3 or 5 is no grid
+        with pytest.raises(ConfigError, match=r"^grid\.nh: .* nh must be even"):
+            parse_config({"scenario": {"name": "lemma_ratios"}, "grid": {"nh": nh}})
+        assert parse_config({"scenario": {"name": "lemma_ratios"}, "grid": {"nh": 64}}).grid.nh == 64
+
+    def test_lemma_grids_name_the_dealias_fraction(self):
+        # nh/4 = 4 keeps fewer than 2 modes at dealias 0.3
+        with pytest.raises(ConfigError, match=r"^grid\.dealias: "):
+            parse_config({"scenario": {"name": "lemma_ratios"}, "grid": {"nh": 16, "dealias": 0.3}})
+
     def test_dealias_one_keeps_every_mode(self):
         cfg = parse_config({"grid": {"dealias": 1}})
         assert cfg.grid.dealias_fraction == 1
@@ -337,6 +349,12 @@ class TestCliRejects:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "physics.omega" in err and "lifespan_vs_omega" in err
+
+    def test_lemmas_rejects_an_nh_without_lemma_grids(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, {"scenario": {"name": "lemma_ratios"}, "grid": {"nh": 12}})
+        assert main(["lemmas", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "grid.nh" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from rotape.grid import GridSpec, a_exp_weight, dealias_mask, kabs, kx, ky
+from rotape.grid import GridSpec, a_exp_weight, dealias_mask, kabs, kx, ky, mpi
 from rotape.lemmas import (
     LemmaKind,
+    _Stack,
     _adv_field,
     _profile,
     _z_power,
@@ -23,6 +24,7 @@ from rotape.spectral import (
     product,
     symmetrize,
     band_pack,
+    band_unpack,
     values_from_coeffs,
     vertical_values,
 )
@@ -31,6 +33,13 @@ from tests.test_spectral_core import mode_field
 GRID = GridSpec(nh=16, nz=8)
 
 ALL_KINDS = list(LemmaKind)
+
+
+def adv_field(f, g):
+    """The checker's (f . grad) g of one pair of fields, in the full layout."""
+    real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
+    x = _adv_field(*(_Stack(y.grid, band_pack(y.coeffs, y.grid)[None], y.basis) for y in (f, g)), real)
+    return SpectralField(f.grid, band_unpack(x.coeffs[0], f.grid), x.basis)
 
 
 def single_mode_triple(grid=GRID):
@@ -99,7 +108,7 @@ class TestDualPath:
         res = check(LemmaKind.type1, f, g, h, r, tau, force_path="exact")
 
         # --- oracle lhs: quadrature of (f . grad g) against the weighted h ---
-        x = _adv_field(f, g)
+        x = adv_field(f, g)
         lhs_oracle = abs(brute_force_inner(x.coeffs, h.coeffs, grid, r, tau))
         assert abs(res.lhs - lhs_oracle) < 1e-10 * max(lhs_oracle, 1e-300)
 
@@ -219,13 +228,13 @@ class TestEnsemble:
 
         import rotape.lemmas as lemmas
 
-        original = lemmas.check
+        original = lemmas._check_stack
 
         def noisy_check(*args, **kwargs):
             warnings.warn("overflow encountered in multiply", RuntimeWarning)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(lemmas, "check", noisy_check)
+        monkeypatch.setattr(lemmas, "_check_stack", noisy_check)
         with pytest.warns(RuntimeWarning, match="overflow encountered"):
             run_ensemble(LemmaKind.type1, GRID, n_samples=1, seed=3)
 
@@ -311,7 +320,7 @@ class TestProfileTable:
         for f, g in pairs:
             assert is_conjugate_symmetric(f) == is_conjugate_symmetric(g) == real
             expect, basis = reference_adv(f, g)
-            got = _adv_field(f, g)
+            got = adv_field(f, g)
             assert got.basis == basis
             assert np.abs(got.coeffs - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -370,5 +379,131 @@ class TestTransformCounts:
     def test_advection_makes_two_inverse_and_one_forward_transform(self, monkeypatch, rng):
         f, g, _ = ensemble_fields(LemmaKind.type1, GRID, rng, 0.45, 0.3)
         calls = self._count(monkeypatch, ["values_from_coeffs", "coeffs_from_values"])
-        _adv_field(f, g)
+        adv_field(f, g)
         assert sorted(calls) == ["coeffs_from_values", "values_from_coeffs", "values_from_coeffs"]
+
+
+# ---------------------------------------------------------------------------
+# the draws, pinned to the formula they had before they were written into one
+# buffer; the stacked checker against checks of one triple
+# ---------------------------------------------------------------------------
+
+def reference_scalar(grid, rng, tau, eta, baroclinic=False):
+    """A random analytic real scalar by the original formula: x + 1j y, times
+    the envelope, times the dealias mask, m = 0 zeroed, 0.5 (a + conj a(-n))."""
+    shape = (1, *grid.shape)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a *= np.exp(-tau * kabs(grid) - eta * mpi(grid))
+    a *= dealias_mask(grid)[None, ...]
+    if baroclinic:
+        a[..., 0] = 0.0
+    return 0.5 * (a + np.conj(np.roll(a[..., ::-1, ::-1, :], 1, axis=(-3, -2))))
+
+
+def reference_vector(grid, rng, tau, eta, baroclinic=False):
+    u = reference_scalar(grid, rng, tau, eta, baroclinic)
+    return np.concatenate([u, reference_scalar(grid, rng, tau, eta, baroclinic)])
+
+
+def reference_fields(kind, grid, rng, tau, eta):
+    if kind is LemmaKind.banach_algebra:
+        return reference_scalar(grid, rng, tau, eta), reference_scalar(grid, rng, tau, eta), None
+    f = reference_vector(grid, rng, tau, eta, kind in (LemmaKind.type2, LemmaKind.diff_type4))
+    return f, reference_vector(grid, rng, tau, eta), reference_vector(grid, rng, tau, eta)
+
+
+@pytest.mark.parametrize("nh, nz", [(16, 8), (24, 12), (32, 8), (64, 8)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draws_equal_the_original_formula(nh, nz, seed):
+    """Every byte of random_scalar, random_vector and ensemble_fields, signs of
+    zeros included, with the baroclinic cut on and off."""
+    from rotape.initial_data import random_scalar, random_vector
+
+    grid = GridSpec(nh=nh, nz=nz)
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for baroclinic in (False, True):
+        got = random_scalar(grid, new, 0.45, 0.3, baroclinic).coeffs
+        assert got.tobytes() == reference_scalar(grid, ref, 0.45, 0.3, baroclinic).tobytes()
+        got = random_vector(grid, new, 0.2, 0.1, baroclinic).coeffs
+        assert got.tobytes() == reference_vector(grid, ref, 0.2, 0.1, baroclinic).tobytes()
+    for kind in ALL_KINDS:
+        got = ensemble_fields(kind, grid, new, 0.45, 0.3)
+        for x, y in zip(got, reference_fields(kind, grid, ref, 0.45, 0.3)):
+            assert (x is None and y is None) or x.coeffs.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stack_members_equal_their_single_checks(monkeypatch, kind):
+    """run_ensemble draws the packed band alone and checks stacks of samples;
+    each sample's (lhs, rhs_unit, ratio) equals check() of the same draw in
+    the full layout, bit for bit."""
+    import rotape.lemmas as lemmas
+
+    sizes, original = [], lemmas._check_stack
+
+    def counted(kind_, f, *args, **kwargs):
+        sizes.append(len(f.coeffs))
+        return original(kind_, f, *args, **kwargs)
+
+    monkeypatch.setattr(lemmas, "_check_stack", counted)
+    r, tau, tau_gen, eta_gen = ensemble_parameters(kind)
+    for grid, n in ((GridSpec(nh=16, nz=8), 25), (GridSpec(nh=32, nz=8), 7)):
+        sizes.clear()
+        stacked = run_ensemble(kind, grid, n_samples=n, seed=5)
+        assert max(sizes) > 1 and sum(sizes) == n
+        rng = np.random.default_rng(5)
+        single = [check(kind, *ensemble_fields(kind, grid, rng, tau_gen, eta_gen), r, tau) for _ in range(n)]
+        assert [repr((c.lhs, c.rhs_unit, c.ratio)) for c in stacked] == [
+            repr((c.lhs, c.rhs_unit, c.ratio)) for c in single
+        ]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_each_input_is_validated_once(monkeypatch, rng, kind):
+    """check() scans each input's band once (naming it) and its symmetry at
+    most once; the fields derived from them are not checked again."""
+    import rotape.lemmas as lemmas
+    import rotape.spectral as spectral
+
+    bands, symmetries = [], []
+    require_band, mismatch = spectral.require_band, lemmas._conjugate_mismatch
+    monkeypatch.setattr(spectral, "require_band", lambda a, grid, what: bands.append(what) or require_band(a, grid, what))
+    monkeypatch.setattr(lemmas, "_conjugate_mismatch", lambda *a, **k: symmetries.append(1) or mismatch(*a, **k))
+    r, tau, tau_gen, eta_gen = ensemble_parameters(kind)
+    fields = ensemble_fields(kind, GRID, rng, tau_gen, eta_gen)
+    check(kind, *fields, r, tau)
+    names = [name for name, x in zip("fgh", fields) if x is not None]
+    assert bands == names
+    assert len(symmetries) <= len(names)
+
+
+def test_ensemble_ratios_identical_in_a_perturbed_heap_child():
+    """A draw, chunk or cached buffer read before it is written would show
+    here.  A child process whose environment sets glibc's MALLOC_PERTURB_
+    (fresh heap memory filled with a byte pattern) and a raised mmap
+    threshold (so that every buffer comes from that heap) prints the ratios
+    of run_ensemble for every kind at nh 16 and 32; they must equal this
+    process's to the last digit."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rotape
+
+    code = (
+        "from rotape.grid import GridSpec\n"
+        "from rotape.lemmas import LemmaKind, run_ensemble\n"
+        "for kind in LemmaKind:\n"
+        "    for nh in (16, 32):\n"
+        "        print(kind.value, nh, [repr(c.ratio) for c in run_ensemble(kind, GridSpec(nh=nh, nz=8), n_samples=3, seed=9)])\n"
+    )
+    env = dict(os.environ, MALLOC_PERTURB_="165", MALLOC_MMAP_THRESHOLD_=str(1 << 30),
+               PYTHONPATH=str(Path(rotape.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    here = "".join(
+        f"{kind.value} {nh} {[repr(c.ratio) for c in run_ensemble(kind, GridSpec(nh=nh, nz=8), n_samples=3, seed=9)]}\n"
+        for kind in ALL_KINDS for nh in (16, 32)
+    )
+    assert child.stdout == here

@@ -145,6 +145,17 @@ class TestLimitIntegration:
         assert np.abs(out.omega_bar).max() == 0.0
         assert np.abs(out.vtilde).max() == 0.0
 
+    def test_t_end_off_the_step_grid_rejected(self):
+        st = LimitState(
+            0.0,
+            np.zeros((16, 16), dtype=np.complex128),
+            np.zeros((2, *GRID.shape), dtype=np.complex128),
+        )
+        with pytest.raises(ValueError, match=r"t_end \(0\.005\) must be a whole number of steps of dt \(0\.003\)"):
+            integrate_limit(st, GRID, nu=0.2, dt=3e-3, t_end=0.005)
+        out, diags, _ = integrate_limit(st, GRID, nu=0.2, dt=3e-3, t_end=0.006)
+        assert len(diags) == 3 and out.t == pytest.approx(0.006)
+
     def test_steady_shear_stays_constant(self, rng):
         w = np.zeros((16, 16), dtype=np.complex128)
         w[1, 0] = 0.5

@@ -501,6 +501,15 @@ class TestStageOneCfl:
 
 
 class TestIntegrate:
+    def test_t_end_off_the_step_grid_rejected(self, rng):
+        # dt = 3e-3 would run round(0.005 / 3e-3) = 2 steps and end at t = 0.006
+        cfg = cfg_for(dt=3e-3, t_end=0.005)
+        st = rotating_from_direct(make_state(rng).v, 0.0, cfg.omega)
+        with pytest.raises(ValueError, match=r"t_end \(0\.005\) must be a whole number of steps of dt \(0\.003\)"):
+            integrate(st, cfg)
+        res = integrate(st, cfg_for(dt=3e-3, t_end=0.006))
+        assert len(res.rows) == 3 and res.state.t == pytest.approx(0.006)
+
     def test_t_end_zero_returns_initial(self, rng):
         cfg = cfg_for(t_end=0.0)
         st = rotating_from_direct(make_state(rng).v, 0.0, cfg.omega)
