@@ -16,6 +16,7 @@ before reading it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -220,6 +221,8 @@ def _number(doc, key, path, lo=None, hi=None, integer=False):
         return None
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number, got {val!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}.{key} must be a finite number, got {val!r}")
     if integer and int(val) != val:
         raise ConfigError(f"{path}.{key} must be an integer, got {val!r}")
     if lo is not None and val < lo:
@@ -341,9 +344,9 @@ def parse_config(doc: dict) -> RunConfig:
     sweep = m["scenario"].get("sweep")
     if sweep is not None:
         if not isinstance(sweep, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in sweep
+            isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x) for x in sweep
         ):
-            raise ConfigError("scenario.sweep must be a list of numbers")
+            raise ConfigError("scenario.sweep must be a list of finite numbers")
         if len(sweep) < 2 or len(set(sweep)) != len(sweep):
             raise ConfigError("scenario.sweep must hold at least two distinct Omega values")
         sweep = [float(x) for x in sweep]

@@ -17,18 +17,29 @@ barotropic mode.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .grid import GridSpec, k_h, ksq
 from .spectral import SpectralField
 
 
+@lru_cache(maxsize=None)
+def _inverse_ksq(grid: GridSpec, shape: tuple) -> np.ndarray:
+    """1/|k|^2 over the (n1, n2) axes of an array of this shape (`k_h`), 0 at k = 0."""
+    kxx, kyy = k_h(grid, np.broadcast_to(0.0, shape))
+    k2 = kxx**2 + kyy**2
+    inv = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
+    inv.flags.writeable = False
+    return inv
+
+
 def leray(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Horizontal Leray projection a - k (k . a)/|k|^2 of 2-vector coefficients,
     compact (2, nh, nh) or 3-D (2, nh, nh, nz); the k = 0 mode is unchanged."""
     kxx, kyy = k_h(grid, a)
-    k2 = kxx**2 + kyy**2
-    inv = np.where(k2 > 0.0, 1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
+    inv = _inverse_ksq(grid, a.shape)
     kdv = kxx * a[0] + kyy * a[1]
     out = a.copy()
     out[0] -= kxx * kdv * inv
@@ -55,9 +66,14 @@ def velocity_from_vorticity(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
     return perp_grad(omega * inv, grid)
 
 
-def perp_vector(a: np.ndarray) -> np.ndarray:
-    """The rotation (a, b) -> (-b, a) of 2-vector coefficients, any trailing layout."""
-    return np.concatenate([-a[1:2], a[0:1]], axis=0)
+def perp_vector(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rotation (a, b) -> (-b, a) of 2-vector coefficients, any trailing
+    layout, into out if given (not a itself)."""
+    if out is None:
+        return np.concatenate([-a[1:2], a[0:1]], axis=0)
+    np.negative(a[1:2], out=out[0:1])
+    out[1:2] = a[0:1]
+    return out
 
 
 def polarized(phi: np.ndarray) -> np.ndarray:

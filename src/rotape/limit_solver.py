@@ -17,9 +17,9 @@ import numpy as np
 from .decomposition import minus_projection, perp_vector, plus_projection, velocity_from_vorticity
 from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: builds a LimitState's omega_bar)
 from .grid import GridSpec, dealias_mask, kx, ky
-from .spectral import COS, band_pack, band_unpack, barotropic_coeffs, barotropic_values, coeffs_from_values
-from .spectral import require_band, values_from_coeffs
-from .pe_solver import _grad_stack, _guard, _if_rk4, step_count
+from .spectral import COS, band_pack, band_shape, band_unpack, barotropic_coeffs, barotropic_values
+from .spectral import coeffs_from_values, require_band, require_packed, values_from_coeffs
+from .pe_solver import _grad_stack, _guard, _if_rk4, _workspace, step_count
 
 
 # the diagnostics' Sobolev norms: barotropic (r + 1, 0, 0), baroclinic (r, s, 0)
@@ -39,36 +39,58 @@ class LimitState:
         return LimitState(self.t, self.omega_bar.copy(), self.vtilde.copy())
 
 
-def euler2d_rhs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Vorticity tendency -Vbar . grad omega, dealiased; mean mode pinned to 0."""
+def euler2d_rhs(omega: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Vorticity tendency -Vbar . grad omega, dealiased; mean mode pinned to 0;
+    into out if given."""
     if abs(omega[0, 0]) > 1e-12 * max(np.abs(omega).max(), 1e-300):
         raise ValueError("euler2d_rhs expects zero-mean vorticity")
     vbar = velocity_from_vorticity(omega, grid)
     ikx, iky = 1j * kx(grid)[..., 0], 1j * ky(grid)[..., 0]
     u1, u2, wx, wy = barotropic_values(np.stack([vbar[0], vbar[1], ikx * omega, iky * omega]), grid)
-    out = -barotropic_coeffs(u1 * wx + u2 * wy, grid)
+    out = np.negative(barotropic_coeffs(u1 * wx + u2 * wy, grid), out=out)
     out *= dealias_mask(grid)[:, :, 0]
     out[0, 0] = 0.0
     _guard("euler2d_advection", out)
     return out
 
 
-def transport_rhs(vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _limit_layout(g: GridSpec) -> dict:
+    """The limit system's arrays in the grid's workspace (`pe_solver.Workspace`):
+    the gradient stack of Vt, the pass buffer of its transforms, its real
+    values, the barotropic values, and the four RK4 stage arrays of
+    (omega_bar, Vt)."""
+    nh, nz, band = g.nh, g.nz, band_shape(g)
+    c, r = np.complex128, np.float64
+    return {"grad": ((6, *band), c), "passes": ((6, nh, nh // 2 + 1, nz), c), "vals": ((6, nh, nh, nz), r),
+            "bar": ((3, nh, nh), r), "stage_omega": ((4, nh, nh), c), "stage_vt": ((4, 2, *band), c)}
+
+
+def transport_rhs(
+    vtilde: np.ndarray, omega: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
+) -> np.ndarray:
     """-Vbar . grad Vt - (1/2) Vt^perp (perp-div Vbar); nu dzz Vt is the
     integrating factor's.
 
     perp-div Vbar = -dy V1 + dx V2 is exactly the vorticity omega.  vtilde
     and the tendency are in the packed band layout (`band_pack`) that the
-    stepper passes.
+    stepper passes, which also passes the array `out` to write the tendency
+    into.
     """
+    require_packed(vtilde, grid)
+    ws = _workspace(grid).arrays(_limit_layout)
     vbar = velocity_from_vorticity(omega, grid)
-    bar = barotropic_values(np.concatenate([vbar, omega[None]]), grid)[..., None]
+    bar = barotropic_values(np.concatenate([vbar, omega[None]]), grid, out=ws.bar)[..., None]
     vb, wphys = bar[0:2], bar[2:3]
-    vals = values_from_coeffs(_grad_stack(vtilde, grid), grid, COS, real=True)
+    vals = values_from_coeffs(_grad_stack(vtilde, grid, out=ws.grad), grid, COS, real=True, out=ws.vals,
+                              work=ws.passes)
     p, px, py = vals[0:2], vals[2:4], vals[4:6]
-    n = -(vb[0:1] * px + vb[1:2] * py)
-    n -= 0.5 * perp_vector(p) * wphys
-    out = coeffs_from_values(n, grid, COS)
+    # -(Vbar . grad) Vt - (1/2) Vt^perp omega, formed in place of px (py is spent too)
+    n = np.multiply(vb[0:1], px, out=px)
+    n += np.multiply(vb[1:2], py, out=py)
+    np.negative(n, out=n)
+    rot = np.multiply(0.5, perp_vector(p, out=py), out=py)
+    n -= np.multiply(rot, wphys, out=rot)
+    out = coeffs_from_values(n, grid, COS, out=out, work=ws.passes[:2])
     out[..., 0] = 0.0
     _guard("limit_transport", out)
     return out
@@ -92,11 +114,13 @@ def _unpack(arrs: tuple, t: float, grid: GridSpec) -> LimitState:
 
 
 def _advance(arrs: tuple, t: float, grid: GridSpec, nu: float, dt: float) -> tuple:
-    """One RK4-IF step of the packed arrays at time t."""
-    def nl(a, t):
-        return euler2d_rhs(a[0], grid), transport_rhs(a[1], a[0], grid)
+    """One RK4-IF step of the packed arrays at time t, its stages in the grid's workspace."""
+    ws = _workspace(grid).arrays(_limit_layout)
 
-    return _if_rk4(arrs, t, dt, nl, grid, nu)
+    def nl(a, t, *, out):
+        return euler2d_rhs(a[0], grid, out=out[0]), transport_rhs(a[1], a[0], grid, out=out[1])
+
+    return _if_rk4(arrs, t, dt, nl, grid, nu, stages=tuple(zip(ws.stage_omega, ws.stage_vt)))
 
 
 def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> LimitState:

@@ -19,20 +19,32 @@ through the integrating factor e^{-nu (m pi)^2 h} of the RK4 step
 (`_decay_factors`), which integrates it exactly.  The state type selects the
 formulation, and it must agree with SolverConfig.formulation, which sets
 the dt |Omega| guard.
+
+The right-hand sides and the RK4 stages work in one `Workspace` per grid,
+whose arrays are reused from call to call: the transforms' pass buffers,
+the physical values and assembly fields, and the RK4 stage arrays.  The
+contract: the workspace is per grid and shared by the formulations, which
+never run at once; it is not re-entrant (no right-hand side or step may run
+inside another on the same grid, or on another thread); and nothing
+returned aliases it, since every tendency, step result and state comes back
+in fresh arrays or in the caller's `out`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .decomposition import leray, perp_vector, plus_projection, polarized, vorticity_from_velocity
 from .grid import GridSpec, dealias_mask, k_h, mpi
 from .norms import InsufficientDecayData, NormSpec, ShellPower, dz_l2_sq, fit_radius, norm_rst
-from .spectral import COS, SIN, SpectralRangeError, band_pack, band_unpack, conjugate_reverse, divergence, integral_z
-from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, is_packed, require_band, require_real
-from .spectral import values_from_coeffs
+from .spectral import COS, SIN, SpectralRangeError, band_gather, band_pack, band_shape, band_unpack
+from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, conjugate_reverse, divergence
+from .spectral import integral_z, is_packed, require_band, require_packed, require_real, values_from_coeffs
 
 
 # the advective step limit is this fraction of 1 / (max|u, v| / dx + max|w| / dz)
@@ -119,10 +131,15 @@ class SolverConfig:
     formulation: str = "rotating"
 
     def __post_init__(self):
+        for name in ("nu", "omega", "dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.t_end < 0:
+            raise ValueError(f"t_end must be >= 0, got {self.t_end!r}")
         if self.formulation not in ("rotating", "direct"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.formulation == "rotating" and self.dt * abs(self.omega) > 0.5 + 1e-12:
@@ -153,27 +170,99 @@ def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the per-grid workspace
+# ---------------------------------------------------------------------------
+
+class Workspace:
+    """Scratch memory of one grid's steppers, reused from call to call.
+
+    A layout is a function of the grid that returns a dict name -> (shape,
+    dtype).  `arrays` carves a layout's arrays, in order, from the start of
+    one arena, and returns the same arrays at every later call.  Each
+    formulation takes one layout for its right-hand side and its RK4 stages,
+    so the formulations share the arena: they never run at once, and no
+    array of a layout holds anything from one call to the next.  The arena
+    grows to the largest layout taken.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self._arena = np.empty(0, np.uint8)
+        self._carved = {}
+
+    def arrays(self, layout) -> SimpleNamespace:
+        got = self._carved.get(layout)
+        if got is None:
+            specs = layout(self.grid)
+            sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs.values()]
+            starts = np.cumsum([0] + [-(-n // 64) * 64 for n in sizes])
+            if starts[-1] > self._arena.nbytes:
+                self._arena = np.empty(starts[-1], np.uint8)
+                self._carved.clear()
+            got = self._carved[layout] = SimpleNamespace(**{
+                name: self._arena[start : start + n].view(dtype).reshape(shape)
+                for (name, (shape, dtype)), start, n in zip(specs.items(), starts, sizes)
+            })
+        return got
+
+
+@lru_cache(maxsize=4)
+def _workspace(grid: GridSpec) -> Workspace:
+    """The workspace of a grid; those of the last few grids used are kept."""
+    return Workspace(grid)
+
+
+def _rotating_layout(g: GridSpec) -> dict:
+    """The rotating formulation's arrays: the band stacks of phi that it
+    transforms, their complex values, three assembly fields, the barotropic
+    gradient stack, its values and the two couplings to V+, and the four
+    RK4 stage arrays of (Vbar, phi)."""
+    nh, nz, band = g.nh, g.nz, band_shape(g)
+    c, r = np.complex128, np.float64
+    return {"grad": ((3, *band), c), "sines": ((2, *band), c), "cos": ((3, nh, nh, nz), c),
+            "sin": ((2, nh, nh, nz), c), "asm": ((3, nh, nh, nz), c), "bgrad": ((6, nh, nh, 1), c),
+            "bar": ((6, nh, nh), r), "cpm": ((2, nh, nh, 1), c), "stage_bar": ((4, 2, nh, nh), c),
+            "stage_phi": ((4, 1, *band), c)}
+
+
+def _direct_layout(g: GridSpec) -> dict:
+    """The direct formulation's arrays: the band stacks of V that it
+    transforms, one pass buffer for its three transforms, the real values,
+    the forward's output, and the four RK4 stage arrays of V."""
+    nh, nz, band = g.nh, g.nz, band_shape(g)
+    c, r = np.complex128, np.float64
+    return {"grad": ((6, *band), c), "passes": ((6, nh, nh // 2 + 1, nz), c), "cvals": ((6, nh, nh, nz), r),
+            "svals": ((3, nh, nh, nz), r), "nhat": ((2, *band), c), "stage": ((4, 2, *band), c)}
+
+
+# ---------------------------------------------------------------------------
 # array-level building blocks
 # ---------------------------------------------------------------------------
 
 def _plus_values(phi: np.ndarray, grid: GridSpec) -> tuple:
     """Physical phi, dx phi, dy phi (cos) and dz phi, int_0^z div V+ (sin) of V+ = phi (1, i),
-    phi in the packed band layout.
+    phi in the packed band layout, in the arrays of the grid's rotating layout.
 
     Two stacked transforms of one complex scalar: div V+ = dx phi + i dy phi.
     """
-    grad = _grad_stack(phi, grid)
-    intc = integral_z(grad[1:2] + 1j * grad[2:3], grid)
-    p, px, py = values_from_coeffs(grad, grid, COS)
-    dz, intp = values_from_coeffs(np.concatenate([-mpi(grid, phi) * phi, intc], axis=0), grid, SIN)
+    ws = _workspace(grid).arrays(_rotating_layout)
+    grad = _grad_stack(phi, grid, out=ws.grad)
+    sines = ws.sines
+    np.multiply(-mpi(grid, phi), phi, out=sines[0:1])
+    np.multiply(1j, grad[2:3], out=sines[1:2])
+    np.add(grad[1:2], sines[1:2], out=sines[1:2])
+    integral_z(sines[1:2], grid, out=sines[1:2])
+    p, px, py = values_from_coeffs(grad, grid, COS, out=ws.cos)
+    dz, intp = values_from_coeffs(sines, grid, SIN, out=ws.sin)
     return p, px, py, dz, intp
 
 
-def _grad_stack(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(c, dx c, dy c) stacked on the component axis, c in a 3D layout (full or packed band)."""
+def _grad_stack(c: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """(c, dx c, dy c) stacked on the component axis, c in a 3D layout (full or
+    packed band), into out if given."""
     k = len(c)
     kxx, kyy = k_h(grid, c)
-    out = np.empty((3 * k, *c.shape[1:]), dtype=np.complex128)
+    out = np.empty((3 * k, *c.shape[1:]), dtype=np.complex128) if out is None else out
     out[:k] = c
     np.multiply(1j * kxx, c, out=out[k : 2 * k])
     np.multiply(1j * kyy, c, out=out[2 * k :])
@@ -185,14 +274,16 @@ def _adv(a: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
     return a[0:1] * bx + a[1:2] * by
 
 
-def _fwd_baroclinic(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Forward transform of a cos-basis tendency group, dealiased, m=0 removed.
+def _fwd_baroclinic(vals: np.ndarray, grid: GridSpec, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """Forward transform of a cos-basis tendency group, dealiased, m=0 removed
+    (`coeffs_from_values`' out and work).
 
     Zeroing m = 0 realizes the exact P0 subtraction of the baroclinic
     equations (the divergence/w integration-by-parts identity holds
     structurally for baroclinic inputs).
     """
-    out = coeffs_from_values(vals, grid, COS)
+    out = coeffs_from_values(vals, grid, COS, out=out, work=work)
     out[..., 0] = 0.0
     return out
 
@@ -227,6 +318,7 @@ def rhs_rotating(
     cfg: SolverConfig,
     *,
     cfl: bool = False,
+    out: tuple | None = None,
 ) -> tuple:
     """Non-diffusive tendencies of the rotating-frame equations (nu dzz is
     the integrating factor's).
@@ -236,9 +328,10 @@ def rhs_rotating(
     V+ with a mode outside the 2/3-rule band raises ValueError.  The time
     steppers pass the bare (vbar, phi) arrays instead, phi = vplus[0:1] in the
     packed band layout (`band_pack`), and get (dVbar, dphi) alone, dphi
-    packed.  With cfl=True the advective CFL limit of the state at time t
-    (what `cfl_limit` returns) is appended to the tuple; it is read off the
-    physical values this evaluation forms anyway.
+    packed, written into the arrays `out` when given.  With cfl=True the
+    advective CFL limit of the state at time t (what `cfl_limit` returns) is
+    appended to the tuple; it is read off the physical values this
+    evaluation forms anyway.
 
     Every quadratic term is evaluated pseudo-spectrally and dealiased; the
     oscillatory prefactors e^{+-i Omega t}, e^{+-2i Omega t} are evaluated at
@@ -251,12 +344,12 @@ def rhs_rotating(
         dvp = polarized(band_unpack(dphi, cfg.grid))
         return (dvb, dvp, conjugate_reverse(dvp), *extra)
     vbar, phi = state
-    return _rhs_plus(vbar, phi, t, cfg, cfl)
+    return _rhs_plus(vbar, phi, t, cfg, cfl, out)
 
 
-def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False):
-    """(dVbar, dphi) of V+ = phi (1, i), phi and dphi packed; V- enters as the
-    conjugate of V+.
+def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False, out: tuple | None = None):
+    """(dVbar, dphi) of V+ = phi (1, i), phi and dphi packed, into the arrays
+    out when given; V- enters as the conjugate of V+.
 
     Every tendency group of V+ is polarized like V+, so only x-components are
     assembled.  In physical space V- = conj(phi) (1, -i), so
@@ -268,23 +361,32 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False):
     """
     g = cfg.grid
     om = cfg.omega
+    require_packed(phi, g)
     p, px, py, dz, intp = _plus_values(phi, g)
-    pm, intm = np.conj(p), np.conj(intp)
+    ws = _workspace(g).arrays(_rotating_layout)
+    acc, t1, t2 = ws.asm
 
     # barotropic phys fields (2D, real): velocity and gradients
-    bar = barotropic_values(_grad_stack(vbar[..., None], g)[..., 0], g)
+    bar = barotropic_values(_grad_stack(vbar[..., None], g, out=ws.bgrad)[..., 0], g, out=ws.bar)
     vb, gx, gy = bar[0:2], bar[2:4], bar[4:6]
     vb3 = vb[..., None]
     # x-components of (1, i).grad and (1, -i).grad of Vbar + i Vbar^perp
-    cplus = ((gx[0] + gy[1]) + 1j * (gy[0] - gx[1]))[..., None]
-    cminus = ((gx[0] - gy[1]) - 1j * (gx[1] + gy[0]))[..., None]
+    cplus, cminus = ws.cpm
+    np.add(gx[0] + gy[1], 1j * (gy[0] - gx[1]), out=cplus[..., 0])
+    np.subtract(gx[0] - gy[1], 1j * (gx[1] + gy[0]), out=cminus[..., 0])
 
-    selfadv = p * (px + 1j * py)  # (V+ . grad) V+ = phi div V+ (1, i)
+    # (V+ . grad) V+ = phi div V+ (1, i)
+    selfadv = np.multiply(1j, py, out=t1)
+    selfadv += px
+    np.multiply(p, selfadv, out=selfadv)
     ep = np.exp(1j * om * t)
     em = np.exp(-1j * om * t)
+    # the V+ source of the Vbar equation, (V+ . grad) V+ + (div V+) V+, is s (1, i)
+    # with s the z-mean of 2 phi div V+ e^{2 i Omega t}; the V- source is its conjugate
+    s = (ep * ep) * (2.0 * selfadv.mean(axis=-1))
     extra = ()
     if cfl:
-        lab = np.multiply(2.0 * ep, p)  # u - i v = Vbar_x - i Vbar_y + 2 e^{i Omega t} phi
+        lab = np.multiply(2.0 * ep, p, out=acc)  # u - i v = Vbar_x - i Vbar_y + 2 e^{i Omega t} phi
         lab.real += vb3[0]
         lab.imag -= vb3[1]
         umax = max(_abs_max(lab.real), _abs_max(lab.imag))
@@ -292,26 +394,38 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False):
         extra = (_cfl_from_maxima(umax, _abs_max(lab.real), cfg),)
 
     # the oscillatory prefactors are scalars at fixed t, so the four tendency
-    # groups combine in physical space: one forward transform of one component
-    phys = (
-        ep * (selfadv - intp * dz)
-        + (vb3[0] * px + vb3[1] * py + 0.5 * p * cplus)
-        + em * (pm * (px - 1j * py) - intm * dz)
-        + (em * em * 0.5) * (pm * cminus)
-    )
-    dhat = _fwd_baroclinic(phys[None], g)
+    # groups combine in physical space, in acc, for one forward transform of
+    # one component:
+    #   e^{i Omega t} (selfadv - int_0^z div V+ dz phi) + (Vbar . grad phi + phi cplus / 2)
+    #   + e^{-i Omega t} (conj(phi) (dx - i dy) phi - conj(int_0^z div V+) dz phi)
+    #   + (e^{-2 i Omega t} / 2) conj(phi) cminus
+    # each complex product with its operands in the order written here, which
+    # fixes its rounding
+    np.multiply(intp, dz, out=acc)
+    np.subtract(selfadv, acc, out=acc)
+    np.multiply(ep, acc, out=acc)
+    group = np.multiply(vb3[0], px, out=t1)
+    group += np.multiply(vb3[1], py, out=t2)
+    group += np.multiply(np.multiply(0.5, p, out=t2), cplus, out=t2)
+    acc += group
+    pm = np.conjugate(p, out=p)  # p is spent: its array holds conj(p) from here on
+    group = np.subtract(px, np.multiply(1j, py, out=t1), out=t1)
+    np.multiply(pm, group, out=group)
+    group -= np.multiply(np.conjugate(intp, out=t2), dz, out=t2)
+    np.multiply(em, group, out=group)
+    acc += group
+    group = np.multiply(pm, cminus, out=t1)
+    acc += np.multiply(em * em * 0.5, group, out=group)
+    dhat = _fwd_baroclinic(acc[None], g, out=None if out is None else out[1], work=t1[None])
     if not np.isfinite(dhat).all():
-        _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus)
-    dphi = -dhat
+        _name_bad_term(np.conjugate(pm), px, py, dz, intp, vb3, cplus, cminus)
+    dphi = np.negative(dhat, out=dhat)
 
     # --- Vbar equation: self terms of V+ and V-, averaged over z, Leray-projected ---
-    # the V+ source (V+ . grad) V+ + (div V+) V+ is s (1, i) with s the z-mean
-    # of 2 phi div V+ e^{2 i Omega t}; the V- source is its conjugate, so
-    # together they are (2 Re s, -2 Im s)
-    s = (ep * ep) * (2.0 * selfadv.mean(axis=-1))
+    # the V+ and V- sources together are (2 Re s, -2 Im s)
     mask2 = dealias_mask(g)[:, :, 0]
     b0 = barotropic_coeffs(_adv(vb, gx, gy) + 2.0 * np.stack([s.real, -s.imag]), g)
-    dvb = -leray(b0, g)
+    dvb = np.negative(leray(b0, g), out=None if out is None else out[0])
     dvb *= mask2[None, ...]
     _guard("barotropic", dvb)
 
@@ -328,35 +442,49 @@ def rhs_direct(
     cfg: SolverConfig,
     *,
     cfl: bool = False,
+    out: np.ndarray | None = None,
 ):
     """-V.grad V - w dz V - Omega V^perp, pressure removed by projection (nu dzz
     is the integrating factor's).
 
     v is the full layout (2, nh, nh, nz), whose modes outside the 2/3-rule
     band raise ValueError, or the packed band (`band_pack`) that the stepper
-    passes; the tendency comes back in v's layout.  With cfl=True the result
-    is (tendency, CFL limit of v), the limit read off the values of V and w
-    that the nonlinear terms transform anyway.
+    passes, with the array `out` to write the tendency into; the tendency
+    comes back in v's layout.  With cfl=True the result is (tendency, CFL
+    limit of v), the limit read off the values of V and w that the nonlinear
+    terms transform anyway.
     """
     g = cfg.grid
     full = not is_packed(v, g)
     if full:
         v = band_pack(v, g, "v")
-    out = np.zeros_like(v)
-    w = mpi(g, v)
-    cvals = values_from_coeffs(_grad_stack(v, g), g, COS, real=True)
-    svals = values_from_coeffs(
-        np.concatenate([-w * v, integral_z(-divergence(v, g)[None], g)], axis=0), g, SIN, real=True
-    )
+    ws = _workspace(g).arrays(_direct_layout)
+    grad = _grad_stack(v, g, out=ws.grad)
+    cvals = values_from_coeffs(grad, g, COS, real=True, out=ws.cvals, work=ws.passes)
+    # the sine stack in the gradient stack's first arrays: -int_0^z div V, with
+    # -div V = -(dx V_x + dy V_y) read off the gradient stack, after dz V
+    sines = grad[:3]
+    np.negative(np.add(grad[2], grad[5], out=sines[2]), out=sines[2])
+    integral_z(sines[2:3], g, out=sines[2:3])
+    np.multiply(-mpi(g, v), v, out=sines[0:2])
+    svals = values_from_coeffs(sines, g, SIN, real=True, out=ws.svals, work=ws.passes[:3])
     p, px, py = cvals[0:2], cvals[2:4], cvals[4:6]
     dzp, wphys = svals[0:2], svals[2:3]
     if cfl:
         lim = _cfl_from_maxima(_abs_max(p), _abs_max(wphys), cfg)
-    n = -_adv(p, px, py) - wphys * dzp
-    nhat = coeffs_from_values(n, g, COS)
+    # -(V . grad) V - w dz V, formed in place of px (py and dzp are spent too)
+    n = np.multiply(p[0:1], px, out=px)
+    n += np.multiply(p[1:2], py, out=py)
+    np.negative(n, out=n)
+    n -= np.multiply(wphys, dzp, out=dzp)
+    nhat = coeffs_from_values(n, g, COS, out=ws.nhat, work=ws.passes[:2])
     _guard("advection", nhat)
+    if out is None:
+        out = np.zeros_like(v)
+    else:
+        out.fill(0.0)
     out += nhat
-    out -= cfg.omega * perp_vector(v)
+    out -= np.multiply(cfg.omega, perp_vector(v, out=nhat), out=nhat)
     # pressure projection: baroclinic part untouched, barotropic part Leray-projected
     out[..., 0] = leray(out[..., 0], g)
     if full:
@@ -368,7 +496,7 @@ def rhs_direct(
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _if_rk4(arrs: tuple, t: float, dt: float, nl, grid: GridSpec, nu: float, k1=None) -> tuple:
+def _if_rk4(arrs: tuple, t: float, dt: float, nl, grid: GridSpec, nu: float, k1=None, stages=None) -> tuple:
     """Classical RK4 on the integrating-factor variable; exact for pure diffusion.
 
     The last array of arrs is the evolved 3-D one, in the packed band layout:
@@ -376,23 +504,52 @@ def _if_rk4(arrs: tuple, t: float, dt: float, nl, grid: GridSpec, nu: float, k1=
     e^{-nu (m pi)^2 h}, h = dt/2 and dt.  The compact barotropic arrays in
     front of it (Vbar, omega_bar) have no vertical mode and get no factor.
     k1 is the stage-1 tendency nl(arrs, t) when the caller has evaluated it.
+
+    stages, when given, are four tuples of arrays shaped like arrs that the
+    step works in: the stage input and three tendencies, which
+    nl(y, t, out=k) writes into (k1 in the first, when the caller evaluated
+    it).  Without them nl(y, t) returns fresh tendencies and the step works
+    in fresh arrays.  The new arrays are fresh either way.
     """
     eh, ef = _decay_factors(arrs[-1], grid, nu, dt)
     e_half = (1.0,) * (len(arrs) - 1) + (eh,)
     e_full = (1.0,) * (len(arrs) - 1) + (ef,)
+    if stages is None:
+        y, *ks = (tuple(np.empty_like(a) for a in arrs) for _ in range(4))
+
+        def tendency(a, t, j):
+            return nl(a, t)
+    else:
+        y, *ks = stages
+
+        def tendency(a, t, j):
+            return nl(a, t, out=ks[j])
     if k1 is None:
-        k1 = nl(arrs, t)
-    y2 = tuple(e_half[i] * (arrs[i] + 0.5 * dt * k1[i]) for i in range(len(arrs)))
-    k2 = nl(y2, t + 0.5 * dt)
-    y3 = tuple(e_half[i] * arrs[i] + 0.5 * dt * k2[i] for i in range(len(arrs)))
-    k3 = nl(y3, t + 0.5 * dt)
-    y4 = tuple(e_full[i] * arrs[i] + dt * e_half[i] * k3[i] for i in range(len(arrs)))
-    k4 = nl(y4, t + dt)
-    return tuple(
-        e_full[i] * arrs[i]
-        + (dt / 6.0) * (e_full[i] * k1[i] + 2.0 * e_half[i] * (k2[i] + k3[i]) + k4[i])
-        for i in range(len(arrs))
-    )
+        k1 = tendency(arrs, t, 0)
+    for i, a in enumerate(arrs):  # y2 = e_half (a + dt/2 k1)
+        yi = np.multiply(0.5 * dt, k1[i], out=y[i])
+        yi += a
+        yi *= e_half[i]
+    # the increment dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4), summed in the first arrays
+    inc = [np.multiply(e_full[i], k1[i], out=ks[0][i]) for i in range(len(arrs))]
+    k2 = tendency(y, t + 0.5 * dt, 1)
+    for i, a in enumerate(arrs):  # y3 = e_half a + dt/2 k2, the third arrays the scratch
+        yi = np.multiply(e_half[i], a, out=y[i])
+        yi += np.multiply(0.5 * dt, k2[i], out=ks[2][i])
+    k3 = tendency(y, t + 0.5 * dt, 2)
+    for i, a in enumerate(arrs):  # y4 = e_full a + dt e_half k3, the second arrays the scratch
+        inc[i] += np.multiply(2.0 * e_half[i], np.add(k2[i], k3[i], out=ks[1][i]), out=ks[1][i])
+        yi = np.multiply(e_full[i], a, out=y[i])
+        yi += np.multiply(dt * e_half[i], k3[i], out=ks[1][i])
+    k4 = tendency(y, t + dt, 2)
+    new = []
+    for i, a in enumerate(arrs):
+        inc[i] += k4[i]
+        inc[i] *= dt / 6.0
+        ai = np.multiply(e_full[i], a)
+        ai += inc[i]
+        new.append(ai)
+    return tuple(new)
 
 
 def _decay_factors(a: np.ndarray, grid: GridSpec, nu: float, dt: float) -> tuple:
@@ -472,19 +629,24 @@ def _advance(arrs: tuple, t: float, cfg: SolverConfig, check_cfl: bool) -> tuple
     of the old ones).  Stage 1 of the RK4 step evaluates the RHS at the old
     arrays, so it holds the physical velocity the limit needs and no
     transform is made for it; with check_cfl a dt over the limit raises
-    CflError before stages 2-4 run."""
+    CflError before stages 2-4 run.  The stages run in the grid's workspace."""
     if cfg.formulation == "rotating":
-        def rhs(a, t, cfl=False):
-            return rhs_rotating(a, t, cfg, cfl=cfl)
-    else:
-        def rhs(a, t, cfl=False):
-            out = rhs_direct(a[0], t, cfg, cfl=cfl)
-            return out if cfl else (out,)
+        ws = _workspace(cfg.grid).arrays(_rotating_layout)
+        stages = tuple(zip(ws.stage_bar, ws.stage_phi))
 
-    *k1, lim = rhs(arrs, t, cfl=True)
+        def rhs(a, t, cfl=False, *, out):
+            return rhs_rotating(a, t, cfg, cfl=cfl, out=out)
+    else:
+        stages = tuple((k,) for k in _workspace(cfg.grid).arrays(_direct_layout).stage)
+
+        def rhs(a, t, cfl=False, *, out):
+            res = rhs_direct(a[0], t, cfg, cfl=cfl, out=out[0])
+            return res if cfl else (res,)
+
+    *k1, lim = rhs(arrs, t, cfl=True, out=stages[1])
     if check_cfl and cfg.dt > lim:
         raise CflError(cfg.dt, lim)
-    return _if_rk4(arrs, t, cfg.dt, rhs, cfg.grid, cfg.nu, k1=k1), lim
+    return _if_rk4(arrs, t, cfg.dt, rhs, cfg.grid, cfg.nu, k1=k1, stages=stages), lim
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +678,16 @@ class IntegrationResult:
 _DIAGNOSTIC_ERRORS = (InsufficientDecayData, SpectralRangeError)
 
 
-def _row_from_state(
-    state, v: np.ndarray, power: ShellPower, cfg: SolverConfig, report: NormSpec, tau_tracked: float
+def _row(
+    t: float, vbar: np.ndarray, v: np.ndarray, power: ShellPower, cfg: SolverConfig, report: NormSpec,
+    tau_tracked: float,
 ):
-    """(diagnostics row, number of failed radius fits) of a state whose lab-frame
-    coefficients are v and whose shell-power table is `power`."""
+    """(diagnostics row, number of failed radius fits) at time t of a state whose
+    compact barotropic velocity is vbar and whose lab-frame coefficients
+    (full layout or packed band) are v, with the shell-power table `power`."""
     from .io import DiagnosticsRow
 
     g = cfg.grid
-    vbar = state.vbar if isinstance(state, RotatingState) else v[..., 0]
     spec_tau = NormSpec(r=report.r, s=0, tau=max(tau_tracked, 0.0) if np.isfinite(tau_tracked) else report.tau)
     try:
         nrt = norm_rst(power, spec_tau)
@@ -540,7 +703,7 @@ def _row_from_state(
             failed += 1
     omega_bar = vorticity_from_velocity(vbar, g)
     row = DiagnosticsRow(
-        t=state.t,
+        t=t,
         norm_r0tau=nrt,
         sobolev_norm=sob,
         tau_tracked=tau_tracked,
@@ -553,6 +716,20 @@ def _row_from_state(
         mean_residual=float(np.abs(v[:, 0, 0, 0]).max()),
     )
     return row, failed
+
+
+def _lab_band(arrs: tuple, t: float, cfg: SolverConfig) -> np.ndarray:
+    """The packed band of the lab-frame velocity V of the stepped arrays at
+    time t: V itself, or Vbar + e^{i Omega t} V+ + e^{-i Omega t} V- with
+    V+ = phi (1, i) and V- its conjugate partner."""
+    if cfg.formulation == "direct":
+        return arrs[0]
+    vbar, phi = arrs
+    vplus = polarized(phi)
+    vminus = conjugate_reverse(vplus)
+    v = np.exp(1j * cfg.omega * t) * vplus + np.exp(-1j * cfg.omega * t) * vminus
+    v[..., 0] += band_gather(vbar[..., None], cfg.grid)[..., 0]
+    return v
 
 
 def _norms_for_tracker(power: ShellPower, r: float):
@@ -598,23 +775,26 @@ def integrate(
     formulation than cfg.formulation, raises ValueError.
 
     state0 is packed once (`_pack`) and the packed arrays go from step to
-    step; each step's state is built from them for the diagnostics, the
-    observers and the result.  The CFL limit of each pre-step state comes
-    from stage 1 of its RK4 step, which evaluates the RHS there and so holds
-    the physical velocity: with check_cfl a dt over the limit raises CflError
-    before the step is accepted, and the smallest limit / dt is recorded
-    either way.  After each step the lab-frame velocity is formed once and
-    its shell-power table built once; the tau tracker and the diagnostics
-    row (norms, fits, energy, baroclinic L2) all read that table.
+    step.  The CFL limit of each pre-step state comes from stage 1 of its
+    RK4 step, which evaluates the RHS there and so holds the physical
+    velocity: with check_cfl a dt over the limit raises CflError before the
+    step is accepted, and the smallest limit / dt is recorded either way.
+    After each step the packed band of the lab-frame velocity is formed once
+    and its shell-power table built once; the tau tracker and the
+    diagnostics row (norms, fits, energy, baroclinic L2) all read that
+    table.  A full state is built from the packed arrays only for the
+    state_observer and for the result.
     """
     report = report or NormSpec(r=2.0, s=0, tau=0.0)
     g = cfg.grid
+    rotating = cfg.formulation == "rotating"
     arrs = _pack(state0, cfg)
-    state = state0.copy()
+    state, t = state0.copy(), state0.t
     n_steps = step_count(cfg.t_end, cfg.dt)
     tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
     v = _lab_velocity(state, cfg)
-    row, fit_failures = _row_from_state(state, v, ShellPower.of(v, g), cfg, report, tau_now)
+    vbar = state.vbar if rotating else v[..., 0]
+    row, fit_failures = _row(t, vbar, v, ShellPower.of(v, g), cfg, report, tau_now)
     rows = [row]
     if observer:
         observer(row)
@@ -627,26 +807,25 @@ def integrate(
     termination = "completed"
 
     for _ in range(n_steps):
-        arrs, lim = _advance(arrs, state.t, cfg, check_cfl)
-        state = _unpack(arrs, state.t + cfg.dt, cfg)
+        arrs, lim = _advance(arrs, t, cfg, check_cfl)
+        t, state = t + cfg.dt, None
         if margin is None or lim / cfg.dt < margin:
             margin = lim / cfg.dt
-        v = _lab_velocity(state, cfg)
+        v = _lab_band(arrs, t, cfg)
         power = ShellPower.of(v, g)
         if tau_tracker is not None:
             tau_tracker.step(cfg.dt, _norms_for_tracker(power, report.r))
             tau_now = tau_tracker.tau
-        row, failed = _row_from_state(state, v, power, cfg, report, tau_now)
+        vbar = arrs[0] if rotating else band_unpack(v[..., 0:1], g)[..., 0]
+        row, failed = _row(t, vbar, v, power, cfg, report, tau_now)
         fit_failures += failed
         rows.append(row)
         if observer:
             observer(row)
         if state_observer:
+            state = _unpack(arrs, t, cfg)
             state_observer(state)
-        # the built state, not arrs: the same verdict, but checking arrs let glibc
-        # trim the heap between steps, doubling a step's page faults at (24, 12)
-        coeffs = (state.vbar, state.vplus) if isinstance(state, RotatingState) else (state.v,)
-        if any(not np.isfinite(a).all() for a in coeffs):
+        if any(not np.isfinite(a).all() for a in arrs):
             termination = "nan"
             break
         if np.isfinite(row.norm_r0tau) and row.norm_r0tau > blowup_factor * max(initial_norm, 1e-300):
@@ -658,9 +837,10 @@ def integrate(
             and np.isfinite(row.tau_fit_h)
             and row.tau_fit_h < 0.05 * initial_fit
         ):
-            collapse_t = state.t
+            collapse_t = t
     rows[-1].termination = termination
     fallbacks = 0 if tau_tracker is None else sum(not np.isfinite(row.tau_tracked) for row in rows)
+    state = _unpack(arrs, t, cfg) if state is None else state
     return IntegrationResult(state, rows, termination, collapse_t, margin, fit_failures, fallbacks)
 
 

@@ -65,7 +65,12 @@ under its own module name, so a later `import scipy.fft` shares the one
 instance.
 
 All operations are pure: inputs are never mutated, and outputs are fresh
-unless the caller passes an `out` buffer to write them into.
+unless the caller passes an `out` buffer to write them into.  The 3-D
+transforms also take the caller's pass buffer `work`; the solvers pass the
+arrays of their per-grid workspace (`pe_solver.Workspace`), and every other
+caller gets fresh arrays through the same code.  A buffer's prior contents
+are never read: each call zeroes or overwrites all of it that the passes
+read.
 """
 
 from __future__ import annotations
@@ -208,17 +213,18 @@ def _width(runs: tuple) -> int:
 
 
 def _outside(a: np.ndarray, rows: tuple, cols: tuple, depth: int) -> list:
-    """Views of slabs that cover a full-layout a outside the blocks
-    a[.., rows, cols, :depth]: the rows between and after the row runs, the
-    columns between and after the column runs of those rows, and the modes
-    m >= depth (of every column: fewer, larger slabs)."""
+    """Views of disjoint slabs that cover a full-layout a outside the blocks
+    a[.., rows, cols, :depth]: the modes m < depth of the rows between and
+    after the row runs and of the columns between and after the column runs
+    of those rows, and the modes m >= depth of every column (fewer, larger
+    slabs)."""
     def gaps(runs, n):
         ends = [r.stop for r, _ in runs]
         starts = [r.start for r, _ in runs[1:]] + [n]
         return [slice(e, s) for e, s in zip(ends, starts) if s > e]
 
-    slabs = [a[..., g, :, :] for g in gaps(rows, a.shape[-3])]
-    slabs += [a[..., r, g, :] for r, _ in rows for g in gaps(cols, a.shape[-2])]
+    slabs = [a[..., g, :, :depth] for g in gaps(rows, a.shape[-3])]
+    slabs += [a[..., r, g, :depth] for r, _ in rows for g in gaps(cols, a.shape[-2])]
     return slabs + [a[..., depth:]] if depth < a.shape[-1] else slabs
 
 
@@ -237,11 +243,11 @@ def _slots(coeffs: np.ndarray, basis: str, mmax: int) -> np.ndarray:
     return coeffs[..., : mmax + 1] if basis == COS else coeffs[..., 1 : mmax + 1]
 
 
-def _z_inverse(slots: np.ndarray, basis: str, n: int) -> np.ndarray:
-    """DCT/DST-III: the vertical series of DCT/DST slots (last axis) at n
-    midpoints z_j = (j + 1/2)/n, the scaled slots zero-padded to n."""
+def _z_inverse(slots: np.ndarray, basis: str, x: np.ndarray) -> np.ndarray:
+    """DCT/DST-III in place in x (.., n), whose entries past the k slots are
+    zero: the vertical series of DCT/DST slots (last axis) at n midpoints
+    z_j = (j + 1/2)/n, the scaled slots zero-padded to n."""
     k = slots.shape[-1]
-    x = np.zeros(slots.shape[:-1] + (n,), dtype=slots.dtype)
     np.multiply(slots, _cos_in_scale(k) if basis == COS else 1.0 / SQRT2, out=x[..., :k])
     return _r2r(basis, x, 3)
 
@@ -261,22 +267,21 @@ def _r2r(basis: str, x: np.ndarray, type: int) -> np.ndarray:
     return x
 
 
-def _z_forward(x: np.ndarray, basis: str, hsize: int, mmax: int) -> np.ndarray:
-    """DCT/DST-II in place: the slots of the modes m <= mmax of midpoint values
-    x, divided by hsize, as a view of x.
+def _z_forward(x: np.ndarray, basis: str, hsize: int, out: np.ndarray) -> np.ndarray:
+    """DCT/DST-II in place in midpoint values x: the slots of the modes
+    m <= mmax, divided by hsize, written to out (.., mmax + 1) at their modes
+    (sine mode m from slot m - 1; its m = 0 entry is 0).
 
     hsize is the point count of the unnormalised horizontal forward transform
     that preceded, so its normalisation costs no pass of its own.
     """
-    nz = x.shape[-1]
+    nz, mmax = x.shape[-1], out.shape[-1] - 1
     d = _r2r(basis, x, 2)
     if basis == COS:
-        d = d[..., : mmax + 1]
-        d *= _cos_out_scale(hsize, nz)[: mmax + 1]
-    else:
-        d = d[..., :mmax]
-        d *= 1.0 / (SQRT2 * nz * hsize)
-    return d
+        return np.multiply(d[..., : mmax + 1], _cos_out_scale(hsize, nz, mmax + 1), out=out)
+    np.multiply(d[..., :mmax], 1.0 / (SQRT2 * nz * hsize), out=out[..., 1:])
+    out[..., 0] = 0.0
+    return out
 
 
 def _fft_pass(x: np.ndarray, axis: int, inverse: bool) -> None:
@@ -290,7 +295,8 @@ def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
     The horizontal modes are left untouched: a refined z grid for per-z
     horizontal norms, which Parseval evaluates without an x transform.
     """
-    return _z_inverse(_slots(coeffs, basis, coeffs.shape[-1] - 1), basis, n)
+    x = np.zeros(coeffs.shape[:-1] + (n,), dtype=coeffs.dtype)
+    return _z_inverse(_slots(coeffs, basis, coeffs.shape[-1] - 1), basis, x)
 
 
 def _gather(a: np.ndarray, rows: tuple, cols: tuple, out: np.ndarray) -> np.ndarray:
@@ -359,67 +365,105 @@ def _conj_fill(out: np.ndarray, neg: int) -> np.ndarray:
     return out
 
 
-def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS) -> np.ndarray:
+def _buffer(buf: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """buf, checked to be a C-contiguous array of the given shape and dtype, or a
+    fresh one when buf is None."""
+    if buf is None:
+        return np.empty(shape, dtype)
+    if buf.shape != shape or buf.dtype != dtype or not buf.flags.c_contiguous:
+        raise ValueError(f"buffer of shape {buf.shape} and dtype {buf.dtype} given where a C-contiguous "
+                         f"{np.dtype(dtype)} array of shape {shape} is needed")
+    return buf
+
+
+def _blocks(x: np.ndarray, rows: tuple, cols: tuple):
+    """(full-layout view, packed index) of each band block x[.., rows, cols, :]."""
+    return [(x[..., r, c, :], (Ellipsis, rp, cp, slice(None))) for r, rp in rows for c, cp in cols]
+
+
+def coeffs_from_values(vals: np.ndarray, grid: GridSpec, basis: str = COS, *,
+                       out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Dealiased forward transform: collocation values (.., n1, n2, z) -> the
     basis coefficients of the 2/3-rule band |n1|, |n2| <= hcut, m <= zcut, in
     the packed layout (`band_pack`).
 
     The n2 pass runs first (an rfft for real values, whose half plane is
     expanded by conjugation at the end), then the n1 pass on the band's n2
-    columns.  The band of those passes is copied once into the output buffer,
-    where the vertical DCT/DST runs in place, with the horizontal
-    normalisation folded into its scale.  A single n2 = 0 column
+    columns, then the vertical DCT/DST in place on the band's blocks, with
+    the horizontal normalisation folded into the scale that writes each
+    block's modes m <= zcut to the output.  A single n2 = 0 column
     (.., nh, 1, nz) is the x-z layout.
+
+    work is the pass buffer (.., n1, n2 // 2 + 1 or n2, nz), complex (vals
+    itself may serve for complex values), and out the packed result; both are
+    fresh when not given.
     """
     n1, n2, nz = vals.shape[-3:]
     real = not np.iscomplexobj(vals)
-    rows, cols, cut, mmax = _box(grid, n1, n2, real)
-    x = (_pfft.r2c if real else _pfft.c2c)(vals, (-2,), True, 0, None, _WORKERS)
+    rows, cols, _, mmax = _box(grid, n1, n2, real)
+    lead = vals.shape[:-3]
+    width = n2 // 2 + 1 if real else n2
+    x = (_pfft.r2c if real else _pfft.c2c)(
+        vals, (-2,), True, 0, _buffer(work, lead + (n1, width, nz), np.complex128), _WORKERS)
     for c, _ in cols:
         _fft_pass(x[..., c, :], -3, inverse=False)
-    out = np.empty(vals.shape[:-3] + (_width(rows), _width(_runs(n2, cut)), nz), dtype=np.complex128)
-    box = _gather(x, rows, cols, out[..., : _width(cols), :])  # a real field's half plane
-    d = _z_forward(box, basis, n1 * n2, mmax)
-    if basis == SIN:  # sine slot m - 1 holds mode m
-        box[..., 1 : mmax + 1] = d
-        box[..., 0] = 0.0
-    out = out[..., : mmax + 1]
-    return _conj_fill(out, out.shape[-2] - _width(cols)) if real else out
+    res = _buffer(out, lead + _packed_axes(grid, n1, n2), np.complex128)
+    for block, at in _blocks(x, rows, cols):
+        _z_forward(block, basis, n1 * n2, res[at])
+    return _conj_fill(res, res.shape[-2] - _width(cols)) if real else res
 
 
-def values_from_coeffs(
-    coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False
-) -> np.ndarray:
+def values_from_coeffs(coeffs: np.ndarray, grid: GridSpec, basis: str = COS, *, real: bool = False,
+                       out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Inverse transform of the 2/3-rule band: packed basis coefficients
     (`band_pack`) -> collocation values on the full grid.
 
-    The vertical DCT/DST runs first, on the band's (n1, n2) columns and its
-    DCT/DST slots only (the empty sine slot m = 0 is never transformed),
-    zero-padded to nz, then the n2 pass on the band's rows and the n1 pass.
-    real=True asserts that the field is real (conjugate symmetric): only the
-    half plane n2 <= hcut is read, the n1 pass comes first, on the band's
-    columns, and the n2 pass is an irfft, and the values come back real.
-    Otherwise the values are complex.
+    The scaled DCT/DST slots of the band's (n1, n2) columns are written into
+    the band's blocks of the pass buffer, zero-padded to nz (the empty sine
+    slot m = 0 is never transformed), and the vertical DCT/DST runs there in
+    place; everything outside the blocks is zeroed.  Then the n2 pass runs on
+    the band's rows and the n1 pass on all of them.  real=True asserts that
+    the field is real (conjugate symmetric): only the half plane n2 <= hcut
+    is read, the n1 pass comes first, on the band's columns, and the n2 pass
+    is an irfft, and the values come back real.  Otherwise the values are
+    complex.
+
+    out receives the values (.., n1, n2, nz); the complex path runs its
+    passes there, the real path in work (.., n1, n2 // 2 + 1, nz), complex.
+    Both are fresh when not given.
     """
+    require_packed(coeffs, grid)
     n1, n2 = _full_axes(grid, coeffs)
-    rows, cols, cut, mmax = _box(grid, n1, n2, real)
-    packed = (_width(rows), _width(_runs(n2, cut)), mmax + 1)
-    if coeffs.shape[-3:] != packed:
-        raise ValueError(f"coefficients of shape {coeffs.shape} are not in the packed band layout "
-                         f"(.., {packed[0]}, {packed[1]}, {packed[2]}); band_pack converts the full one")
-    width = n2 // 2 + 1 if real else n2
-    # the buffer of the horizontal passes is allocated before the padded box,
-    # which is then freed above it: in rhs_rotating at (32, 32) that order
-    # took fewer minor page faults per call than the reverse one
-    into = np.empty(coeffs.shape[:-3] + (n1, width, grid.nz), np.complex128)
-    x = _scatter(vertical_values(coeffs[..., : _width(cols), :], basis, grid.nz), rows, cols, into)
+    rows, cols, _, mmax = _box(grid, n1, n2, real)
+    lead, nz = coeffs.shape[:-3], grid.nz
+    x = _buffer(work if real else out, lead + (n1, n2 // 2 + 1 if real else n2, nz), np.complex128)
+    for slab in _outside(x, rows, cols, mmax + 1 if basis == COS else mmax):
+        slab.fill(0.0)
+    for block, at in _blocks(x, rows, cols):
+        _z_inverse(_slots(coeffs[at], basis, mmax), basis, block)
     if real:
         _fft_pass(x[..., cols[0][0], :], -3, inverse=True)
-        return _pfft.c2r(x, (-2,), n2, False, 0, None, _WORKERS)
+        return _pfft.c2r(x, (-2,), n2, False, 0, _buffer(out, lead + (n1, n2, nz), np.float64), _WORKERS)
     for r, _ in rows:
         _fft_pass(x[..., r, :, :], -2, inverse=True)
     _fft_pass(x, -3, inverse=True)
     return x
+
+
+@lru_cache(maxsize=None)
+def _packed_axes(grid: GridSpec, n1: int, n2: int) -> tuple:
+    """The (n1, n2, m) axes of the packed band of an (.., n1, n2, nz) layout."""
+    rows, _, cut, mmax = _box(grid, n1, n2, False)
+    return _width(rows), _width(_runs(n2, cut)), mmax + 1
+
+
+def require_packed(coeffs: np.ndarray, grid: GridSpec) -> None:
+    """Raise ValueError unless coeffs (.., n1, n2, m) are in the packed band
+    layout of the 3-D or the x-z layout."""
+    packed = _packed_axes(grid, *_full_axes(grid, coeffs))
+    if coeffs.shape[-3:] != packed:
+        raise ValueError(f"coefficients of shape {coeffs.shape} are not in the packed band layout "
+                         f"(.., {packed[0]}, {packed[1]}, {packed[2]}); band_pack converts the full one")
 
 
 def require_band(coeffs: np.ndarray, grid: GridSpec, what: str) -> None:
@@ -447,10 +491,11 @@ def require_band(coeffs: np.ndarray, grid: GridSpec, what: str) -> None:
     )
 
 
-def barotropic_values(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real values of compact (.., nh, nh) coefficients of real z-independent fields."""
+def barotropic_values(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Real values of compact (.., nh, nh) coefficients of real z-independent
+    fields, into out if given."""
     nh = grid.nh
-    return _pfft.c2r(coeffs[..., : nh // 2 + 1], (-2, -1), nh, False, 0, None, _WORKERS)
+    return _pfft.c2r(coeffs[..., : nh // 2 + 1], (-2, -1), nh, False, 0, out, _WORKERS)
 
 
 def barotropic_coeffs(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -462,15 +507,19 @@ def barotropic_coeffs(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _conj_fill(out, h - 1)[..., 0]
 
 
-def _cos_in_scale(nz: int) -> np.ndarray:
-    s = np.full(nz, 1.0 / SQRT2)
+@lru_cache(maxsize=None)
+def _cos_in_scale(k: int) -> np.ndarray:
+    s = np.full(k, 1.0 / SQRT2)
     s[0] = 1.0
+    s.flags.writeable = False
     return s
 
 
-def _cos_out_scale(hsize: int, nz: int) -> np.ndarray:
-    s = np.full(nz, 1.0 / (SQRT2 * nz * hsize))
+@lru_cache(maxsize=None)
+def _cos_out_scale(hsize: int, nz: int, k: int) -> np.ndarray:
+    s = np.full(k, 1.0 / (SQRT2 * nz * hsize))
     s[0] = 1.0 / (2 * nz * hsize)
+    s.flags.writeable = False
     return s
 
 
@@ -569,15 +618,16 @@ def band_product(cf: np.ndarray, fbasis: str, cg: np.ndarray, gbasis: str, grid:
     return coeffs_from_values(pv, grid, tag), tag
 
 
-def integral_z(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+def integral_z(c: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Sine coefficients of int_0^z of cosine coefficients c (last axis m, full
-    or packed band layout).
+    or packed band layout), into out if given (c itself may serve).
 
     Cosine mode m >= 1 maps to sine mode m divided by m pi; the m = 0 mode,
     whose integral z is no sine series, is dropped.
     """
-    out = np.zeros_like(c)
+    out = np.empty_like(c) if out is None else out
     out[..., 1:] = c[..., 1:] / mpi(grid, c)[..., 1:]
+    out[..., 0] = 0.0
     return out
 
 

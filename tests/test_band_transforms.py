@@ -210,6 +210,46 @@ def test_xz_column_layout(rng):
         _check_kernels(grid, basis, True, a, vals, (_dense_inverse, _dense_forward), 1e-14)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 2)], ids=["one", "stack", "2d-stack"])
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("basis", [COS, SIN])
+@pytest.mark.parametrize("xz", [False, True], ids=["3d", "xz"])
+def test_caller_buffers_change_no_bit(rng, xz, basis, real, lead):
+    """Written into caller-owned buffers, the inverse and the forward equal
+    their fresh results bit for bit, whatever the buffers held: NaN, or the
+    previous call's values of another field."""
+    grid = GridSpec(nh=24, nz=12)
+    n2 = 1 if xz else grid.nh
+    full = lead + (grid.nh, n2, grid.nz)
+    band = lead + (2 * grid.hcut + 1, 1 if xz else 2 * grid.hcut + 1, grid.zcut + 1)
+    fields = [band_pack(_coeffs(rng, full, real) * _band(grid, n2), grid) for _ in range(2)]
+    values = [rng.standard_normal(full) if real else _coeffs(rng, full, False) for _ in range(2)]
+    width = n2 // 2 + 1 if real else n2
+    out = np.full(full, np.nan, dtype=np.float64 if real else np.complex128)
+    work = np.full(lead + (grid.nh, width, grid.nz), np.nan, dtype=np.complex128)
+    fout = np.full(band, np.nan, dtype=np.complex128)
+    fwork = np.full(lead + (grid.nh, width, grid.nz), np.nan, dtype=np.complex128)
+    for c, v in (fields[0], values[0]), (fields[1], values[1]), (fields[0], values[0]):  # NaN, then dirty
+        got = values_from_coeffs(c, grid, basis, real=real, out=out, work=work if real else None)
+        assert got is out and _same_bits(got, values_from_coeffs(c, grid, basis, real=real))
+        got = coeffs_from_values(v, grid, basis, out=fout, work=fwork)
+        assert got is fout and _same_bits(got, coeffs_from_values(v, grid, basis))
+
+
+def test_caller_buffers_are_checked(rng):
+    """A buffer of the wrong shape, dtype or memory order is refused, not written into."""
+    grid = GridSpec(nh=24, nz=12)
+    c = band_pack(_coeffs(rng, (2, *grid.shape), False) * _band(grid), grid)
+    for bad in (np.empty((2, 24, 24, 8), complex), np.empty((2, 24, 24, 12)),
+                np.empty((2, 24, 24, 24), complex)[..., ::2]):
+        with pytest.raises(ValueError, match="buffer of shape"):
+            values_from_coeffs(c, grid, COS, out=bad)
+
+
 def test_inverse_rejects_the_full_layout(rng):
     """The inverse reads the packed band only; a full-layout array is refused, not misread."""
     grid = GridSpec(nh=24, nz=12)

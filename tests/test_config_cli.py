@@ -83,6 +83,20 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 parse_config(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [("physics", "nu"), ("physics", "omega"), ("init", "amplitude"),
+                                              ("norms", "r"), ("time", "t_end")])
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        # Python's json reads NaN and Infinity; a run must not start from them
+        doc = json.loads(json.dumps(minimal_doc()))
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be a finite number"):
+            parse_config(doc)
+
+    def test_non_finite_sweep_rejected(self):
+        with pytest.raises(ConfigError, match="scenario.sweep"):
+            parse_config({"scenario": {"name": "lifespan_vs_omega", "sweep": [10.0, float("nan")]}})
+
     def test_t_end_off_the_step_grid_rejected(self):
         # dt = 3e-3 would run round(0.005 / 3e-3) = 2 steps and end at t = 0.006
         with pytest.raises(ConfigError, match=r"time\.t_end .* time\.dt"):
@@ -154,6 +168,13 @@ class TestCli:
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
         assert main(["run", "--config", str(p)]) == 1
+
+    def test_non_finite_config_rejected_before_the_run(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_doc()).replace('"nu": 0.2', '"nu": NaN'))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "physics.nu must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "config.json").exists()
 
     def test_run_scenario_via_cli(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

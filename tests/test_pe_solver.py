@@ -278,6 +278,16 @@ class TestStepping:
             step(rotating_from_direct(st.v, 0.0, cfg.omega), cfg)
         assert exc.value.suggested < 0.2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["nu", "omega", "dt", "t_end"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            cfg_for(**{field: value})
+
+    def test_negative_t_end_rejected(self):
+        with pytest.raises(ValueError, match="^t_end must be >= 0"):
+            cfg_for(t_end=-2e-3)
+
     def test_omega_dt_constraint_enforced(self):
         with pytest.raises(ValueError, match="0.5"):
             cfg_for(dt=1e-2, omega=100.0)
@@ -644,3 +654,187 @@ class TestReduce2D:
         for _ in range(100):
             st = step_2d(st, grid, nu, 5e-3)
         assert np.sum(np.abs(st.u) ** 2) < e0
+
+
+# --- the per-grid workspace ---------------------------------------------------
+
+def _run(system, grid, seed, steps=4):
+    """(final arrays, diagnostics rows) of a short run of one system from the state drawn with `seed`."""
+    from rotape.limit_solver import LimitState, integrate_limit, vorticity_from_velocity
+    from rotape.initial_data import well_prepared_state
+
+    rng = np.random.default_rng(seed)
+    if system == "limit":
+        vbar, vt = well_prepared_state(grid, rng, tau0=0.4, eta0=0.3)
+        st, rows, _ = integrate_limit(LimitState(0.0, vorticity_from_velocity(vbar, grid), vt.coeffs), grid, 0.1,
+                                      1e-3, steps * 1e-3)
+        return (st.omega_bar, st.vtilde), [vars(r) for r in rows]
+    v = make_state(rng, grid=grid).v
+    cfg = cfg_for(grid=grid, t_end=steps * 1e-3, formulation=system)
+    res = integrate(rotating_from_direct(v, 0.0, cfg.omega) if system == "rotating" else DirectState(0.0, v), cfg,
+                    report=NormSpec(r=2.0, s=0, tau=0.1))
+    arrays = (res.state.vbar, res.state.vplus, res.state.vminus) if system == "rotating" else (res.state.v,)
+    return arrays, [vars(r) for r in res.rows]
+
+
+def _bits(run):
+    arrays, rows = run
+    return [a.tobytes() for a in arrays], repr(rows)
+
+
+class TestWorkspace:
+    """The steppers keep their fields in one workspace per grid (`_workspace`)."""
+
+    @pytest.mark.parametrize("system", ["rotating", "direct", "limit"])
+    def test_runs_do_not_depend_on_earlier_runs(self, system):
+        """A run is the same bit for bit in a fresh workspace and in one that
+        other runs left dirty: another state of the same system, each other
+        system on the same grid, and then every byte set to NaN."""
+        from rotape.pe_solver import _workspace
+
+        grid = GridSpec(nh=24, nz=12)
+        _workspace.cache_clear()
+        first = _bits(_run(system, grid, seed=1))
+        _run(system, grid, seed=2)
+        for other in {"rotating", "direct", "limit"} - {system}:
+            _run(other, grid, seed=3)
+        assert _bits(_run(system, grid, seed=1)) == first
+        _workspace(grid)._arena.fill(0xFF)
+        assert _bits(_run(system, grid, seed=1)) == first
+
+    @pytest.mark.parametrize("system", ["rotating", "direct", "limit"])
+    @pytest.mark.parametrize("nh, nz", [(24, 12), (32, 16)])
+    def test_warmed_step_allocates_less_than_one_field(self, system, nh, nz):
+        """A warmed RK4-IF step allocates, at its traced peak, less than one
+        full-grid complex field (nh^2 nz 16 bytes): its fields live in the
+        workspace, and what it returns is band-sized.  numpy's ufuncs take
+        scratch of their own, up to `bufsize` elements per operand whatever
+        the grid, so the measured step runs with a small bufsize and the
+        peak counts arrays."""
+        import tracemalloc
+
+        from rotape.initial_data import well_prepared_state
+        from rotape.limit_solver import LimitState, _advance as limit_advance, _pack as limit_pack
+        from rotape.limit_solver import vorticity_from_velocity
+
+        grid = GridSpec(nh=nh, nz=nz)
+        rng = np.random.default_rng(7)
+        if system == "limit":
+            vbar, vt = well_prepared_state(grid, rng, tau0=0.4, eta0=0.3)
+            arrs = limit_pack(LimitState(0.0, vorticity_from_velocity(vbar, grid), vt.coeffs), grid)
+
+            def advance(a):
+                return limit_advance(a, 0.0, grid, 0.1, 1e-3)
+        else:
+            cfg = cfg_for(grid=grid, formulation=system)
+            v = make_state(rng, grid=grid).v
+            arrs = _pack(rotating_from_direct(v, 0.0, cfg.omega) if system == "rotating" else DirectState(0.0, v),
+                         cfg)
+
+            def advance(a):
+                return _advance(a, 0.0, cfg, True)[0]
+
+        arrs = advance(advance(arrs))
+        tracing = tracemalloc.is_tracing()
+        bufsize = np.setbufsize(256)
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            arrs = advance(arrs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < nh * nh * nz * 16
+
+    def test_rotating_rhs_is_its_written_formula_at_every_size(self, rng):
+        """At (32, 16) every physical field is 256 KiB, where numpy evaluates
+        a product with a temporary operand in that temporary, which swaps the
+        operands of a complex product (not bitwise commutative).  The rotating
+        tendency is bit for bit its formula written with named operands."""
+        from rotape.pe_solver import _fwd_baroclinic, _grad_stack, _plus_values
+        from rotape.spectral import barotropic_values
+
+        grid = GridSpec(nh=32, nz=16)
+        cfg = cfg_for(grid=grid, omega=7.0)
+        t = 0.3
+        st = rotating_from_direct(make_state(rng, grid=grid).v, t, cfg.omega)
+        phi = band_pack(st.vplus[0:1], grid)
+        p, px, py, dz, intp = (a.copy() for a in _plus_values(phi, grid))
+        pm, intm = np.conj(p), np.conj(intp)
+        bar = barotropic_values(_grad_stack(st.vbar[..., None], grid)[..., 0], grid)
+        vb, gx, gy = bar[0:2, ..., None], bar[2:4], bar[4:6]
+        cplus = ((gx[0] + gy[1]) + 1j * (gy[0] - gx[1]))[..., None]
+        cminus = ((gx[0] - gy[1]) - 1j * (gx[1] + gy[0]))[..., None]
+        ep, em = np.exp(1j * cfg.omega * t), np.exp(-1j * cfg.omega * t)
+        div_plus = px + 1j * py
+        selfadv = p * div_plus
+        inner = selfadv - intp * dz
+        half_p = 0.5 * p
+        barotropic = vb[0] * px + vb[1] * py + half_p * cplus
+        cross_grad = px - 1j * py
+        cross = pm * cross_grad - intm * dz
+        coupling = pm * cminus
+        weight = em * em * 0.5
+        groups = [ep * inner, barotropic, em * cross, weight * coupling]
+        expect = -_fwd_baroclinic((groups[0] + groups[1] + groups[2] + groups[3])[None], grid)
+        got = rhs_rotating((st.vbar, phi), t, cfg)[1]
+        assert got.tobytes() == expect.tobytes()
+
+
+# the digests that a child process with a perturbing allocator must reproduce
+_DIGESTS = """
+import hashlib, tempfile
+from pathlib import Path
+import numpy as np
+from rotape.config import RunConfig
+from rotape.grid import GridSpec
+from rotape.initial_data import random_state
+from rotape.pe_solver import SolverConfig, integrate, rotating_from_direct
+from rotape.scenarios import formulation_equivalence
+
+
+def digests():
+    cfg = RunConfig()  # criterion 15's run
+    cfg.grid = GridSpec(nh=16, nz=8)
+    cfg.nu, cfg.omega, cfg.dt, cfg.t_end = 0.2, 3.0, 2e-3, 0.05
+    cfg.init.seed = 9
+    with tempfile.TemporaryDirectory() as tmp:
+        formulation_equivalence(cfg, Path(tmp) / "run")
+        csv = (Path(tmp) / "run" / "diagnostics.csv").read_bytes()
+    grid = GridSpec(nh=32, nz=16)
+    vbar, vt = random_state(grid, np.random.default_rng(15), tau0=0.5, eta0=0.3, amplitude=0.8)
+    v0 = vt.coeffs.copy()
+    v0[..., 0] += vbar
+    scfg = SolverConfig(nu=0.1, omega=5.0, grid=grid, dt=1e-3, t_end=4e-3)
+    state = integrate(rotating_from_direct(v0, 0.0, 5.0), scfg).state
+    return {"diagnostics.csv": hashlib.sha256(csv).hexdigest(),
+            "state": hashlib.sha256(state.vbar.tobytes() + state.vplus.tobytes()).hexdigest()}
+"""
+
+
+def test_outputs_do_not_depend_on_the_allocator():
+    """A child process whose allocator fills every block it hands out or takes
+    back with a byte pattern (glibc's MALLOC_PERTURB_), and serves large
+    blocks from the heap (a raised MALLOC_MMAP_THRESHOLD_), writes the same
+    bytes as this process: criterion 15's diagnostics.csv and the final state
+    of a rotating (32, 16) run.  A buffer read before it is written would
+    differ there."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rotape
+
+    env = dict(os.environ, MALLOC_PERTURB_="165", MALLOC_MMAP_THRESHOLD_=str(1 << 24),
+               PYTHONPATH=os.pathsep.join([str(Path(rotape.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _DIGESTS + "\nimport json\nprint(json.dumps(digests()))"],
+                           env=env, capture_output=True, text=True, timeout=120, check=True)
+    here = {}
+    exec(_DIGESTS, here)
+    assert json.loads(child.stdout.splitlines()[-1]) == here["digests"]()
