@@ -17,14 +17,22 @@ same draw.  Each input is validated once, where it is packed: its band
 conjugate symmetry that selects the real transforms.  The fields derived
 from them (div_h, d/dz, int_0^z, A^r e^{tau A}) are diagonal multipliers of
 a checked band, so they are not checked again.
+
+A stack's arrays live in its lemma layout (`_lemma_layout`) of the grid's
+workspace (`spectral.Workspace`): the inputs, which run_ensemble draws and
+check packs into, the transforms' values and pass buffers, the LHS field
+and the RHS's vertical series.  What a check returns are floats; no array of
+the layout holds anything from one check to the next.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +41,10 @@ from .initial_data import random_coeffs
 from .norms import NormSpec, ShellPower, norm_rst, q_table, q_weight, seminorm_a_sq
 from .spectral import (
     _CLOSURE,
+    _carve,
     _conjugate_mismatch,
+    _round_trip_buffers,
+    _workspace,
     COS,
     SIN,
     SpectralField,
@@ -120,7 +131,7 @@ def _partners(n1: int, n2: int) -> np.ndarray:
     return ((-np.arange(n1)) % n1 * n2)[:, None] + ((-np.arange(n2)) % n2)[None, :]
 
 
-def _z_power(f: SpectralField | _Stack, nzf: int, mirror: bool = False) -> np.ndarray:
+def _z_power(f: SpectralField | _Stack, nzf: int, mirror: bool = False, ws=None) -> np.ndarray:
     """P[.., q, z] = sum_c sum_{n1^2 + n2^2 = q} |f_c(n1, n2, z)|^2 on nzf
     midpoints: one table per sample of a stack, one for a SpectralField.
 
@@ -129,20 +140,32 @@ def _z_power(f: SpectralField | _Stack, nzf: int, mirror: bool = False) -> np.nd
     every sample is exactly conjugate symmetric: the series then runs on one
     column of each pair (n, -n), whose |f|^2 the other repeats bit for bit
     (|conj z|^2 = |z|^2, and the DCT/DST commutes with negation exactly).
+    ws, a stack's lemma layout, holds the gathered columns (grad), and
+    their series and the |f|^2 table (scratch); fresh arrays without it.
     """
     c = f.coeffs
     n1, n2, m = c.shape[-3:]
     c = c.reshape(*c.shape[:-3], n1 * n2, m)
     cols = np.flatnonzero(c.any(axis=tuple(range(c.ndim - 2)) + (-1,)))
-    own, rows = cols, None
+    own, rows = cols, np.arange(len(cols))
     if mirror:
         rep = np.minimum(cols, _partners(n1, n2).ravel()[cols])
         own = cols[rep == cols]
         rows = np.searchsorted(own, rep)
-    vals = vertical_values(c[..., own, :], f.basis, nzf)
-    a2 = np.square(vals.real).sum(axis=-3) + np.square(vals.imag).sum(axis=-3)
-    if rows is not None:
-        a2 = a2[..., rows, :]
+    lead = c.shape[:-2]
+    grad, scratch = (None, None) if ws is None else (ws.grad.ravel(), ws.scratch)
+    picked = np.take(c, own, axis=-2, out=_carve(grad, (*lead, len(own), m)), mode="clip")
+    vals = vertical_values(picked, f.basis, nzf, out=_carve(scratch, (*lead, len(own), nzf)))
+    # |f|^2 summed over the components, real parts first, as np.square(vals.real).sum(axis=-3)
+    # + np.square(vals.imag).sum(axis=-3) sums them, in place in the series' (real, imag) pairs
+    pairs = vals.view(np.float64).reshape(*vals.shape[:-1], nzf, 2)
+    np.square(pairs, out=pairs)
+    for k in range(1, vals.shape[-3]):
+        pairs[..., 0, :, :, :] += pairs[..., k, :, :, :]
+    a2 = np.add(pairs[..., 0, :, :, 0], pairs[..., 0, :, :, 1], out=pairs[..., 0, :, :, 0])
+    # one row per column, each pair's from its own column
+    a2 = np.take(a2, rows, axis=-2, out=_carve(scratch, (*lead[:-1], len(rows), nzf), np.float64, 2 * vals.size),
+                 mode="clip")
     return q_table(a2, f.grid, _columns(f.grid, is_packed(f.coeffs, f.grid))[cols])
 
 
@@ -181,7 +204,7 @@ def _plain_inner(x: _Stack, h: np.ndarray) -> list[complex]:
     return [complex(np.sum(xb * np.conj(hb))) for xb, hb in zip(band_unpack(x.coeffs, x.grid), h)]
 
 
-def _adv_field(f: _Stack, g: _Stack, real: bool) -> _Stack:
+def _adv_field(f: _Stack, g: _Stack, real: bool, ws=None) -> _Stack:
     """(f . grad) g, dealiased, in one transform round trip: the inverse of f,
     the inverse of the stacked (dx g, dy g), and one forward of the stacked
     (f_x dx g, f_y dy g).  The two halves are summed as coefficients, as
@@ -189,26 +212,59 @@ def _adv_field(f: _Stack, g: _Stack, real: bool) -> _Stack:
     nearly equal inner products, which magnifies any change of rounding.
     real=True asserts f and g real (conjugate symmetric): multiplying by ik
     maps a conjugate-symmetric g onto conjugate-symmetric dx g, dy g on the
-    2/3-rule band, which excludes the self-paired Nyquist row and column."""
-    grid, nc = f.grid, g.coeffs.shape[1]
+    2/3-rule band, which excludes the self-paired Nyquist row and column.
+    In the lemma layout ws, the gradient stack, its forward and the result
+    are in grad, and the values and pass buffers in scratch
+    (`_round_trip_buffers`); fresh arrays without it."""
+    grid, (n, nc) = f.grid, g.coeffs.shape[:2]
     gb = g.coeffs
+    grad_flat, scratch = (None, None) if ws is None else (ws.grad.ravel(), ws.scratch)
+    grad = _carve(grad_flat, (n, 2 * nc, *gb.shape[2:]))
     kxx, kyy = k_h(grid, gb)
-    grad = np.concatenate([gb * (1j * kxx), gb * (1j * kyy)], axis=1)
-    pg = values_from_coeffs(grad, grid, g.basis, real=real)
-    # the stacks are the largest arrays of a lemma check: hold no copy that
-    # a transform no longer needs
-    del grad
-    pf = values_from_coeffs(f.coeffs, grid, f.basis, real=real)
+    np.multiply(gb, 1j * kxx, out=grad[:, :nc])
+    np.multiply(gb, 1j * kyy, out=grad[:, nc:])
+    (vg, vf), work = _round_trip_buffers(scratch, grid, (n,), (grid.nh, grid.nh), (2 * nc, 2), real)
+    pg = values_from_coeffs(grad, grid, g.basis, real=real, out=vg, work=work(2 * nc))
+    pf = values_from_coeffs(f.coeffs, grid, f.basis, real=real, out=vf, work=work(2))
     pg[:, :nc] *= pf[:, 0:1]
     pg[:, nc:] *= pf[:, 1:2]
-    del pf
     tag = _CLOSURE[(f.basis, g.basis)]
-    out = coeffs_from_values(pg, grid, tag)
-    return _Stack(grid, out[:, :nc] + out[:, nc:], tag)
+    # the gradient stack is spent: the forward writes over it, and the sum over its first half
+    out = coeffs_from_values(pg, grid, tag, out=grad, work=work(2 * nc) if real else pg)
+    return _Stack(grid, np.add(out[:, :nc], out[:, nc:], out=out[:, :nc]), tag)
 
 
-def _product(f: _Stack, g: _Stack, real: bool) -> _Stack:
-    return _Stack(f.grid, *band_product(f.coeffs, f.basis, g.coeffs, g.basis, f.grid, real))
+def _product(f: _Stack, g: _Stack, real: bool, ws) -> _Stack:
+    """The dealiased product (`band_product`) in the lemma layout ws: the
+    product in grad, its values and pass buffers in scratch."""
+    n, nc = len(f.coeffs), max(f.coeffs.shape[1], g.coeffs.shape[1])
+    out = _carve(ws.grad.ravel(), (n, nc, *f.coeffs.shape[2:]))
+    return _Stack(f.grid, *band_product(f.coeffs, f.basis, g.coeffs, g.basis, f.grid, real, out=out,
+                                        scratch=ws.scratch))
+
+
+def _lemma_layout(g: GridSpec, n: int, nc: int) -> dict:
+    """The arrays of one `_check_stack` of n samples whose fields have at
+    most nc components:
+    * fields: the packed inputs f, g, h (run_ensemble's draws, check's
+      packed fields);
+    * grad: the gradient stack of an advection, its forward and the LHS
+      field, an advection's or a product's; then the gathered columns of
+      each vertical series of the RHS (`_z_power`);
+    * scratch, flat (`_carve`): the physical values, real or complex, and
+      the real pass buffers of a round trip; then the RHS's vertical series
+      and |f|^2 tables.
+    """
+    nh, nz, band = g.nh, g.nz, band_shape(g)
+    cols, nzf = band[0] * band[1], _REFINE * nz
+    # the largest round trip: an advection of vector fields (f and the gradient
+    # stack of g), else a product; its values' components, and its largest transform's
+    values, largest = (2 * nc + 2, 2 * nc) if nc > 1 else (2 * nc, nc)
+    scratch = max(values * nh * nh * nz,  # complex values
+                  values * nh * nh * nz // 2 + largest * nh * (nh // 2 + 1) * nz,  # real values and passes
+                  -(-cols * nzf * (2 * nc + 1) // 2))  # the series of every column and its |f|^2 table
+    return {"fields": ((3, n, nc, *band), np.complex128), "grad": ((n, 2 * nc, *band), np.complex128),
+            "scratch": ((n * scratch,), np.complex128)}
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +459,17 @@ def check(
         raise ValueError(f"force_path must be None, 'exact' or 'transform', got {force_path!r}")
     if any(x is not None and x.grid != f.grid for x in (g, h)):
         raise ValueError("grid mismatch")
-    stacks = (None if x is None else _Stack(f.grid, band_pack(x.coeffs, f.grid, name)[None], x.basis)
-              for name, x in zip("fgh", (f, g, h)))
+    ws = _lemma_arrays(f.grid, 1, (f, g, h))
+    stacks = (None if x is None else
+              _Stack(f.grid, band_pack(x.coeffs, f.grid, name, out=packed[0, : x.components])[None], x.basis)
+              for name, x, packed in zip("fgh", (f, g, h), ws.fields))
     return _check_stack(kind, *stacks, r, tau, force_path, warn=True)[0]
+
+
+def _lemma_arrays(grid: GridSpec, n: int, fields) -> SimpleNamespace:
+    """The lemma layout of a stack of n samples of the given fields (None
+    for an absent h), in the grid's workspace."""
+    return _workspace(grid).arrays(_lemma_layout, n, max(x.coeffs.shape[-4] for x in fields if x is not None))
 
 
 def _check_stack(kind: LemmaKind, f: _Stack, g: _Stack, h: _Stack | None, r: float, tau: float,
@@ -415,7 +479,9 @@ def _check_stack(kind: LemmaKind, f: _Stack, g: _Stack, h: _Stack | None, r: flo
     fields with `band_pack`, `run_ensemble` draws the band alone.  The
     stack takes the real transforms when every f and g in it is conjugate
     symmetric (`run_ensemble`'s draws always are; check's stack holds one
-    triple).  warn=True flags a type2 check at r in (3/2, 2] with a warning."""
+    triple).  Its arrays are those of the stack's lemma layout, in the
+    grid's workspace, which holds the callers' packed inputs too.  warn=True
+    flags a type2 check at r in (3/2, 2] with a warning."""
     if r <= _MIN_R[kind]:
         raise ValueError(f"{kind.value} requires r > {_MIN_R[kind]}, got {r}")
     if warn and kind is LemmaKind.type2 and r <= 2.0:
@@ -431,15 +497,16 @@ def _check_stack(kind: LemmaKind, f: _Stack, g: _Stack, h: _Stack | None, r: flo
     # which type2 and diff_type4 do not build
     z_tables = kind not in (LemmaKind.type2, LemmaKind.diff_type4)
     symmetry = [_symmetry(f), _symmetry(g), _symmetry(h) if z_tables and h is not None else (False, False)]
+    ws = _lemma_arrays(f.grid, len(f.coeffs), (f, g, h))
     lhs = [None] * len(exact)
     if not exact.all():
-        lhs = _lhs_transform(kind, f, g, h, r, tau, symmetry[0][0] and symmetry[1][0])
+        lhs = _lhs_transform(kind, f, g, h, r, tau, symmetry[0][0] and symmetry[1][0], ws)
     for b in np.flatnonzero(exact):
         members = (None if x is None else SpectralField(x.grid, band_unpack(x.coeffs[b], x.grid), x.basis)
                    for x in (f, g, h))
         lhs[b] = _lhs_exact(kind, *members, r, tau)
     out = []
-    rhs = _rhs_unit(kind, f, g, h, r, tau, [exact_real for _, exact_real in symmetry])
+    rhs = _rhs_unit(kind, f, g, h, r, tau, [exact_real for _, exact_real in symmetry], ws)
     for left, right, ex in zip(lhs, rhs.tolist(), exact):
         if left == 0.0 and right == 0.0:
             ratio = 0.0
@@ -451,32 +518,32 @@ def _check_stack(kind: LemmaKind, f: _Stack, g: _Stack, h: _Stack | None, r: flo
     return out
 
 
-def _lhs_transform(kind, f, g, h, r, tau, real) -> list[float]:
-    """The transform LHS of each sample."""
+def _lhs_transform(kind, f, g, h, r, tau, real, ws) -> list[float]:
+    """The transform LHS of each sample, its fields in the lemma layout ws."""
     if kind is LemmaKind.banach_algebra:
-        fg = _product(f, g, real)
+        fg = _product(f, g, real, ws)
         return [float(np.sqrt(seminorm_a_sq(ShellPower.of(c, f.grid), r, tau))) for c in fg.coeffs]
     hf = band_unpack(h.coeffs, h.grid)
     if kind is LemmaKind.type1:
-        x = _adv_field(f, g, real)
+        x = _adv_field(f, g, real, ws)
         return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
     if kind is LemmaKind.type2:
-        x = _product(_neg(w_from_baroclinic(f)), dz(g), real)
+        x = _product(_neg(w_from_baroclinic(f)), dz(g), real, ws)
         return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
     if kind is LemmaKind.type3:
-        x = _product(div_h(f), g, real)
+        x = _product(div_h(f), g, real, ws)
         return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
     ah = band_unpack(apply_A_exp(h, r, tau).coeffs, h.grid)
     if kind is LemmaKind.diff_type1:
-        t1 = _weighted_inner(_adv_field(f, g, real), hf, r, tau)
-        t2 = _plain_inner(_adv_field(f, apply_A_exp(g, r, tau), real), ah)
+        t1 = _weighted_inner(_adv_field(f, g, real, ws), hf, r, tau)
+        t2 = _plain_inner(_adv_field(f, apply_A_exp(g, r, tau), real, ws), ah)
     elif kind is LemmaKind.diff_type2:
-        t1 = _weighted_inner(_product(div_h(f), g, real), hf, r, tau)
-        t2 = _plain_inner(_product(div_h(apply_A_exp(f, r, tau)), g, real), ah)
+        t1 = _weighted_inner(_product(div_h(f), g, real, ws), hf, r, tau)
+        t2 = _plain_inner(_product(div_h(apply_A_exp(f, r, tau)), g, real, ws), ah)
     elif kind is LemmaKind.diff_type4:
         intf = _neg(w_from_baroclinic(f))  # int_0^z div_h f
-        t1 = _weighted_inner(_product(intf, dz(g), real), hf, r, tau)
-        t2 = _plain_inner(_product(dz(g), apply_A_exp(intf, r, tau), real), ah)
+        t1 = _weighted_inner(_product(intf, dz(g), real, ws), hf, r, tau)
+        t2 = _plain_inner(_product(dz(g), apply_A_exp(intf, r, tau), real, ws), ah)
     else:
         raise AssertionError(kind)
     return [abs(a - b) for a, b in zip(t1, t2)]
@@ -532,15 +599,16 @@ def _mode_product_vec(scalar_modes: list, vec_modes: list, ncomp: int) -> list:
     return out
 
 
-def _rhs_unit(kind, f, g, h, r, tau, mirror) -> np.ndarray:
+def _rhs_unit(kind, f, g, h, r, tau, mirror, ws) -> np.ndarray:
     """The displayed RHS of each sample, with unit constants.  mirror flags
-    the inputs whose samples are all exactly conjugate symmetric."""
+    the inputs whose samples are all exactly conjugate symmetric; ws is the
+    stack's lemma layout, whose LHS arrays are spent."""
     nzf = _REFINE * f.grid.nz
     grid = f.grid
     if kind in (LemmaKind.type2, LemmaKind.diff_type4):
         tables = None
     else:
-        tables = [_z_power(x, nzf, m) for x, m in zip((f, g, h), mirror) if x is not None]
+        tables = [_z_power(x, nzf, m, ws) for x, m in zip((f, g, h), mirror) if x is not None]
     if kind is LemmaKind.banach_algebra:
         tf, tg = tables
         pf = _profile(tf, grid, r, tau) + _zero_mode_profile(tf)
@@ -602,10 +670,10 @@ _KIND_PARAMS = {
     LemmaKind.diff_type4: (2.25, 0.2, 0.45),
 }
 _ETA_GEN = 0.3  # vertical envelope of the sampled fields, every kind
-# run_ensemble draws a chunk of samples into one buffer of at most
-# _CHUNK_BYTES, and evaluates it in stacks of at most _STACK_BYTES per field,
-# small enough that a stack's transforms stay in cache
-_CHUNK_BYTES = 4 << 20
+# run_ensemble draws and evaluates its samples in stacks of at most
+# _STACK_BYTES of packed input per field, small enough that a stack's
+# transforms stay in cache; the stack's lemma layout, which holds its draws,
+# is sized by the stack
 _STACK_BYTES = 1 << 19
 
 
@@ -643,8 +711,8 @@ def run_ensemble(
     eta_gen: float | None = None,
 ) -> list[CheckResult]:
     """check() of n_samples triples drawn in order by `ensemble_fields` from
-    default_rng(seed), drawn into and evaluated as stacks of up to
-    _CHUNK_BYTES of full-layout input."""
+    default_rng(seed), each stack of up to _STACK_BYTES per packed field
+    drawn into its lemma layout and evaluated there."""
     kind = LemmaKind(kind)
     r0, tau0, tau_gen0, eta_gen0 = ensemble_parameters(kind)
     r = r0 if r is None else r
@@ -654,17 +722,14 @@ def run_ensemble(
     if tau_gen <= tau:
         raise ValueError("ensemble envelope tau_gen must exceed the check tau")
     rng = np.random.default_rng(seed)
-    shape = (1 if kind is LemmaKind.banach_algebra else 2, *band_shape(grid))
+    nc = 1 if kind is LemmaKind.banach_algebra else 2
     nfields = 2 if kind is LemmaKind.banach_algebra else 3
-    field_bytes = 16 * int(np.prod(shape))  # one sample's packed field
-    chunk = max(1, _CHUNK_BYTES // (nfields * field_bytes))
-    stack = max(1, _STACK_BYTES // field_bytes)
+    stack = max(1, _STACK_BYTES // (16 * nc * math.prod(band_shape(grid))))
     out = []
-    for start in range(0, n_samples, chunk):
-        fields = np.empty((nfields, min(chunk, n_samples - start), *shape), np.complex128)
+    for start in range(0, n_samples, stack):
+        fields = _workspace(grid).arrays(_lemma_layout, min(stack, n_samples - start), nc).fields[:nfields]
         for i in range(fields.shape[1]):
             _draw_sample(kind, grid, rng, tau_gen, eta_gen, fields[:, i], packed=True)
-        for s in range(0, fields.shape[1], stack):
-            f, g, h = [_Stack(grid, x[s : s + stack]) for x in fields] + [None] * (3 - nfields)
-            out += _check_stack(kind, f, g, h, r, tau, None)
+        f, g, h = [_Stack(grid, x) for x in fields] + [None] * (3 - nfields)
+        out += _check_stack(kind, f, g, h, r, tau, None)
     return out

@@ -18,8 +18,8 @@ from .decomposition import minus_projection, perp_vector, plus_projection, veloc
 from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: builds a LimitState's omega_bar)
 from .grid import GridSpec, dealias_mask, kx, ky
 from .spectral import COS, band_pack, band_shape, band_unpack, barotropic_coeffs, barotropic_values
-from .spectral import coeffs_from_values, require_band, require_packed, values_from_coeffs
-from .pe_solver import _grad_stack, _guard, _if_rk4, _workspace, step_count
+from .spectral import _workspace, coeffs_from_values, require_band, require_packed, values_from_coeffs
+from .pe_solver import _grad_stack, _guard, _if_rk4, step_count
 
 
 # the diagnostics' Sobolev norms: barotropic (r + 1, 0, 0), baroclinic (r, s, 0)
@@ -55,7 +55,7 @@ def euler2d_rhs(omega: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
 
 
 def _limit_layout(g: GridSpec) -> dict:
-    """The limit system's arrays in the grid's workspace (`pe_solver.Workspace`):
+    """The limit system's arrays in the grid's workspace (`spectral.Workspace`):
     the gradient stack of Vt, the pass buffer of its transforms, its real
     values, the barotropic values, and the four RK4 stage arrays of
     (omega_bar, Vt)."""

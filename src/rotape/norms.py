@@ -151,22 +151,33 @@ class ShellPower:
         return self.table.sum(axis=1) if s_order == 0 else self.table @ _mpi_pow(self.grid, s_order)
 
 
+# q_table bins this many entries per bincount, a block of its columns at a time
+_Q_BLOCK = 1 << 14
+
+
 def q_table(a2: np.ndarray, grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     """Rows of per-mode power summed into the q bins of a ShellPower table.
 
     a2 (.., modes, columns) holds one row per listed (n1, n2) mode, `modes`
     being their flat indices into the (nh, nh) plane, and any number of
     columns; a q with no listed mode gets a zero row.  Leading axes give one
-    table each, from one bincount that sums each table's entries in the
-    order a single table's would be.
+    table each.  Each bincount sums a block of columns of every table, each
+    entry in the order of the listed modes, so its index stays within
+    _Q_BLOCK entries whatever the number of tables and modes.
     """
     bins = _bins(grid)
     nrow, ncol = len(bins.k), a2.shape[-1]
-    tables = int(np.prod(a2.shape[:-2]))
-    flat = (bins.of_mode[modes][:, None] * ncol + np.arange(ncol)).ravel()
-    if tables > 1:
-        flat = (np.arange(tables)[:, None] * (nrow * ncol) + flat).ravel()
-    table = np.bincount(flat, weights=a2.ravel(), minlength=tables * nrow * ncol)
+    rows = a2.reshape(math.prod(a2.shape[:-2]), *a2.shape[-2:])
+    block = max(1, _Q_BLOCK // max(1, rows[..., 0].size))
+    bin_of = (np.arange(len(rows))[:, None] * nrow + bins.of_mode[modes])[:, :, None]
+    flat = None
+    table = np.empty((len(rows), nrow, ncol))
+    for j in range(0, ncol, block):
+        k = min(block, ncol - j)
+        if flat is None or flat.size != bin_of.size * k:
+            flat = (bin_of * k + np.arange(k)).ravel()
+        table[..., j : j + k] = np.bincount(flat, weights=rows[..., j : j + k].ravel(),
+                                            minlength=table[..., :k].size).reshape(-1, nrow, k)
     return table.reshape(*a2.shape[:-2], nrow, ncol)
 
 

@@ -20,11 +20,11 @@ through the integrating factor e^{-nu (m pi)^2 h} of the RK4 step
 formulation, and it must agree with SolverConfig.formulation, which sets
 the dt |Omega| guard.
 
-The right-hand sides and the RK4 stages work in one `Workspace` per grid,
-whose arrays are reused from call to call: the transforms' pass buffers,
-the physical values and assembly fields, and the RK4 stage arrays.  The
-contract: the workspace is per grid and shared by the formulations, which
-never run at once; it is not re-entrant (no right-hand side or step may run
+The right-hand sides and the RK4 stages work in one `spectral.Workspace`
+per grid, whose arrays are reused from call to call: the transforms' pass
+buffers, the physical values and assembly fields, and the RK4 stage arrays.
+The contract: the workspace is per grid and shared by the formulations (and
+the lemma checker), which never run at once; it is not re-entrant (no right-hand side or step may run
 inside another on the same grid, or on another thread); and nothing
 returned aliases it, since every tendency, step result and state comes back
 in fresh arrays or in the caller's `out`.
@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,6 +43,7 @@ from .norms import InsufficientDecayData, NormSpec, ShellPower, dz_l2_sq, fit_ra
 from .spectral import COS, SIN, SpectralRangeError, band_gather, band_pack, band_shape, band_unpack
 from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, conjugate_reverse, divergence
 from .spectral import integral_z, is_packed, require_band, require_packed, require_real, values_from_coeffs
+from .spectral import _workspace
 
 
 # the advective step limit is this fraction of 1 / (max|u, v| / dx + max|w| / dz)
@@ -170,47 +169,8 @@ def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the per-grid workspace
+# the layouts of the per-grid workspace (`spectral.Workspace`)
 # ---------------------------------------------------------------------------
-
-class Workspace:
-    """Scratch memory of one grid's steppers, reused from call to call.
-
-    A layout is a function of the grid that returns a dict name -> (shape,
-    dtype).  `arrays` carves a layout's arrays, in order, from the start of
-    one arena, and returns the same arrays at every later call.  Each
-    formulation takes one layout for its right-hand side and its RK4 stages,
-    so the formulations share the arena: they never run at once, and no
-    array of a layout holds anything from one call to the next.  The arena
-    grows to the largest layout taken.
-    """
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self._arena = np.empty(0, np.uint8)
-        self._carved = {}
-
-    def arrays(self, layout) -> SimpleNamespace:
-        got = self._carved.get(layout)
-        if got is None:
-            specs = layout(self.grid)
-            sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs.values()]
-            starts = np.cumsum([0] + [-(-n // 64) * 64 for n in sizes])
-            if starts[-1] > self._arena.nbytes:
-                self._arena = np.empty(starts[-1], np.uint8)
-                self._carved.clear()
-            got = self._carved[layout] = SimpleNamespace(**{
-                name: self._arena[start : start + n].view(dtype).reshape(shape)
-                for (name, (shape, dtype)), start, n in zip(specs.items(), starts, sizes)
-            })
-        return got
-
-
-@lru_cache(maxsize=4)
-def _workspace(grid: GridSpec) -> Workspace:
-    """The workspace of a grid; those of the last few grids used are kept."""
-    return Workspace(grid)
-
 
 def _rotating_layout(g: GridSpec) -> dict:
     """The rotating formulation's arrays: the band stacks of phi that it
@@ -294,14 +254,22 @@ def _guard(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus):
-    """Slow path: identify which tendency group (its x-component) went non-finite."""
+def _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus, ep, em):
+    """Slow path: identify which tendency group (its x-component) went
+    non-finite.  The groups are the step's (`_rhs_plus`), prefactors
+    included, bit for bit: each complex product has named operands in the
+    step's written order, since numpy would evaluate a * (b + c) as
+    (b + c) * a in a temporary of 256 KiB or more."""
     pm, intm = np.conj(p), np.conj(intp)
+    div_plus, cross_grad = px + 1j * py, px - 1j * py
+    selfadv, cross = p * div_plus, pm * cross_grad
+    inner, outer = intp * dz, intm * dz
+    half_p = 0.5 * p
     groups = {
-        "plus_self": p * (px + 1j * py) - intp * dz,
-        "plus_barotropic": vb3[0] * px + vb3[1] * py + 0.5 * p * cplus,
-        "plus_cross": pm * (px - 1j * py) - intm * dz,
-        "plus_conjugate_coupling": 0.5 * pm * cminus,
+        "plus_self": ep * (selfadv - inner),
+        "plus_barotropic": vb3[0] * px + vb3[1] * py + half_p * cplus,
+        "plus_cross": em * (cross - outer),
+        "plus_conjugate_coupling": (em * em * 0.5) * (pm * cminus),
     }
     for name, arr in groups.items():
         _guard(name, arr)
@@ -418,7 +386,7 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False, out: tu
     acc += np.multiply(em * em * 0.5, group, out=group)
     dhat = _fwd_baroclinic(acc[None], g, out=None if out is None else out[1], work=t1[None])
     if not np.isfinite(dhat).all():
-        _name_bad_term(np.conjugate(pm), px, py, dz, intp, vb3, cplus, cminus)
+        _name_bad_term(np.conjugate(pm), px, py, dz, intp, vb3, cplus, cminus, ep, em)
     dphi = np.negative(dhat, out=dhat)
 
     # --- Vbar equation: self terms of V+ and V-, averaged over z, Leray-projected ---

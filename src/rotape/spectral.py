@@ -66,21 +66,24 @@ instance.
 
 All operations are pure: inputs are never mutated, and outputs are fresh
 unless the caller passes an `out` buffer to write them into.  The 3-D
-transforms also take the caller's pass buffer `work`; the solvers pass the
-arrays of their per-grid workspace (`pe_solver.Workspace`), and every other
-caller gets fresh arrays through the same code.  A buffer's prior contents
-are never read: each call zeroes or overwrites all of it that the passes
-read.
+transforms also take the caller's pass buffer `work`, and `band_product` a
+flat `scratch` for its values and passes.  The steppers and the lemma
+checker pass the arrays of the grid's workspace (`Workspace`, `_workspace`),
+which this module keeps with the buffer contract; every other caller gets
+fresh arrays through the same code.  A buffer's prior contents are never
+read: each call zeroes or overwrites all of it that the passes read.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -289,14 +292,17 @@ def _fft_pass(x: np.ndarray, axis: int, inverse: bool) -> None:
     _pfft.c2c(x, (axis,), not inverse, 0, x, _WORKERS)
 
 
-def vertical_values(coeffs: np.ndarray, basis: str, n: int) -> np.ndarray:
-    """Vertical series of coefficients (last axis m) at n midpoints, n >= nz.
+def vertical_values(coeffs: np.ndarray, basis: str, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Vertical series of coefficients (last axis m) at n midpoints, n >= nz,
+    into out if given.
 
     The horizontal modes are left untouched: a refined z grid for per-z
     horizontal norms, which Parseval evaluates without an x transform.
     """
-    x = np.zeros(coeffs.shape[:-1] + (n,), dtype=coeffs.dtype)
-    return _z_inverse(_slots(coeffs, basis, coeffs.shape[-1] - 1), basis, x)
+    slots = _slots(coeffs, basis, coeffs.shape[-1] - 1)
+    x = _buffer(out, coeffs.shape[:-1] + (n,), coeffs.dtype)
+    x[..., slots.shape[-1] :] = 0.0
+    return _z_inverse(slots, basis, x)
 
 
 def _gather(a: np.ndarray, rows: tuple, cols: tuple, out: np.ndarray) -> np.ndarray:
@@ -320,16 +326,17 @@ def _scatter(x: np.ndarray, rows: tuple, cols: tuple, out: np.ndarray) -> np.nda
     return out
 
 
-def band_pack(a: np.ndarray, grid: GridSpec, what: str = "coefficients") -> np.ndarray:
+def band_pack(a: np.ndarray, grid: GridSpec, what: str = "coefficients", out: np.ndarray | None = None) -> np.ndarray:
     """The packed band of a full-layout (.., n1, n2, m) array: the modes
     |n1|, |n2| <= hcut, m <= zcut, shape (.., 2 hcut + 1, 2 hcut + 1, zcut + 1)
-    (n2 = 1 stays 1 on the x-z layout, m = 1 on the barotropic one).
+    (n2 = 1 stays 1 on the x-z layout, m = 1 on the barotropic one), into
+    out if given.
 
     A nonzero mode outside the band raises ValueError naming `what`
     (`require_band`): this is where a full layout enters the band.
     """
     require_band(a, grid, what)
-    return band_gather(a, grid)
+    return band_gather(a, grid, out)
 
 
 def band_gather(a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -374,6 +381,58 @@ def _buffer(buf: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
         raise ValueError(f"buffer of shape {buf.shape} and dtype {buf.dtype} given where a C-contiguous "
                          f"{np.dtype(dtype)} array of shape {shape} is needed")
     return buf
+
+
+class Workspace:
+    """Scratch memory of one grid, reused from call to call: the steppers'
+    right-hand sides and RK4 stages (`pe_solver`, `limit_solver`) and the
+    lemma checker's stacks (`lemmas`).
+
+    A layout is a function of the grid, and of any further arguments given
+    to `arrays`, that returns a dict name -> (shape, dtype).  `arrays`
+    carves a layout's arrays, in order, from the start of one arena, and
+    returns the same arrays at every later call with the same layout and
+    arguments.  The layouts share the arena: their users never run at once,
+    and no array of a layout holds anything from one call to the next.  The
+    arena grows to the largest layout taken.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self._arena = np.empty(0, np.uint8)
+        self._carved = {}
+
+    def arrays(self, layout, *args) -> SimpleNamespace:
+        got = self._carved.get((layout, args))
+        if got is None:
+            specs = layout(self.grid, *args)
+            sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in specs.values()]
+            starts = np.cumsum([0] + [-(-n // 64) * 64 for n in sizes])
+            if starts[-1] > self._arena.nbytes:
+                self._arena = np.empty(starts[-1], np.uint8)
+                self._carved.clear()
+            got = self._carved[(layout, args)] = SimpleNamespace(**{
+                name: self._arena[start : start + n].view(dtype).reshape(shape)
+                for (name, (shape, dtype)), start, n in zip(specs.items(), starts, sizes)
+            })
+        return got
+
+
+@lru_cache(maxsize=4)
+def _workspace(grid: GridSpec) -> Workspace:
+    """The workspace of a grid; those of the last few grids used are kept."""
+    return Workspace(grid)
+
+
+def _carve(flat: np.ndarray | None, shape: tuple, dtype=np.complex128, at: int = 0) -> np.ndarray:
+    """The C-contiguous array of the given shape and dtype that starts `at`
+    entries of that dtype into the flat workspace array `flat`, or a fresh
+    one when flat is None: for a buffer whose shape varies from call to
+    call, carved from one array sized for the largest."""
+    if flat is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    return flat.view(dtype)[at : at + size].reshape(shape)
 
 
 def _blocks(x: np.ndarray, rows: tuple, cols: tuple):
@@ -598,24 +657,50 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(f.grid, band_unpack(out, f.grid), tag)
 
 
-def band_product(cf: np.ndarray, fbasis: str, cg: np.ndarray, gbasis: str, grid: GridSpec,
-                 real: bool) -> tuple[np.ndarray, str]:
+def band_product(cf: np.ndarray, fbasis: str, cg: np.ndarray, gbasis: str, grid: GridSpec, real: bool, *,
+                 out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> tuple[np.ndarray, str]:
     """(packed coefficients, basis) of the dealiased pointwise product of two
     packed band arrays (.., components, n1, n2, m), by `product`'s component
-    rule along the components axis; real=True asserts both factors real."""
-    pf = values_from_coeffs(cf, grid, fbasis, real=real)
-    pg = values_from_coeffs(cg, grid, gbasis, real=real)
-    nf, ng = pf.shape[-4], pg.shape[-4]
-    if nf == ng:
-        pv = pf * pg
-    elif nf == 1:
-        pv = pf[..., 0:1, :, :, :] * pg
-    elif ng == 1:
-        pv = pf * pg[..., 0:1, :, :, :]
-    else:
+    rule along the components axis; real=True asserts both factors real.
+
+    out receives the product, and the values and pass buffers of its round
+    trip are carved from `scratch` (`_round_trip_buffers`); all are fresh
+    when not given.
+    """
+    nf, ng = cf.shape[-4], cg.shape[-4]
+    if nf != ng and 1 not in (nf, ng):
         raise ValueError("incompatible component counts")
+    (vf, vg), work = _round_trip_buffers(scratch, grid, cf.shape[:-4], _full_axes(grid, cf), (nf, ng), real)
+    pf = values_from_coeffs(cf, grid, fbasis, real=real, out=vf, work=work(nf))
+    pg = values_from_coeffs(cg, grid, gbasis, real=real, out=vg, work=work(ng))
+    # the component rule is broadcasting on the components axis, into the factor with more components
+    pv = np.multiply(pf, pg, out=pf if nf >= ng else pg)
     tag = _CLOSURE[(fbasis, gbasis)]
-    return coeffs_from_values(pv, grid, tag), tag
+    return coeffs_from_values(pv, grid, tag, out=out, work=work(max(nf, ng)) if real else pv), tag
+
+
+def _round_trip_buffers(scratch: np.ndarray | None, grid: GridSpec, lead: tuple, axes: tuple, counts: tuple,
+                       real: bool) -> tuple:
+    """The buffers of a transform round trip of fields of `counts`
+    components on the (n1, n2) `axes`, with leading axes `lead`: their
+    physical values (real or complex), one after another from the start of
+    the flat complex array `scratch`, and a function of a component count
+    that gives the real transforms' pass buffer, carved after them (None on
+    the complex path, which runs its passes in the values).  Fresh arrays
+    when scratch is None (`_carve`)."""
+    n1, n2 = axes
+    shapes = [(*lead, k, n1, n2, grid.nz) for k in counts]
+    dtype = np.float64 if real else np.complex128
+    values, at = [], 0
+    for shape in shapes:
+        values.append(_carve(scratch, shape, dtype, at))
+        at += math.prod(shape)
+    passes = None if scratch is None else scratch[-(-at // 2) :]
+
+    def work(k):
+        return _carve(passes, (*lead, k, n1, n2 // 2 + 1, grid.nz)) if real else None
+
+    return values, work
 
 
 def integral_z(c: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:

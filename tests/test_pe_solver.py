@@ -631,6 +631,31 @@ class TestReduce2D:
         other[:, 0, :] = 0.0
         assert np.abs(other).max() < 1e-13  # no n2 modes appear
 
+    @pytest.mark.parametrize("nh, nz", [(16, 8), (24, 12), (32, 16)])
+    def test_rhs_2d_is_rhs_direct_on_the_xz_column(self, rng, nh, nz):
+        """rhs_2d is rhs_direct of the embedded state (v = 0, Omega = 0) to
+        1e-13 of the largest tendency, on flat band noise: unit amplitude and
+        a random phase on every retained baroclinic mode of the x-z column,
+        then symmetrized, so the band edge carries as much as the rest.  The
+        direct tendency has no v component and no n2 != 0 column."""
+        from rotape.grid import dealias_mask
+        from rotape.spectral import symmetrize
+
+        grid = GridSpec(nh=nh, nz=nz)
+        keep = dealias_mask(grid)[:, 0:1, :].copy()
+        keep[..., 0] = False
+        u = np.zeros((1, nh, 1, nz), dtype=np.complex128)
+        u[0][keep] = np.exp(2j * np.pi * rng.random(int(keep.sum())))
+        u = symmetrize(u)
+        du = band_unpack(rhs_2d(band_pack(u, grid), grid), grid)
+        cfg = SolverConfig(nu=0.3, omega=0.0, grid=grid, dt=1e-3, t_end=1.0, formulation="direct")
+        dv3 = rhs_direct(embed_2d(u, grid), 0.0, cfg)
+        scale = np.abs(dv3).max()
+        assert scale > 0.0
+        rest = dv3.copy()
+        rest[0:1, :, 0:1, :] -= du
+        assert np.abs(rest).max() <= 1e-13 * scale
+
     @pytest.mark.parametrize("s", [0, 1])
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_norm_2d_matches_embedded_norm(self, rng, s, tau):
@@ -690,7 +715,7 @@ class TestWorkspace:
         """A run is the same bit for bit in a fresh workspace and in one that
         other runs left dirty: another state of the same system, each other
         system on the same grid, and then every byte set to NaN."""
-        from rotape.pe_solver import _workspace
+        from rotape.spectral import _workspace
 
         grid = GridSpec(nh=24, nz=12)
         _workspace.cache_clear()
@@ -701,6 +726,44 @@ class TestWorkspace:
         assert _bits(_run(system, grid, seed=1)) == first
         _workspace(grid)._arena.fill(0xFF)
         assert _bits(_run(system, grid, seed=1)) == first
+
+    def test_lemma_checks_do_not_depend_on_the_arena(self):
+        """The lemma checks keep their stacks in the same workspace: the
+        ratios of run_ensemble, and of check on one draw zero-padded from
+        (32, 8) to (64, 8), are the same to the last digit in a fresh
+        workspace, in one that the earlier checks left dirty, and in one
+        whose every byte was set to 0xFF."""
+        from rotape.lemmas import LemmaKind, check, ensemble_fields, ensemble_parameters, run_ensemble
+        from rotape.spectral import SpectralField, _workspace
+
+        coarse, fine = GridSpec(nh=32, nz=8), GridSpec(nh=64, nz=8)
+
+        def padded(f, grid):
+            if f is None or grid == f.grid:
+                return f
+            n = np.rint(np.fft.fftfreq(f.grid.nh) * f.grid.nh).astype(int) % grid.nh
+            out = np.zeros((f.components, *grid.shape), dtype=np.complex128)
+            out[:, n[:, None], n[None, :], :] = f.coeffs
+            return SpectralField(grid, out, f.basis)
+
+        def ratios():
+            got = []
+            for kind in LemmaKind:
+                r, tau, tau_gen, eta_gen = ensemble_parameters(kind)
+                fields = ensemble_fields(kind, coarse, np.random.default_rng(4), tau_gen, eta_gen)
+                for grid in (coarse, fine):
+                    got += [repr(c.ratio) for c in run_ensemble(kind, grid, n_samples=3, seed=4)]
+                    got.append(repr(check(kind, *(padded(x, grid) for x in fields), r, tau).ratio))
+            return got
+
+        _workspace.cache_clear()
+        first = ratios()
+        assert ratios() == first
+        for grid in (coarse, fine):
+            _workspace(grid)._arena.fill(0xFF)
+        assert ratios() == first
+        _workspace.cache_clear()
+        assert ratios() == first
 
     @pytest.mark.parametrize("system", ["rotating", "direct", "limit"])
     @pytest.mark.parametrize("nh, nz", [(24, 12), (32, 16)])
@@ -783,6 +846,44 @@ class TestWorkspace:
         expect = -_fwd_baroclinic((groups[0] + groups[1] + groups[2] + groups[3])[None], grid)
         got = rhs_rotating((st.vbar, phi), t, cfg)[1]
         assert got.tobytes() == expect.tobytes()
+
+    def test_named_bad_term_groups_are_the_steps_at_every_size(self, rng, monkeypatch):
+        """The slow path that names a non-finite tendency group checks the
+        step's four groups, prefactors included, bit for bit at (32, 16),
+        where numpy would evaluate a product with a temporary operand of
+        256 KiB in that temporary, with its operands swapped."""
+        import rotape.pe_solver as pe
+        from rotape.pe_solver import TendencyNanError, _grad_stack, _name_bad_term, _plus_values
+        from rotape.spectral import barotropic_values
+
+        grid = GridSpec(nh=32, nz=16)
+        omega, t = 7.0, 0.3
+        st = rotating_from_direct(make_state(rng, grid=grid).v, t, omega)
+        p, px, py, dz, intp = (a.copy() for a in _plus_values(band_pack(st.vplus[0:1], grid), grid))
+        pm, intm = np.conj(p), np.conj(intp)
+        bar = barotropic_values(_grad_stack(st.vbar[..., None], grid)[..., 0], grid)
+        vb, gx, gy = bar[0:2, ..., None], bar[2:4], bar[4:6]
+        cplus = ((gx[0] + gy[1]) + 1j * (gy[0] - gx[1]))[..., None]
+        cminus = ((gx[0] - gy[1]) - 1j * (gx[1] + gy[0]))[..., None]
+        ep, em = np.exp(1j * omega * t), np.exp(-1j * omega * t)
+        div_plus = px + 1j * py
+        selfadv = p * div_plus
+        inner = selfadv - intp * dz
+        half_p = 0.5 * p
+        barotropic = vb[0] * px + vb[1] * py + half_p * cplus
+        cross_grad = px - 1j * py
+        cross = pm * cross_grad - intm * dz
+        coupling = pm * cminus
+        weight = em * em * 0.5
+        expect = {"plus_self": np.multiply(ep, inner), "plus_barotropic": barotropic,
+                  "plus_cross": np.multiply(em, cross), "plus_conjugate_coupling": np.multiply(weight, coupling)}
+        seen = {}
+        monkeypatch.setattr(pe, "_guard", lambda name, arr: seen.setdefault(name, arr))
+        with pytest.raises(TendencyNanError, match="combined_baroclinic_tendency"):
+            _name_bad_term(p, px, py, dz, intp, vb, cplus, cminus, ep, em)
+        assert list(seen) == list(expect)
+        for name, arr in expect.items():
+            assert seen[name].tobytes() == arr.tobytes(), name
 
 
 # the digests that a child process with a perturbing allocator must reproduce
