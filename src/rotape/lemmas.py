@@ -20,9 +20,12 @@ a checked band, so they are not checked again.
 
 A stack's arrays live in its lemma layout (`_lemma_layout`) of the grid's
 workspace (`spectral.Workspace`): the inputs, which run_ensemble draws and
-check packs into, the transforms' values and pass buffers, the LHS field
-and the RHS's vertical series.  What a check returns are floats; no array of
-the layout holds anything from one check to the next.
+check packs into, the transforms' values and pass buffers, the LHS field,
+the inner products' terms and the RHS's vertical series.  The inner products
+reduce on the packed band, one reduction per stack, their complex products
+written with named operands in their written order.  What a check returns
+are floats; no array of the layout holds anything from one check to the
+next.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def _z_power(f: SpectralField | _Stack, nzf: int, mirror: bool = False, ws=None)
     for k in range(1, vals.shape[-3]):
         pairs[..., 0, :, :, :] += pairs[..., k, :, :, :]
     a2 = np.add(pairs[..., 0, :, :, 0], pairs[..., 0, :, :, 1], out=pairs[..., 0, :, :, 0])
-    # one row per column, each pair's from its own column
+    # one row per populated column, a mirrored column's a copy of its partner's
     a2 = np.take(a2, rows, axis=-2, out=_carve(scratch, (*lead[:-1], len(rows), nzf), np.float64, 2 * vals.size),
                  mode="clip")
     return q_table(a2, f.grid, _columns(f.grid, is_packed(f.coeffs, f.grid))[cols])
@@ -179,29 +182,36 @@ def _zero_mode_profile(p: np.ndarray) -> np.ndarray:
     return np.sqrt(p[..., 0, :])
 
 
-# The inner products keep one field's full-layout expression and array sizes,
-# one sample at a time: numpy runs x * np.conj(h) as conj(h) * x in the
-# temporary when that is 256 KiB or more, and its complex multiply rounds
-# differently with the operands swapped.
-
 @lru_cache(maxsize=64)
 def _weight(grid: GridSpec, r: float, tau: float, per_q: bool) -> np.ndarray:
     """The squared-norm weight |k|^{2r} e^{2 tau |k|}, read-only, per q bin
-    (`q_weight`) or over the full (n1, n2) plane: a check reuses a few
-    (r, tau) for every profile and inner product."""
-    w = q_weight(grid, r, tau) if per_q else a_exp_weight(kabs(grid), 2.0 * r, 2.0 * tau)
+    (`q_weight`) or over the packed band's (n1, n2) columns: a check reuses
+    a few (r, tau) for every profile and inner product."""
+    w = q_weight(grid, r, tau) if per_q else a_exp_weight(band_gather(kabs(grid), grid), 2.0 * r, 2.0 * tau)
     w.flags.writeable = False
     return w
 
 
-def _weighted_inner(x: _Stack, h: np.ndarray, r: float, tau: float) -> list[complex]:
-    """<A^r e^{tau A} x, A^r e^{tau A} h> per sample, h in the full layout."""
-    w = _weight(x.grid, r, tau, False)
-    return [complex(np.sum(xb * np.conj(hb) * w)) for xb, hb in zip(band_unpack(x.coeffs, x.grid), h)]
+def _weighted_inner(x: _Stack, h: _Stack, r: float, tau: float, ws) -> list[complex]:
+    """<A^r e^{tau A} x, A^r e^{tau A} h> per sample of packed stacks."""
+    return _inner(x, h, _weight(x.grid, r, tau, False), ws)
 
 
-def _plain_inner(x: _Stack, h: np.ndarray) -> list[complex]:
-    return [complex(np.sum(xb * np.conj(hb))) for xb, hb in zip(band_unpack(x.coeffs, x.grid), h)]
+def _plain_inner(x: _Stack, h: _Stack, ws) -> list[complex]:
+    return _inner(x, h, None, ws)
+
+
+def _inner(x: _Stack, h: _Stack, w: np.ndarray | None, ws) -> list[complex]:
+    """sum x conj(h) w per sample (w None for 1), in one reduction per stack,
+    formed in the spent scratch of the lemma layout ws.  Each complex
+    product has named operands in that written order: numpy would evaluate
+    x * np.conj(h) as conj(h) * x in a temporary of 256 KiB or more, which
+    rounds differently."""
+    xh = np.conjugate(h.coeffs, out=_carve(ws.scratch, x.coeffs.shape))
+    np.multiply(x.coeffs, xh, out=xh)
+    if w is not None:
+        np.multiply(xh, w, out=xh)
+    return xh.reshape(len(xh), -1).sum(axis=1).tolist()
 
 
 def _adv_field(f: _Stack, g: _Stack, real: bool, ws=None) -> _Stack:
@@ -252,8 +262,8 @@ def _lemma_layout(g: GridSpec, n: int, nc: int) -> dict:
       field, an advection's or a product's; then the gathered columns of
       each vertical series of the RHS (`_z_power`);
     * scratch, flat (`_carve`): the physical values, real or complex, and
-      the real pass buffers of a round trip; then the RHS's vertical series
-      and |f|^2 tables.
+      the real pass buffers of a round trip; then the inner products' terms;
+      then the RHS's vertical series and |f|^2 tables.
     """
     nh, nz, band = g.nh, g.nz, band_shape(g)
     cols, nzf = band[0] * band[1], _REFINE * nz
@@ -523,27 +533,26 @@ def _lhs_transform(kind, f, g, h, r, tau, real, ws) -> list[float]:
     if kind is LemmaKind.banach_algebra:
         fg = _product(f, g, real, ws)
         return [float(np.sqrt(seminorm_a_sq(ShellPower.of(c, f.grid), r, tau))) for c in fg.coeffs]
-    hf = band_unpack(h.coeffs, h.grid)
     if kind is LemmaKind.type1:
         x = _adv_field(f, g, real, ws)
-        return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
+        return [abs(t) for t in _weighted_inner(x, h, r, tau, ws)]
     if kind is LemmaKind.type2:
         x = _product(_neg(w_from_baroclinic(f)), dz(g), real, ws)
-        return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
+        return [abs(t) for t in _weighted_inner(x, h, r, tau, ws)]
     if kind is LemmaKind.type3:
         x = _product(div_h(f), g, real, ws)
-        return [abs(t) for t in _weighted_inner(x, hf, r, tau)]
-    ah = band_unpack(apply_A_exp(h, r, tau).coeffs, h.grid)
+        return [abs(t) for t in _weighted_inner(x, h, r, tau, ws)]
+    # A^r e^{tau A} h is formed after the second LHS field, once that field's operands are freed
     if kind is LemmaKind.diff_type1:
-        t1 = _weighted_inner(_adv_field(f, g, real, ws), hf, r, tau)
-        t2 = _plain_inner(_adv_field(f, apply_A_exp(g, r, tau), real, ws), ah)
+        t1 = _weighted_inner(_adv_field(f, g, real, ws), h, r, tau, ws)
+        t2 = _plain_inner(_adv_field(f, apply_A_exp(g, r, tau), real, ws), apply_A_exp(h, r, tau), ws)
     elif kind is LemmaKind.diff_type2:
-        t1 = _weighted_inner(_product(div_h(f), g, real, ws), hf, r, tau)
-        t2 = _plain_inner(_product(div_h(apply_A_exp(f, r, tau)), g, real, ws), ah)
+        t1 = _weighted_inner(_product(div_h(f), g, real, ws), h, r, tau, ws)
+        t2 = _plain_inner(_product(div_h(apply_A_exp(f, r, tau)), g, real, ws), apply_A_exp(h, r, tau), ws)
     elif kind is LemmaKind.diff_type4:
         intf = _neg(w_from_baroclinic(f))  # int_0^z div_h f
-        t1 = _weighted_inner(_product(intf, dz(g), real, ws), hf, r, tau)
-        t2 = _plain_inner(_product(dz(g), apply_A_exp(intf, r, tau), real, ws), ah)
+        t1 = _weighted_inner(_product(intf, dz(g), real, ws), h, r, tau, ws)
+        t2 = _plain_inner(_product(dz(g), apply_A_exp(intf, r, tau), real, ws), apply_A_exp(h, r, tau), ws)
     else:
         raise AssertionError(kind)
     return [abs(a - b) for a, b in zip(t1, t2)]

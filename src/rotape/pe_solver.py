@@ -23,11 +23,11 @@ the dt |Omega| guard.
 The right-hand sides and the RK4 stages work in one `spectral.Workspace`
 per grid, whose arrays are reused from call to call: the transforms' pass
 buffers, the physical values and assembly fields, and the RK4 stage arrays.
-The contract: the workspace is per grid and shared by the formulations (and
-the lemma checker), which never run at once; it is not re-entrant (no right-hand side or step may run
-inside another on the same grid, or on another thread); and nothing
-returned aliases it, since every tendency, step result and state comes back
-in fresh arrays or in the caller's `out`.
+The contract: the workspace is per grid and shared by the formulations and
+the lemma checker, which never run at once; it is not re-entrant (no
+right-hand side or step may run inside another on the same grid, or on
+another thread); and nothing returned aliases it, since every tendency,
+step result and state comes back in fresh arrays or in the caller's `out`.
 """
 
 from __future__ import annotations

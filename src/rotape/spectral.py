@@ -680,7 +680,7 @@ def band_product(cf: np.ndarray, fbasis: str, cg: np.ndarray, gbasis: str, grid:
 
 
 def _round_trip_buffers(scratch: np.ndarray | None, grid: GridSpec, lead: tuple, axes: tuple, counts: tuple,
-                       real: bool) -> tuple:
+                        real: bool) -> tuple:
     """The buffers of a transform round trip of fields of `counts`
     components on the (n1, n2) `axes`, with leading axes `lead`: their
     physical values (real or complex), one after another from the start of

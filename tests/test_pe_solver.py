@@ -813,6 +813,36 @@ class TestWorkspace:
             np.setbufsize(bufsize)
         assert peak < nh * nh * nz * 16
 
+    @pytest.mark.parametrize("kind", ["banach_algebra", "type1", "type2", "type3", "diff_type1", "diff_type2",
+                                      "diff_type4"])
+    def test_warmed_lemma_ensemble_allocates_less_than_one_field(self, kind):
+        """A warmed run_ensemble of two samples at (64, 8) allocates, at its
+        traced peak, less than one full-layout complex 2-vector
+        (2 nh^2 nz 16 bytes = 1 MiB): the inputs, transforms, inner products
+        and vertical series of its checks live in the lemma layout, and the
+        inner products reduce on the packed band.  Run with a small bufsize,
+        as the steps are (numpy's ufunc scratch)."""
+        import tracemalloc
+
+        from rotape.lemmas import run_ensemble
+
+        grid = GridSpec(nh=64, nz=8)
+        run_ensemble(kind, grid, n_samples=2)
+        tracing = tracemalloc.is_tracing()
+        bufsize = np.setbufsize(256)
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_ensemble(kind, grid, n_samples=2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < 2 * grid.nh * grid.nh * grid.nz * 16
+
     def test_rotating_rhs_is_its_written_formula_at_every_size(self, rng):
         """At (32, 16) every physical field is 256 KiB, where numpy evaluates
         a product with a temporary operand in that temporary, which swaps the
