@@ -57,7 +57,8 @@ def read_diagnostics_csv(path) -> list[DiagnosticsRow]:
 
 # ---------------------------------------------------------------------------
 # PESP1 snapshots: ASCII header + little-endian float64 interleaved (re, im)
-# coefficients in (component, n1, n2, m) row-major order, n1/n2 in FFT order.
+# coefficients in (component, n1, n2, m) row-major order, n1/n2 in FFT order:
+# numpy's "<c16", so every bit of every coefficient reads back.
 # ---------------------------------------------------------------------------
 
 def write_snapshot(path, coeffs: np.ndarray, grid: GridSpec, t: float) -> None:
@@ -66,12 +67,9 @@ def write_snapshot(path, coeffs: np.ndarray, grid: GridSpec, t: float) -> None:
     if coeffs.shape != (comps, grid.nh, grid.nh, grid.nz):
         raise ValueError("coefficient array does not match the grid")
     header = f"PESP1 nh={grid.nh} nz={grid.nz} comps={comps} t={float(t)!r}\n"
-    inter = np.empty(coeffs.shape + (2,), dtype="<f8")
-    inter[..., 0] = coeffs.real
-    inter[..., 1] = coeffs.imag
     with Path(path).open("wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(inter.tobytes())
+        fh.write(coeffs.astype("<c16").tobytes())
 
 
 def read_snapshot(path) -> tuple[np.ndarray, GridSpec, float]:
@@ -87,6 +85,5 @@ def read_snapshot(path) -> tuple[np.ndarray, GridSpec, float]:
     expected = comps * nh * nh * nz * 2 * 8
     if len(raw) != expected:
         raise ValueError(f"snapshot payload has {len(raw)} bytes, expected {expected}")
-    inter = np.frombuffer(raw, dtype="<f8").reshape(comps, nh, nh, nz, 2)
-    coeffs = inter[..., 0] + 1j * inter[..., 1]
+    coeffs = np.frombuffer(raw, dtype="<c16").reshape(comps, nh, nh, nz)
     return coeffs.astype(np.complex128), GridSpec(nh=nh, nz=nz), t

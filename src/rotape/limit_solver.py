@@ -11,15 +11,17 @@ diffusion acts through the RK4 step's integrating factor alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .decomposition import minus_projection, perp_vector, plus_projection, velocity_from_vorticity
 from .decomposition import vorticity_from_velocity  # noqa: F401  (re-exported: builds a LimitState's omega_bar)
 from .grid import GridSpec, dealias_mask, kx, ky
+from .norms import NormSpec, ShellPower, dz_l2_sq, norm_rst
 from .spectral import COS, band_pack, band_shape, band_unpack, barotropic_coeffs, barotropic_values
 from .spectral import _workspace, coeffs_from_values, require_band, require_packed, values_from_coeffs
-from .pe_solver import _grad_stack, _guard, _if_rk4, step_count
+from .pe_solver import _check_run, _grad_stack, _guard, _if_rk4, _march, step_count
 
 
 # the diagnostics' Sobolev norms: barotropic (r + 1, 0, 0), baroclinic (r, s, 0)
@@ -120,12 +122,14 @@ def _advance(arrs: tuple, t: float, grid: GridSpec, nu: float, dt: float) -> tup
     def nl(a, t, *, out):
         return euler2d_rhs(a[0], grid, out=out[0]), transport_rhs(a[1], a[0], grid, out=out[1])
 
-    return _if_rk4(arrs, t, dt, nl, grid, nu, stages=tuple(zip(ws.stage_omega, ws.stage_vt)))
+    return _if_rk4(arrs, t, dt, nl, grid, nu, tuple(zip(ws.stage_omega, ws.stage_vt)))
 
 
 def step_limit(state: LimitState, grid: GridSpec, nu: float, dt: float) -> LimitState:
-    """One RK4-IF step; the baroclinic Vt steps in the packed band layout, and
-    a state with a mode outside the 2/3-rule band raises ValueError."""
+    """One RK4-IF step; the baroclinic Vt steps in the packed band layout.  A
+    state with a mode outside the 2/3-rule band, or a nu or dt that
+    `SolverConfig` would reject, raises ValueError."""
+    _check_run(nu, dt)
     return _unpack(_advance(_pack(state, grid), state.t, grid, nu, dt), state.t + dt, grid)
 
 
@@ -146,29 +150,33 @@ def integrate_limit(
 ) -> tuple[LimitState, list[LimitDiagnostics], list]:
     """(final state, one diagnostics row per state, []): the third element is
     always empty, kept for callers that unpack three values.  A state0 with a
-    mode outside the 2/3-rule band, or a t_end that is not a whole number of
-    steps (`pe_solver.step_count`), raises ValueError.  state0 is packed once,
-    and each step's state is built from the packed arrays for its diagnostics."""
+    mode outside the 2/3-rule band, a nu, dt or t_end that `SolverConfig`
+    would reject, or a t_end that is not a whole number of steps
+    (`pe_solver.step_count`), raises ValueError.  state0 is packed once, the
+    packed arrays go from step to step through `pe_solver._march`, and each
+    row is read off them."""
+    _check_run(nu, dt, t_end)
     arrs = _pack(state0, grid)
-    state = state0.copy()
-    diags = [_limit_diag(state, grid)]
-    for _ in range(step_count(t_end, dt)):
-        arrs = _advance(arrs, state.t, grid, nu, dt)
-        state = _unpack(arrs, state.t + dt, grid)
-        diags.append(_limit_diag(state, grid))
-    return state, diags, []
+    n_steps = step_count(t_end, dt)
+    diags = [_limit_diag(arrs, state0.t, grid)]
+
+    def observe(arrs, t):
+        diags.append(_limit_diag(arrs, t, grid))
+
+    arrs, t, _ = _march(arrs, state0.t, dt, n_steps, partial(_advance, grid=grid, nu=nu, dt=dt), observe)
+    return (_unpack(arrs, t, grid) if n_steps else state0.copy()), diags, []
 
 
-def _limit_diag(state: LimitState, grid: GridSpec) -> LimitDiagnostics:
-    """Diagnostics of a limit state, each field's norms read from one shell-power table."""
-    from .norms import NormSpec, ShellPower, dz_l2_sq, norm_rst
-
-    bar = ShellPower.of(velocity_from_vorticity(state.omega_bar, grid), grid)
-    tilde = ShellPower.of(state.vtilde, grid)
+def _limit_diag(arrs: tuple, t: float, grid: GridSpec) -> LimitDiagnostics:
+    """Diagnostics at time t of the packed arrays (omega_bar, Vt), each field's
+    norms read from one shell-power table."""
+    omega_bar, vt = arrs
+    bar = ShellPower.of(velocity_from_vorticity(omega_bar, grid), grid)
+    tilde = ShellPower.of(vt, grid)
     return LimitDiagnostics(
-        t=state.t,
+        t=t,
         energy_bar=0.5 * dz_l2_sq(bar),
-        enstrophy=0.5 * float(np.sum(np.abs(state.omega_bar) ** 2)),
+        enstrophy=0.5 * float(np.sum(np.abs(omega_bar) ** 2)),
         vtilde_l2=float(np.sqrt(dz_l2_sq(tilde))),
         vbar_sobolev=norm_rst(bar, NormSpec(r=DIAG_R + 1, s=0, tau=0.0)),
         vtilde_sobolev=norm_rst(tilde, NormSpec(r=DIAG_R, s=DIAG_S, tau=0.0)),

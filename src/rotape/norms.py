@@ -118,11 +118,11 @@ class ShellPower:
 
     @classmethod
     def of(cls, coeffs: np.ndarray, grid: GridSpec) -> "ShellPower":
-        """The table of (components, nh, nh, nz) coefficients, of their packed
-        2/3-rule band (`spectral.band_pack`), of the compact barotropic
-        (components, nh, nh) layout, whose power sits at m = 0, or of the x-z
-        layout (components, nh, 1, nz), the n2 = 0 column of the 3-D one (the
-        2D reduced mode)."""
+        """The table of (components, nh, nh, nz) coefficients, of the compact
+        barotropic (components, nh, nh) layout, whose power sits at m = 0, or
+        of the x-z layout (components, nh, 1, nz), the n2 = 0 column of the
+        3-D one (the 2D reduced mode); or of the packed 2/3-rule band of the
+        3-D or the x-z layout (`spectral.band_pack`)."""
         bins = _bins(grid)
         a2 = np.square(coeffs[0].real)
         a2 += np.square(coeffs[0].imag)
@@ -134,10 +134,10 @@ class ShellPower:
             table = np.zeros((nbins, grid.nz))
             table[:, 0] = np.bincount(bins.of_mode, weights=a2.ravel(), minlength=nbins)
         else:
-            # the n2 columns present: all of them, n2 = 0 alone in the x-z layout,
-            # or the band's, whose modes keep their order and so their sums
-            flat = bins.flat.reshape(grid.nh, grid.nh, grid.nz)
-            flat = (band_gather(flat, grid) if is_packed(coeffs, grid) else flat[:, : a2.shape[1]]).ravel()
+            # the n2 columns present: all of them, or n2 = 0 alone in the x-z
+            # layout; a packed band's modes keep their order and so their sums
+            flat = bins.flat.reshape(grid.nh, grid.nh, grid.nz)[:, : 1 if a2.shape[1] == 1 else None]
+            flat = (band_gather(flat, grid) if is_packed(coeffs, grid) else flat).ravel()
             table = np.bincount(flat, weights=a2.ravel(), minlength=nbins * grid.nz)
             table = table.reshape(nbins, grid.nz)
         return cls(grid, table)

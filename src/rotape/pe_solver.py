@@ -39,6 +39,7 @@ import numpy as np
 
 from .decomposition import leray, perp_vector, plus_projection, polarized, vorticity_from_velocity
 from .grid import GridSpec, dealias_mask, k_h, mpi
+from .io import DiagnosticsRow
 from .norms import InsufficientDecayData, NormSpec, ShellPower, dz_l2_sq, fit_radius, norm_rst
 from .spectral import COS, SIN, SpectralRangeError, band_gather, band_pack, band_shape, band_unpack
 from .spectral import barotropic_coeffs, barotropic_values, coeffs_from_values, conjugate_reverse, divergence
@@ -130,19 +131,23 @@ class SolverConfig:
     formulation: str = "rotating"
 
     def __post_init__(self):
-        for name in ("nu", "omega", "dt", "t_end"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end!r}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be a finite number, got {self.omega!r}")
+        _check_run(self.nu, self.dt, self.t_end)
         if self.formulation not in ("rotating", "direct"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.formulation == "rotating" and self.dt * abs(self.omega) > 0.5 + 1e-12:
             raise ValueError("dt * |omega| must be <= 0.5 in the rotating formulation")
+
+
+def _check_run(nu: float, dt: float, t_end: float = 0.0) -> None:
+    """The rules of every stepper's parameters: nu, dt and t_end finite,
+    nu > 0, dt > 0 and t_end >= 0; ValueError names the argument."""
+    for name, x, rule in (("nu", nu, "positive"), ("dt", dt, "positive"), ("t_end", t_end, ">= 0")):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
+        if not (x > 0 if rule == "positive" else x >= 0):
+            raise ValueError(f"{name} must be {rule}, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,52 +469,41 @@ def rhs_direct(
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _if_rk4(arrs: tuple, t: float, dt: float, nl, grid: GridSpec, nu: float, k1=None, stages=None) -> tuple:
+def _if_rk4(arrs: tuple, t: float, dt: float, nl, grid: GridSpec, nu: float, stages, k1=None) -> tuple:
     """Classical RK4 on the integrating-factor variable; exact for pure diffusion.
 
     The last array of arrs is the evolved 3-D one, in the packed band layout:
     the vertical diffusion nu dzz acts on it through the factors
     e^{-nu (m pi)^2 h}, h = dt/2 and dt.  The compact barotropic arrays in
     front of it (Vbar, omega_bar) have no vertical mode and get no factor.
-    k1 is the stage-1 tendency nl(arrs, t) when the caller has evaluated it.
 
-    stages, when given, are four tuples of arrays shaped like arrs that the
-    step works in: the stage input and three tendencies, which
-    nl(y, t, out=k) writes into (k1 in the first, when the caller evaluated
-    it).  Without them nl(y, t) returns fresh tendencies and the step works
-    in fresh arrays.  The new arrays are fresh either way.
+    stages are four tuples of arrays shaped like arrs that the step works
+    in: the stage input and three tendencies, which nl(y, t, out=k) writes
+    into.  k1 is the stage-1 tendency nl(arrs, t), in the first of them,
+    when the caller has evaluated it.  The new arrays are fresh.
     """
     eh, ef = _decay_factors(arrs[-1], grid, nu, dt)
     e_half = (1.0,) * (len(arrs) - 1) + (eh,)
     e_full = (1.0,) * (len(arrs) - 1) + (ef,)
-    if stages is None:
-        y, *ks = (tuple(np.empty_like(a) for a in arrs) for _ in range(4))
-
-        def tendency(a, t, j):
-            return nl(a, t)
-    else:
-        y, *ks = stages
-
-        def tendency(a, t, j):
-            return nl(a, t, out=ks[j])
+    y, *ks = stages
     if k1 is None:
-        k1 = tendency(arrs, t, 0)
+        k1 = nl(arrs, t, out=ks[0])
     for i, a in enumerate(arrs):  # y2 = e_half (a + dt/2 k1)
         yi = np.multiply(0.5 * dt, k1[i], out=y[i])
         yi += a
         yi *= e_half[i]
     # the increment dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4), summed in the first arrays
     inc = [np.multiply(e_full[i], k1[i], out=ks[0][i]) for i in range(len(arrs))]
-    k2 = tendency(y, t + 0.5 * dt, 1)
+    k2 = nl(y, t + 0.5 * dt, out=ks[1])
     for i, a in enumerate(arrs):  # y3 = e_half a + dt/2 k2, the third arrays the scratch
         yi = np.multiply(e_half[i], a, out=y[i])
         yi += np.multiply(0.5 * dt, k2[i], out=ks[2][i])
-    k3 = tendency(y, t + 0.5 * dt, 2)
+    k3 = nl(y, t + 0.5 * dt, out=ks[2])
     for i, a in enumerate(arrs):  # y4 = e_full a + dt e_half k3, the second arrays the scratch
         inc[i] += np.multiply(2.0 * e_half[i], np.add(k2[i], k3[i], out=ks[1][i]), out=ks[1][i])
         yi = np.multiply(e_full[i], a, out=y[i])
         yi += np.multiply(dt * e_half[i], k3[i], out=ks[1][i])
-    k4 = tendency(y, t + dt, 2)
+    k4 = nl(y, t + dt, out=ks[2])
     new = []
     for i, a in enumerate(arrs):
         inc[i] += k4[i]
@@ -653,8 +647,6 @@ def _row(
     """(diagnostics row, number of failed radius fits) at time t of a state whose
     compact barotropic velocity is vbar and whose lab-frame coefficients
     (full layout or packed band) are v, with the shell-power table `power`."""
-    from .io import DiagnosticsRow
-
     g = cfg.grid
     spec_tau = NormSpec(r=report.r, s=0, tau=max(tau_tracked, 0.0) if np.isfinite(tau_tracked) else report.tau)
     try:
@@ -743,10 +735,11 @@ def integrate(
     formulation than cfg.formulation, raises ValueError.
 
     state0 is packed once (`_pack`) and the packed arrays go from step to
-    step.  The CFL limit of each pre-step state comes from stage 1 of its
-    RK4 step, which evaluates the RHS there and so holds the physical
-    velocity: with check_cfl a dt over the limit raises CflError before the
-    step is accepted, and the smallest limit / dt is recorded either way.
+    step through the one time loop, `_march`.  The CFL limit of each
+    pre-step state comes from stage 1 of its RK4 step, which evaluates the
+    RHS there and so holds the physical velocity: with check_cfl a dt over
+    the limit raises CflError before the step is accepted, and the smallest
+    limit / dt is recorded either way.
     After each step the packed band of the lab-frame velocity is formed once
     and its shell-power table built once; the tau tracker and the
     diagnostics row (norms, fits, energy, baroclinic L2) all read that
@@ -757,78 +750,81 @@ def integrate(
     g = cfg.grid
     rotating = cfg.formulation == "rotating"
     arrs = _pack(state0, cfg)
-    state, t = state0.copy(), state0.t
     n_steps = step_count(cfg.t_end, cfg.dt)
-    tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
-    v = _lab_velocity(state, cfg)
-    vbar = state.vbar if rotating else v[..., 0]
-    row, fit_failures = _row(t, vbar, v, ShellPower.of(v, g), cfg, report, tau_now)
-    rows = [row]
-    if observer:
-        observer(row)
-    if state_observer:
-        state_observer(state)
-    initial_norm = rows[0].norm_r0tau
-    initial_fit = rows[0].tau_fit_h
+    rows, failures, margins = [], [], []
     collapse_t = None
-    margin = None
-    termination = "completed"
 
-    for _ in range(n_steps):
+    def record(t, vbar, v, power):
+        tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
+        row, failed = _row(t, vbar, v, power, cfg, report, tau_now)
+        rows.append(row)
+        failures.append(failed)
+        if observer:
+            observer(row)
+        return row
+
+    def advance(arrs, t):
         arrs, lim = _advance(arrs, t, cfg, check_cfl)
-        t, state = t + cfg.dt, None
-        if margin is None or lim / cfg.dt < margin:
-            margin = lim / cfg.dt
+        margins.append(lim / cfg.dt)
+        return arrs
+
+    def observe(arrs, t):
+        nonlocal collapse_t
         v = _lab_band(arrs, t, cfg)
         power = ShellPower.of(v, g)
         if tau_tracker is not None:
             tau_tracker.step(cfg.dt, _norms_for_tracker(power, report.r))
-            tau_now = tau_tracker.tau
-        vbar = arrs[0] if rotating else band_unpack(v[..., 0:1], g)[..., 0]
-        row, failed = _row(t, vbar, v, power, cfg, report, tau_now)
-        fit_failures += failed
-        rows.append(row)
-        if observer:
-            observer(row)
+        row = record(t, arrs[0] if rotating else band_unpack(v[..., 0:1], g)[..., 0], v, power)
         if state_observer:
-            state = _unpack(arrs, t, cfg)
-            state_observer(state)
+            state_observer(_unpack(arrs, t, cfg))
         if any(not np.isfinite(a).all() for a in arrs):
-            termination = "nan"
-            break
-        if np.isfinite(row.norm_r0tau) and row.norm_r0tau > blowup_factor * max(initial_norm, 1e-300):
-            termination = "blowup_sentinel"
-            break
-        if (
-            collapse_t is None
-            and np.isfinite(initial_fit)
-            and np.isfinite(row.tau_fit_h)
-            and row.tau_fit_h < 0.05 * initial_fit
-        ):
+            return "nan"
+        if np.isfinite(row.norm_r0tau) and row.norm_r0tau > blowup_factor * max(first.norm_r0tau, 1e-300):
+            return "blowup_sentinel"
+        fit, fit0 = row.tau_fit_h, first.tau_fit_h
+        if collapse_t is None and np.isfinite(fit0) and np.isfinite(fit) and fit < 0.05 * fit0:
             collapse_t = t
+        return None
+
+    state = state0.copy()
+    v = _lab_velocity(state, cfg)
+    first = record(state.t, state.vbar if rotating else v[..., 0], v, ShellPower.of(v, g))
+    if state_observer:
+        state_observer(state)
+    del state, v  # from here the run holds only the packed arrays
+    arrs, t, stop = _march(arrs, state0.t, cfg.dt, n_steps, advance, observe)
+    termination = stop or "completed"
     rows[-1].termination = termination
     fallbacks = 0 if tau_tracker is None else sum(not np.isfinite(row.tau_tracked) for row in rows)
-    state = _unpack(arrs, t, cfg) if state is None else state
-    return IntegrationResult(state, rows, termination, collapse_t, margin, fit_failures, fallbacks)
+    return IntegrationResult(_unpack(arrs, t, cfg) if n_steps else state0.copy(), rows, termination, collapse_t,
+                             min(margins, default=None), sum(failures), fallbacks)
+
+
+def _march(arrs: tuple, t: float, dt: float, n_steps: int, advance, observe) -> tuple:
+    """The one time loop of every system: n_steps steps of dt from time t of
+    the packed arrays, each advance(arrs, t) -> the arrays at t + dt, each
+    followed by observe(arrs, t + dt), which stops the march by returning a
+    reason.  Returns (last arrays, their time, the reason or None)."""
+    for _ in range(n_steps):
+        arrs = advance(arrs, t)
+        t += dt
+        if stop := observe(arrs, t):
+            return arrs, t, stop
+    return arrs, t, None
 
 
 # ---------------------------------------------------------------------------
 # 2D reduced system: y-independent, v dropped, Omega = 0
 # ---------------------------------------------------------------------------
 
-@dataclass
-class State2D:
-    """Baroclinic zonal velocity u(x, z): coefficients in the x-z layout
-    (1, nh, 1, nz), the n2 = 0 column of the 3-D layout."""
-
-    t: float
-    u: np.ndarray
-
-    def copy(self) -> "State2D":
-        return State2D(self.t, self.u.copy())
+def _xz_layout(g: GridSpec) -> dict:
+    """The 2D reduced system's arrays: the four RK4 stage arrays of u, on the
+    packed band of the x-z layout."""
+    n1, _, m = band_shape(g)
+    return {"stage": ((4, 1, n1, 1, m), np.complex128)}
 
 
-def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+def rhs_2d(u: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """du = -u dx u + (int_0^z dx u) dz u, barotropic part structurally zero
     (nu dzz u is the integrating factor's).
 
@@ -837,23 +833,24 @@ def rhs_2d(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     in the m = 0 slots, which the exact P0 subtraction removes; only the
     m >= 1 content of the two products survives.  u and the tendency are
     in the packed band layout (1, 2 hcut + 1, 1, zcut + 1) that the stepper
-    passes (`band_pack`).
+    passes (`band_pack`), the tendency written into the array `out` when
+    given.
     """
     dxu = 1j * k_h(grid, u)[0] * u
     p, px = values_from_coeffs(np.concatenate([u, dxu]), grid, COS, real=True)
     sines = np.concatenate([-mpi(grid, u) * u, integral_z(dxu, grid)])
     dzp, intp = values_from_coeffs(sines, grid, SIN, real=True)
-    out = coeffs_from_values((intp * dzp - p * px)[None], grid, COS)
+    out = coeffs_from_values((intp * dzp - p * px)[None], grid, COS, out=out)
     out[..., 0] = 0.0
     _guard("advection_2d", out)
     return out
 
 
-def step_2d(state: State2D, grid: GridSpec, nu: float, dt: float) -> State2D:
-    """One RK4-IF step on the packed band of u; ValueError for a state with
-    modes outside the 2/3-rule band."""
-    def nl(a, t):
-        return (rhs_2d(a[0], grid),)
+def _advance_2d(arrs: tuple, t: float, grid: GridSpec, nu: float, dt: float) -> tuple:
+    """One RK4-IF step of the packed x-z band (u,) at time t, its stages in
+    the grid's workspace."""
+    def nl(a, t, *, out):
+        return (rhs_2d(a[0], grid, out=out[0]),)
 
-    (u,) = _if_rk4((band_pack(state.u, grid, "u"),), state.t, dt, nl, grid, nu)
-    return State2D(state.t + dt, band_unpack(u, grid))
+    stages = tuple((k,) for k in _workspace(grid).arrays(_xz_layout).stage)
+    return _if_rk4(arrs, t, dt, nl, grid, nu, stages)

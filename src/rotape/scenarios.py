@@ -37,7 +37,7 @@ from .initial_data import (
     shear_barotropic,
     well_prepared_state,
 )
-from .io import write_diagnostics_csv, write_snapshot
+from .io import DiagnosticsRow, write_diagnostics_csv, write_snapshot
 from .lemmas import LemmaKind, ensemble_parameters, run_ensemble
 from .limit_solver import LimitState, integrate_limit
 from .norms import NormSpec, ShellPower, dz_l2_sq, norm_rst
@@ -45,17 +45,17 @@ from .pe_solver import (
     DirectState,
     RotatingState,
     SolverConfig,
-    State2D,
+    _advance_2d,
+    _march,
     _norms_for_tracker,
     direct_from_rotating,
     integrate,
     rhs_direct,
     rhs_rotating,
     rotating_from_direct,
-    step_2d,
     step_count,
 )
-from .spectral import COS, SpectralField, inner
+from .spectral import COS, SpectralField, band_pack, inner
 from .theory import TauTracker, decay_2d_rate, local_rate, perturbation_diagnostics, threshold_2d
 
 
@@ -449,42 +449,40 @@ SMALL_2D_SLACK = 1.10
 @_scenario
 def small_data_2d(cfg: RunConfig, out: Path) -> dict:
     """Decay from a datum of analytic radius init.tau0 whose norm is
-    init.amplitude times the smallness threshold.  Each recorded state's
-    row and the tau tracker read one shell-power table of that state."""
+    init.amplitude times the smallness threshold.  u is packed once and
+    stepped through the one time loop (`pe_solver._march`); each state's row
+    and the tau tracker read one shell-power table of its packed band."""
     grid, init, nu, r, s = cfg.grid, cfg.init, cfg.nu, cfg.norms.r, cfg.norms.s
     rng = np.random.default_rng(init.seed + 19)
     thresh = threshold_2d(nu, init.tau0, SMALL_2D_C_R)
     u0 = random_scalar_2d(grid, rng, tau=init.tau0, eta=init.eta0)
     u0 *= (init.amplitude * thresh) / norm_rst(ShellPower.of(u0, grid), NormSpec(r=r, s=s, tau=init.tau0))
-
-    from .io import DiagnosticsRow
-
     tracker = TauTracker(init.tau0, decay_2d_rate(SMALL_2D_C_R))
-    st = State2D(0.0, u0.copy())
     rows = []
 
-    def record(state, power):
+    def observe(arrs, t):
+        (u,) = arrs
+        power = ShellPower.of(u, grid)
+        if rows:  # the initial row's norm is at radius init.tau0, so it is the envelope's n0
+            tracker.step(cfg.dt, _norms_for_tracker(power, r))
         l2_sq = dz_l2_sq(power)
         # a failed tracker's NaN radius has no norm: the row records NaN and the run fails
         tau = tracker.tau
         nrt = float("nan") if np.isnan(tau) else norm_rst(power, NormSpec(r=r, s=s, tau=tau))
         rows.append(
             DiagnosticsRow(
-                t=state.t, norm_r0tau=nrt,
+                t=t, norm_r0tau=nrt,
                 sobolev_norm=norm_rst(power, NormSpec(r=r, s=s)),
                 tau_tracked=tau, tau_fit_h=float("nan"), eta_fit_v=float("nan"),
                 energy=0.5 * l2_sq, enstrophy_bar=0.0, baroclinic_l2=float(np.sqrt(l2_sq)),
-                div_residual=0.0, mean_residual=float(np.abs(state.u[..., 0]).max()),
+                div_residual=0.0, mean_residual=float(np.abs(u[..., 0]).max()),
             )
         )
 
-    # the initial row's norm is at radius init.tau0, so it is the envelope's n0
-    record(st, ShellPower.of(st.u, grid))
-    for _ in range(step_count(cfg.t_end, cfg.dt)):
-        st = step_2d(st, grid, nu, cfg.dt)
-        power = ShellPower.of(st.u, grid)
-        tracker.step(cfg.dt, _norms_for_tracker(power, r))
-        record(st, power)
+    arrs = (band_pack(u0, grid, "u"),)
+    observe(arrs, 0.0)
+    advance = functools.partial(_advance_2d, grid=grid, nu=nu, dt=cfg.dt)
+    _march(arrs, 0.0, cfg.dt, step_count(cfg.t_end, cfg.dt), advance, observe)
     n0 = rows[0].norm_r0tau
     # np.max, not max: a NaN ratio must fail the run, not drop out of it
     worst = np.max([row.norm_r0tau / (SMALL_2D_SLACK * (n0 * np.exp(-nu * row.t / 2.0))) for row in rows])

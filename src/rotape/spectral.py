@@ -598,14 +598,13 @@ def apply_A_exp(f: SpectralField, r: float, tau: float) -> SpectralField:
     """
     if r < 0 or tau < 0:
         raise ValueError("r and tau must be nonnegative")
-    c, packed = f.coeffs, is_packed(f.coeffs, f.grid)
+    c, k = f.coeffs, kabs(f.grid)
 
     def populated():
-        shells = (np.abs(c) > 0.0).any(axis=tuple(range(c.ndim - 3)) + (-1,))[..., None]
-        return band_unpack(shells, f.grid) if packed else shells
+        return (np.abs(c) > 0.0).any(axis=tuple(range(c.ndim - 3)) + (-1,))[..., None]
 
-    mult = a_exp_weight(kabs(f.grid), r, tau, populated)
-    return replace(f, coeffs=c * (band_gather(mult, f.grid) if packed else mult))
+    mult = a_exp_weight(band_gather(k, f.grid) if is_packed(c, f.grid) else k, r, tau, populated)
+    return replace(f, coeffs=c * mult)
 
 
 def dz(f: SpectralField) -> SpectralField:

@@ -29,14 +29,12 @@ from rotape.pe_solver import (
     DirectState,
     RotatingState,
     SolverConfig,
-    State2D,
     integrate,
     rhs_2d,
     rhs_direct,
     rhs_rotating,
     rotating_from_direct,
     step,
-    step_2d,
 )
 from rotape.spectral import (
     COS,
@@ -48,6 +46,7 @@ from rotape.spectral import (
     symmetrize,
     values_from_coeffs,
 )
+from tests.test_pe_solver import _march_2d
 
 
 def _coeffs(rng, shape, real):
@@ -312,7 +311,7 @@ class TestOutOfBandStatesRejected:
         u = np.zeros((1, GRID.nh, 1, GRID.nz), dtype=np.complex128)
         u[0, 7, 0, 1] = u[0, -7, 0, 1] = 1.0
         with pytest.raises(ValueError, match="u has 2 nonzero"):
-            step_2d(State2D(0.0, u), GRID, 0.1, 1e-3)
+            _march_2d(u, GRID, 0.1, 1e-3, 1)
 
     def test_require_band_accepts_band_limited(self, rng):
         require_band(_direct_state(rng).v, GRID, "v")
@@ -413,8 +412,8 @@ def _full_decay(grid, nu, h):
 
 
 class TestBandResidentSteps:
-    """Five steps of `step`, `step_limit` and `step_2d`, which run every stage
-    on the packed band, equal the full-layout IF-RK4 bit for bit."""
+    """Five steps of `step`, `step_limit` and the 2D march, which run every
+    stage on the packed band, equal the full-layout IF-RK4 bit for bit."""
 
     @pytest.mark.parametrize("formulation", ["rotating", "direct"])
     def test_pe_step(self, rng, formulation):
@@ -463,7 +462,6 @@ class TestBandResidentSteps:
 
     def test_2d_step(self, rng):
         u = random_scalar_2d(GRID, rng, tau=0.4, eta=0.3)
-        st = State2D(0.0, u)
         nu, dt = 0.1, 1e-3
         eh, ef = _full_decay(GRID, nu, 0.5 * dt), _full_decay(GRID, nu, dt)
 
@@ -472,6 +470,5 @@ class TestBandResidentSteps:
 
         ref = (u,)
         for i in range(5):
-            st = step_2d(st, GRID, nu, dt)
             ref = _full_if_rk4(ref, i * dt, dt, nl, (eh,), (ef,))
-        assert np.array_equal(st.u, ref[0])
+        assert np.array_equal(_march_2d(u, GRID, nu, dt, 5), ref[0])

@@ -203,3 +203,33 @@ class TestLimitIntegration:
         _, diags, _ = integrate_limit(st, GRID, nu=0.3, dt=5e-3, t_end=0.1)
         assert all(d.vbar_sobolev > 0 for d in diags)
         assert all(d.vtilde_sobolev > 0 for d in diags)
+
+
+@pytest.mark.parametrize(
+    "given, name",
+    [
+        ({"dt": -1e-3, "t_end": -2e-3}, "dt"),
+        ({"nu": -1.0}, "nu"),
+        ({"dt": 0.0}, "dt"),
+        ({"nu": float("nan")}, "nu"),
+        ({"t_end": float("inf")}, "t_end"),
+        ({"dt": float("nan")}, "dt"),
+        ({"t_end": -2e-3}, "t_end"),
+    ],
+    ids=["backwards", "negative_nu", "zero_dt", "nan_nu", "inf_t_end", "nan_dt", "negative_t_end"],
+)
+def test_limit_system_rejects_what_solver_config_rejects(rng, given, name):
+    """integrate_limit and step_limit apply SolverConfig's rules to nu, dt and
+    t_end (finite; nu > 0, dt > 0, t_end >= 0), and the ValueError names the
+    argument, as SolverConfig's does."""
+    from rotape.pe_solver import SolverConfig
+
+    args = {"nu": 0.2, "dt": 1e-3, "t_end": 2e-3, **given}
+    st = LimitState(0.0, random_vorticity(GRID, rng), random_vector(GRID, rng, baroclinic=True).coeffs)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        SolverConfig(omega=0.0, grid=GRID, **args)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        integrate_limit(st, GRID, **args)
+    if name != "t_end":
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            step_limit(st, GRID, nu=args["nu"], dt=args["dt"])

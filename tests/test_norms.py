@@ -1,6 +1,7 @@
 """Analytic-Sobolev norms and radius fitting."""
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from rotape.norms import (
     norm_rst,
     norm_rst_eta,
 )
-from rotape.spectral import SIN, SpectralField, SpectralRangeError, apply_A_exp, symmetrize
+from rotape.spectral import SIN, SpectralField, SpectralRangeError, apply_A_exp, band_pack, symmetrize
 from tests.test_spectral_core import mode_field
 
 
@@ -300,6 +301,26 @@ class TestShellPower:
         grid = GridSpec(nh=32, nz=16)
         f = random_vector(grid, rng, tau=0.4, eta=0.3)
         assert fit_radius(ShellPower.of(f.coeffs, grid), axis) == fit_radius(f, axis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half_nh=st.integers(4, 16),
+    nz=st.integers(4, 16),
+    frac=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]),
+    xz=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_packed_band_table_is_the_full_layout_table(half_nh, nz, frac, xz, seed):
+    """ShellPower.of of a packed band, of the 3-D or the x-z layout, is the
+    table of its full layout bit for bit: the band keeps its modes' order, so
+    each bin sums the same terms in the same order."""
+    grid = GridSpec(nh=2 * half_nh, nz=nz, dealias_fraction=frac)
+    rng = np.random.default_rng(seed)
+    shape = (2, grid.nh, 1 if xz else grid.nh, nz)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a *= dealias_mask(grid)[:, : shape[2]]
+    assert np.array_equal(ShellPower.of(band_pack(a, grid), grid).table, ShellPower.of(a, grid).table)
 
 
 def test_only_norms_forms_the_per_mode_weight():

@@ -12,7 +12,6 @@ from rotape.pe_solver import (
     DirectState,
     RotatingState,
     SolverConfig,
-    State2D,
     cfl_limit,
     direct_from_rotating,
     integrate,
@@ -21,9 +20,10 @@ from rotape.pe_solver import (
     rhs_rotating,
     rotating_from_direct,
     step,
-    step_2d,
     _advance,
+    _advance_2d,
     _if_rk4,
+    _march,
     _pack,
     _unpack,
 )
@@ -331,7 +331,8 @@ class TestStepping:
         st = _initial(formulation, make_state(rng).v, cfg.omega)
         y, rhs = _arrays_and_rhs(st, cfg)
         expect = _classical_rk4(y, st.t, cfg.dt, rhs)
-        got = _if_rk4(y, st.t, cfg.dt, rhs, cfg.grid, 0.0)  # nu = 0: every factor is 1
+        stages = [tuple(np.empty_like(a) for a in y) for _ in range(4)]
+        got = _if_rk4(y, st.t, cfg.dt, rhs, cfg.grid, 0.0, stages)  # nu = 0: every factor is 1
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
     def test_rk4_plain_matches_if_at_small_dt(self, rng):
@@ -364,10 +365,15 @@ def _initial(formulation, v, omega):
 
 
 def _arrays_and_rhs(st, cfg):
-    """The arrays the stepper advances (the 3-D one packed) and their non-diffusive tendency."""
+    """The arrays the stepper advances (the 3-D one packed) and their
+    non-diffusive tendency, written into the arrays `out` when given."""
     if isinstance(st, RotatingState):
-        return (st.vbar, band_pack(st.vplus[0:1], cfg.grid)), lambda a, t: rhs_rotating(a, t, cfg)
-    return (band_pack(st.v, cfg.grid),), lambda a, t: (rhs_direct(a[0], t, cfg),)
+        return (st.vbar, band_pack(st.vplus[0:1], cfg.grid)), lambda a, t, out=None: rhs_rotating(a, t, cfg, out=out)
+
+    def rhs(a, t, out=None):
+        return (rhs_direct(a[0], t, cfg, out=None if out is None else out[0]),)
+
+    return (band_pack(st.v, cfg.grid),), rhs
 
 
 def _classical_rk4(y, t, dt, rhs):
@@ -595,6 +601,16 @@ class TestIntegrate:
         assert times[1] < times[0]
 
 
+def _march_2d(u, grid, nu, dt, n_steps):
+    """u (x-z layout) after n_steps steps of the 2D reduced system, packed and
+    marched as small_data_2d steps it."""
+    def advance(a, t):
+        return _advance_2d(a, t, grid, nu, dt)
+
+    (b,), _, _ = _march((band_pack(u, grid, "u"),), 0.0, dt, n_steps, advance, lambda a, t: None)
+    return band_unpack(b, grid)
+
+
 class TestReduce2D:
     def test_zero(self):
         grid = GridSpec(nh=16, nz=8)
@@ -612,10 +628,8 @@ class TestReduce2D:
         u[0, 1, 0, 1] = a / 2
         u[0, -1, 0, 1] = a / 2
         assert np.abs(rhs_2d(band_pack(u, grid), grid)).max() < 1e-13
-        st = State2D(0.0, u)
-        for _ in range(10):
-            st = step_2d(st, grid, nu=0.5, dt=0.02)
-        assert np.abs(st.u - np.exp(-0.5 * np.pi**2 * 0.2) * u).max() < 1e-13
+        u10 = _march_2d(u, grid, nu=0.5, dt=0.02, n_steps=10)
+        assert np.abs(u10 - np.exp(-0.5 * np.pi**2 * 0.2) * u).max() < 1e-13
 
     def test_3d_consistency_oracle(self, rng):
         grid = GridSpec(nh=16, nz=8)
@@ -673,12 +687,9 @@ class TestReduce2D:
         grid = GridSpec(nh=16, nz=8)
         u = random_scalar_2d(grid, rng, tau=0.5, eta=0.3)
         u *= 0.05 / np.sqrt(np.sum(np.abs(u) ** 2))
-        st = State2D(0.0, u)
         nu = 1.0
         e0 = np.sum(np.abs(u) ** 2)
-        for _ in range(100):
-            st = step_2d(st, grid, nu, 5e-3)
-        assert np.sum(np.abs(st.u) ** 2) < e0
+        assert np.sum(np.abs(_march_2d(u, grid, nu, 5e-3, 100)) ** 2) < e0
 
 
 # --- the per-grid workspace ---------------------------------------------------

@@ -183,7 +183,8 @@ def test_summaries_record_cfl_margin_and_fit_failures(short_summaries):
 
 def test_small_data_2d_builds_one_table_per_recorded_state(tmp_path, monkeypatch):
     """The row and the tau tracker of each recorded state read one shell-power
-    table; the datum's scaling to the threshold reads one more."""
+    table, of its packed x-z band (1, 2 hcut + 1, 1, zcut + 1); the datum's
+    scaling to the threshold reads one more, of the full layout."""
     from rotape.config import parse_config
     from rotape.norms import ShellPower
     from rotape.scenarios import small_data_2d
@@ -201,7 +202,7 @@ def test_small_data_2d_builds_one_table_per_recorded_state(tmp_path, monkeypatch
     summary = small_data_2d(cfg, tmp_path)
     steps = 4
     assert len(read_diagnostics_csv(tmp_path / "diagnostics.csv")) == steps + 1
-    assert calls == [(1, 16, 1, 8)] * (steps + 2)
+    assert calls == [(1, 16, 1, 8)] + [(1, 11, 1, 6)] * (steps + 1)
     assert summary["worst_envelope_ratio"] == pytest.approx(1 / 1.1, rel=1e-15)
 
 

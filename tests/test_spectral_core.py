@@ -174,6 +174,30 @@ class TestApplyAExp:
         g = apply_A_exp(f, 0.0, 25.0)  # overflows only at high shells, which are empty
         assert np.isfinite(g.coeffs).all()
 
+    @pytest.mark.parametrize("nh, r, tau", [(16, 0.0, 0.3), (32, 1.5, 0.2), (64, 2.25, 0.45), (32, 2.0, 0.0)])
+    def test_packed_stack_is_the_full_layout_bit_for_bit(self, rng, nh, r, tau):
+        """On a packed stack (the lemma checker's) the multiplier is the full
+        layout's bit for bit, and an overflow names the same shell."""
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class Stack:
+            grid: GridSpec
+            coeffs: np.ndarray
+            basis: str = COS
+
+        grid = GridSpec(nh=nh, nz=8)
+        full = np.stack([random_vector(grid, rng).coeffs, random_scalar(grid, rng).coeffs.repeat(2, axis=0)])
+        got = apply_A_exp(Stack(grid, band_pack(full, grid)), r, tau).coeffs
+        assert np.array_equal(got, band_pack(apply_A_exp(Stack(grid, full), r, tau).coeffs, grid))
+        edge = mode_field(grid, {(0, grid.hcut, 0, 1): 1.0}).coeffs[None]
+        errors = []
+        for coeffs in (edge, band_pack(edge, grid)):
+            with pytest.raises(SpectralRangeError, match="shell") as exc:
+                apply_A_exp(Stack(grid, coeffs), r, 800.0 / grid.hcut)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
     def test_one_overflow_rule_the_float64_range(self, grid16):
         """A populated-shell multiplier between 1e300 and the float64 maximum
         is applied; one past the maximum raises, naming the shell."""
