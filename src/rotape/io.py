@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -73,17 +74,33 @@ def write_snapshot(path, coeffs: np.ndarray, grid: GridSpec, t: float) -> None:
 
 
 def read_snapshot(path) -> tuple[np.ndarray, GridSpec, float]:
+    """(coefficients, grid, t) of a PESP1 file.  A header without the fields
+    nh, nz (a valid grid), comps (a positive integer) and t (finite), or a
+    payload of the wrong length, raises ValueError naming the file and field."""
     with Path(path).open("rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if not parts or parts[0] != "PESP1":
-            raise ValueError(f"not a PESP1 snapshot: header {header!r}")
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        nh, nz, comps = int(kv["nh"]), int(kv["nz"]), int(kv["comps"])
-        t = float(kv["t"])
+        header = fh.readline().decode("ascii", "replace").strip()
         raw = fh.read()
+    parts = header.split()
+    if not parts or parts[0] != "PESP1":
+        raise ValueError(f"{path}: not a PESP1 snapshot: header {header!r}")
+    kv = dict(part.partition("=")[::2] for part in parts[1:])
+
+    def field(key, kind, ok, rule):
+        try:
+            if ok(x := kind(kv[key])):
+                return x
+        except (KeyError, ValueError):
+            pass
+        raise ValueError(f"{path}: PESP1 header field {key!r} must be {rule}, got {kv.get(key, 'nothing')!r}")
+
+    nh, nz, comps = (field(key, int, lambda x: x > 0, "a positive integer") for key in ("nh", "nz", "comps"))
+    t = field("t", float, math.isfinite, "a finite number")
+    try:
+        grid = GridSpec(nh=nh, nz=nz)
+    except ValueError as e:
+        raise ValueError(f"{path}: PESP1 header grid: {e}") from None
     expected = comps * nh * nh * nz * 2 * 8
     if len(raw) != expected:
-        raise ValueError(f"snapshot payload has {len(raw)} bytes, expected {expected}")
+        raise ValueError(f"{path}: snapshot payload has {len(raw)} bytes, expected {expected}")
     coeffs = np.frombuffer(raw, dtype="<c16").reshape(comps, nh, nh, nz)
-    return coeffs.astype(np.complex128), GridSpec(nh=nh, nz=nz), t
+    return coeffs.astype(np.complex128), grid, t

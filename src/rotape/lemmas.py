@@ -7,8 +7,9 @@ paths: exact coefficient convolution when every input has at most 3 active
 modes, and dealiased transform products otherwise; the slow path anchors
 the fast one.
 
-The transform path and the RHS evaluate a stack of input triples at once,
-each field packed to its 2/3-rule band with a leading sample axis (`_Stack`).
+The transform path and the RHS evaluate a stack of input triples at once:
+each field is one `SpectralField` of the samples' packed 2/3-rule bands,
+stacked on a leading sample axis, which spectral's diagonal operators keep.
 `check` evaluates one triple as a stack of one; `run_ensemble` draws the
 band of its samples alone, in the order `ensemble_fields` draws them, and
 evaluates them in stacks, every sample to the same bits as `check` of the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import SimpleNamespace
@@ -97,18 +98,6 @@ class CheckResult:
     exact_path: bool
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Fields of one basis, coeffs (samples, components, 2 hcut + 1,
-    2 hcut + 1, zcut + 1): the packed 2/3-rule band (`band_pack`) of each.
-    spectral's diagonal operators (`div_h`, `dz`, `apply_A_exp`,
-    `w_from_baroclinic`) take it as they take a SpectralField."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-    basis: str = COS
-
-
 # ---------------------------------------------------------------------------
 # per-z horizontal L2 profiles: the vertical series on a refined midpoint grid,
 # horizontal norms by Parseval on the coefficients (no x transform).  Each
@@ -134,9 +123,9 @@ def _partners(n1: int, n2: int) -> np.ndarray:
     return ((-np.arange(n1)) % n1 * n2)[:, None] + ((-np.arange(n2)) % n2)[None, :]
 
 
-def _z_power(f: SpectralField | _Stack, nzf: int, mirror: bool = False, ws=None) -> np.ndarray:
+def _z_power(f: SpectralField, nzf: int, mirror: bool = False, ws=None) -> np.ndarray:
     """P[.., q, z] = sum_c sum_{n1^2 + n2^2 = q} |f_c(n1, n2, z)|^2 on nzf
-    midpoints: one table per sample of a stack, one for a SpectralField.
+    midpoints: one table per sample of a stack, one for a single field.
 
     The vertical series runs only on the populated (n1, n2) columns: an
     empty column adds exactly 0 to every entry.  mirror=True asserts that
@@ -192,16 +181,16 @@ def _weight(grid: GridSpec, r: float, tau: float, per_q: bool) -> np.ndarray:
     return w
 
 
-def _weighted_inner(x: _Stack, h: _Stack, r: float, tau: float, ws) -> list[complex]:
+def _weighted_inner(x: SpectralField, h: SpectralField, r: float, tau: float, ws) -> list[complex]:
     """<A^r e^{tau A} x, A^r e^{tau A} h> per sample of packed stacks."""
     return _inner(x, h, _weight(x.grid, r, tau, False), ws)
 
 
-def _plain_inner(x: _Stack, h: _Stack, ws) -> list[complex]:
+def _plain_inner(x: SpectralField, h: SpectralField, ws) -> list[complex]:
     return _inner(x, h, None, ws)
 
 
-def _inner(x: _Stack, h: _Stack, w: np.ndarray | None, ws) -> list[complex]:
+def _inner(x: SpectralField, h: SpectralField, w: np.ndarray | None, ws) -> list[complex]:
     """sum x conj(h) w per sample (w None for 1), in one reduction per stack,
     formed in the spent scratch of the lemma layout ws.  Each complex
     product has named operands in that written order: numpy would evaluate
@@ -214,7 +203,7 @@ def _inner(x: _Stack, h: _Stack, w: np.ndarray | None, ws) -> list[complex]:
     return xh.reshape(len(xh), -1).sum(axis=1).tolist()
 
 
-def _adv_field(f: _Stack, g: _Stack, real: bool, ws=None) -> _Stack:
+def _adv_field(f: SpectralField, g: SpectralField, real: bool, ws=None) -> SpectralField:
     """(f . grad) g, dealiased, in one transform round trip: the inverse of f,
     the inverse of the stacked (dx g, dy g), and one forward of the stacked
     (f_x dx g, f_y dy g).  The two halves are summed as coefficients, as
@@ -241,16 +230,16 @@ def _adv_field(f: _Stack, g: _Stack, real: bool, ws=None) -> _Stack:
     tag = _CLOSURE[(f.basis, g.basis)]
     # the gradient stack is spent: the forward writes over it, and the sum over its first half
     out = coeffs_from_values(pg, grid, tag, out=grad, work=work(2 * nc) if real else pg)
-    return _Stack(grid, np.add(out[:, :nc], out[:, nc:], out=out[:, :nc]), tag)
+    return SpectralField(grid, np.add(out[:, :nc], out[:, nc:], out=out[:, :nc]), tag)
 
 
-def _product(f: _Stack, g: _Stack, real: bool, ws) -> _Stack:
+def _product(f: SpectralField, g: SpectralField, real: bool, ws) -> SpectralField:
     """The dealiased product (`band_product`) in the lemma layout ws: the
     product in grad, its values and pass buffers in scratch."""
     n, nc = len(f.coeffs), max(f.coeffs.shape[1], g.coeffs.shape[1])
     out = _carve(ws.grad.ravel(), (n, nc, *f.coeffs.shape[2:]))
-    return _Stack(f.grid, *band_product(f.coeffs, f.basis, g.coeffs, g.basis, f.grid, real, out=out,
-                                        scratch=ws.scratch))
+    return SpectralField(f.grid, *band_product(f.coeffs, f.basis, g.coeffs, g.basis, f.grid, real, out=out,
+                                               scratch=ws.scratch))
 
 
 def _lemma_layout(g: GridSpec, n: int, nc: int) -> dict:
@@ -428,12 +417,12 @@ def _exact_plain_inner(xmodes: list, hmodes: list) -> complex:
     return _exact_weighted_inner(xmodes, hmodes, 0.0, 0.0)
 
 
-def _active_modes(x: _Stack) -> np.ndarray:
+def _active_modes(x: SpectralField) -> np.ndarray:
     """Active (n1, n2, m) modes of each sample (any component nonzero)."""
     return (np.abs(x.coeffs) > 0).any(axis=1).sum(axis=(1, 2, 3))
 
 
-def _symmetry(x: _Stack) -> tuple[bool, bool]:
+def _symmetry(x: SpectralField) -> tuple[bool, bool]:
     """Whether every sample is conjugate symmetric to 1e-12 relative to its
     largest coefficient (`is_conjugate_symmetric`), and whether every
     sample is so exactly, with finite coefficients."""
@@ -471,7 +460,7 @@ def check(
         raise ValueError("grid mismatch")
     ws = _lemma_arrays(f.grid, 1, (f, g, h))
     stacks = (None if x is None else
-              _Stack(f.grid, band_pack(x.coeffs, f.grid, name, out=packed[0, : x.components])[None], x.basis)
+              SpectralField(f.grid, band_pack(x.coeffs, f.grid, name, out=packed[0, : x.components])[None], x.basis)
               for name, x, packed in zip("fgh", (f, g, h), ws.fields))
     return _check_stack(kind, *stacks, r, tau, force_path, warn=True)[0]
 
@@ -482,8 +471,8 @@ def _lemma_arrays(grid: GridSpec, n: int, fields) -> SimpleNamespace:
     return _workspace(grid).arrays(_lemma_layout, n, max(x.coeffs.shape[-4] for x in fields if x is not None))
 
 
-def _check_stack(kind: LemmaKind, f: _Stack, g: _Stack, h: _Stack | None, r: float, tau: float,
-                 force_path: str | None, warn: bool = False) -> list[CheckResult]:
+def _check_stack(kind: LemmaKind, f: SpectralField, g: SpectralField, h: SpectralField | None, r: float,
+                 tau: float, force_path: str | None, warn: bool = False) -> list[CheckResult]:
     """check() of each sample of band-limited stacks (h None for
     banach_algebra), which the caller has validated: `check` packs its
     fields with `band_pack`, `run_ensemble` draws the band alone.  The
@@ -537,7 +526,7 @@ def _lhs_transform(kind, f, g, h, r, tau, real, ws) -> list[float]:
         x = _adv_field(f, g, real, ws)
         return [abs(t) for t in _weighted_inner(x, h, r, tau, ws)]
     if kind is LemmaKind.type2:
-        x = _product(_neg(w_from_baroclinic(f)), dz(g), real, ws)
+        x = _product(-w_from_baroclinic(f), dz(g), real, ws)
         return [abs(t) for t in _weighted_inner(x, h, r, tau, ws)]
     if kind is LemmaKind.type3:
         x = _product(div_h(f), g, real, ws)
@@ -550,16 +539,12 @@ def _lhs_transform(kind, f, g, h, r, tau, real, ws) -> list[float]:
         t1 = _weighted_inner(_product(div_h(f), g, real, ws), h, r, tau, ws)
         t2 = _plain_inner(_product(div_h(apply_A_exp(f, r, tau)), g, real, ws), apply_A_exp(h, r, tau), ws)
     elif kind is LemmaKind.diff_type4:
-        intf = _neg(w_from_baroclinic(f))  # int_0^z div_h f
+        intf = -w_from_baroclinic(f)  # int_0^z div_h f
         t1 = _weighted_inner(_product(intf, dz(g), real, ws), h, r, tau, ws)
         t2 = _plain_inner(_product(dz(g), apply_A_exp(intf, r, tau), real, ws), apply_A_exp(h, r, tau), ws)
     else:
         raise AssertionError(kind)
     return [abs(a - b) for a, b in zip(t1, t2)]
-
-
-def _neg(x: _Stack) -> _Stack:
-    return replace(x, coeffs=-x.coeffs)
 
 
 def _lhs_exact(kind, f, g, h, r, tau) -> float:
@@ -739,6 +724,6 @@ def run_ensemble(
         fields = _workspace(grid).arrays(_lemma_layout, min(stack, n_samples - start), nc).fields[:nfields]
         for i in range(fields.shape[1]):
             _draw_sample(kind, grid, rng, tau_gen, eta_gen, fields[:, i], packed=True)
-        f, g, h = [_Stack(grid, x) for x in fields] + [None] * (3 - nfields)
+        f, g, h = [SpectralField(grid, x) for x in fields] + [None] * (3 - nfields)
         out += _check_stack(kind, f, g, h, r, tau, None)
     return out

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridSpec, a_exp_weight, dealias_mask, kabs, mode_numbers, mpi
-from .spectral import SpectralField, band_gather, is_packed
+from .spectral import SpectralField, band_gather
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,19 @@ def _bins(grid: GridSpec) -> _Bins:
 
 
 @lru_cache(maxsize=None)
+def _bin_index(grid: GridSpec, shape: tuple) -> np.ndarray:
+    """The bin * nz + m of each entry, in storage order, of the 3-D layout,
+    its x-z column (n2 = 1) or the compact barotropic (n1, n2), whose power
+    sits at m = 0, with axes `shape`, or of their packed bands, whose modes
+    keep their order, and so their sums."""
+    n2, m = (shape[1], 1) if len(shape) == 2 else shape[1:]
+    flat = _bins(grid).flat.reshape(grid.nh, grid.nh, grid.nz)[:, : 1 if n2 == 1 else None, : 1 if m == 1 else None]
+    flat = (flat if shape[0] == grid.nh else band_gather(flat, grid)).ravel()
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=None)
 def _mpi_pow(grid: GridSpec, s_order: int) -> np.ndarray:
     """(m pi)^{2 s_order} for m = 0 .. nz-1."""
     return mpi(grid)[0, 0] ** (2 * s_order)
@@ -119,28 +132,18 @@ class ShellPower:
     @classmethod
     def of(cls, coeffs: np.ndarray, grid: GridSpec) -> "ShellPower":
         """The table of (components, nh, nh, nz) coefficients, of the compact
-        barotropic (components, nh, nh) layout, whose power sits at m = 0, or
-        of the x-z layout (components, nh, 1, nz), the n2 = 0 column of the
-        3-D one (the 2D reduced mode); or of the packed 2/3-rule band of the
-        3-D or the x-z layout (`spectral.band_pack`)."""
-        bins = _bins(grid)
+        barotropic (components, nh, nh) layout, whose power sits at m = 0, of
+        the x-z layout (components, nh, 1, nz), the n2 = 0 column of the 3-D
+        one (the 2D reduced mode), or of the packed 2/3-rule band of any of
+        them (`spectral.band_pack`), by the bin index cached per layout."""
         a2 = np.square(coeffs[0].real)
         a2 += np.square(coeffs[0].imag)
         for c in coeffs[1:]:
             a2 += np.square(c.real)
             a2 += np.square(c.imag)
-        nbins = len(bins.k)
-        if a2.ndim == 2:
-            table = np.zeros((nbins, grid.nz))
-            table[:, 0] = np.bincount(bins.of_mode, weights=a2.ravel(), minlength=nbins)
-        else:
-            # the n2 columns present: all of them, or n2 = 0 alone in the x-z
-            # layout; a packed band's modes keep their order and so their sums
-            flat = bins.flat.reshape(grid.nh, grid.nh, grid.nz)[:, : 1 if a2.shape[1] == 1 else None]
-            flat = (band_gather(flat, grid) if is_packed(coeffs, grid) else flat).ravel()
-            table = np.bincount(flat, weights=a2.ravel(), minlength=nbins * grid.nz)
-            table = table.reshape(nbins, grid.nz)
-        return cls(grid, table)
+        nbins = len(_bins(grid).k)
+        table = np.bincount(_bin_index(grid, a2.shape), weights=a2.ravel(), minlength=nbins * grid.nz)
+        return cls(grid, table.reshape(nbins, grid.nz))
 
     def dz(self) -> "ShellPower":
         """The table of the z-derivative: (m pi)^2 P[q, m]."""

@@ -168,8 +168,14 @@ def rotating_from_direct(v: np.ndarray, t: float, omega: float) -> RotatingState
 
 def direct_from_rotating(state: RotatingState, omega: float) -> np.ndarray:
     """V = Vbar + e^{i Omega t} V+ + e^{-i Omega t} V-."""
-    v = np.exp(1j * omega * state.t) * state.vplus + np.exp(-1j * omega * state.t) * state.vminus
-    v[..., 0] += state.vbar
+    return _lab_frame(state.vbar, state.vplus, state.vminus, omega, state.t)
+
+
+def _lab_frame(vbar, vplus, vminus, omega: float, t: float) -> np.ndarray:
+    """V = Vbar + e^{i Omega t} V+ + e^{-i Omega t} V- at time t, in the 3-D
+    layout of vplus and vminus (full or packed band), vbar its m = 0 slice."""
+    v = np.exp(1j * omega * t) * vplus + np.exp(-1j * omega * t) * vminus
+    v[..., 0] += vbar
     return v
 
 
@@ -259,26 +265,50 @@ def _guard(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _name_bad_term(p, px, py, dz, intp, vb3, cplus, cminus, ep, em):
-    """Slow path: identify which tendency group (its x-component) went
-    non-finite.  The groups are the step's (`_rhs_plus`), prefactors
-    included, bit for bit: each complex product has named operands in the
-    step's written order, since numpy would evaluate a * (b + c) as
-    (b + c) * a in a temporary of 256 KiB or more."""
-    pm, intm = np.conj(p), np.conj(intp)
-    div_plus, cross_grad = px + 1j * py, px - 1j * py
-    selfadv, cross = p * div_plus, pm * cross_grad
-    inner, outer = intp * dz, intm * dz
-    half_p = 0.5 * p
-    groups = {
-        "plus_self": ep * (selfadv - inner),
-        "plus_barotropic": vb3[0] * px + vb3[1] * py + half_p * cplus,
-        "plus_cross": em * (cross - outer),
-        "plus_conjugate_coupling": (em * em * 0.5) * (pm * cminus),
-    }
-    for name, arr in groups.items():
-        _guard(name, arr)
-    raise TendencyNanError("combined_baroclinic_tendency")
+def _plus_groups(vals: tuple, vb3, cplus, cminus, ep, em, asm, check=lambda name, group: None):
+    """Returns s, and sums the four V+ tendency groups (x-components) into acc
+    of the rotating layout's asm = (acc, t1, t2), from the values vals = (p,
+    px, py, dz, intp) of `_plus_values`; p's array holds conj(p) on return.
+    check(name, group) sees each group, in a reused array, before the sum.
+
+    The oscillatory prefactors are scalars at fixed t, so the four groups
+    combine in physical space, for one forward transform of one component:
+      e^{i Omega t} (selfadv - int_0^z div V+ dz phi) + (Vbar . grad phi + phi cplus / 2)
+      + e^{-i Omega t} (conj(phi) (dx - i dy) phi - conj(int_0^z div V+) dz phi)
+      + (e^{-2 i Omega t} / 2) conj(phi) cminus
+    with selfadv = phi div V+, so (V+ . grad) V+ = selfadv (1, i).  Each
+    complex product has named operands in the order written here, which
+    fixes its rounding: numpy would evaluate a * (b + c) as (b + c) * a in a
+    temporary of 256 KiB or more."""
+    p, px, py, dz, intp = vals
+    acc, t1, t2 = asm
+    selfadv = np.multiply(1j, py, out=t1)
+    selfadv += px
+    np.multiply(p, selfadv, out=selfadv)
+    # the V+ source of the Vbar equation, (V+ . grad) V+ + (div V+) V+, is s (1, i)
+    # with s the z-mean of 2 phi div V+ e^{2 i Omega t}; the V- source is its conjugate
+    s = (ep * ep) * (2.0 * selfadv.mean(axis=-1))
+    np.multiply(intp, dz, out=acc)
+    np.subtract(selfadv, acc, out=acc)
+    np.multiply(ep, acc, out=acc)
+    check("plus_self", acc)
+    group = np.multiply(vb3[0], px, out=t1)
+    group += np.multiply(vb3[1], py, out=t2)
+    group += np.multiply(np.multiply(0.5, p, out=t2), cplus, out=t2)
+    check("plus_barotropic", group)
+    acc += group
+    pm = np.conjugate(p, out=p)
+    group = np.subtract(px, np.multiply(1j, py, out=t1), out=t1)
+    np.multiply(pm, group, out=group)
+    group -= np.multiply(np.conjugate(intp, out=t2), dz, out=t2)
+    np.multiply(em, group, out=group)
+    check("plus_cross", group)
+    acc += group
+    group = np.multiply(pm, cminus, out=t1)
+    np.multiply(em * em * 0.5, group, out=group)
+    check("plus_conjugate_coupling", group)
+    acc += group
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +365,9 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False, out: tu
     g = cfg.grid
     om = cfg.omega
     require_packed(phi, g)
-    p, px, py, dz, intp = _plus_values(phi, g)
+    p, *_, intp = vals = _plus_values(phi, g)
     ws = _workspace(g).arrays(_rotating_layout)
-    acc, t1, t2 = ws.asm
+    acc, t1 = ws.asm[:2]
 
     # barotropic phys fields (2D, real): velocity and gradients
     bar = barotropic_values(_grad_stack(vbar[..., None], g, out=ws.bgrad)[..., 0], g, out=ws.bar)
@@ -348,15 +378,8 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False, out: tu
     np.add(gx[0] + gy[1], 1j * (gy[0] - gx[1]), out=cplus[..., 0])
     np.subtract(gx[0] - gy[1], 1j * (gx[1] + gy[0]), out=cminus[..., 0])
 
-    # (V+ . grad) V+ = phi div V+ (1, i)
-    selfadv = np.multiply(1j, py, out=t1)
-    selfadv += px
-    np.multiply(p, selfadv, out=selfadv)
     ep = np.exp(1j * om * t)
     em = np.exp(-1j * om * t)
-    # the V+ source of the Vbar equation, (V+ . grad) V+ + (div V+) V+, is s (1, i)
-    # with s the z-mean of 2 phi div V+ e^{2 i Omega t}; the V- source is its conjugate
-    s = (ep * ep) * (2.0 * selfadv.mean(axis=-1))
     extra = ()
     if cfl:
         lab = np.multiply(2.0 * ep, p, out=acc)  # u - i v = Vbar_x - i Vbar_y + 2 e^{i Omega t} phi
@@ -366,32 +389,13 @@ def _rhs_plus(vbar, phi, t: float, cfg: SolverConfig, cfl: bool = False, out: tu
         np.multiply(2.0 * ep, intp, out=lab)  # -w + i (...)
         extra = (_cfl_from_maxima(umax, _abs_max(lab.real), cfg),)
 
-    # the oscillatory prefactors are scalars at fixed t, so the four tendency
-    # groups combine in physical space, in acc, for one forward transform of
-    # one component:
-    #   e^{i Omega t} (selfadv - int_0^z div V+ dz phi) + (Vbar . grad phi + phi cplus / 2)
-    #   + e^{-i Omega t} (conj(phi) (dx - i dy) phi - conj(int_0^z div V+) dz phi)
-    #   + (e^{-2 i Omega t} / 2) conj(phi) cminus
-    # each complex product with its operands in the order written here, which
-    # fixes its rounding
-    np.multiply(intp, dz, out=acc)
-    np.subtract(selfadv, acc, out=acc)
-    np.multiply(ep, acc, out=acc)
-    group = np.multiply(vb3[0], px, out=t1)
-    group += np.multiply(vb3[1], py, out=t2)
-    group += np.multiply(np.multiply(0.5, p, out=t2), cplus, out=t2)
-    acc += group
-    pm = np.conjugate(p, out=p)  # p is spent: its array holds conj(p) from here on
-    group = np.subtract(px, np.multiply(1j, py, out=t1), out=t1)
-    np.multiply(pm, group, out=group)
-    group -= np.multiply(np.conjugate(intp, out=t2), dz, out=t2)
-    np.multiply(em, group, out=group)
-    acc += group
-    group = np.multiply(pm, cminus, out=t1)
-    acc += np.multiply(em * em * 0.5, group, out=group)
+    s = _plus_groups(vals, vb3, cplus, cminus, ep, em, ws.asm)
     dhat = _fwd_baroclinic(acc[None], g, out=None if out is None else out[1], work=t1[None])
     if not np.isfinite(dhat).all():
-        _name_bad_term(np.conjugate(pm), px, py, dz, intp, vb3, cplus, cminus, ep, em)
+        # slow path: restore p and replay the groups, naming the first non-finite one
+        np.conjugate(p, out=p)
+        _plus_groups(vals, vb3, cplus, cminus, ep, em, ws.asm, check=_guard)
+        raise TendencyNanError("combined_baroclinic_tendency")
     dphi = np.negative(dhat, out=dhat)
 
     # --- Vbar equation: self terms of V+ and V-, averaged over z, Leray-projected ---
@@ -521,11 +525,6 @@ def _decay_factors(a: np.ndarray, grid: GridSpec, nu: float, dt: float) -> tuple
     return np.exp(rate * (0.5 * dt)), np.exp(rate * dt)
 
 
-def _lab_velocity(state, cfg: SolverConfig) -> np.ndarray:
-    """Lab-frame coefficients V of a rotating or direct state."""
-    return direct_from_rotating(state, cfg.omega) if isinstance(state, RotatingState) else state.v
-
-
 def _abs_max(x: np.ndarray) -> float:
     """max |x| of a real array without forming |x|."""
     return max(x.max(), -x.min())
@@ -547,7 +546,9 @@ def cfl_limit(state, cfg: SolverConfig) -> float:
     returns the same limit from the values it transforms anyway.
     """
     g = cfg.grid
-    v = band_pack(state if isinstance(state, np.ndarray) else _lab_velocity(state, cfg), g, "v")
+    if not isinstance(state, np.ndarray):
+        state = direct_from_rotating(state, cfg.omega) if isinstance(state, RotatingState) else state.v
+    v = band_pack(state, g, "v")
     umax = np.abs(values_from_coeffs(v, g, COS, real=True)).max()
     wmax = np.abs(values_from_coeffs(integral_z(-divergence(v, g)[None], g), g, SIN, real=True)).max()
     return _cfl_from_maxima(umax, wmax, cfg)
@@ -686,10 +687,7 @@ def _lab_band(arrs: tuple, t: float, cfg: SolverConfig) -> np.ndarray:
         return arrs[0]
     vbar, phi = arrs
     vplus = polarized(phi)
-    vminus = conjugate_reverse(vplus)
-    v = np.exp(1j * cfg.omega * t) * vplus + np.exp(-1j * cfg.omega * t) * vminus
-    v[..., 0] += band_gather(vbar[..., None], cfg.grid)[..., 0]
-    return v
+    return _lab_frame(band_gather(vbar[..., None], cfg.grid)[..., 0], vplus, conjugate_reverse(vplus), cfg.omega, t)
 
 
 def _norms_for_tracker(power: ShellPower, r: float):
@@ -740,11 +738,11 @@ def integrate(
     RHS there and so holds the physical velocity: with check_cfl a dt over
     the limit raises CflError before the step is accepted, and the smallest
     limit / dt is recorded either way.
-    After each step the packed band of the lab-frame velocity is formed once
-    and its shell-power table built once; the tau tracker and the
-    diagnostics row (norms, fits, energy, baroclinic L2) all read that
-    table.  A full state is built from the packed arrays only for the
-    state_observer and for the result.
+    At state0 and after each step the packed band of the lab-frame velocity
+    is formed once and its shell-power table built once; the tau tracker
+    (stepped after each step) and the diagnostics row (norms, fits, energy,
+    baroclinic L2) all read that table.  A full state is built from the
+    packed arrays only for the state_observer and for the result.
     """
     report = report or NormSpec(r=2.0, s=0, tau=0.0)
     g = cfg.grid
@@ -754,8 +752,13 @@ def integrate(
     rows, failures, margins = [], [], []
     collapse_t = None
 
-    def record(t, vbar, v, power):
+    def record(arrs, t, step_tracker):
+        v = _lab_band(arrs, t, cfg)
+        power = ShellPower.of(v, g)
+        if step_tracker and tau_tracker is not None:
+            tau_tracker.step(cfg.dt, _norms_for_tracker(power, report.r))
         tau_now = tau_tracker.tau if tau_tracker is not None else float("nan")
+        vbar = arrs[0] if rotating else band_unpack(v[..., 0:1], g)[..., 0]
         row, failed = _row(t, vbar, v, power, cfg, report, tau_now)
         rows.append(row)
         failures.append(failed)
@@ -770,11 +773,7 @@ def integrate(
 
     def observe(arrs, t):
         nonlocal collapse_t
-        v = _lab_band(arrs, t, cfg)
-        power = ShellPower.of(v, g)
-        if tau_tracker is not None:
-            tau_tracker.step(cfg.dt, _norms_for_tracker(power, report.r))
-        row = record(t, arrs[0] if rotating else band_unpack(v[..., 0:1], g)[..., 0], v, power)
+        row = record(arrs, t, True)
         if state_observer:
             state_observer(_unpack(arrs, t, cfg))
         if any(not np.isfinite(a).all() for a in arrs):
@@ -786,12 +785,9 @@ def integrate(
             collapse_t = t
         return None
 
-    state = state0.copy()
-    v = _lab_velocity(state, cfg)
-    first = record(state.t, state.vbar if rotating else v[..., 0], v, ShellPower.of(v, g))
+    first = record(arrs, state0.t, False)
     if state_observer:
-        state_observer(state)
-    del state, v  # from here the run holds only the packed arrays
+        state_observer(state0.copy())
     arrs, t, stop = _march(arrs, state0.t, cfg.dt, n_steps, advance, observe)
     termination = stop or "completed"
     rows[-1].termination = termination

@@ -109,6 +109,8 @@ def _initial_state(cfg: RunConfig):
         from .io import read_snapshot
 
         coeffs, g2, _ = read_snapshot(init.path)
+        if len(coeffs) != 2:
+            raise ValueError(f"snapshot {init.path} has {len(coeffs)} components; an initial velocity has 2")
         if (g2.nh, g2.nz) != (grid.nh, grid.nz):
             raise ValueError("snapshot grid does not match the configured grid")
         vbar = coeffs[..., 0].copy()

@@ -101,25 +101,25 @@ class BasisError(ValueError):
 
 @dataclass
 class SpectralField:
-    """Coefficients of a scalar or 2-vector field over (n1, n2, m)."""
+    """Coefficients of a scalar or 2-vector field over (n1, n2, m): the 3-D
+    layout (components, nh, nh, nz) or its packed 2/3-rule band (`band_pack`),
+    with leading sample axes for a stack of fields (the lemma checker's)."""
 
     grid: GridSpec
-    coeffs: np.ndarray  # (components, nh, nh, nz) complex
+    coeffs: np.ndarray  # (.., components, n1, n2, m) complex
     basis: str = COS
 
     def __post_init__(self):
-        if self.coeffs.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
-            )
-        if self.coeffs.ndim != 4 or self.coeffs.shape[0] not in (1, 2):
-            raise ValueError("coeffs must have shape (1 or 2, nh, nh, nz)")
+        if self.coeffs.shape[-3:] not in (self.grid.shape, band_shape(self.grid)):
+            raise ValueError(f"coefficient shape {self.coeffs.shape} fits neither grid {self.grid.shape} nor its band")
+        if self.coeffs.ndim < 4 or self.coeffs.shape[-4] not in (1, 2):
+            raise ValueError("coeffs must have shape (.., 1 or 2, nh, nh, nz) or the packed band's")
         if self.basis not in (COS, SIN):
             raise ValueError(f"unknown basis tag {self.basis!r}")
 
     @property
     def components(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-4]
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.basis)
@@ -145,7 +145,7 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs, self.basis)
 
     def component(self, c: int) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs[c : c + 1], self.basis)
+        return SpectralField(self.grid, self.coeffs[..., c : c + 1, :, :, :], self.basis)
 
 
 def _check_same(a: SpectralField, b: SpectralField):
@@ -585,10 +585,6 @@ def _cos_out_scale(hsize: int, nz: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # diagonal operators
 # ---------------------------------------------------------------------------
-
-# The diagonal operators below take a SpectralField, or any dataclass with its
-# fields grid, coeffs and basis whose coeffs are a stack (.., components, n1,
-# n2, m) of either 3-D layout, and return the same type (lemmas' stacks).
 
 def apply_A_exp(f: SpectralField, r: float, tau: float) -> SpectralField:
     """Apply A^r e^{tau A}, A = sqrt(-Delta_h), as a diagonal multiplier.

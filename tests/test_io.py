@@ -78,6 +78,24 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="PESP1"):
             read_snapshot(p)
 
+    @pytest.mark.parametrize("header, field", [
+        (b"PESP1 nh=16 nz=8 t=0.0", "comps"),
+        (b"PESP1 nh=16 nz=8 comps t=0.0", "comps"),
+        (b"PESP1 nh=16 nz=8 comps=-1 t=0.0", "comps"),
+        (b"PESP1 nh=16 nz=8 comps=two t=0.0", "comps"),
+        (b"PESP1 nh=16 comps=2 t=0.0", "nz"),
+        (b"PESP1 nh=3 nz=8 comps=2 t=0.0", "nh"),
+        (b"PESP1 nh=16 nz=8 comps=2 t=nan", "t"),
+    ])
+    def test_malformed_header_names_the_file_and_field(self, tmp_path, header, field):
+        """Each header field is validated where it is read: a ValueError that
+        names the file and the field, not a KeyError or a negative byte count."""
+        path = tmp_path / "bad.pesp1"
+        path.write_bytes(header + b"\n" + bytes(16 * 16 * 8 * 16))
+        with pytest.raises(ValueError) as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value) and field in str(err.value)
+
     def test_truncated_payload_rejected(self, tmp_path, grid16, rng):
         f = random_vector(grid16, rng)
         path = tmp_path / "state.pesp1"

@@ -6,7 +6,6 @@ import pytest
 from rotape.grid import GridSpec, a_exp_weight, dealias_mask, kabs, kx, ky, mpi
 from rotape.lemmas import (
     LemmaKind,
-    _Stack,
     _adv_field,
     _profile,
     _z_power,
@@ -38,7 +37,7 @@ ALL_KINDS = list(LemmaKind)
 def adv_field(f, g):
     """The checker's (f . grad) g of one pair of fields, in the full layout."""
     real = is_conjugate_symmetric(f) and is_conjugate_symmetric(g)
-    x = _adv_field(*(_Stack(y.grid, band_pack(y.coeffs, y.grid)[None], y.basis) for y in (f, g)), real)
+    x = _adv_field(*(SpectralField(y.grid, band_pack(y.coeffs, y.grid)[None], y.basis) for y in (f, g)), real)
     return SpectralField(f.grid, band_unpack(x.coeffs[0], f.grid), x.basis)
 
 

@@ -304,6 +304,21 @@ class TestStepping:
             rhs_rotating(st, 0.0, cfg)
         assert exc.value.term.startswith("plus_") or exc.value.term == "barotropic"
 
+    @pytest.mark.parametrize("bad, term", [("vbar", "plus_barotropic"), ("phi", "plus_self")])
+    def test_non_finite_input_names_its_group(self, rng, bad, term):
+        """The slow path replays the step's group assembly with a check on
+        each group: a non-finite Vbar first shows in the Vbar . grad phi
+        group, a non-finite phi in the self-advection group."""
+        from rotape.pe_solver import TendencyNanError
+
+        cfg = cfg_for()
+        st = rotating_from_direct(make_state(rng).v, 0.2, cfg.omega)
+        arrs = {"vbar": st.vbar.copy(), "phi": band_pack(st.vplus[0:1], cfg.grid)}
+        arrs[bad][(0, 1, 0, 1)[: arrs[bad].ndim]] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(TendencyNanError) as exc:
+            rhs_rotating((arrs["vbar"], arrs["phi"]), 0.2, cfg)
+        assert exc.value.term == term
+
     def test_direct_state_public_step(self, rng):
         cfg = cfg_for(formulation="direct")
         st = DirectState(0.0, make_state(rng, amplitude=0.5).v)
@@ -888,13 +903,13 @@ class TestWorkspace:
         got = rhs_rotating((st.vbar, phi), t, cfg)[1]
         assert got.tobytes() == expect.tobytes()
 
-    def test_named_bad_term_groups_are_the_steps_at_every_size(self, rng, monkeypatch):
+    def test_named_bad_term_groups_are_the_steps_at_every_size(self, rng):
         """The slow path that names a non-finite tendency group checks the
-        step's four groups, prefactors included, bit for bit at (32, 16),
+        groups that the step's assembly (`_plus_groups`) hands to its check:
+        the step's four groups, prefactors included, bit for bit at (32, 16),
         where numpy would evaluate a product with a temporary operand of
         256 KiB in that temporary, with its operands swapped."""
-        import rotape.pe_solver as pe
-        from rotape.pe_solver import TendencyNanError, _grad_stack, _name_bad_term, _plus_values
+        from rotape.pe_solver import _grad_stack, _plus_groups, _plus_values
         from rotape.spectral import barotropic_values
 
         grid = GridSpec(nh=32, nz=16)
@@ -919,9 +934,9 @@ class TestWorkspace:
         expect = {"plus_self": np.multiply(ep, inner), "plus_barotropic": barotropic,
                   "plus_cross": np.multiply(em, cross), "plus_conjugate_coupling": np.multiply(weight, coupling)}
         seen = {}
-        monkeypatch.setattr(pe, "_guard", lambda name, arr: seen.setdefault(name, arr))
-        with pytest.raises(TendencyNanError, match="combined_baroclinic_tendency"):
-            _name_bad_term(p, px, py, dz, intp, vb, cplus, cminus, ep, em)
+        _plus_groups(tuple(a.copy() for a in (p, px, py, dz, intp)), vb, cplus, cminus, ep, em,
+                     np.empty((3, *p.shape), dtype=np.complex128),
+                     check=lambda name, arr: seen.setdefault(name, arr.copy()))
         assert list(seen) == list(expect)
         for name, arr in expect.items():
             assert seen[name].tobytes() == arr.tobytes(), name

@@ -1,6 +1,7 @@
 """Fast scenario-harness behaviors (full runs live in test_acceptance)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ def test_file_init_round_trip(tmp_path):
     vbar2, vt2 = _initial_state(cfg)
     assert np.allclose(vbar2, vbar)
     assert np.allclose(vt2.coeffs, vt.coeffs)
+
+
+@pytest.mark.parametrize("comps", [1, 3])
+def test_file_init_rejects_a_snapshot_that_is_not_a_velocity(tmp_path, capsys, comps):
+    """A PESP1 file of other than 2 components is no initial velocity: the
+    run stops with a message naming the file and its component count."""
+    from rotape.cli import main
+    from rotape.io import write_snapshot
+    from rotape.scenarios import _initial_state
+
+    grid = GridSpec(nh=16, nz=8)
+    path = tmp_path / "ic.pesp1"
+    write_snapshot(path, np.zeros((comps, *grid.shape), dtype=np.complex128), grid, 0.0)
+    cfg = tiny_config()
+    cfg.init.kind = "file"
+    cfg.init.path = str(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path} has {comps} components")):
+        _initial_state(cfg)
+    doc = {"schema": "rotape-config/1", "grid": {"nh": 16, "nz": 8}, "init": {"kind": "file", "path": str(path)},
+           "scenario": {"name": "formulation_equivalence"}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")]) == 1
+    assert f"{path} has {comps} components" in capsys.readouterr().err
 
 
 def test_sweep_verb(tmp_path):

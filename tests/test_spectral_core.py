@@ -483,13 +483,17 @@ _OPERATOR_FINGERPRINTS = {
 
 # (fingerprint, owning module, owning function) of operators written on one
 # line of the whole package: the vertical diffusion nu (m pi)^2, which acts
-# only through the integrating factor, and the rotation (a, b) -> (-b, a)
+# only through the integrating factor, the rotation (a, b) -> (-b, a), and the
+# lab-frame velocity's e^{-i Omega t} V- term, which serves both layouts
 _ONE_LINE_OPERATORS = {
     "nu (m pi)^2": (
         r"\bnu\b.*\bmpi\(|\bmpi\([^)]*\)(?:\[[^\]]*\])?\s*\*\*\s*2\b", "pe_solver.py", "_decay_factors"
     ),
     "rotation (a, b) -> (-b, a)": (
         r"(?:concatenate|stack)\(\[\s*-\s*[\w.]+\[1(?::2)?\]", "decomposition.py", "perp_vector"
+    ),
+    "lab frame e^{-i Omega t} V-": (
+        r"np\.exp\(-1j\s*\*[^)]*\)\s*\*\s*[\w.]*vminus", "pe_solver.py", "_lab_frame"
     ),
 }
 
@@ -530,9 +534,10 @@ def _masked_forwards(tree) -> list[int]:
 def test_each_operator_has_one_definition():
     """Layering: the solvers, the initial data, the theory, the scenarios and
     the norms call the shared Leray projection, z-integral and A^r e^{tau A}
-    weight, so none of them re-derives one.  nu (m pi)^2 and the rotation
-    (a, b) -> (-b, a) are each written on one line of the package, inside
-    their owning function, and the decay factors e^{-nu (m pi)^2 h}
+    weight, so none of them re-derives one.  nu (m pi)^2, the rotation
+    (a, b) -> (-b, a) and the e^{-i Omega t} V- term of the lab-frame
+    velocity are each written on one line of the package, inside their
+    owning function, and the decay factors e^{-nu (m pi)^2 h}
     (`_decay_factors`) are formed only inside the IF-RK4 core `_if_rk4`, so
     no stepper builds its own.  Each fingerprint must still match its owner, or
     the scan would find nothing.  The 3-D transforms have one mode, the
