@@ -556,8 +556,9 @@ def test_each_operator_has_one_definition():
             if re.search(pattern, (root / name).read_text()):
                 offenders.append(f"{name}: {operator}")
     for operator, (pattern, owner, function) in _ONE_LINE_OPERATORS.items():
-        fn = next(node for node in ast.walk(ast.parse((root / owner).read_text()))
-                  if isinstance(node, ast.FunctionDef) and node.name == function)
+        fn = next((node for node in ast.walk(ast.parse((root / owner).read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == function), None)
+        assert fn is not None, f"{operator}: no function {function} in {owner}"
         sites = [(path.name, i) for path in sorted(root.glob("*.py"))
                  for i, line in enumerate(path.read_text().splitlines(), 1) if re.search(pattern, line)]
         owned = [(name, i) for name, i in sites if name == owner and fn.lineno <= i <= fn.end_lineno]
