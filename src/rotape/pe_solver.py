@@ -509,12 +509,12 @@ def _if_rk4(arrs: tuple, t: float, dt: float, nl, grid: GridSpec, nu: float, sta
         yi += np.multiply(dt * e_half[i], k3[i], out=ks[1][i])
     k4 = nl(y, t + dt, out=ks[2])
     new = []
-    for i, a in enumerate(arrs):
+    for i, a in enumerate(arrs):  # e_full a + the increment, formed in the stage input and copied out
         inc[i] += k4[i]
         inc[i] *= dt / 6.0
-        ai = np.multiply(e_full[i], a)
-        ai += inc[i]
-        new.append(ai)
+        yi = np.multiply(e_full[i], a, out=y[i])
+        yi += inc[i]
+        new.append(yi.copy())
     return tuple(new)
 
 
@@ -814,10 +814,14 @@ def _march(arrs: tuple, t: float, dt: float, n_steps: int, advance, observe) -> 
 # ---------------------------------------------------------------------------
 
 def _xz_layout(g: GridSpec) -> dict:
-    """The 2D reduced system's arrays: the four RK4 stage arrays of u, on the
-    packed band of the x-z layout."""
+    """The 2D reduced system's arrays, on the x-z layout: the band stack of u
+    that it transforms, one pass buffer for its three transforms, the real
+    values, and the four RK4 stage arrays of u."""
+    nh, nz = g.nh, g.nz
     n1, _, m = band_shape(g)
-    return {"stage": ((4, 1, n1, 1, m), np.complex128)}
+    c, r = np.complex128, np.float64
+    return {"stack": ((2, n1, 1, m), c), "passes": ((2, nh, 1, nz), c), "cvals": ((2, nh, 1, nz), r),
+            "svals": ((2, nh, 1, nz), r), "stage": ((4, 1, n1, 1, m), c)}
 
 
 def rhs_2d(u: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -830,13 +834,23 @@ def rhs_2d(u: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.n
     m >= 1 content of the two products survives.  u and the tendency are
     in the packed band layout (1, 2 hcut + 1, 1, zcut + 1) that the stepper
     passes (`band_pack`), the tendency written into the array `out` when
-    given.
+    given.  The transforms run in the grid's x-z workspace layout.
     """
-    dxu = 1j * k_h(grid, u)[0] * u
-    p, px = values_from_coeffs(np.concatenate([u, dxu]), grid, COS, real=True)
-    sines = np.concatenate([-mpi(grid, u) * u, integral_z(dxu, grid)])
-    dzp, intp = values_from_coeffs(sines, grid, SIN, real=True)
-    out = coeffs_from_values((intp * dzp - p * px)[None], grid, COS, out=out)
+    require_packed(u, grid)
+    ws = _workspace(grid).arrays(_xz_layout)
+    stack = ws.stack
+    stack[0:1] = u
+    np.multiply(1j * k_h(grid, u)[0], u, out=stack[1:2])
+    cvals = values_from_coeffs(stack, grid, COS, real=True, out=ws.cvals, work=ws.passes)
+    # the sine stack (dz u, int_0^z dx u) in place of the cosine one
+    integral_z(stack[1:2], grid, out=stack[1:2])
+    np.multiply(-mpi(grid, u), u, out=stack[0:1])
+    svals = values_from_coeffs(stack, grid, SIN, real=True, out=ws.svals, work=ws.passes)
+    p, px = cvals[0:1], cvals[1:2]
+    dzp, intp = svals[0:1], svals[1:2]
+    n = np.multiply(intp, dzp, out=intp)
+    n -= np.multiply(p, px, out=px)
+    out = coeffs_from_values(n, grid, COS, out=out, work=ws.passes[:1])
     out[..., 0] = 0.0
     _guard("advection_2d", out)
     return out

@@ -706,7 +706,7 @@ def integral_z(c: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> 
     whose integral z is no sine series, is dropped.
     """
     out = np.empty_like(c) if out is None else out
-    out[..., 1:] = c[..., 1:] / mpi(grid, c)[..., 1:]
+    np.divide(c[..., 1:], mpi(grid, c)[..., 1:], out=out[..., 1:])
     out[..., 0] = 0.0
     return out
 

@@ -791,15 +791,17 @@ class TestWorkspace:
         _workspace.cache_clear()
         assert ratios() == first
 
-    @pytest.mark.parametrize("system", ["rotating", "direct", "limit"])
+    @pytest.mark.parametrize("system", ["rotating", "direct", "limit", "2d"])
     @pytest.mark.parametrize("nh, nz", [(24, 12), (32, 16)])
     def test_warmed_step_allocates_less_than_one_field(self, system, nh, nz):
         """A warmed RK4-IF step allocates, at its traced peak, less than one
-        full-grid complex field (nh^2 nz 16 bytes): its fields live in the
-        workspace, and what it returns is band-sized.  numpy's ufuncs take
-        scratch of their own, up to `bufsize` elements per operand whatever
-        the grid, so the measured step runs with a small bufsize and the
-        peak counts arrays."""
+        full-grid complex field (nh^2 nz 16 bytes; nh nz 16 bytes on the 2D
+        system's x-z layout): its fields live in the workspace, and what it
+        returns is band-sized.  numpy's ufuncs take scratch of their own, up
+        to `bufsize` elements per operand whatever the grid, so the measured
+        step runs with a small bufsize and the peak counts arrays: 256
+        elements, and numpy's smallest, 16, for the x-z layout, whose whole
+        field is about 256 elements at (24, 12)."""
         import tracemalloc
 
         from rotape.initial_data import well_prepared_state
@@ -808,12 +810,19 @@ class TestWorkspace:
 
         grid = GridSpec(nh=nh, nz=nz)
         rng = np.random.default_rng(7)
+        field, small = nh * nh * nz * 16, 256
         if system == "limit":
             vbar, vt = well_prepared_state(grid, rng, tau0=0.4, eta0=0.3)
             arrs = limit_pack(LimitState(0.0, vorticity_from_velocity(vbar, grid), vt.coeffs), grid)
 
             def advance(a):
                 return limit_advance(a, 0.0, grid, 0.1, 1e-3)
+        elif system == "2d":
+            arrs = (band_pack(random_scalar_2d(grid, rng, tau=0.4, eta=0.3), grid),)
+            field, small = nh * nz * 16, 16
+
+            def advance(a):
+                return _advance_2d(a, 0.0, grid, 0.1, 1e-3)
         else:
             cfg = cfg_for(grid=grid, formulation=system)
             v = make_state(rng, grid=grid).v
@@ -825,7 +834,7 @@ class TestWorkspace:
 
         arrs = advance(advance(arrs))
         tracing = tracemalloc.is_tracing()
-        bufsize = np.setbufsize(256)
+        bufsize = np.setbufsize(small)
         if not tracing:
             tracemalloc.start()
         try:
@@ -837,7 +846,7 @@ class TestWorkspace:
             if not tracing:
                 tracemalloc.stop()
             np.setbufsize(bufsize)
-        assert peak < nh * nh * nz * 16
+        assert peak < field
 
     @pytest.mark.parametrize("kind", ["banach_algebra", "type1", "type2", "type3", "diff_type1", "diff_type2",
                                       "diff_type4"])
@@ -973,13 +982,16 @@ def digests():
 """
 
 
-def test_outputs_do_not_depend_on_the_allocator():
+@pytest.mark.parametrize("blas", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["inherited", "blas2"])
+def test_outputs_do_not_depend_on_the_allocator(blas):
     """A child process whose allocator fills every block it hands out or takes
     back with a byte pattern (glibc's MALLOC_PERTURB_), and serves large
     blocks from the heap (a raised MALLOC_MMAP_THRESHOLD_), writes the same
     bytes as this process: criterion 15's diagnostics.csv and the final state
     of a rotating (32, 16) run.  A buffer read before it is written would
-    differ there."""
+    differ there.  The child runs with this process's environment, in which
+    importing rotape loads numpy with one BLAS thread, and with a caller's
+    two, so the bytes also do not depend on the BLAS thread count."""
     import json
     import os
     import subprocess
@@ -988,7 +1000,7 @@ def test_outputs_do_not_depend_on_the_allocator():
 
     import rotape
 
-    env = dict(os.environ, MALLOC_PERTURB_="165", MALLOC_MMAP_THRESHOLD_=str(1 << 24),
+    env = dict(os.environ, **blas, MALLOC_PERTURB_="165", MALLOC_MMAP_THRESHOLD_=str(1 << 24),
                PYTHONPATH=os.pathsep.join([str(Path(rotape.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run([sys.executable, "-c", _DIGESTS + "\nimport json\nprint(json.dumps(digests()))"],
                            env=env, capture_output=True, text=True, timeout=120, check=True)

@@ -475,7 +475,7 @@ _OPERATOR_FINGERPRINTS = {
     "Leray projection": (
         r"\bksq\(|\w\s*\*\*\s*2\s*\+\s*\w+\s*\*\*\s*2|/\s*np\.where\(", "decomposition.py"
     ),
-    "z-integral": (r"/\s*(?:mpi\([^)]*\)|\w+)\[\.\.\.,\s*1:\]", "spectral.py"),
+    "z-integral": (r"(?:/\s*|np\.divide\(.*?,\s*)(?:mpi\([^)]*\)|\w+)\[\.\.\.,\s*1:\]", "spectral.py"),
     "A^r e^{tau A} weight": (
         r"np\.log\(np\.where\(|\*\*\s*\(?\s*(?:2(?:\.0)?\s*\*\s*)?r\s*\)?\s*\*\s*np\.exp", "grid.py"
     ),
