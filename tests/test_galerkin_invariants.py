@@ -16,9 +16,9 @@ These are exact identities with no reference solution, and they hold when
 both formulations share a defect, which criterion 3 cannot see.  The basis
 {e^{ik.x}} x {1, sqrt2 cos(m pi z)} is orthonormal, so <a, b> is the sum of
 conj(a) b over the modes.  Above the 2/3 rule the scheme aliases and the
-identities fail (by 1.6e-3 to 0.25 at fractions 3/4 and 1), so only the
-fractions 1/2 and 2/3 are drawn.  The fixture is test_symmetries' flat band
-noise.
+identities fail (at fraction 1 by 0.02 to 0.5 of |a| |N| on these grids),
+so only the fractions 1/2 and 2/3 are drawn.  The fixture is
+test_symmetries' flat band noise.
 """
 
 from fractions import Fraction
