@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config, read_document
+from .config import ConfigError, parse_config, read_document, sweep_values
 from .scenarios import SCENARIOS, run_scenario
 
 
@@ -108,8 +108,7 @@ def _sweep(doc: dict, out: Path | None) -> int:
         raise ConfigError(
             f"sweep overrides physics.omega, which scenario {cfg.scenario.name!r} does not read"
         )
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep requires a nonempty scenario.sweep list")
+    values = sweep_values(values)
     members = [parse_config({**base, "physics": {**base.get("physics", {}), "omega": v}}) for v in values]
     out = Path(out or cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)

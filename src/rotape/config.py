@@ -342,14 +342,7 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
     sweep = m["scenario"].get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x) for x in sweep
-        ):
-            raise ConfigError("scenario.sweep must be a list of finite numbers")
-        if len(sweep) < 2 or len(set(sweep)) != len(sweep):
-            raise ConfigError("scenario.sweep must hold at least two distinct Omega values")
-        sweep = [float(x) for x in sweep]
+    sweep = None if sweep is None else sweep_values(sweep)
 
     ot = m["output"]
     if not isinstance(ot.get("csv", True), bool):
@@ -371,6 +364,17 @@ def parse_config(doc: dict) -> RunConfig:
         scenario=ScenarioSpec(name=m["scenario"]["name"], sweep=sweep),
         output=output,
     )
+
+
+def sweep_values(sweep) -> list[float]:
+    """A scenario.sweep list as floats: finite numbers, at least two, all distinct."""
+    if not isinstance(sweep, list) or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x) for x in sweep
+    ):
+        raise ConfigError("scenario.sweep must be a list of finite numbers")
+    if len(sweep) < 2 or len(set(sweep)) != len(sweep):
+        raise ConfigError("scenario.sweep must hold at least two distinct Omega values")
+    return [float(x) for x in sweep]
 
 
 def read_document(path) -> dict:

@@ -359,6 +359,15 @@ class TestCliRejects:
         assert "physics.omega" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("sweep", [[None, 5.0], [5.0, 5.0], [5.0], None])
+    def test_sweep_values_follow_the_scenario_sweep_rule(self, tmp_path, capsys, sweep):
+        """A null value would run at the scenario's default Omega, not be skipped."""
+        doc = {"scenario": {"name": "continuous_dependence", "sweep": sweep}, "physics": {"omega": 3.0}}
+        assert main(["sweep", "--config", self._write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "scenario.sweep" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("verb, other", [("verify", "lemma_ratios"), ("lemmas", "verify_projections")])
     def test_verb_rejects_config_naming_another_scenario(self, tmp_path, capsys, verb, other):
         cfg = self._write(tmp_path, {"scenario": {"name": other}})

@@ -26,7 +26,9 @@ from rotape.pe_solver import SolverConfig, rhs_2d, rhs_direct, rhs_rotating, rot
 from rotape.spectral import band_pack, band_unpack, symmetrize
 
 BOUND = 1e-13  # relative to the largest tendency
-FRACTIONS = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+# grid._cuts lowers an aliasing cut by one, which on these grids takes 3/4
+# back to 2/3's cuts; 9/10 keeps more modes than 2/3 for nz >= 6 (and nh >= 12)
+FRACTIONS = [Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(1)]
 
 
 def _neg(n: int) -> np.ndarray:
@@ -141,10 +143,13 @@ def _cases(system: str, grid: GridSpec, rng) -> list:
 
 @pytest.mark.parametrize("system", ["rhs_direct", "rhs_rotating", "transport_rhs", "euler2d_rhs", "rhs_2d"])
 @settings(max_examples=12, deadline=None)
-@given(half_nh=st.integers(4, 8), nz=st.integers(4, 8), frac=st.sampled_from(FRACTIONS),
+@given(half_nh=st.integers(4, 8), nz=st.integers(6, 8), frac=st.sampled_from(FRACTIONS),
        seed=st.integers(0, 2**16))
 def test_right_hand_side_keeps_the_discrete_symmetries(system, half_nh, nz, frac, seed):
     grid = GridSpec(nh=2 * half_nh, nz=nz, dealias_fraction=frac)
+    if frac > Fraction(2, 3):  # an aliased band, not the 2/3 case again
+        two_thirds = GridSpec(nh=grid.nh, nz=nz, dealias_fraction=Fraction(2, 3))
+        assert (grid.hcut, grid.zcut) != (two_thirds.hcut, two_thirds.zcut)
     for i, (mapped_rhs, rhs_mapped) in enumerate(_cases(system, grid, np.random.default_rng(seed))):
         scale = np.abs(rhs_mapped).max()
         assert scale > 0
